@@ -24,14 +24,7 @@ from .ingest import (
     load_ground_truth,
 )
 from .matching import IOU_GRID, match_detections
-from .metrics import (
-    DEFAULT_SCORE_THRESHOLDS,
-    MetricReport,
-    RegimeError,
-    ap_over_iou_range,
-    ap_t2t_profile,
-    average_precision,
-)
+from .metrics import DEFAULT_SCORE_THRESHOLDS, RegimeError, ap_t2t_profile, metric_report
 from .replacement import AccuracyCurve, average_runs, build_accuracy_curve, matching_image_count
 from .report import (
     BarChart,
@@ -172,27 +165,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     dets = bind_features(load_detections(cfg.detections), load_feature_matrix(cfg.features))
     model = _load_model_or_fit(cfg)
 
-    iou_thresholds = IOU_GRID if cfg.iou_grid else (cfg.iou_threshold,)
-    profile = ap_t2t_profile(model, dets, gts, cfg.score_thresholds, iou_thresholds)
-
-    base = _base_regime(cfg.score_thresholds)
-    base_score = cfg.score_thresholds[base]
-    outcome = match_detections(dets, gts, cfg.iou_threshold, base_score)
-    annotated = annotate_distances(model, outcome)
-    report = MetricReport(
-        ap=average_precision(outcome),
-        ap_5095=ap_over_iou_range(dets, gts, base_score),
-        ap_t2t_by_regime=profile,
-        counts=(
-            len(outcome.true_positives),
-            len(outcome.false_positives),
-            len(outcome.false_negatives),
-        ),
+    report, annotated = metric_report(
+        model, dets, gts, cfg.score_thresholds, cfg.iou_threshold, cfg.iou_grid
     )
     hist_tp, hist_fp = distance_histogram(annotated, cfg.bins)
 
     summary = {
-        "base_regime": base,
+        "base_regime": _base_regime(cfg.score_thresholds),
         "counts": {"tp": report.counts[0], "fp": report.counts[1], "fn": report.counts[2]},
         "detections": len(dets),
         "epsilon": model.regularization,
@@ -214,7 +193,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     write_text(out / "distance_hist_fp.svg", render_svg(hist_fp))
 
     print(f"ap={report.ap:.6g} ap_5095={report.ap_5095:.6g}")
-    for name, value in profile.items():
+    for name, value in report.ap_t2t_by_regime.items():
         print(f"ap_t2t[{name}]={value:.6g}")
     print(f"wrote {out}/metrics.csv, summary.json, distance histograms")
     return 0

@@ -5,6 +5,14 @@ descending score (ties broken by detection id). Each one claims the still
 unclaimed ground-truth instance in its image with the highest IoU, provided
 that IoU reaches the threshold; otherwise it is a false positive. Instances
 never claimed are false negatives.
+
+Invariant (callers rely on it): for score thresholds s <= s', the outcome at
+s' is the score >= s' prefix of the outcome at s. Its TP pairs, with their
+claimed instances and in their order, and its FPs are those of the outcome at
+s that score at least s', and its false negatives are every other instance.
+This holds because detections scoring below s' are visited only after every
+detection scoring at least s'. :mod:`.metrics` therefore matches once per IoU
+threshold and derives each score regime by filtering.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import T2TError, UndefinedMetricError, ValidationError
 from .feature_model import (
+    AnnotatedEntry,
     DistanceAnnotatedOutcome,
     GaussianTrainModel,
     Kind,
@@ -44,6 +45,11 @@ def _ratio_mean(ratios: list[tuple[int, int]], denominator: int) -> float:
         total = sum((Fraction(n, d) for n, d in ratios), Fraction(0))
         return float(total / denominator)
     return float(sum(n / d for n, d in ratios) / denominator)
+
+
+def _mean(values: list[float]) -> float:
+    """Mean of per-IoU-threshold values, summed in threshold order."""
+    return float(sum(values) / len(values))
 
 
 def _check_unit_interval(value: float, what: str) -> float:
@@ -116,11 +122,10 @@ def ap_over_iou_range(
     """Mean AP over an IoU threshold grid (default 0.50:0.05:0.95)."""
     if not iou_thresholds:
         raise ValidationError("iou_thresholds must not be empty")
-    values = [
+    return _mean([
         average_precision(match_detections(dets, gts, t, score_threshold))
         for t in iou_thresholds
-    ]
-    return float(sum(values) / len(values))
+    ])
 
 
 def ap_t2t(annotated: DistanceAnnotatedOutcome) -> float:
@@ -158,6 +163,139 @@ class RegimeError(T2TError):
         super().__init__(f"{len(failures)} regime(s) failed: {detail}")
 
 
+def _score_prefix(outcome: MatchOutcome, score_threshold: float) -> MatchOutcome:
+    """The outcome ``match_detections`` gives at a higher score threshold.
+
+    By the prefix invariant of :mod:`.matching` the kept TP pairs and FPs are
+    exact; the false negatives gain the instances of the dropped TPs at the
+    end, not in ground-truth order.
+    """
+    if score_threshold <= outcome.score_threshold:
+        return outcome
+    return MatchOutcome(
+        true_positives=tuple(p for p in outcome.true_positives if p[0].score >= score_threshold),
+        false_positives=tuple(d for d in outcome.false_positives if d.score >= score_threshold),
+        false_negatives=outcome.false_negatives + tuple(
+            inst for det, inst in outcome.true_positives if det.score < score_threshold
+        ),
+        iou_threshold=outcome.iou_threshold,
+        score_threshold=score_threshold,
+        total_gt=outcome.total_gt,
+    )
+
+
+class _RegimeSweep:
+    """AP_t2t per score regime, fed one matching per IoU threshold.
+
+    Every matching runs at the lowest regime threshold; a regime keeps the
+    entries scoring at or above its own threshold. Distances depend on the
+    detection alone, so they are computed once, from the first outcome, and
+    every later IoU threshold only relabels detections as TP or FP. The
+    constructor validates its inputs as :func:`ap_t2t_profile` documents.
+    """
+
+    def __init__(
+        self,
+        model: GaussianTrainModel,
+        dets: DetectionSet,
+        gts: GroundTruthSet,
+        score_thresholds: dict[str, float] | None,
+        iou_thresholds: tuple[float, ...],
+    ):
+        thresholds = DEFAULT_SCORE_THRESHOLDS if score_thresholds is None else score_thresholds
+        if not thresholds:
+            raise ValidationError("score_thresholds must not be empty")
+        for name, value in thresholds.items():
+            _check_unit_interval(value, f"score threshold {name!r}")
+        if not iou_thresholds:
+            raise ValidationError("iou_thresholds must not be empty")
+        if len(gts.instances) == 0:
+            raise UndefinedMetricError("AP_t2t is undefined without ground truth")
+        self.model = model
+        self.dets = dets
+        self.gts = gts
+        self.thresholds = thresholds
+        self.base = min(thresholds.values())
+        self.values: dict[str, list[float]] = {name: [] for name in thresholds}
+        self.failures: dict[str, T2TError] = {}
+        self.distances: dict[str, float] | None = None
+
+    def _live(self) -> list[str]:
+        return [name for name in self.thresholds if name not in self.failures]
+
+    def add(self, iou_threshold: float) -> MatchOutcome | None:
+        """Match at one IoU threshold and add its AP_t2t to each live regime.
+
+        Returns the base-threshold outcome, or None once every regime failed.
+        """
+        live = self._live()
+        if not live:
+            return None
+        try:
+            outcome = match_detections(self.dets, self.gts, iou_threshold, self.base)
+        except T2TError as exc:
+            self.failures.update(dict.fromkeys(live, exc))
+            return None
+        if self.distances is None:
+            self._annotate(outcome, live)
+            live = self._live()
+            if not live:
+                return None
+        entries = self.annotated(outcome, min(self.thresholds[n] for n in live)).entries
+        for name in live:
+            threshold = self.thresholds[name]
+            kept = tuple(e for e in entries if e.score >= threshold)
+            self.values[name].append(
+                ap_t2t(DistanceAnnotatedOutcome(kept, outcome.total_gt, threshold))
+            )
+        return outcome
+
+    def _annotate(self, outcome: MatchOutcome, live: list[str]) -> None:
+        """Distances of the lowest live regime whose detections all get one.
+
+        Regimes are nested by threshold, so every regime above that one
+        succeeds too. Each regime below it fails with the error that
+        annotating its own kept detections raises.
+        """
+        for name in sorted(live, key=self.thresholds.__getitem__):
+            try:
+                annotated = annotate_distances(
+                    self.model, _score_prefix(outcome, self.thresholds[name])
+                )
+            except T2TError as exc:
+                self.failures[name] = exc
+                continue
+            self.distances = {e.detection_id: e.distance for e in annotated.entries}
+            return
+
+    def annotated(self, outcome: MatchOutcome, score_threshold: float) -> DistanceAnnotatedOutcome:
+        """What ``annotate_distances`` gives for the outcome cut at the threshold."""
+        distances = self.distances
+        entries = [
+            AnnotatedEntry(det.detection_id, Kind.TP, det.score, distances[det.detection_id])
+            for det, _ in outcome.true_positives
+            if det.score >= score_threshold
+        ]
+        entries += [
+            AnnotatedEntry(det.detection_id, Kind.FP, det.score, distances[det.detection_id])
+            for det in outcome.false_positives
+            if det.score >= score_threshold
+        ]
+        return DistanceAnnotatedOutcome(tuple(entries), outcome.total_gt, score_threshold)
+
+    def result(self) -> dict[str, float]:
+        """Regime name -> AP_t2t averaged over the IoU thresholds added."""
+        results = {
+            name: _mean(values)
+            for name, values in self.values.items()
+            if name not in self.failures
+        }
+        if self.failures:
+            failures = {name: self.failures[name] for name in self.thresholds if name in self.failures}
+            raise RegimeError(results, failures)
+        return results
+
+
 def ap_t2t_profile(
     model: GaussianTrainModel,
     dets: DetectionSet,
@@ -165,38 +303,24 @@ def ap_t2t_profile(
     score_thresholds: dict[str, float] | None = None,
     iou_thresholds: tuple[float, ...] = (0.5,),
 ) -> dict[str, float]:
-    """AP_t2t per score regime, each regime rematched at its own threshold.
+    """AP_t2t per score regime; regimes are score filters of one matching.
 
+    Each IoU threshold is matched once, at the lowest regime threshold, and
+    each kept detection gets its distance once. A regime keeps the entries
+    scoring at or above its own threshold, which by the prefix invariant of
+    :mod:`.matching` is exactly the outcome of matching at that threshold.
     The instance count |X| comes from the ground truth alone, so it is the
     same in every regime. With several IoU thresholds the per-regime value is
-    the mean over the grid. Regimes are evaluated independently; if any fail,
-    a RegimeError carrying the partial results is raised after all regimes
-    were attempted.
+    the mean over the grid, summed in grid order. A regime fails only through
+    its own kept detections, so a detection without a feature that scores
+    below a regime's threshold does not fail that regime; if any regime
+    fails, a RegimeError carrying the partial results is raised after all
+    regimes were attempted.
     """
-    thresholds = DEFAULT_SCORE_THRESHOLDS if score_thresholds is None else score_thresholds
-    if not thresholds:
-        raise ValidationError("score_thresholds must not be empty")
-    for name, value in thresholds.items():
-        _check_unit_interval(value, f"score threshold {name!r}")
-    if not iou_thresholds:
-        raise ValidationError("iou_thresholds must not be empty")
-    if len(gts.instances) == 0:
-        raise UndefinedMetricError("AP_t2t is undefined without ground truth")
-
-    results: dict[str, float] = {}
-    failures: dict[str, T2TError] = {}
-    for name, score_threshold in thresholds.items():
-        try:
-            values = []
-            for iou_threshold in iou_thresholds:
-                outcome = match_detections(dets, gts, iou_threshold, score_threshold)
-                values.append(ap_t2t(annotate_distances(model, outcome)))
-            results[name] = float(sum(values) / len(values))
-        except T2TError as exc:
-            failures[name] = exc
-    if failures:
-        raise RegimeError(results, failures)
-    return results
+    sweep = _RegimeSweep(model, dets, gts, score_thresholds, iou_thresholds)
+    for iou_threshold in iou_thresholds:
+        sweep.add(iou_threshold)
+    return sweep.result()
 
 
 @dataclass(frozen=True)
@@ -228,3 +352,50 @@ class MetricReport:
             "ap_t2t": dict(self.ap_t2t_by_regime),
             "counts": {"tp": tp, "fp": fp, "fn": fn},
         }
+
+
+def metric_report(
+    model: GaussianTrainModel,
+    dets: DetectionSet,
+    gts: GroundTruthSet,
+    score_thresholds: dict[str, float] | None = None,
+    iou_threshold: float = 0.5,
+    iou_grid: bool = False,
+) -> tuple[MetricReport, DistanceAnnotatedOutcome]:
+    """The headline numbers of one evaluation, one matching per IoU threshold.
+
+    AP_t2t per regime is taken at ``iou_threshold``, or averaged over
+    ``IOU_GRID`` when ``iou_grid`` is set, as :func:`ap_t2t_profile` gives
+    it. AP, AP@[.5:.95], the counts and the returned annotated outcome are
+    taken at ``iou_threshold`` and the lowest regime threshold. Each distinct
+    IoU threshold is matched once, and the AP_t2t profile is complete (or
+    raises RegimeError) before any threshold it does not use is matched.
+    """
+    profile_ious = IOU_GRID if iou_grid else (iou_threshold,)
+    sweep = _RegimeSweep(model, dets, gts, score_thresholds, profile_ious)
+    ap_at: dict[float, float] = {}
+    chosen: MatchOutcome | None = None
+    for t in profile_ious:
+        outcome = sweep.add(t)
+        if outcome is not None:
+            ap_at[t] = average_precision(outcome)
+            if t == iou_threshold:
+                chosen = outcome
+    ap_t2t_by_regime = sweep.result()
+    for t in (iou_threshold, *IOU_GRID):
+        if t not in ap_at:
+            outcome = match_detections(dets, gts, t, sweep.base)
+            ap_at[t] = average_precision(outcome)
+            if t == iou_threshold:
+                chosen = outcome
+    report = MetricReport(
+        ap=ap_at[iou_threshold],
+        ap_5095=_mean([ap_at[t] for t in IOU_GRID]),
+        ap_t2t_by_regime=ap_t2t_by_regime,
+        counts=(
+            len(chosen.true_positives),
+            len(chosen.false_positives),
+            len(chosen.false_negatives),
+        ),
+    )
+    return report, sweep.annotated(chosen, sweep.base)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (explicit set
 construction, nested loops, exact rationals) and shares no code with the
-library paths it checks.
+library paths it checks. The re-match references are the exception: they
+compose the library's own primitives the slow way, once per score regime
+and IoU threshold, as the library itself did before matching once.
 """
 
 from __future__ import annotations
@@ -11,7 +13,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from t2tmetrics import AnnotatedEntry, DistanceAnnotatedOutcome, Kind
+from t2tmetrics import (
+    DEFAULT_SCORE_THRESHOLDS,
+    IOU_GRID,
+    AnnotatedEntry,
+    DistanceAnnotatedOutcome,
+    Kind,
+    MetricReport,
+    RegimeError,
+    T2TError,
+    annotate_distances,
+    ap_t2t,
+    average_precision,
+    match_detections,
+)
 
 
 def ap_t2t_bruteforce(tp_distances, fp_distances, total_gt: int) -> float:
@@ -52,6 +67,52 @@ def average_precision_enumeration(records, total_gt: int) -> Fraction:
             seen_tp += 1
             total += Fraction(seen_tp, rank)
     return total / total_gt
+
+
+def ap_t2t_profile_rematch(model, dets, gts, score_thresholds=None, iou_thresholds=(0.5,)):
+    """AP_t2t per regime, matching and annotating afresh for every regime and IoU."""
+    thresholds = DEFAULT_SCORE_THRESHOLDS if score_thresholds is None else score_thresholds
+    results = {}
+    failures = {}
+    for name, score_threshold in thresholds.items():
+        try:
+            values = []
+            for iou_threshold in iou_thresholds:
+                outcome = match_detections(dets, gts, iou_threshold, score_threshold)
+                values.append(ap_t2t(annotate_distances(model, outcome)))
+            results[name] = float(sum(values) / len(values))
+        except T2TError as exc:
+            failures[name] = exc
+    if failures:
+        raise RegimeError(results, failures)
+    return results
+
+
+def ap_over_iou_range_rematch(dets, gts, score_threshold=0.0, iou_thresholds=IOU_GRID) -> float:
+    values = [
+        average_precision(match_detections(dets, gts, t, score_threshold))
+        for t in iou_thresholds
+    ]
+    return float(sum(values) / len(values))
+
+
+def metric_report_rematch(model, dets, gts, score_thresholds, iou_threshold=0.5, iou_grid=False):
+    """The report and base annotation of ``t2t evaluate``, each part matched on its own."""
+    iou_thresholds = IOU_GRID if iou_grid else (iou_threshold,)
+    profile = ap_t2t_profile_rematch(model, dets, gts, score_thresholds, iou_thresholds)
+    base_score = min(score_thresholds.values())
+    outcome = match_detections(dets, gts, iou_threshold, base_score)
+    report = MetricReport(
+        ap=average_precision(outcome),
+        ap_5095=ap_over_iou_range_rematch(dets, gts, base_score),
+        ap_t2t_by_regime=profile,
+        counts=(
+            len(outcome.true_positives),
+            len(outcome.false_positives),
+            len(outcome.false_negatives),
+        ),
+    )
+    return report, annotate_distances(model, outcome)
 
 
 def covariance_twopass(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

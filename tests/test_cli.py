@@ -1,10 +1,11 @@
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
-from t2tmetrics import MetricReport, export_csv, scaling_series
+from t2tmetrics import IOU_GRID, MetricReport, export_csv, scaling_series
 from t2tmetrics.cli import main
 
 SCENARIO_SPEC = {
@@ -85,6 +86,35 @@ def test_evaluate_is_deterministic(dataset, tmp_path):
     assert main(evaluate_args(dataset, out1)) == 0
     for name in EVALUATE_FILES:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
+    dataset, tmp_path, monkeypatch
+):
+    calls = {"match_detections": 0, "train2test_distance": 0}
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # Patch every module that binds the name, as ``from x import name`` copies it.
+    for name in calls:
+        bound = [
+            module for mod_name, module in sys.modules.items()
+            if mod_name.split(".")[0] == "t2tmetrics" and hasattr(module, name)
+        ]
+        assert bound
+        for module in bound:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+
+    assert main(evaluate_args(dataset, tmp_path / "out") + ["--iou-grid"]) == 0
+    detections = json.loads((tmp_path / "out" / "summary.json").read_text())["detections"]
+    assert 0 < calls["match_detections"] <= len(IOU_GRID)
+    assert 0 < calls["train2test_distance"] <= detections
 
 
 def test_summary_contains_no_absolute_paths(dataset, tmp_path):

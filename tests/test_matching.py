@@ -248,3 +248,50 @@ def test_score_threshold_monotonicity():
             if previous is not None:
                 assert n_tp <= previous
             previous = n_tp
+
+
+lattice_boxes = st.builds(
+    BoundingBox,
+    st.integers(0, 6).map(float),
+    st.integers(0, 6).map(float),
+    st.sampled_from([2.0, 3.0, 4.0]),
+    st.sampled_from([2.0, 3.0, 4.0]),
+)
+SCORE_CUTS = (0.0, 0.01, 0.1, 0.3, 0.5, 0.7, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_higher_score_cut_is_a_prefix_of_the_base_outcome(data):
+    # Lattice boxes and a few score levels make tied IoUs and tied scores common.
+    gts = make_gt(
+        [
+            (f"g{i}", f"im{data.draw(st.integers(0, 1))}", data.draw(lattice_boxes).to_list())
+            for i in range(data.draw(st.integers(1, 8)))
+        ]
+    )
+    dets = make_dets(
+        [
+            (
+                f"d{i}",
+                f"im{data.draw(st.integers(0, 1))}",
+                data.draw(lattice_boxes).to_list(),
+                data.draw(st.sampled_from(SCORE_CUTS)),
+            )
+            for i in range(data.draw(st.integers(0, 14)))
+        ]
+    )
+    base = data.draw(st.sampled_from(SCORE_CUTS[:3]))
+    for t in IOU_GRID:
+        outcome = match_detections(dets, gts, t, base)
+        for cut in SCORE_CUTS:
+            if cut < base:
+                continue
+            expected = match_detections(dets, gts, t, cut)
+            tps = [(d.detection_id, g) for d, g in outcome.true_positives if d.score >= cut]
+            assert tps == [(d.detection_id, g) for d, g in expected.true_positives]
+            fps = [d.detection_id for d in outcome.false_positives if d.score >= cut]
+            assert fps == [d.detection_id for d in expected.false_positives]
+            claimed = {g for _, g in tps}
+            fns = [inst.instance_id for inst in gts.instances if inst.instance_id not in claimed]
+            assert fns == list(expected.false_negatives)

@@ -3,6 +3,7 @@ import pytest
 
 from t2tmetrics import (
     DEFAULT_SCORE_THRESHOLDS,
+    IOU_GRID,
     AnnotatedEntry,
     BindingError,
     BoundingBox,
@@ -22,15 +23,21 @@ from t2tmetrics import (
     ap_t2t,
     ap_t2t_profile,
     average_precision,
+    generate_scenario,
+    metric_report,
     model_from_moments,
     precision_recall,
     t2t_precision_recall,
 )
+from t2tmetrics.scenario import ScenarioSpec
 from oracles import (
+    ap_over_iou_range_rematch,
     ap_t2t_bruteforce,
     ap_t2t_exact,
+    ap_t2t_profile_rematch,
     average_precision_enumeration,
     make_random_annotated,
+    metric_report_rematch,
     t2t_pr_bruteforce,
 )
 
@@ -450,6 +457,114 @@ def test_profile_averages_over_iou_grid():
         model, dets, gts, score_thresholds={"all": 0.01}, iou_thresholds=(0.5, 0.55, 0.6, 0.65)
     )
     assert profile["all"] == 0.75
+
+
+TIED_SCORES = (0.0, 0.01, 0.05, 0.1, 0.3, 0.5, 0.5, 0.7, 1.0)
+
+
+def lattice_box(rng):
+    return BoundingBox(*(float(v) for v in rng.integers((0, 0, 2, 2), (8, 8, 5, 5))))
+
+
+def random_scene(rng, unbound=False):
+    """Lattice boxes, a few score levels and integer features, so IoUs,
+    scores and distances tie often; ``unbound`` leaves some features out."""
+    images = tuple(ImageInfo(id=f"im{k}", file_name="", width=100, height=100) for k in range(3))
+    gts = GroundTruthSet(
+        images=images,
+        instances=tuple(
+            GroundTruthInstance(
+                instance_id=f"g{i:02d}", image_id=f"im{rng.integers(3)}", box=lattice_box(rng)
+            )
+            for i in range(int(rng.integers(1, 12)))
+        ),
+    )
+    dets = DetectionSet(
+        detections=tuple(
+            Detection(
+                detection_id=f"d{i:02d}",
+                image_id=f"im{rng.integers(3)}",
+                box=lattice_box(rng),
+                score=float(rng.choice(TIED_SCORES)),
+                feature=None if unbound and rng.random() < 0.2
+                else rng.integers(-3, 4, 2).astype(np.float64),
+            )
+            for i in range(int(rng.integers(0, 25)))
+        )
+    )
+    return dets, gts
+
+
+def regime_outcome(fn, *args):
+    """The profile, or the partial results and (type, message) of each failure."""
+    try:
+        return list(fn(*args).items())
+    except RegimeError as exc:
+        failures = [(name, type(e), str(e)) for name, e in exc.failures.items()]
+        return list(exc.results.items()), failures
+
+
+def random_thresholds(rng):
+    if rng.random() < 0.3:
+        return dict(DEFAULT_SCORE_THRESHOLDS)
+    names = rng.permutation(["x", "y", "z"])[: int(rng.integers(1, 4))]
+    return {str(name): float(rng.choice(TIED_SCORES)) for name in names}
+
+
+def test_profile_and_iou_range_equal_the_rematch_oracle():
+    rng = np.random.default_rng(2408)
+    model = model_from_moments(np.zeros(2), np.eye(2))
+    failed = 0
+    for trial in range(200):
+        dets, gts = random_scene(rng, unbound=trial % 4 == 0)
+        thresholds = random_thresholds(rng)
+        for ious in ((0.5,), IOU_GRID, (0.75, 0.3, 0.75)):
+            got = regime_outcome(ap_t2t_profile, model, dets, gts, thresholds, ious)
+            assert got == regime_outcome(ap_t2t_profile_rematch, model, dets, gts, thresholds, ious)
+            failed += isinstance(got, tuple)
+        for score_threshold in thresholds.values():
+            assert ap_over_iou_range(dets, gts, score_threshold) == ap_over_iou_range_rematch(
+                dets, gts, score_threshold
+            )
+    assert failed > 0
+
+
+def test_metric_report_equals_the_rematch_oracle():
+    rng = np.random.default_rng(14559)
+    model = model_from_moments(np.zeros(2), np.eye(2))
+    for trial in range(60):
+        dets, gts = random_scene(rng, unbound=trial % 4 == 0)
+        thresholds = random_thresholds(rng)
+        for iou_threshold in (0.5, 0.65, 0.3):
+            for iou_grid in (False, True):
+                args = (model, dets, gts, thresholds, iou_threshold, iou_grid)
+                try:
+                    expected = metric_report_rematch(*args)
+                except RegimeError as exc:
+                    with pytest.raises(RegimeError) as err:
+                        metric_report(*args)
+                    assert str(err.value) == str(exc)
+                    continue
+                report, annotated = metric_report(*args)
+                assert report == expected[0] and annotated == expected[1]
+                assert list(report.ap_t2t_by_regime) == list(thresholds)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_profile_and_report_equal_the_rematch_oracle_on_planted_scenarios(seed):
+    scenario = generate_scenario(ScenarioSpec(
+        n_gt=60, n_tp=45, n_fp=50, feature_dim=4, fp_distance_scale=1.5,
+        tp_score_range=(0.0, 1.0), fp_score_range=(0.0, 1.0), seed=seed,
+    ))
+    model = scenario.planted_model()
+    dets, gts = scenario.detections, scenario.ground_truth
+    assert ap_t2t_profile(model, dets, gts, iou_thresholds=IOU_GRID) == ap_t2t_profile_rematch(
+        model, dets, gts, iou_thresholds=IOU_GRID
+    )
+    for iou_threshold in (0.5, 0.65, 0.9):
+        for iou_grid in (False, True):
+            args = (model, dets, gts, DEFAULT_SCORE_THRESHOLDS, iou_threshold, iou_grid)
+            assert metric_report(*args) == metric_report_rematch(*args)
 
 
 def test_default_thresholds():
