@@ -11,14 +11,16 @@ import io
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
 from .errors import NumericalError, ParseError, T2TError, ValidationError
 from .feature_model import annotate_distances, fit_gaussian, load_model, save_model
 from .fsio import write_text
 from .ingest import (
+    _load_json,
     bind_features,
+    decode,
     load_detections,
     load_feature_matrix,
     load_ground_truth,
@@ -43,7 +45,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class RunConfig:
-    """Resolved run settings; flag values override config-file values."""
+    """Run settings; field names are the ``--config`` keys and the flags' ``dest``."""
 
     ground_truth: Path | None = None
     detections: Path | None = None
@@ -57,11 +59,7 @@ class RunConfig:
     )
     epsilon: float | None = None
     bins: int = 30
-    seed: int | None = None
     iou_grid: bool = False
-
-
-_PATH_KEYS = ("ground_truth", "detections", "features", "train_features", "model", "out")
 
 
 def _parse_score_thresholds(text: str) -> dict[str, float]:
@@ -82,59 +80,14 @@ def _parse_score_thresholds(text: str) -> dict[str, float]:
     return out
 
 
-def _load_config(path: Path) -> RunConfig:
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: config must be a JSON object")
-    known = {f.name for f in dc_fields(RunConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ValidationError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    cfg = RunConfig()
-    for key, value in raw.items():
-        if key in _PATH_KEYS:
-            if not isinstance(value, str):
-                raise ValidationError(f"{path}: {key} must be a path string")
-            setattr(cfg, key, Path(value))
-        elif key == "score_thresholds":
-            if not isinstance(value, dict) or not value:
-                raise ValidationError(f"{path}: score_thresholds must be a non-empty object")
-            cfg.score_thresholds = {str(k): float(v) for k, v in value.items()}
-        elif key == "iou_grid":
-            if not isinstance(value, bool):
-                raise ValidationError(f"{path}: iou_grid must be true or false")
-            cfg.iou_grid = value
-        elif key in ("iou_threshold", "epsilon"):
-            setattr(cfg, key, float(value))
-        elif key in ("bins", "seed"):
-            setattr(cfg, key, int(value))
-    return cfg
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = _load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    for key in _PATH_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, Path(flag))
-    if getattr(args, "iou", None) is not None:
-        cfg.iou_threshold = args.iou
-    if getattr(args, "score_thresholds", None) is not None:
-        cfg.score_thresholds = _parse_score_thresholds(args.score_thresholds)
-    if getattr(args, "epsilon", None) is not None:
-        cfg.epsilon = args.epsilon
-    if getattr(args, "bins", None) is not None:
-        cfg.bins = args.bins
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "iou_grid", False):
-        cfg.iou_grid = True
-    return cfg
+    cfg = RunConfig()
+    if args.config is not None:
+        cfg = decode(RunConfig, _load_json(args.config), str(args.config))
+    flags = {f.name: getattr(args, f.name, None) for f in dc_fields(RunConfig)}
+    if flags["score_thresholds"] is not None:
+        flags["score_thresholds"] = _parse_score_thresholds(flags["score_thresholds"])
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _require(cfg: RunConfig, *keys: str) -> None:
@@ -143,12 +96,22 @@ def _require(cfg: RunConfig, *keys: str) -> None:
         raise ValidationError(f"missing required inputs: --{', --'.join(missing)}")
 
 
-def _load_model_or_fit(cfg: RunConfig):
+def _load_inputs(cfg: RunConfig):
+    """Ground truth, feature-bound detections and the model of a matching command."""
+    _require(cfg, "ground_truth", "detections", "features", "out")
+    gts = load_ground_truth(cfg.ground_truth)
+    dets = bind_features(load_detections(cfg.detections), load_feature_matrix(cfg.features))
+    # The matcher would count a detection on an unlisted image as a false positive.
+    images = {im.id for im in gts.images}
+    for det in dets.detections:
+        if det.image_id not in images:
+            raise ValidationError(f"{cfg.detections}: detection {det.detection_id!r} "
+                                  f"references unknown image {det.image_id!r}")
     if cfg.model is not None:
-        return load_model(cfg.model)
-    if cfg.train_features is not None:
-        return fit_gaussian(load_feature_matrix(cfg.train_features), cfg.epsilon)
-    raise ValidationError("missing required inputs: --model or --train-features")
+        return gts, dets, load_model(cfg.model)
+    if cfg.train_features is None:
+        raise ValidationError("missing required inputs: --model or --train-features")
+    return gts, dets, fit_gaussian(load_feature_matrix(cfg.train_features), cfg.epsilon)
 
 
 def _base_regime(thresholds: dict[str, float]) -> str:
@@ -160,10 +123,7 @@ def _base_regime(thresholds: dict[str, float]) -> str:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _require(cfg, "ground_truth", "detections", "features", "out")
-    gts = load_ground_truth(cfg.ground_truth)
-    dets = bind_features(load_detections(cfg.detections), load_feature_matrix(cfg.features))
-    model = _load_model_or_fit(cfg)
+    gts, dets, model = _load_inputs(cfg)
 
     report, annotated = metric_report(
         model, dets, gts, cfg.score_thresholds, cfg.iou_threshold, cfg.iou_grid
@@ -213,10 +173,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_distances(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _require(cfg, "ground_truth", "detections", "features", "out")
-    gts = load_ground_truth(cfg.ground_truth)
-    dets = bind_features(load_detections(cfg.detections), load_feature_matrix(cfg.features))
-    model = _load_model_or_fit(cfg)
+    gts, dets, model = _load_inputs(cfg)
     outcome = match_detections(dets, gts, cfg.iou_threshold, args.score_threshold)
     annotated = annotate_distances(model, outcome)
     write_text(cfg.out, export_csv(annotated))
@@ -226,10 +183,7 @@ def cmd_distances(args: argparse.Namespace) -> int:
 
 def cmd_ap_t2t(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _require(cfg, "ground_truth", "detections", "features", "out")
-    gts = load_ground_truth(cfg.ground_truth)
-    dets = bind_features(load_detections(cfg.detections), load_feature_matrix(cfg.features))
-    model = _load_model_or_fit(cfg)
+    gts, dets, model = _load_inputs(cfg)
     iou_thresholds = IOU_GRID if cfg.iou_grid else (cfg.iou_threshold,)
     profile = ap_t2t_profile(model, dets, gts, cfg.score_thresholds, iou_thresholds)
     buf = io.StringIO()
@@ -245,14 +199,18 @@ def cmd_ap_t2t(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_curve_file(path: Path) -> list[AccuracyCurve]:
+def _read_csv_rows(path: Path) -> list[list[str]]:
     if not path.exists():
         raise ParseError(f"no such file: {path}")
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from exc
+    return [r for r in csv.reader(io.StringIO(text)) if r]
+
+
+def _read_curve_file(path: Path) -> list[AccuracyCurve]:
+    rows = _read_csv_rows(path)
     if not rows:
         raise ParseError(f"{path}: empty curve file")
 
@@ -336,20 +294,11 @@ def cmd_replacement(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    raw: dict = {}
+    spec = ScenarioSpec()
     if args.spec is not None:
-        spec_path = Path(args.spec)
-        if not spec_path.exists():
-            raise ParseError(f"no such file: {spec_path}")
-        try:
-            raw = json.loads(spec_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{spec_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-        if not isinstance(raw, dict):
-            raise ParseError(f"{spec_path}: scenario spec must be a JSON object")
+        spec = decode(ScenarioSpec, _load_json(args.spec), str(args.spec))
     if args.seed is not None:
-        raw["seed"] = args.seed
-    spec = ScenarioSpec.from_dict(raw)
+        spec = replace(spec, seed=args.seed)
     scn = generate_scenario(spec)
     out = Path(args.out)
     paths = scn.write(out)
@@ -364,11 +313,12 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _read_report_csv(path: Path) -> list[list[str]]:
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
-    rows = [r for r in csv.reader(io.StringIO(path.read_text(encoding="utf-8"))) if r]
+    rows = _read_csv_rows(path)
     if len(rows) < 2:
         raise ParseError(f"{path}: expected a header row and at least one data row")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ParseError(f"{path}: row {lineno}: expected {len(rows[0])} columns, got {len(row)}")
     return rows
 
 
@@ -398,12 +348,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         if header != ["bin_lo", "bin_hi", "count"]:
             raise ParseError(f"{path}: expected columns bin_lo,bin_hi,count")
         try:
-            edges = [float(body[0][0])] + [float(r[1]) for r in body]
+            lows = [float(r[0]) for r in body]
+            edges = lows[:1] + [float(r[1]) for r in body]
             counts = [int(r[2]) for r in body]
         except ValueError:
             raise ParseError(f"{path}: non-numeric histogram row") from None
-        for i, row in enumerate(body[1:], start=1):
-            if float(row[0]) != edges[i]:
+        for i in range(1, len(body)):
+            if lows[i] != edges[i]:
                 raise ParseError(f"{path}: bins are not contiguous at row {i + 1}")
         svg = render_svg(Histogram(edges=tuple(edges), counts=tuple(counts), label=title))
     else:
@@ -422,33 +373,41 @@ def cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- parser
 
 
-def _add_io_flags(p: argparse.ArgumentParser, *, model: bool = False) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Exits with code 1 on a usage error, like every other bad input."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _add_io_flags(p: argparse.ArgumentParser, *, matching: bool = False) -> None:
     p.add_argument("--config", type=Path, help="JSON config file; flags override it")
     p.add_argument("--gt", dest="ground_truth", type=Path, help="ground-truth JSON")
     p.add_argument("--det", dest="detections", type=Path, help="detections JSON")
     p.add_argument("--features", type=Path, help="detection feature matrix")
     p.add_argument("--train-features", dest="train_features", type=Path,
                    help="training feature matrix")
-    if model:
+    if matching:
         p.add_argument("--model", type=Path, help="fitted model file (instead of --train-features)")
+        p.add_argument("--iou", dest="iou_threshold", type=float,
+                       help="IoU threshold for matching (default 0.5)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="t2t",
         description="Quantify how well a training set represents a test set.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("evaluate", help="full pipeline: metrics, AP_t2t profile, histograms")
-    _add_io_flags(p, model=True)
-    p.add_argument("--iou", type=float, help="IoU threshold for matching (default 0.5)")
+    _add_io_flags(p, matching=True)
     p.add_argument("--score-thresholds", help="regimes, e.g. all=0.01,med=0.1,high=0.5")
     p.add_argument("--epsilon", type=float, help="covariance regularization (default: trace-scaled)")
     p.add_argument("--bins", type=int, help="histogram bin count (default 30)")
-    p.add_argument("--iou-grid", action="store_true",
+    p.add_argument("--iou-grid", action="store_true", default=None,
                    help="average AP_t2t over the 0.50:0.05:0.95 IoU grid")
-    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out", type=Path, help="output directory")
     p.set_defaults(func=cmd_evaluate)
 
@@ -459,19 +418,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("distances", help="per-detection train2test distances as CSV")
-    _add_io_flags(p, model=True)
-    p.add_argument("--iou", type=float, help="IoU threshold for matching (default 0.5)")
+    _add_io_flags(p, matching=True)
     p.add_argument("--score-threshold", type=float, default=0.01,
                    help="drop detections scoring below this (default 0.01)")
     p.add_argument("--out", type=Path, help="output CSV file")
     p.set_defaults(func=cmd_distances)
 
     p = sub.add_parser("ap-t2t", help="AP_t2t per score regime")
-    _add_io_flags(p, model=True)
-    p.add_argument("--iou", type=float, help="IoU threshold for matching (default 0.5)")
+    _add_io_flags(p, matching=True)
     p.add_argument("--score-thresholds", help="regimes, e.g. all=0.01,med=0.1,high=0.5")
     p.add_argument("--epsilon", type=float, help="covariance regularization (default: trace-scaled)")
-    p.add_argument("--iou-grid", action="store_true",
+    p.add_argument("--iou-grid", action="store_true", default=None,
                    help="average AP_t2t over the 0.50:0.05:0.95 IoU grid")
     p.add_argument("--out", type=Path, help="output directory")
     p.set_defaults(func=cmd_ap_t2t)

@@ -33,7 +33,8 @@ import json
 import logging
 import math
 import struct
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -210,13 +211,6 @@ class FeatureMatrix:
     def dim(self) -> int:
         return self.data.shape[1]
 
-    def row(self, row_id: str) -> np.ndarray:
-        try:
-            idx = self.row_ids.index(row_id)
-        except ValueError:
-            raise KeyError(row_id) from None
-        return self.data[idx].copy()
-
 
 # ---------------------------------------------------------------- ground truth
 
@@ -232,6 +226,66 @@ def _load_json(path: str | Path) -> object:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 text ({exc.reason})") from exc
+
+
+# Each scalar field type: the JSON values it accepts, and how to say so.
+_JSON_SCALARS = {
+    bool: (bool, "true or false"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    Path: (str, "a path string"),
+}
+
+
+def _decode_value(hint: object, value: object, where: str) -> object:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+    elif value is None:
+        raise ValidationError(f"{where} must not be null")
+    if hint in _JSON_SCALARS:
+        accepted, expected = _JSON_SCALARS[hint]
+        if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+            raise ValidationError(f"{where} must be {expected}, got {value!r}")
+        try:
+            return hint(value)
+        except OverflowError:
+            raise ValidationError(f"{where} is out of range for a float: {value}") from None
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ValidationError(f"{where} must be an object, got {value!r}")
+        return {k: _decode_value(args[1], v, f"{where}.{k}") for k, v in value.items()}
+    # tuple[...], the one field type left
+    if not isinstance(value, (list, tuple)) or len(value) != len(args):
+        raise ValidationError(f"{where} must be a list of {len(args)} values, got {value!r}")
+    return tuple(_decode_value(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+
+
+def decode(cls: type, raw: object, where: str):
+    """Build the dataclass ``cls`` from a parsed JSON document, without coercion.
+
+    Each key must name a field, and each value must already have the field's
+    declared type: ints exclude bools and fractions, floats take any number
+    but a bool, paths take strings, and ``null`` is allowed only for optional
+    fields. Range checks stay with ``cls`` and its users.
+
+    Raises:
+        ValidationError: naming ``where`` and the offending key.
+    """
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{where}: expected a JSON object, got {type(raw).__name__}")
+    hints = typing.get_type_hints(cls)
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(set(raw) - names)
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys: {', '.join(unknown)}")
+    values = {k: _decode_value(hints[k], v, f"{where}: {k}") for k, v in raw.items()}
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _parse_box(raw: object, where: str) -> BoundingBox:
@@ -268,18 +322,19 @@ def load_ground_truth(path: str | Path) -> GroundTruthSet:
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: expected an object")
         try:
+            size = (raw["width"], raw["height"])
+            if not all(type(v) is int for v in size):
+                raise ParseError(f"{where}: width and height must be integers, got {size}")
             images.append(
                 ImageInfo(
                     id=_as_identifier(raw["id"], f"{where}.id"),
                     file_name=str(raw.get("file_name", "")),
-                    width=int(raw["width"]),
-                    height=int(raw["height"]),
+                    width=size[0],
+                    height=size[1],
                 )
             )
         except KeyError as exc:
             raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: {exc}") from None
 
     instances = []
     for i, raw in enumerate(doc["annotations"]):
@@ -368,35 +423,31 @@ def write_detections(dets: DetectionSet, path: str | Path) -> Path:
 # ------------------------------------------------------------ feature matrices
 
 
-def _read_exact(fh: io.BufferedReader, n: int, path: Path, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ParseError(f"{path}: truncated feature file while reading {what}")
-    return buf
-
-
 def _load_features_binary(path: Path) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, len(FEATURE_MAGIC), path, "magic")
-        if magic != FEATURE_MAGIC:
-            raise ParseError(f"{path}: bad magic {magic!r}")
-        rows = _U64.unpack(_read_exact(fh, 8, path, "row count"))[0]
-        dim = _U64.unpack(_read_exact(fh, 8, path, "dimension"))[0]
-        if rows < 1 or dim < 1:
-            raise ParseError(f"{path}: header declares empty matrix ({rows}x{dim})")
-        payload = _read_exact(fh, rows * dim * 4, path, "feature values")
-        data = np.frombuffer(payload, dtype="<f4").reshape(rows, dim)
-        ids = []
-        for i in range(rows):
-            (length,) = _U32.unpack(_read_exact(fh, 4, path, f"id length of row {i}"))
-            raw = _read_exact(fh, length, path, f"id of row {i}")
-            try:
-                ids.append(raw.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{path}: row {i} id is not valid UTF-8 ({exc.reason})") from exc
-        trailing = fh.read(1)
-        if trailing:
-            raise ParseError(f"{path}: trailing bytes after row ids")
+    # Sizes from the file are checked against the bytes left before any use.
+    blob = memoryview(path.read_bytes())
+    offset = len(FEATURE_MAGIC)
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal offset
+        if n > len(blob) - offset:
+            raise ParseError(f"{path}: truncated feature file: {what} needs {n} bytes")
+        offset += n
+        return blob[offset - n : offset]
+
+    rows, dim = struct.unpack("<QQ", take(16, "header"))
+    if rows < 1 or dim < 1:
+        raise ParseError(f"{path}: header declares empty matrix ({rows}x{dim})")
+    data = np.frombuffer(take(rows * dim * 4, "feature values"), dtype="<f4").reshape(rows, dim)
+    ids = []
+    for i in range(rows):
+        (length,) = _U32.unpack(take(4, f"id length of row {i}"))
+        try:
+            ids.append(str(take(length, f"id of row {i}"), "utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: row {i} id is not valid UTF-8 ({exc.reason})") from exc
+    if offset != len(blob):
+        raise ParseError(f"{path}: trailing bytes after row ids")
     if not np.isfinite(data).all():
         bad = int(np.argwhere(~np.isfinite(data))[0][0])
         raise ValidationError(f"{path}: non-finite feature value in row {ids[bad]!r}")

@@ -36,6 +36,7 @@ from .ingest import (
     GroundTruthInstance,
     GroundTruthSet,
     ImageInfo,
+    decode,
     write_detections,
     write_feature_matrix,
     write_ground_truth,
@@ -95,18 +96,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> ScenarioSpec:
-        known = set(cls.__dataclass_fields__)
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ValidationError(f"unknown scenario spec fields: {', '.join(unknown)}")
-        fields = dict(raw)
-        for name in ("tp_score_range", "fp_score_range"):
-            if name in fields:
-                pair = fields[name]
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise ValidationError(f"{name} must be a (min, max) pair")
-                fields[name] = (float(pair[0]), float(pair[1]))
-        return cls(**fields)
+        return decode(cls, raw, "scenario spec")
 
     def to_dict(self) -> dict:
         return {

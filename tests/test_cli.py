@@ -359,6 +359,18 @@ def test_scenario_rejects_bad_spec(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "distances", "ap-t2t"])
+def test_detection_on_unknown_image_exits_1(dataset, tmp_path, capsys, command):
+    dets = json.loads((dataset / "detections.json").read_text())
+    dets[2]["image_id"] = "img-missing"
+    write_json(dataset / "detections.json", dets)
+    assert main([command] + evaluate_args(dataset, tmp_path / "out")[1:]) == 1
+    err = capsys.readouterr().err
+    assert "detections.json" in err
+    assert repr(dets[2]["detection_id"]) in err
+    assert "'img-missing'" in err
+
+
 # ----------------------------------------------------------------------- report
 
 
@@ -417,6 +429,24 @@ def test_report_rejects_wrong_columns(tmp_path, capsys):
     assert "contiguous" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, text, message", [
+    ("series", "series,x,y\na,1\n", "row 2: expected 3 columns"),
+    ("histogram", "bin_lo,bin_hi,count\n0,1\n", "row 2: expected 3 columns"),
+    ("bars", "label,value\nfoo\n", "row 2: expected 2 columns"),
+    ("histogram", "bin_lo,bin_hi,count\n0,1,2\nabc,2,3\n", "non-numeric"),
+])
+def test_report_rejects_malformed_csv(tmp_path, capsys, kind, text, message):
+    path = tmp_path / "in.csv"
+    argv = ["report", "--kind", kind, "--input", str(path), "--out", str(tmp_path / "x.svg")]
+    path.write_text(text)
+    assert main(argv) == 1
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    path.write_bytes(text.encode() + b"\xff\n")
+    assert main(argv) == 1
+    assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- config file
 
 
@@ -458,6 +488,59 @@ def test_score_thresholds_flag(dataset, tmp_path, capsys):
 
     assert main(evaluate_args(dataset, tmp_path / "bad") + ["--score-thresholds", "junk"]) == 1
     assert "name=value" in capsys.readouterr().err
+
+
+# Every malformed value ends in exit 1 and an error line naming the file and
+# key; a traceback would escape main() and fail the test.
+@pytest.mark.parametrize("command, flag, content, key", [
+    ("evaluate", "--config", {"iou_threshold": "abc"}, "iou_threshold"),
+    ("evaluate", "--config", {"bins": 2.7}, "bins"),
+    ("evaluate", "--config", {"bins": True}, "bins"),
+    ("evaluate", "--config", {"iou_grid": None}, "iou_grid"),
+    ("evaluate", "--config", ["bins"], "object"),
+    ("evaluate", "--config", b'{"bins": "\xff"}', "UTF-8"),
+    ("scenario", "--spec", {"n_gt": "abc"}, "n_gt"),
+    ("scenario", "--spec", {"n_gt": 5.9}, "n_gt"),
+    ("scenario", "--spec", {"seed": "3"}, "seed"),
+    ("scenario", "--spec", {"tp_score_range": ["a", 1]}, "tp_score_range"),
+    ("scenario", "--spec", {"n_tp": 50}, "n_tp"),
+    ("scenario", "--spec", b"\xff\xfe{}", "UTF-8"),
+])
+def test_malformed_settings_file_exits_1_naming_file_and_key(
+    tmp_path, capsys, command, flag, content, key
+):
+    path = tmp_path / "settings.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        write_json(path, content)
+    assert main([command, flag, str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err
+    assert key in err
+    assert "Traceback" not in err
+
+
+def test_config_null_optional_means_default(dataset, tmp_path):
+    config = write_json(tmp_path / "run.json", {
+        "ground_truth": str(dataset / "ground_truth.json"),
+        "detections": str(dataset / "detections.json"),
+        "features": str(dataset / "features.t2tfeat"),
+        "train_features": str(dataset / "train_features.t2tfeat"),
+        "model": None,
+        "epsilon": None,
+    })
+    assert main(["evaluate", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+    assert main(evaluate_args(dataset, tmp_path / "b")) == 0
+    assert (tmp_path / "a" / "summary.json").read_bytes() == (tmp_path / "b" / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["evaluate", "--bogus"], ["evaluate", "--iou", "abc"]])
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ subprocess

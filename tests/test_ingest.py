@@ -1,8 +1,17 @@
+import dataclasses
+import functools
 import json
 import logging
+import struct
+import tracemalloc
+import types
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from t2tmetrics import (
     BindingError,
@@ -20,7 +29,9 @@ from t2tmetrics import (
     write_feature_matrix,
     write_ground_truth,
 )
-from t2tmetrics.ingest import FEATURE_MAGIC
+from t2tmetrics.cli import RunConfig
+from t2tmetrics.ingest import FEATURE_MAGIC, decode
+from t2tmetrics.scenario import ScenarioSpec
 
 
 def gt_doc():
@@ -293,3 +304,95 @@ def test_bind_features(tmp_path, caplog):
         bound = bind_features(dets, extra)
     assert isinstance(bound, DetectionSet)
     assert any("not referenced" in m for m in caplog.messages)
+
+
+# ------------------------------------------------------------- integer sizes
+
+
+@pytest.mark.parametrize("key", ["width", "height"])
+@pytest.mark.parametrize("value", [640.7, True, "640"])
+def test_image_size_must_be_an_integer(tmp_path, key, value):
+    doc = gt_doc()
+    doc["images"][1][key] = value
+    with pytest.raises(ParseError) as err:
+        load_ground_truth(write_json(tmp_path / "gt.json", doc))
+    assert "gt.json: images[1]: width and height" in str(err.value)
+
+
+# ------------------------------------------------------- feature header sizes
+
+
+@pytest.mark.parametrize("rows, dim, body", [
+    (2**40, 2**20, b""),
+    (2**62, 2**62, b""),
+    # 41 bytes: one 3-dim row, then an id length of 2**32 - 1 with one byte left
+    (1, 3, bytes(12) + struct.pack("<I", 0xFFFFFFFF) + b"x"),
+])
+def test_feature_header_sizes_are_checked_against_the_file_size(tmp_path, rows, dim, body):
+    path = tmp_path / "crafted.t2tfeat"
+    path.write_bytes(FEATURE_MAGIC + struct.pack("<QQ", rows, dim) + body)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            load_feature_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "crafted.t2tfeat" in str(err.value)
+    assert peak < 1 << 20
+
+
+# --------------------------------------------------------------- typed decoder
+
+
+def _conforms(value, hint) -> bool:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_conforms(value, a) for a in args)
+    if origin is dict:
+        return type(value) is dict and all(
+            type(k) is str and _conforms(v, args[1]) for k, v in value.items()
+        )
+    if origin is tuple:
+        return (type(value) is tuple and len(value) == len(args)
+                and all(_conforms(v, a) for v, a in zip(value, args)))
+    if hint is Path:
+        return isinstance(value, Path)
+    if hint is type(None):
+        return value is None
+    return type(value) is hint
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -(2**64), 10**400])
+    | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# Values of each declared field type, so that decoding also succeeds often.
+field_values = json_values | st.one_of(
+    st.integers(0, 60),
+    st.floats(0.01, 1.0),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    st.dictionaries(st.text(max_size=3), st.floats(0.0, 1.0), min_size=1, max_size=2),
+)
+
+
+@pytest.mark.parametrize("cls", [RunConfig, ScenarioSpec])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_decode_yields_declared_types_or_a_validation_error(cls, data):
+    # Only decodes: no fuzzed size ever reaches the generator or a metric.
+    names = [f.name for f in dataclasses.fields(cls)]
+    raw = data.draw(json_values | st.dictionaries(st.sampled_from(names), field_values, max_size=1))
+    decoders = [functools.partial(decode, cls, where="fuzz.json")]
+    if cls is ScenarioSpec:
+        decoders.append(ScenarioSpec.from_dict)
+    hints = typing.get_type_hints(cls)
+    for decode_fn in decoders:
+        try:
+            obj = decode_fn(raw)
+        except ValidationError:
+            continue
+        for name in names:
+            assert _conforms(getattr(obj, name), hints[name]), (name, getattr(obj, name))
