@@ -152,6 +152,36 @@ def fit_gaussian(
     )
 
 
+# Rows per GEMM block: large enough to amortize the call, small enough that
+# the block temporaries stay a few MB at any dimension the tool sees.
+_BLOCK_ROWS = 256
+
+
+def train2test_distances(model: GaussianTrainModel, features: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distances of the rows of an n x dim matrix.
+
+    The rows are taken in fixed blocks of ``_BLOCK_ROWS``; each block is
+    centered and reduced with one matrix product against the precision.
+    """
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.dim:
+        raise ValidationError(
+            f"features have shape {X.shape}, model expects (n, {model.dim})"
+        )
+    out = np.empty(X.shape[0], dtype=np.float64)
+    for start in range(0, X.shape[0], _BLOCK_ROWS):
+        block = X[start : start + _BLOCK_ROWS]
+        if not np.isfinite(block).all():
+            raise ValidationError("feature contains non-finite values")
+        centered = block - model.mean
+        out[start : start + _BLOCK_ROWS] = np.einsum(
+            "ij,ij->i", centered @ model.precision, centered
+        )
+    # The true quadratic form is >= 0; rounding may produce a tiny negative.
+    # ``+ 0.0`` turns a clamped -0.0 into 0.0.
+    return np.maximum(out, 0.0, out=out) + 0.0
+
+
 def train2test_distance(model: GaussianTrainModel, feature: np.ndarray) -> float:
     """Squared Mahalanobis distance of one feature from the training model."""
     x = np.asarray(feature, dtype=np.float64)
@@ -159,12 +189,7 @@ def train2test_distance(model: GaussianTrainModel, feature: np.ndarray) -> float
         raise ValidationError(
             f"feature has shape {x.shape}, model expects ({model.dim},)"
         )
-    if not np.isfinite(x).all():
-        raise ValidationError("feature contains non-finite values")
-    v = x - model.mean
-    d = float(v @ model.precision @ v)
-    # The true quadratic form is >= 0; rounding may produce a tiny negative.
-    return d if d > 0.0 else 0.0
+    return float(train2test_distances(model, x[np.newaxis])[0])
 
 
 class Kind(str, enum.Enum):
@@ -220,23 +245,12 @@ def annotate_distances(model: GaussianTrainModel, outcome: MatchOutcome) -> Dist
     if unbound:
         shown = ", ".join(unbound[:10]) + (", ..." if len(unbound) > 10 else "")
         raise BindingError(f"{len(unbound)} detections have no bound feature: {shown}")
+    kinds = [Kind.TP] * len(outcome.true_positives) + [Kind.FP] * len(outcome.false_positives)
+    features = np.stack([det.feature for det in kept]) if kept else np.empty((0, model.dim))
+    distances = train2test_distances(model, features)
     entries = [
-        AnnotatedEntry(
-            detection_id=det.detection_id,
-            kind=Kind.TP,
-            score=det.score,
-            distance=train2test_distance(model, det.feature),
-        )
-        for det, _ in outcome.true_positives
-    ]
-    entries += [
-        AnnotatedEntry(
-            detection_id=det.detection_id,
-            kind=Kind.FP,
-            score=det.score,
-            distance=train2test_distance(model, det.feature),
-        )
-        for det in outcome.false_positives
+        AnnotatedEntry(detection_id=det.detection_id, kind=kind, score=det.score, distance=d)
+        for det, kind, d in zip(kept, kinds, distances.tolist())
     ]
     return DistanceAnnotatedOutcome(
         entries=tuple(entries),

@@ -134,6 +134,28 @@ def covariance_twopass(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
+def _dyadic(values) -> tuple[list[int], int]:
+    """Integers n_i and one exponent k with float(values[i]) == n_i / 2**k exactly."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    k = max(den.bit_length() - 1 for _, den in ratios)
+    return [num << (k - den.bit_length() + 1) for num, den in ratios], k
+
+
+def train2test_distance_exact(model, feature) -> Fraction:
+    """(x - mean)^T P (x - mean) in exact rationals over the float64 inputs.
+
+    Every float64 is an integer over a power of two, so the double sum runs
+    over integers with one common denominator, and the only division is the
+    final ``Fraction``.
+    """
+    d = len(model.mean)
+    nums, k = _dyadic(list(feature) + list(model.mean))
+    v = [a - m for a, m in zip(nums[:d], nums[d:])]
+    p, q = _dyadic(np.asarray(model.precision).ravel())
+    total = sum(p[i * d + j] * v[i] * v[j] for i in range(d) for j in range(d))
+    return Fraction(total, 2 ** (q + 2 * k))
+
+
 def histogram_recount(values, edges) -> list[int]:
     """Per-bin recount: half-open bins, final bin closed on the right."""
     counts = [0] * (len(edges) - 1)

@@ -91,18 +91,23 @@ def test_evaluate_is_deterministic(dataset, tmp_path):
 def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
     dataset, tmp_path, monkeypatch
 ):
-    calls = {"match_detections": 0, "train2test_distance": 0}
+    # Matchings count one per call; the distance kernel counts the rows it is given.
+    work = {
+        "match_detections": lambda *args, **kwargs: 1,
+        "train2test_distances": lambda model, features: len(features),
+    }
+    calls = dict.fromkeys(work, 0)
 
     def counted(name, fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += work[name](*args, **kwargs)
             return fn(*args, **kwargs)
 
         return wrapper
 
     # Patch every module that binds the name, as ``from x import name`` copies it.
-    for name in calls:
+    for name in work:
         bound = [
             module for mod_name, module in sys.modules.items()
             if mod_name.split(".")[0] == "t2tmetrics" and hasattr(module, name)
@@ -114,7 +119,7 @@ def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
     assert main(evaluate_args(dataset, tmp_path / "out") + ["--iou-grid"]) == 0
     detections = json.loads((tmp_path / "out" / "summary.json").read_text())["detections"]
     assert 0 < calls["match_detections"] <= len(IOU_GRID)
-    assert 0 < calls["train2test_distance"] <= detections
+    assert 0 < calls["train2test_distances"] <= detections
 
 
 def test_summary_contains_no_absolute_paths(dataset, tmp_path):

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from t2tmetrics import (
     AnnotatedEntry,
@@ -21,8 +25,9 @@ from t2tmetrics import (
     model_from_moments,
     save_model,
     train2test_distance,
+    train2test_distances,
 )
-from oracles import covariance_twopass
+from oracles import covariance_twopass, train2test_distance_exact
 
 
 def matrix(rows, prefix="r"):
@@ -175,6 +180,44 @@ def test_distance_input_validation():
         train2test_distance(model, [1.0, 2.0, 3.0])
     with pytest.raises(ValidationError):
         train2test_distance(model, [1.0, float("inf")])
+
+
+def test_distances_input_validation():
+    model = model_from_moments(np.zeros(2), np.eye(2))
+    assert train2test_distances(model, np.empty((0, 2))).shape == (0,)
+    for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 2))):
+        with pytest.raises(ValidationError, match="model expects"):
+            train2test_distances(model, bad)
+    rows = np.zeros((600, 2))
+    rows[300, 1] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        train2test_distances(model, rows)
+
+
+# Row counts straddle the kernel's 256-row blocks.
+@settings(max_examples=50, deadline=None)
+@given(
+    dim=st.integers(1, 16),
+    rows=st.sampled_from([0, 1, 255, 256, 257, 513]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distances_match_the_exact_oracle(dim, rows, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(dim, dim)) * rng.uniform(0.01, 10.0, size=dim)
+    model = model_from_moments(
+        rng.normal(size=dim) * 5, A @ A.T, regularization=rng.uniform(1e-3, 1.0)
+    )
+    X = model.mean + rng.normal(size=(rows, dim)) * rng.uniform(0.1, 10.0, size=dim)
+    got = train2test_distances(model, X)
+    assert got.shape == (rows,) and got.dtype == np.float64
+    absolute = np.abs(model.precision)
+    for i, (x, value) in enumerate(zip(X, got)):
+        v = np.abs(x - model.mean)
+        exact = train2test_distance_exact(model, x)
+        bound = 1e-12 * float(v @ absolute @ v)
+        assert abs(Fraction(float(value)) - exact) <= bound
+        if i == 0:  # the one-row entry point runs the same kernel
+            assert abs(Fraction(train2test_distance(model, x)) - exact) <= bound
 
 
 def test_precision_is_consistent_inverse():

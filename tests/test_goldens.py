@@ -3,14 +3,31 @@
 The scenario plants FP distances close to the TP distances and spreads TP
 scores below the high-regime threshold, so the three score regimes give
 different AP_t2t values and the IoU grid turns some planted TPs into FPs.
+
+The ``grid/`` histogram edges derive from the largest distance and so carry
+the last bits of the BLAS-computed distances; the oracle tests below pin
+every distance to exact arithmetic and the bin counts to their values.
 """
 
 import csv
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from oracles import histogram_recount, train2test_distance_exact
+from t2tmetrics import (
+    DEFAULT_SCORE_THRESHOLDS,
+    Kind,
+    annotate_distances,
+    bind_features,
+    fit_gaussian,
+    load_detections,
+    load_feature_matrix,
+    load_ground_truth,
+    match_detections,
+)
 from t2tmetrics.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -21,13 +38,28 @@ SPEC = {
 EVALUATE_FILES = ("metrics.csv", "summary.json", "distance_hist_tp.csv", "distance_hist_fp.csv")
 
 
+# Count columns of grid/distance_hist_{tp,fp}.csv, as recorded with per-row
+# distances; the blocked kernel moved only the edges' last bits.
+GRID_HIST_COUNTS = {
+    Kind.TP: [0, 0, 0, 0, 3, 0, 0, 1, 3, 3, 2, 3, 2, 2, 2,
+              3, 0, 1, 2, 0, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+    Kind.FP: [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 3, 0, 1, 0,
+              2, 1, 1, 0, 2, 3, 4, 3, 2, 0, 1, 0, 1, 2, 1],
+}
+
+
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
+def data(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden_scenario")
     spec = root / "spec.json"
     spec.write_text(json.dumps(SPEC))
     data = root / "data"
     assert main(["scenario", "--spec", str(spec), "--out", str(data)]) == 0
+    return data
+
+
+@pytest.fixture(scope="module")
+def inputs(data):
     return [
         "--gt", str(data / "ground_truth.json"),
         "--det", str(data / "detections.json"),
@@ -52,3 +84,49 @@ def test_ap_t2t_reproduces_goldens(inputs, tmp_path, flags, golden):
     rows = list(csv.DictReader(produced.decode().splitlines()))
     assert [r["regime"] for r in rows] == ["all", "med", "high"]
     assert len({r["ap_t2t"] for r in rows}) == 3
+
+
+@pytest.fixture(scope="module")
+def annotated(data):
+    """The base annotation of ``evaluate`` and the exact distance of every detection."""
+    gts = load_ground_truth(data / "ground_truth.json")
+    dets = bind_features(
+        load_detections(data / "detections.json"),
+        load_feature_matrix(data / "features.t2tfeat"),
+    )
+    model = fit_gaussian(load_feature_matrix(data / "train_features.t2tfeat"))
+    outcome = match_detections(dets, gts, 0.5, min(DEFAULT_SCORE_THRESHOLDS.values()))
+    exact = {
+        det.detection_id: train2test_distance_exact(model, det.feature)
+        for det in dets.detections
+    }
+    return annotate_distances(model, outcome), exact
+
+
+def within_1e12(value: float, exact: Fraction) -> bool:
+    return abs(Fraction(value) - exact) <= Fraction(1, 10**12) * abs(exact)
+
+
+def test_golden_scenario_distances_match_the_exact_oracle(inputs, annotated, tmp_path):
+    outcome, exact = annotated
+    assert len(outcome.entries) == 60
+    for entry in outcome.entries:
+        assert within_1e12(entry.distance, exact[entry.detection_id]), entry.detection_id
+    out = tmp_path / "distances.csv"
+    assert main(["distances", *inputs, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == len(outcome.entries)
+    for row in rows:
+        assert within_1e12(float(row["distance"]), exact[row["detection_id"]]), row
+
+
+@pytest.mark.parametrize("kind", [Kind.TP, Kind.FP])
+def test_grid_histogram_counts_are_those_of_the_exact_distances(annotated, kind):
+    text = (GOLDEN_DIR / "grid" / f"distance_hist_{kind.value}.csv").read_text()
+    rows = list(csv.reader(text.splitlines()))[1:]
+    counts = [int(r[2]) for r in rows]
+    assert counts == GRID_HIST_COUNTS[kind]
+    edges = [float(rows[0][0])] + [float(r[1]) for r in rows]
+    outcome, exact = annotated
+    values = [float(exact[e.detection_id]) for e in outcome.entries if e.kind is kind]
+    assert histogram_recount(values, edges) == counts
