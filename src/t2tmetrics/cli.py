@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
@@ -18,6 +19,7 @@ from .errors import NumericalError, ParseError, T2TError, ValidationError
 from .feature_model import annotate_distances, fit_gaussian, load_model, save_model
 from .fsio import write_text
 from .ingest import (
+    _csv_records,
     _load_json,
     bind_features,
     decode,
@@ -80,14 +82,49 @@ def _parse_score_thresholds(text: str) -> dict[str, float]:
     return out
 
 
+# The flag that sets each range-checked setting.
+_FLAG_NAMES = {
+    "iou_threshold": "--iou",
+    "score_thresholds": "--score-thresholds",
+    "epsilon": "--epsilon",
+    "bins": "--bins",
+}
+
+
+def _range_problem(cfg: RunConfig, key: str) -> str | None:
+    value = getattr(cfg, key)
+    if key == "iou_threshold" and not 0.0 < value <= 1.0:
+        return f"must be in (0, 1], got {value}"
+    if key == "score_thresholds":
+        if not value:
+            return "must not be empty"
+        for name, threshold in value.items():
+            if not 0.0 <= threshold <= 1.0:
+                return f"regime {name!r} must be in [0, 1], got {threshold}"
+    if key == "epsilon" and value is not None and not 0.0 <= value < math.inf:
+        return f"must be finite and >= 0, got {value}"
+    if key == "bins" and value < 1:
+        return f"must be >= 1, got {value}"
+    return None
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's settings overridden by every given flag, range-checked
+    before any input is read; an error names the flag or the file and key."""
     cfg = RunConfig()
     if args.config is not None:
         cfg = decode(RunConfig, _load_json(args.config), str(args.config))
     flags = {f.name: getattr(args, f.name, None) for f in dc_fields(RunConfig)}
     if flags["score_thresholds"] is not None:
         flags["score_thresholds"] = _parse_score_thresholds(flags["score_thresholds"])
-    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    given = {k: v for k, v in flags.items() if v is not None}
+    cfg = replace(cfg, **given)
+    for key, flag in _FLAG_NAMES.items():
+        problem = _range_problem(cfg, key)
+        if problem is not None:
+            source = flag if key in given else f"{args.config}: {key}"
+            raise ValidationError(f"{source}: {problem}")
+    return cfg
 
 
 def _require(cfg: RunConfig, *keys: str) -> None:
@@ -206,7 +243,7 @@ def _read_csv_rows(path: Path) -> list[list[str]]:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from exc
-    return [r for r in csv.reader(io.StringIO(text)) if r]
+    return [r for _, r in _csv_records(path, text) if r]
 
 
 def _read_curve_file(path: Path) -> list[AccuracyCurve]:

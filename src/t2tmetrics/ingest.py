@@ -454,6 +454,16 @@ def _load_features_binary(path: Path) -> FeatureMatrix:
     return FeatureMatrix(data=data.astype(np.float64), row_ids=tuple(ids))
 
 
+def _csv_records(path: Path, text: str):
+    """Yield (line number, record) of CSV text; a malformed record is a ParseError."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for record in reader:
+            yield reader.line_num, record
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _load_features_csv(path: Path) -> FeatureMatrix:
     try:
         text = path.read_text(encoding="utf-8")
@@ -462,7 +472,7 @@ def _load_features_csv(path: Path) -> FeatureMatrix:
     ids: list[str] = []
     rows: list[list[float]] = []
     width: int | None = None
-    for lineno, record in enumerate(csv.reader(io.StringIO(text)), start=1):
+    for lineno, record in _csv_records(path, text):
         if not record:
             continue
         if len(record) < 2:

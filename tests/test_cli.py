@@ -452,6 +452,21 @@ def test_report_rejects_malformed_csv(tmp_path, capsys, kind, text, message):
     assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
 
 
+# Fields past the csv module's 131072-character limit raise csv.Error.
+@pytest.mark.parametrize("command", [
+    ["report", "--kind", "bars", "--input"],
+    ["fit", "--train-features"],
+])
+def test_oversized_csv_field_exits_1_naming_file_and_line(tmp_path, capsys, command):
+    path = tmp_path / "in.csv"
+    path.write_text("x" * 200_000 + ",1\n")
+    assert main([*command, str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: line 1: field larger than field limit" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------------- config file
 
 
@@ -524,6 +539,41 @@ def test_malformed_settings_file_exits_1_naming_file_and_key(
     assert f"error: {path}: " in err
     assert key in err
     assert "Traceback" not in err
+
+
+# Out-of-range settings fail before any input is read: every input path here
+# is missing, so a later check would name a file instead.
+@pytest.mark.parametrize("config, flags, message", [
+    (None, ["--bins", "0"], "--bins: must be >= 1, got 0"),
+    ({"bins": 0}, [], "{config}: bins: must be >= 1, got 0"),
+    ({"bins": 0}, ["--bins", "5", "--iou", "0"], "--iou: must be in (0, 1], got 0.0"),
+    (None, ["--iou", "nan"], "--iou: must be in (0, 1], got nan"),
+    (None, ["--iou", "inf"], "--iou: must be in (0, 1], got inf"),
+    (None, ["--iou", "1.5"], "--iou: must be in (0, 1], got 1.5"),
+    ({"iou_threshold": 0}, [], "{config}: iou_threshold: must be in (0, 1], got 0.0"),
+    ({"iou_threshold": 0.5}, ["--iou", "-0.5"], "--iou: must be in (0, 1], got -0.5"),
+    ({"score_thresholds": {}}, [], "{config}: score_thresholds: must not be empty"),
+    ({"score_thresholds": {"all": 1.5}}, [],
+     "{config}: score_thresholds: regime 'all' must be in [0, 1], got 1.5"),
+    (None, ["--score-thresholds", "all=0.1,high=nan"],
+     "--score-thresholds: regime 'high' must be in [0, 1], got nan"),
+    (None, ["--score-thresholds", "low=-0.1"],
+     "--score-thresholds: regime 'low' must be in [0, 1], got -0.1"),
+    (None, ["--epsilon", "-1"], "--epsilon: must be finite and >= 0, got -1.0"),
+    ({"epsilon": 1e309}, [], "{config}: epsilon: must be finite and >= 0, got inf"),
+])
+def test_out_of_range_setting_exits_1_before_reading_inputs(
+    tmp_path, capsys, config, flags, message
+):
+    argv = evaluate_args(tmp_path / "missing", tmp_path / "out") + flags
+    if config is not None:
+        path = write_json(tmp_path / "run.json", config)
+        argv += ["--config", str(path)]
+        message = message.format(config=path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_null_optional_means_default(dataset, tmp_path):
