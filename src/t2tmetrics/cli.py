@@ -91,26 +91,25 @@ _FLAG_NAMES = {
 }
 
 
-def _range_problem(cfg: RunConfig, key: str) -> str | None:
-    value = getattr(cfg, key)
-    if key == "iou_threshold" and not 0.0 < value <= 1.0:
-        return f"must be in (0, 1], got {value}"
-    if key == "score_thresholds":
-        if not value:
-            return "must not be empty"
-        for name, threshold in value.items():
-            if not 0.0 <= threshold <= 1.0:
-                return f"regime {name!r} must be in [0, 1], got {threshold}"
-    if key == "epsilon" and value is not None and not 0.0 <= value < math.inf:
-        return f"must be finite and >= 0, got {value}"
-    if key == "bins" and value < 1:
-        return f"must be >= 1, got {value}"
+def _range_problem(cfg: RunConfig) -> tuple[str, str] | None:
+    """The first setting out of its range, and what is wrong with it."""
+    if not 0.0 < cfg.iou_threshold <= 1.0:
+        return "iou_threshold", f"must be in (0, 1], got {cfg.iou_threshold}"
+    if not cfg.score_thresholds:
+        return "score_thresholds", "must not be empty"
+    for name, threshold in cfg.score_thresholds.items():
+        if not 0.0 <= threshold <= 1.0:
+            return "score_thresholds", f"regime {name!r} must be in [0, 1], got {threshold}"
+    if cfg.epsilon is not None and not 0.0 <= cfg.epsilon < math.inf:
+        return "epsilon", f"must be finite and >= 0, got {cfg.epsilon}"
+    if cfg.bins < 1:
+        return "bins", f"must be >= 1, got {cfg.bins}"
     return None
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """The config file's settings overridden by every given flag, range-checked
-    before any input is read; an error names the flag or the file and key."""
+    before any input is read; an error names the flag, or the file and key."""
     cfg = RunConfig()
     if args.config is not None:
         cfg = decode(RunConfig, _load_json(args.config), str(args.config))
@@ -119,11 +118,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         flags["score_thresholds"] = _parse_score_thresholds(flags["score_thresholds"])
     given = {k: v for k, v in flags.items() if v is not None}
     cfg = replace(cfg, **given)
-    for key, flag in _FLAG_NAMES.items():
-        problem = _range_problem(cfg, key)
-        if problem is not None:
-            source = flag if key in given else f"{args.config}: {key}"
-            raise ValidationError(f"{source}: {problem}")
+    problem = _range_problem(cfg)
+    if problem is not None:
+        key, text = problem
+        source = _FLAG_NAMES[key] if key in given else f"{args.config}: {key}"
+        raise ValidationError(f"{source}: {text}")
     return cfg
 
 
