@@ -153,30 +153,33 @@ def fit_gaussian(
 
 
 # Rows per GEMM block: large enough to amortize the call, small enough that
-# the block temporaries stay a few MB at any dimension the tool sees.
+# the stacked block and its temporaries stay small next to the detections.
 _BLOCK_ROWS = 256
 
 
-def train2test_distances(model: GaussianTrainModel, features: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distances of the rows of an n x dim matrix.
+def train2test_distances(model: GaussianTrainModel, features) -> np.ndarray:
+    """Squared Mahalanobis distances of n feature rows.
 
-    The rows are taken in fixed blocks of ``_BLOCK_ROWS``; each block is
-    centered and reduced with one matrix product against the precision.
+    ``features`` is an n x dim array or a sequence of n dim-vectors. The rows
+    are taken in fixed blocks of ``_BLOCK_ROWS``; only one block at a time is
+    stacked as float64, centered and reduced with one product against the
+    precision.
     """
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.dim:
-        raise ValidationError(
-            f"features have shape {X.shape}, model expects (n, {model.dim})"
-        )
-    out = np.empty(X.shape[0], dtype=np.float64)
-    for start in range(0, X.shape[0], _BLOCK_ROWS):
-        block = X[start : start + _BLOCK_ROWS]
+    out = np.empty(len(features), dtype=np.float64)
+    for start in range(0, len(out), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(out))
+        try:
+            block = np.asarray(features[start:stop], dtype=np.float64)
+        except ValueError:  # rows of unequal length
+            block = None
+        if block is None or block.shape[1:] != (model.dim,):
+            raise ValidationError(
+                f"feature rows {start} to {stop - 1} are not all of shape ({model.dim},)"
+            )
         if not np.isfinite(block).all():
             raise ValidationError("feature contains non-finite values")
         centered = block - model.mean
-        out[start : start + _BLOCK_ROWS] = np.einsum(
-            "ij,ij->i", centered @ model.precision, centered
-        )
+        out[start:stop] = np.einsum("ij,ij->i", centered @ model.precision, centered)
     # The true quadratic form is >= 0; rounding may produce a tiny negative.
     # ``+ 0.0`` turns a clamped -0.0 into 0.0.
     return np.maximum(out, 0.0, out=out) + 0.0
@@ -246,8 +249,7 @@ def annotate_distances(model: GaussianTrainModel, outcome: MatchOutcome) -> Dist
         shown = ", ".join(unbound[:10]) + (", ..." if len(unbound) > 10 else "")
         raise BindingError(f"{len(unbound)} detections have no bound feature: {shown}")
     kinds = [Kind.TP] * len(outcome.true_positives) + [Kind.FP] * len(outcome.false_positives)
-    features = np.stack([det.feature for det in kept]) if kept else np.empty((0, model.dim))
-    distances = train2test_distances(model, features)
+    distances = train2test_distances(model, [det.feature for det in kept])
     entries = [
         AnnotatedEntry(detection_id=det.detection_id, kind=kind, score=det.score, distance=d)
         for det, kind, d in zip(kept, kinds, distances.tolist())

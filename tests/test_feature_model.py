@@ -185,8 +185,10 @@ def test_distance_input_validation():
 def test_distances_input_validation():
     model = model_from_moments(np.zeros(2), np.eye(2))
     assert train2test_distances(model, np.empty((0, 2))).shape == (0,)
-    for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 2))):
-        with pytest.raises(ValidationError, match="model expects"):
+    assert train2test_distances(model, []).shape == (0,)
+    ragged = [np.zeros(2)] * 300 + [np.zeros(3)]
+    for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 2)), ragged):
+        with pytest.raises(ValidationError, match=r"not all of shape \(2,\)"):
             train2test_distances(model, bad)
     rows = np.zeros((600, 2))
     rows[300, 1] = np.nan
@@ -210,6 +212,7 @@ def test_distances_match_the_exact_oracle(dim, rows, seed):
     X = model.mean + rng.normal(size=(rows, dim)) * rng.uniform(0.1, 10.0, size=dim)
     got = train2test_distances(model, X)
     assert got.shape == (rows,) and got.dtype == np.float64
+    assert np.array_equal(train2test_distances(model, list(X)), got)
     absolute = np.abs(model.precision)
     for i, (x, value) in enumerate(zip(X, got)):
         v = np.abs(x - model.mean)
