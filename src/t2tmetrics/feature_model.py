@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +158,9 @@ def fit_gaussian(
 _BLOCK_ROWS = 256
 
 
-def train2test_distances(model: GaussianTrainModel, features) -> np.ndarray:
+def train2test_distances(
+    model: GaussianTrainModel, features: np.ndarray | Sequence[np.ndarray]
+) -> np.ndarray:
     """Squared Mahalanobis distances of n feature rows.
 
     ``features`` is an n x dim array or a sequence of n dim-vectors. The rows
@@ -169,16 +172,16 @@ def train2test_distances(model: GaussianTrainModel, features) -> np.ndarray:
     for start in range(0, len(out), _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, len(out))
         try:
-            block = np.asarray(features[start:stop], dtype=np.float64)
+            centered = np.array(features[start:stop], dtype=np.float64)
         except ValueError:  # rows of unequal length
-            block = None
-        if block is None or block.shape[1:] != (model.dim,):
+            centered = None
+        if centered is None or centered.shape[1:] != (model.dim,):
             raise ValidationError(
                 f"feature rows {start} to {stop - 1} are not all of shape ({model.dim},)"
             )
-        if not np.isfinite(block).all():
+        if not np.isfinite(centered).all():
             raise ValidationError("feature contains non-finite values")
-        centered = block - model.mean
+        centered -= model.mean
         out[start:stop] = np.einsum("ij,ij->i", centered @ model.precision, centered)
     # The true quadratic form is >= 0; rounding may produce a tiny negative.
     # ``+ 0.0`` turns a clamped -0.0 into 0.0.
