@@ -6,8 +6,6 @@ Exit codes: 0 success, 1 invalid input, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import math
@@ -35,6 +33,8 @@ from .report import (
     Histogram,
     Series,
     SeriesPlot,
+    _csv_text,
+    _fmt,
     distance_histogram,
     export_csv,
     render_svg,
@@ -82,13 +82,12 @@ def _parse_score_thresholds(text: str) -> dict[str, float]:
     return out
 
 
-# The flag that sets each range-checked setting.
-_FLAG_NAMES = {
-    "iou_threshold": "--iou",
-    "score_thresholds": "--score-thresholds",
-    "epsilon": "--epsilon",
-    "bins": "--bins",
-}
+# The flags whose name is not the RunConfig field's name with dashes.
+_FLAG_NAMES = {"ground_truth": "--gt", "detections": "--det", "iou_threshold": "--iou"}
+
+
+def _flag(key: str) -> str:
+    return _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
 
 
 def _range_problem(cfg: RunConfig) -> tuple[str, str] | None:
@@ -121,15 +120,27 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     problem = _range_problem(cfg)
     if problem is not None:
         key, text = problem
-        source = _FLAG_NAMES[key] if key in given else f"{args.config}: {key}"
+        source = _flag(key) if key in given else f"{args.config}: {key}"
         raise ValidationError(f"{source}: {text}")
+    # The one score cut of `t2t distances` is a flag only, not a config key.
+    cut = getattr(args, "score_threshold", 0.0)
+    if not 0.0 <= cut <= 1.0:
+        raise ValidationError(f"--score-threshold: must be in [0, 1], got {cut}")
     return cfg
 
 
 def _require(cfg: RunConfig, *keys: str) -> None:
-    missing = [k.replace("_", "-") for k in keys if getattr(cfg, k) is None]
+    missing = [_flag(k) for k in keys if getattr(cfg, k) is None]
     if missing:
-        raise ValidationError(f"missing required inputs: --{', --'.join(missing)}")
+        raise ValidationError(f"missing required inputs: {', '.join(missing)}")
+
+
+def _fit(cfg: RunConfig):
+    """The Gaussian of the training features; a numerical failure names their file."""
+    try:
+        return fit_gaussian(load_feature_matrix(cfg.train_features), cfg.epsilon)
+    except NumericalError as exc:
+        raise type(exc)(f"{cfg.train_features}: {exc}") from exc
 
 
 def _load_inputs(cfg: RunConfig):
@@ -147,7 +158,7 @@ def _load_inputs(cfg: RunConfig):
         return gts, dets, load_model(cfg.model)
     if cfg.train_features is None:
         raise ValidationError("missing required inputs: --model or --train-features")
-    return gts, dets, fit_gaussian(load_feature_matrix(cfg.train_features), cfg.epsilon)
+    return gts, dets, _fit(cfg)
 
 
 def _base_regime(thresholds: dict[str, float]) -> str:
@@ -198,7 +209,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     _require(cfg, "train_features", "out")
-    model = fit_gaussian(load_feature_matrix(cfg.train_features), cfg.epsilon)
+    model = _fit(cfg)
     save_model(model, cfg.out)
     print(
         f"fitted {model.dim}-dim model from {model.sample_count} rows "
@@ -222,13 +233,9 @@ def cmd_ap_t2t(args: argparse.Namespace) -> int:
     gts, dets, model = _load_inputs(cfg)
     iou_thresholds = IOU_GRID if cfg.iou_grid else (cfg.iou_threshold,)
     profile = ap_t2t_profile(model, dets, gts, cfg.score_thresholds, iou_thresholds)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["regime", "score_threshold", "ap_t2t"])
-    for name, value in profile.items():
-        writer.writerow([name, format(cfg.score_thresholds[name], ".17g"), format(value, ".17g")])
+    rows = [[name, _fmt(cfg.score_thresholds[name]), _fmt(v)] for name, v in profile.items()]
     out = Path(cfg.out)
-    write_text(out / "ap_t2t.csv", buf.getvalue())
+    write_text(out / "ap_t2t.csv", _csv_text(["regime", "score_threshold", "ap_t2t"], rows))
     for name, value in profile.items():
         print(f"ap_t2t[{name}]={value:.6g}")
     print(f"wrote {out}/ap_t2t.csv")
@@ -495,13 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code(exc: T2TError) -> int:
-    if isinstance(exc, RegimeError):
-        if any(isinstance(e, NumericalError) for e in exc.failures.values()):
-            return 2
-        return 1
-    if isinstance(exc, NumericalError):
-        return 2
-    return 1
+    causes = exc.failures.values() if isinstance(exc, RegimeError) else [exc]
+    return 2 if any(isinstance(e, NumericalError) for e in causes) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,10 +19,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BindingError,
+    NumericalError,
     ParseError,
     SingularCovarianceError,
     ValidationError,
@@ -85,15 +85,18 @@ def default_regularization(covariance: np.ndarray) -> float:
 def _invert_spd(matrix: np.ndarray, regularization: float) -> np.ndarray:
     """Inverse of (matrix + regularization * I) via Cholesky; raises on failure."""
     d = matrix.shape[0]
-    target = matrix + regularization * np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = matrix + regularization * np.eye(d)
+    if not np.isfinite(target).all():  # LAPACK would factor NaNs silently
+        raise NumericalError(f"covariance (epsilon={regularization}) has non-finite entries")
     try:
-        factor = scipy.linalg.cho_factor(target, lower=True)
+        factor = np.linalg.cholesky(target)
     except np.linalg.LinAlgError as exc:
         raise SingularCovarianceError(
             f"covariance (epsilon={regularization}) is not positive definite; "
             f"pass a larger regularization epsilon"
         ) from exc
-    precision = scipy.linalg.cho_solve(factor, np.eye(d))
+    precision = np.linalg.solve(factor.T, np.linalg.solve(factor, np.eye(d)))
     return (precision + precision.T) / 2.0
 
 
@@ -106,8 +109,10 @@ def model_from_moments(
     """Build a model from explicit moments (the precision is computed here)."""
     mean = np.asarray(mean, dtype=np.float64)
     cov = np.asarray(covariance, dtype=np.float64)
-    cov = (cov + cov.T) / 2.0
-    if regularization < 0 or not np.isfinite(regularization):
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = (cov + cov.T) / 2.0
+    # An infinite epsilon, like an overflowed covariance, is left to _invert_spd.
+    if not regularization >= 0.0:
         raise ValidationError(f"regularization must be >= 0, got {regularization}")
     precision = _invert_spd(cov, regularization)
     return GaussianTrainModel(
@@ -131,26 +136,18 @@ def fit_gaussian(
     """
     X = features.data
     n, d = X.shape
-    mean = X.mean(axis=0)
-    if n == 1:
-        cov = np.zeros((d, d))
-    else:
+    # Huge features overflow to a non-finite covariance, which _invert_spd refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
         centered = X - mean
-        cov = centered.T @ centered / (n - 1)
-        cov = (cov + cov.T) / 2.0
-
-    eps = default_regularization(cov) if regularization is None else float(regularization)
-    if eps < 0 or not np.isfinite(eps):
-        raise ValidationError(f"regularization must be >= 0, got {eps}")
+        cov = centered.T @ centered / max(n - 1, 1)
+        eps = default_regularization(cov) if regularization is None else float(regularization)
     if n <= d and eps == 0.0:
         raise SingularCovarianceError(
             f"sample covariance from {n} rows in {d} dimensions is rank-deficient; "
             f"pass a regularization epsilon > 0"
         )
-    precision = _invert_spd(cov, eps)
-    return GaussianTrainModel(
-        mean=mean, covariance=cov, precision=precision, regularization=eps, sample_count=n
-    )
+    return model_from_moments(mean, cov, eps, n)
 
 
 # Rows per GEMM block: large enough to amortize the call, small enough that

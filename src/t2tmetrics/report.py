@@ -16,7 +16,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -251,7 +251,7 @@ def _svg_header(title: str) -> list[str]:
     if title:
         parts.append(
             f'<text x="{_W / 2:.2f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>'
         )
     return parts
 
@@ -268,7 +268,7 @@ def _axis_frame() -> str:
 def _text(x: float, y: float, s: str, anchor: str = "middle", size: int = 11) -> str:
     return (
         f'<text x="{x:.2f}" y="{y:.2f}" text-anchor="{anchor}" '
-        f'font-family="sans-serif" font-size="{size}">{escape(s)}</text>'
+        f'font-family="sans-serif" font-size="{size}">{escape(s, quote=False)}</text>'
     )
 
 
@@ -280,7 +280,8 @@ def _axis_labels(x_label: str, y_label: str) -> list[str]:
         cx, cy = 16, _MT + _PLOT_H / 2
         parts.append(
             f'<text x="{cx}" y="{cy:.2f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12" transform="rotate(-90 {cx} {cy:.2f})">{escape(y_label)}</text>'
+            f'font-size="12" transform="rotate(-90 {cx} {cy:.2f})">'
+            f'{escape(y_label, quote=False)}</text>'
         )
     return parts
 

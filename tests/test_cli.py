@@ -141,7 +141,7 @@ def test_evaluate_missing_input_names_path(dataset, tmp_path, capsys):
 def test_evaluate_missing_flags(dataset, tmp_path, capsys):
     assert main(["evaluate", "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert "--ground-truth" in err
+    assert err == "error: missing required inputs: --gt, --det, --features\n"
 
 
 def test_evaluate_rank_deficient_epsilon_zero_exits_2(tmp_path, capsys):
@@ -206,6 +206,28 @@ def test_fit_epsilon_zero_rank_deficient_exits_2(tmp_path):
         "--epsilon", "0",
     ]) == 2
     assert not (tmp_path / "m.t2tmodl").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, epsilon", [
+    ("fit", []), ("fit", ["--epsilon", "1"]),
+    ("evaluate", []), ("evaluate", ["--epsilon", "1"]),
+    ("distances", []),
+])
+def test_overflowing_training_covariance_exits_2_naming_file(
+    dataset, tmp_path, capsys, command, epsilon
+):
+    train = tmp_path / "train.csv"
+    train.write_text("t1,1e200,0,0\nt2,0,1,0\nt3,0,0,1\nt4,1,1,1\n")
+    argv = evaluate_args(dataset, tmp_path / "out") + ["--train-features", str(train)] + epsilon
+    argv[0] = command
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: {train}: ") and "non-finite" in errors[0]
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------------- distances
@@ -561,11 +583,15 @@ def test_malformed_settings_file_exits_1_naming_file_and_key(
      "--score-thresholds: regime 'low' must be in [0, 1], got -0.1"),
     (None, ["--epsilon", "-1"], "--epsilon: must be finite and >= 0, got -1.0"),
     ({"epsilon": 1e309}, [], "{config}: epsilon: must be finite and >= 0, got inf"),
+    (None, ["--score-threshold", "5"], "--score-threshold: must be in [0, 1], got 5.0"),
+    (None, ["--score-threshold", "nan"], "--score-threshold: must be in [0, 1], got nan"),
 ])
 def test_out_of_range_setting_exits_1_before_reading_inputs(
     tmp_path, capsys, config, flags, message
 ):
     argv = evaluate_args(tmp_path / "missing", tmp_path / "out") + flags
+    if "--score-threshold" in flags:  # a flag of `t2t distances` only
+        argv[0] = "distances"
     if config is not None:
         path = write_json(tmp_path / "run.json", config)
         argv += ["--config", str(path)]
@@ -617,3 +643,17 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "evaluate" in result.stdout
+
+
+def test_cli_import_loads_no_scipy_xml_or_url_modules():
+    # Diffed against a bare interpreter, so modules that site hooks load do not count.
+    def modules(statement):
+        probe = f"import sys\n{statement}\nprint(*sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True)
+        return set(result.stdout.split())
+
+    added = modules("import t2tmetrics.cli") - modules("pass")
+    assert "t2tmetrics.cli" in added
+    heavy = ("scipy", "xml.sax", "urllib.request")
+    assert [m for m in added if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []

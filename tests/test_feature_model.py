@@ -15,6 +15,7 @@ from t2tmetrics import (
     GaussianTrainModel,
     Kind,
     MatchOutcome,
+    NumericalError,
     ParseError,
     SingularCovarianceError,
     ValidationError,
@@ -233,6 +234,43 @@ def test_precision_is_consistent_inverse():
         assert residual < 1e-8
         assert np.abs(model.precision - model.precision.T).max() == 0.0
         assert np.linalg.eigvalsh(model.precision).min() > 0
+
+
+@pytest.mark.parametrize("dim", [64, 256])
+@pytest.mark.parametrize("log_cond", [0, 3, 6, 10])
+def test_precision_is_symmetric_with_a_residual_bounded_by_the_condition(dim, log_cond):
+    rng = np.random.default_rng(dim + log_cond)
+    Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    eigenvalues = np.logspace(0, -log_cond, dim) * rng.uniform(0.1, 10.0)
+    model = model_from_moments(rng.normal(size=dim), (Q * eigenvalues) @ Q.T,
+                               regularization=rng.uniform(0.0, 1e-12))
+    target = model.covariance + model.regularization * np.eye(dim)
+    assert np.array_equal(model.precision, model.precision.T)
+    residual = np.abs(target @ model.precision - np.eye(dim)).max()
+    assert residual <= dim * np.finfo(np.float64).eps * np.linalg.cond(target)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_moments_that_cannot_be_inverted_raise_numerical_errors():
+    with pytest.raises(SingularCovarianceError, match="epsilon"):
+        model_from_moments(np.zeros(2), np.diag([1.0, -1.0]))
+    with pytest.raises(SingularCovarianceError, match="epsilon"):
+        model_from_moments(np.zeros(2), np.ones((2, 2)))
+    nan_cov = np.eye(2)
+    nan_cov[0, 1] = nan_cov[1, 0] = np.nan
+    # The last two targets are non-finite only once epsilon is added.
+    for cov, eps in ((nan_cov, 1.0), (np.diag([1.0, np.inf]), 0.0),
+                     (np.eye(2) * 8e307, 1e308), (np.eye(2), np.inf)):
+        with pytest.raises(NumericalError, match="non-finite"):
+            model_from_moments(np.zeros(2), cov, regularization=eps)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_training_features_raise_a_numerical_error():
+    X = np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    for eps in (None, 1.0):
+        with pytest.raises(NumericalError, match="non-finite"):
+            fit_gaussian(matrix(X), regularization=eps)
 
 
 # ------------------------------------------------------------------ annotation
