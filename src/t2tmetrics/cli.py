@@ -431,6 +431,7 @@ def _add_io_flags(p: argparse.ArgumentParser, *, matching: bool = False) -> None
     p.add_argument("--features", type=Path, help="detection feature matrix")
     p.add_argument("--train-features", dest="train_features", type=Path,
                    help="training feature matrix")
+    p.add_argument("--epsilon", type=float, help="covariance regularization (default: trace-scaled)")
     if matching:
         p.add_argument("--model", type=Path, help="fitted model file (instead of --train-features)")
         p.add_argument("--iou", dest="iou_threshold", type=float,
@@ -447,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="full pipeline: metrics, AP_t2t profile, histograms")
     _add_io_flags(p, matching=True)
     p.add_argument("--score-thresholds", help="regimes, e.g. all=0.01,med=0.1,high=0.5")
-    p.add_argument("--epsilon", type=float, help="covariance regularization (default: trace-scaled)")
     p.add_argument("--bins", type=int, help="histogram bin count (default 30)")
     p.add_argument("--iou-grid", action="store_true", default=None,
                    help="average AP_t2t over the 0.50:0.05:0.95 IoU grid")
@@ -456,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the training Gaussian and save it")
     _add_io_flags(p)
-    p.add_argument("--epsilon", type=float, help="covariance regularization (default: trace-scaled)")
     p.add_argument("--out", type=Path, help="output model file")
     p.set_defaults(func=cmd_fit)
 
@@ -470,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ap-t2t", help="AP_t2t per score regime")
     _add_io_flags(p, matching=True)
     p.add_argument("--score-thresholds", help="regimes, e.g. all=0.01,med=0.1,high=0.5")
-    p.add_argument("--epsilon", type=float, help="covariance regularization (default: trace-scaled)")
     p.add_argument("--iou-grid", action="store_true", default=None,
                    help="average AP_t2t over the 0.50:0.05:0.95 IoU grid")
     p.add_argument("--out", type=Path, help="output directory")

@@ -8,10 +8,15 @@ the thresholds upward admits detections from nearest to farthest.
 AP_t2t averages the distance-ranked precision over one threshold per true
 positive entry: tied distances contribute one term each, all evaluated at
 the shared threshold.
+
+A score regime is a score mask over one annotation: the detections kept at
+the lowest regime threshold get one distance each, and each IoU threshold
+only marks which of them are true positives.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -128,6 +133,16 @@ def ap_over_iou_range(
     ])
 
 
+def _ap_t2t(tp_distances: np.ndarray, distances: np.ndarray, total_gt: int) -> float:
+    """AP_t2t of the TP distances among all kept distances, as :func:`ap_t2t`."""
+    tp_d = np.sort(tp_distances)
+    all_d = np.sort(distances)
+    tp_within = np.searchsorted(tp_d, tp_d, side="right")
+    all_within = np.searchsorted(all_d, tp_d, side="right")
+    terms = [(int(t), int(a)) for t, a in zip(tp_within, all_within)]
+    return _ratio_mean(terms, total_gt)
+
+
 def ap_t2t(annotated: DistanceAnnotatedOutcome) -> float:
     """Distance-ranked average precision.
 
@@ -138,14 +153,8 @@ def ap_t2t(annotated: DistanceAnnotatedOutcome) -> float:
     """
     if annotated.total_gt == 0:
         raise UndefinedMetricError("AP_t2t is undefined without ground truth")
-    tp_d = np.sort(annotated.distances(Kind.TP))
-    if tp_d.size == 0:
-        return 0.0
-    all_d = np.sort(np.array([e.distance for e in annotated.entries], dtype=np.float64))
-    tp_within = np.searchsorted(tp_d, tp_d, side="right")
-    all_within = np.searchsorted(all_d, tp_d, side="right")
-    terms = [(int(t), int(a)) for t, a in zip(tp_within, all_within)]
-    return _ratio_mean(terms, annotated.total_gt)
+    distances = np.array([e.distance for e in annotated.entries], dtype=np.float64)
+    return _ap_t2t(annotated.distances(Kind.TP), distances, annotated.total_gt)
 
 
 class RegimeError(T2TError):
@@ -163,137 +172,73 @@ class RegimeError(T2TError):
         super().__init__(f"{len(failures)} regime(s) failed: {detail}")
 
 
-def _score_prefix(outcome: MatchOutcome, score_threshold: float) -> MatchOutcome:
-    """The outcome ``match_detections`` gives at a higher score threshold.
+def _regimes(score_thresholds: dict[str, float] | None) -> tuple[dict[str, float], float]:
+    """The checked score regimes (the default ones when None) and their lowest threshold."""
+    thresholds = DEFAULT_SCORE_THRESHOLDS if score_thresholds is None else score_thresholds
+    if not thresholds:
+        raise ValidationError("score_thresholds must not be empty")
+    for name, value in thresholds.items():
+        _check_unit_interval(value, f"score threshold {name!r}")
+    return thresholds, min(thresholds.values())
 
-    By the prefix invariant of :mod:`.matching` the kept TP pairs and FPs are
-    exact; the false negatives gain the instances of the dropped TPs at the
-    end, not in ground-truth order.
+
+def _columns(annotated: DistanceAnnotatedOutcome) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The ids, distances and scores of an annotation, so that no entry outlives the call."""
+    entries = annotated.entries
+    ids = [e.detection_id for e in entries]
+    return ids, np.array([e.distance for e in entries]), np.array([e.score for e in entries])
+
+
+def _profile(
+    model: GaussianTrainModel,
+    dets: DetectionSet,
+    gts: GroundTruthSet,
+    thresholds: dict[str, float],
+    iou_thresholds: tuple[float, ...],
+    match: Callable[[float], MatchOutcome],
+) -> tuple[dict[str, float], list[str], np.ndarray]:
+    """AP_t2t per regime, as :func:`ap_t2t_profile` defines it, and the ids and distances.
+
+    ``match(iou)`` gives the outcome at one IoU threshold and the lowest regime threshold.
     """
-    if score_threshold <= outcome.score_threshold:
-        return outcome
-    return MatchOutcome(
-        true_positives=tuple(p for p in outcome.true_positives if p[0].score >= score_threshold),
-        false_positives=tuple(d for d in outcome.false_positives if d.score >= score_threshold),
-        false_negatives=outcome.false_negatives + tuple(
-            inst for det, inst in outcome.true_positives if det.score < score_threshold
-        ),
-        iou_threshold=outcome.iou_threshold,
-        score_threshold=score_threshold,
-        total_gt=outcome.total_gt,
-    )
-
-
-class _RegimeSweep:
-    """AP_t2t per score regime, fed one matching per IoU threshold.
-
-    Every matching runs at the lowest regime threshold; a regime keeps the
-    entries scoring at or above its own threshold. Distances depend on the
-    detection alone, so they are computed once, from the first outcome, and
-    every later IoU threshold only relabels detections as TP or FP. The
-    constructor validates its inputs as :func:`ap_t2t_profile` documents.
-    """
-
-    def __init__(
-        self,
-        model: GaussianTrainModel,
-        dets: DetectionSet,
-        gts: GroundTruthSet,
-        score_thresholds: dict[str, float] | None,
-        iou_thresholds: tuple[float, ...],
-    ):
-        thresholds = DEFAULT_SCORE_THRESHOLDS if score_thresholds is None else score_thresholds
-        if not thresholds:
-            raise ValidationError("score_thresholds must not be empty")
-        for name, value in thresholds.items():
-            _check_unit_interval(value, f"score threshold {name!r}")
-        if not iou_thresholds:
-            raise ValidationError("iou_thresholds must not be empty")
-        if len(gts.instances) == 0:
-            raise UndefinedMetricError("AP_t2t is undefined without ground truth")
-        self.model = model
-        self.dets = dets
-        self.gts = gts
-        self.thresholds = thresholds
-        self.base = min(thresholds.values())
-        self.values: dict[str, list[float]] = {name: [] for name in thresholds}
-        self.failures: dict[str, T2TError] = {}
-        self.distances: dict[str, float] | None = None
-
-    def _live(self) -> list[str]:
-        return [name for name in self.thresholds if name not in self.failures]
-
-    def add(self, iou_threshold: float) -> MatchOutcome | None:
-        """Match at one IoU threshold and add its AP_t2t to each live regime.
-
-        Returns the base-threshold outcome, or None once every regime failed.
-        """
-        live = self._live()
-        if not live:
-            return None
+    if not iou_thresholds:
+        raise ValidationError("iou_thresholds must not be empty")
+    if len(gts.instances) == 0:
+        raise UndefinedMetricError("AP_t2t is undefined without ground truth")
+    values: dict[str, list[float]] = {name: [] for name in thresholds}
+    failures: dict[str, T2TError] = {}
+    live = list(thresholds)
+    for k, iou_threshold in enumerate(iou_thresholds):
         try:
-            outcome = match_detections(self.dets, self.gts, iou_threshold, self.base)
+            outcome = match(iou_threshold)
         except T2TError as exc:
-            self.failures.update(dict.fromkeys(live, exc))
-            return None
-        if self.distances is None:
-            self._annotate(outcome, live)
-            live = self._live()
+            failures.update(dict.fromkeys(live, exc))
+            break
+        if k == 0:
+            # Annotate once. Regimes are nested by threshold, so the lowest one
+            # whose detections all get a distance serves every regime above it;
+            # each one below it is re-matched and fails with its own error.
+            for name in sorted(thresholds, key=thresholds.__getitem__):
+                try:
+                    if thresholds[name] > outcome.score_threshold:
+                        outcome = match_detections(dets, gts, iou_threshold, thresholds[name])
+                    ids, distances, scores = _columns(annotate_distances(model, outcome))
+                    break
+                except T2TError as exc:
+                    failures[name] = exc
+            live = [name for name in thresholds if name not in failures]
             if not live:
-                return None
-        entries = self.annotated(outcome, min(self.thresholds[n] for n in live)).entries
+                break
+        # A set, not np.isin: numpy strings drop trailing NULs, so "a" == "a\0".
+        tp_ids = {det.detection_id for det, _ in outcome.true_positives}
+        tp = np.array([i in tp_ids for i in ids], dtype=bool)
         for name in live:
-            threshold = self.thresholds[name]
-            kept = tuple(e for e in entries if e.score >= threshold)
-            self.values[name].append(
-                ap_t2t(DistanceAnnotatedOutcome(kept, outcome.total_gt, threshold))
-            )
-        return outcome
-
-    def _annotate(self, outcome: MatchOutcome, live: list[str]) -> None:
-        """Distances of the lowest live regime whose detections all get one.
-
-        Regimes are nested by threshold, so every regime above that one
-        succeeds too. Each regime below it fails with the error that
-        annotating its own kept detections raises.
-        """
-        for name in sorted(live, key=self.thresholds.__getitem__):
-            try:
-                annotated = annotate_distances(
-                    self.model, _score_prefix(outcome, self.thresholds[name])
-                )
-            except T2TError as exc:
-                self.failures[name] = exc
-                continue
-            self.distances = {e.detection_id: e.distance for e in annotated.entries}
-            return
-
-    def annotated(self, outcome: MatchOutcome, score_threshold: float) -> DistanceAnnotatedOutcome:
-        """What ``annotate_distances`` gives for the outcome cut at the threshold."""
-        distances = self.distances
-        entries = [
-            AnnotatedEntry(det.detection_id, Kind.TP, det.score, distances[det.detection_id])
-            for det, _ in outcome.true_positives
-            if det.score >= score_threshold
-        ]
-        entries += [
-            AnnotatedEntry(det.detection_id, Kind.FP, det.score, distances[det.detection_id])
-            for det in outcome.false_positives
-            if det.score >= score_threshold
-        ]
-        return DistanceAnnotatedOutcome(tuple(entries), outcome.total_gt, score_threshold)
-
-    def result(self) -> dict[str, float]:
-        """Regime name -> AP_t2t averaged over the IoU thresholds added."""
-        results = {
-            name: _mean(values)
-            for name, values in self.values.items()
-            if name not in self.failures
-        }
-        if self.failures:
-            failures = {name: self.failures[name] for name in self.thresholds if name in self.failures}
-            raise RegimeError(results, failures)
-        return results
+            keep = scores >= thresholds[name]
+            values[name].append(_ap_t2t(distances[keep & tp], distances[keep], outcome.total_gt))
+    results = {name: _mean(v) for name, v in values.items() if name not in failures}
+    if failures:
+        raise RegimeError(results, {n: failures[n] for n in thresholds if n in failures})
+    return results, ids, distances
 
 
 def ap_t2t_profile(
@@ -303,24 +248,23 @@ def ap_t2t_profile(
     score_thresholds: dict[str, float] | None = None,
     iou_thresholds: tuple[float, ...] = (0.5,),
 ) -> dict[str, float]:
-    """AP_t2t per score regime; regimes are score filters of one matching.
+    """AP_t2t per score regime; each regime is a score mask over one annotation.
 
     Each IoU threshold is matched once, at the lowest regime threshold, and
-    each kept detection gets its distance once. A regime keeps the entries
-    scoring at or above its own threshold, which by the prefix invariant of
-    :mod:`.matching` is exactly the outcome of matching at that threshold.
-    The instance count |X| comes from the ground truth alone, so it is the
-    same in every regime. With several IoU thresholds the per-regime value is
-    the mean over the grid, summed in grid order. A regime fails only through
-    its own kept detections, so a detection without a feature that scores
-    below a regime's threshold does not fail that regime; if any regime
-    fails, a RegimeError carrying the partial results is raised after all
-    regimes were attempted.
+    the kept detections get their distances once, from the first matching.
+    A regime keeps the detections scoring at or above its own threshold,
+    which by the prefix invariant of :mod:`.matching` is exactly the outcome
+    of matching at that threshold. The instance count |X| comes from the
+    ground truth alone, so it is the same in every regime. With several IoU
+    thresholds the per-regime value is the mean over the grid, summed in
+    grid order. A regime fails only through its own kept detections, so a
+    detection without a feature that scores below a regime's threshold does
+    not fail that regime; if any regime fails, a RegimeError carrying the
+    partial results is raised after all regimes were attempted.
     """
-    sweep = _RegimeSweep(model, dets, gts, score_thresholds, iou_thresholds)
-    for iou_threshold in iou_thresholds:
-        sweep.add(iou_threshold)
-    return sweep.result()
+    thresholds, base = _regimes(score_thresholds)
+    return _profile(model, dets, gts, thresholds, iou_thresholds,
+                    lambda t: match_detections(dets, gts, t, base))[0]
 
 
 @dataclass(frozen=True)
@@ -372,22 +316,22 @@ def metric_report(
     raises RegimeError) before any threshold it does not use is matched.
     """
     profile_ious = IOU_GRID if iou_grid else (iou_threshold,)
-    sweep = _RegimeSweep(model, dets, gts, score_thresholds, profile_ious)
+    thresholds, base = _regimes(score_thresholds)
     ap_at: dict[float, float] = {}
     chosen: MatchOutcome | None = None
-    for t in profile_ious:
-        outcome = sweep.add(t)
-        if outcome is not None:
-            ap_at[t] = average_precision(outcome)
-            if t == iou_threshold:
-                chosen = outcome
-    ap_t2t_by_regime = sweep.result()
+
+    def match(t: float) -> MatchOutcome:
+        nonlocal chosen
+        outcome = match_detections(dets, gts, t, base)
+        ap_at[t] = average_precision(outcome)
+        if t == iou_threshold:
+            chosen = outcome
+        return outcome
+
+    ap_t2t_by_regime, ids, distances = _profile(model, dets, gts, thresholds, profile_ious, match)
     for t in (iou_threshold, *IOU_GRID):
         if t not in ap_at:
-            outcome = match_detections(dets, gts, t, sweep.base)
-            ap_at[t] = average_precision(outcome)
-            if t == iou_threshold:
-                chosen = outcome
+            match(t)
     report = MetricReport(
         ap=ap_at[iou_threshold],
         ap_5095=_mean([ap_at[t] for t in IOU_GRID]),
@@ -398,4 +342,9 @@ def metric_report(
             len(chosen.false_negatives),
         ),
     )
-    return report, sweep.annotated(chosen, sweep.base)
+    distance_of = dict(zip(ids, distances.tolist()))
+    entries = [AnnotatedEntry(det.detection_id, Kind.TP, det.score, distance_of[det.detection_id])
+               for det, _ in chosen.true_positives]
+    entries += [AnnotatedEntry(det.detection_id, Kind.FP, det.score, distance_of[det.detection_id])
+                for det in chosen.false_positives]
+    return report, DistanceAnnotatedOutcome(tuple(entries), chosen.total_gt, base)

@@ -1,9 +1,15 @@
+import contextlib
 import functools
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from t2tmetrics import IOU_GRID, MetricReport, export_csv, scaling_series
 from t2tmetrics.cli import main
@@ -91,9 +97,11 @@ def test_evaluate_is_deterministic(dataset, tmp_path):
 def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
     dataset, tmp_path, monkeypatch
 ):
-    # Matchings count one per call; the distance kernel counts the rows it is given.
+    # Matchings and annotations count one per call; the distance kernel counts
+    # the rows it is given.
     work = {
         "match_detections": lambda *args, **kwargs: 1,
+        "annotate_distances": lambda *args, **kwargs: 1,
         "train2test_distances": lambda model, features: len(features),
     }
     calls = dict.fromkeys(work, 0)
@@ -116,10 +124,18 @@ def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
         for module in bound:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
 
-    assert main(evaluate_args(dataset, tmp_path / "out") + ["--iou-grid"]) == 0
-    detections = json.loads((tmp_path / "out" / "summary.json").read_text())["detections"]
-    assert 0 < calls["match_detections"] <= len(IOU_GRID)
-    assert 0 < calls["train2test_distances"] <= detections
+    # evaluate matches every IOU_GRID point for AP@[.5:.95]; plain ap-t2t needs one.
+    runs = (
+        (evaluate_args(dataset, tmp_path / "grid") + ["--iou-grid"], len(IOU_GRID)),
+        (evaluate_args(dataset, tmp_path / "plain"), len(IOU_GRID)),
+        (["ap-t2t"] + evaluate_args(dataset, tmp_path / "ap")[1:], 1),
+    )
+    for argv, matchings in runs:
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(argv) == 0
+        assert 0 < calls["match_detections"] <= matchings, argv
+        assert calls["annotate_distances"] == 1, argv
+        assert 0 < calls["train2test_distances"] <= SCENARIO_SPEC["n_tp"] + SCENARIO_SPEC["n_fp"]
 
 
 def test_summary_contains_no_absolute_paths(dataset, tmp_path):
@@ -265,6 +281,17 @@ def test_distances_score_threshold_drops_rows(dataset, tmp_path):
     ]) == 0
     lines = out.read_text().splitlines()
     assert 1 < len(lines) < 11
+
+
+def test_distances_epsilon_flag_equals_config_key(dataset, tmp_path):
+    argv = ["distances"] + evaluate_args(dataset, tmp_path / "default.csv")[1:]
+    assert main(argv) == 0
+    config = write_json(tmp_path / "run.json", {"epsilon": 1})
+    assert main(argv[:-1] + [str(tmp_path / "config.csv"), "--config", str(config)]) == 0
+    assert main(argv[:-1] + [str(tmp_path / "flag.csv"), "--epsilon", "1"]) == 0
+    flag = (tmp_path / "flag.csv").read_bytes()
+    assert flag == (tmp_path / "config.csv").read_bytes()
+    assert flag != (tmp_path / "default.csv").read_bytes()
 
 
 # ----------------------------------------------------------------------- ap-t2t
@@ -585,6 +612,8 @@ def test_malformed_settings_file_exits_1_naming_file_and_key(
     ({"epsilon": 1e309}, [], "{config}: epsilon: must be finite and >= 0, got inf"),
     (None, ["--score-threshold", "5"], "--score-threshold: must be in [0, 1], got 5.0"),
     (None, ["--score-threshold", "nan"], "--score-threshold: must be in [0, 1], got nan"),
+    (None, ["--score-threshold", "0.01", "--epsilon", "-1"],
+     "--epsilon: must be finite and >= 0, got -1.0"),
 ])
 def test_out_of_range_setting_exits_1_before_reading_inputs(
     tmp_path, capsys, config, flags, message
@@ -622,6 +651,83 @@ def test_usage_errors_exit_1(capsys, argv):
         main(argv)
     assert exc.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------------ fuzz
+
+
+FUZZ_CONFIG = {"iou_threshold": 0.5, "score_thresholds": {"all": 0.01, "high": 0.5},
+               "epsilon": 0.001, "bins": 5}
+FUZZ_FILES = {
+    "--gt": "ground_truth.json",
+    "--det": "detections.json",
+    "--features": "features.t2tfeat",
+    "--train-features": "train_features.t2tfeat",
+    "--config": "run.json",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """File name -> bytes of one valid scenario and run config."""
+    data = tmp_path_factory.mktemp("fuzz")
+    spec = write_json(data / "spec.json", SCENARIO_SPEC)
+    assert main(["scenario", "--spec", str(spec), "--out", str(data)]) == 0
+    write_json(data / "run.json", FUZZ_CONFIG)
+    return {name: (data / name).read_bytes() for name in FUZZ_FILES.values()}
+
+
+edits = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "insert", "delete", "truncate"]),
+        st.integers(0, 1 << 20),
+        st.one_of(st.sampled_from(b'{}[]":,.-+0123456789eEnN \x00\xff'), st.integers(0, 255)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def mutate(blob: bytes, ops) -> bytes:
+    out = bytearray(blob)
+    for op, position, byte in ops:
+        at = position % (len(out) + 1)
+        if op == "replace" and at < len(out):
+            out[at] = byte
+        elif op == "insert":
+            out.insert(at, byte)
+        elif op == "delete":
+            del out[at:at + 1]
+        elif op == "truncate":
+            del out[at:]
+    return bytes(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["evaluate", "distances", "ap-t2t"]),
+    target=st.sampled_from(sorted(FUZZ_FILES.values())),
+    ops=edits,
+)
+def test_mutated_input_ends_in_an_exit_code_and_at_most_one_error_line(
+    fuzz_inputs, command, target, ops
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, blob in fuzz_inputs.items():
+            (tmp / name).write_bytes(mutate(blob, ops) if name == target else blob)
+        argv = [command, "--out", str(tmp / ("out.csv" if command == "distances" else "out"))]
+        for flag, name in FUZZ_FILES.items():
+            argv += [flag, str(tmp / name)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)  # an escaping exception fails the test with its traceback
+    err = stderr.getvalue()
+    assert code in (0, 1, 2)
+    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
+    assert "Traceback" not in err
+    if code != 0:
+        assert err.startswith("error: ") or "\nerror: " in err
 
 
 # ------------------------------------------------------------------ subprocess

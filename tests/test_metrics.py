@@ -466,9 +466,10 @@ def lattice_box(rng):
     return BoundingBox(*(float(v) for v in rng.integers((0, 0, 2, 2), (8, 8, 5, 5))))
 
 
-def random_scene(rng, unbound=False):
+def random_scene(rng, unbound=False, misshapen=False):
     """Lattice boxes, a few score levels and integer features, so IoUs,
-    scores and distances tie often; ``unbound`` leaves some features out."""
+    scores and distances tie often; ``unbound`` leaves some features out and
+    ``misshapen`` gives some a third component, which a 2-dim model refuses."""
     images = tuple(ImageInfo(id=f"im{k}", file_name="", width=100, height=100) for k in range(3))
     gts = GroundTruthSet(
         images=images,
@@ -487,7 +488,8 @@ def random_scene(rng, unbound=False):
                 box=lattice_box(rng),
                 score=float(rng.choice(TIED_SCORES)),
                 feature=None if unbound and rng.random() < 0.2
-                else rng.integers(-3, 4, 2).astype(np.float64),
+                else rng.integers(-3, 4, 3 if misshapen and rng.random() < 0.2 else 2)
+                .astype(np.float64),
             )
             for i in range(int(rng.integers(0, 25)))
         )
@@ -516,9 +518,9 @@ def test_profile_and_iou_range_equal_the_rematch_oracle():
     model = model_from_moments(np.zeros(2), np.eye(2))
     failed = 0
     for trial in range(200):
-        dets, gts = random_scene(rng, unbound=trial % 4 == 0)
+        dets, gts = random_scene(rng, unbound=trial % 4 == 0, misshapen=trial % 4 == 1)
         thresholds = random_thresholds(rng)
-        for ious in ((0.5,), IOU_GRID, (0.75, 0.3, 0.75)):
+        for ious in ((0.5,), IOU_GRID, (0.75, 0.3, 0.75), (0.5, 1.5), (float("nan"),)):
             got = regime_outcome(ap_t2t_profile, model, dets, gts, thresholds, ious)
             assert got == regime_outcome(ap_t2t_profile_rematch, model, dets, gts, thresholds, ious)
             failed += isinstance(got, tuple)
@@ -533,7 +535,7 @@ def test_metric_report_equals_the_rematch_oracle():
     rng = np.random.default_rng(14559)
     model = model_from_moments(np.zeros(2), np.eye(2))
     for trial in range(60):
-        dets, gts = random_scene(rng, unbound=trial % 4 == 0)
+        dets, gts = random_scene(rng, unbound=trial % 4 == 0, misshapen=trial % 4 == 1)
         thresholds = random_thresholds(rng)
         for iou_threshold in (0.5, 0.65, 0.3):
             for iou_grid in (False, True):
