@@ -33,6 +33,7 @@ import json
 import logging
 import math
 import struct
+import sys
 import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -67,9 +68,19 @@ def _as_identifier(value: object, what: str) -> str:
     raise ValidationError(f"{what} must be a string or integer, got {type(value).__name__}")
 
 
+# Box areas outside these limits overflow or underflow in IoU arithmetic: two
+# areas must sum to a finite float, and an area must not round to zero.
+_MIN_AREA = sys.float_info.min
+_MAX_AREA = sys.float_info.max / 2
+
+
 @dataclass(frozen=True)
 class BoundingBox:
-    """Axis-aligned box as (x, y, w, h) with strictly positive extent."""
+    """Axis-aligned box as (x, y, w, h) with strictly positive extent.
+
+    Its far edges x + w and y + h must be finite and its area w * h must lie
+    in [sys.float_info.min, sys.float_info.max / 2].
+    """
 
     x: float
     y: float
@@ -81,6 +92,16 @@ class BoundingBox:
             object.__setattr__(self, name, _require_finite(getattr(self, name), f"box {name}"))
         if self.w <= 0 or self.h <= 0:
             raise ValidationError(f"box extent must be positive, got w={self.w}, h={self.h}")
+        if not (math.isfinite(self.x + self.w) and math.isfinite(self.y + self.h)):
+            raise ValidationError(
+                f"box far edges x + w and y + h must be finite, got x={self.x}, y={self.y}, "
+                f"w={self.w}, h={self.h}"
+            )
+        if not _MIN_AREA <= self.area <= _MAX_AREA:
+            raise ValidationError(
+                f"box area w * h must lie in [{_MIN_AREA}, {_MAX_AREA}], got {self.area} "
+                f"(w={self.w}, h={self.h})"
+            )
 
     @property
     def area(self) -> float:

@@ -31,7 +31,7 @@ from .feature_model import (
     annotate_distances,
 )
 from .ingest import DetectionSet, GroundTruthSet
-from .matching import IOU_GRID, MatchOutcome, match_detections
+from .matching import IOU_GRID, MatchOutcome, iou_matcher, match_detections
 
 # Score thresholds naming the three detection regimes: every candidate with a
 # minimal score, the above-medium-confidence subset, and the high-confidence
@@ -124,13 +124,11 @@ def ap_over_iou_range(
     score_threshold: float = 0.0,
     iou_thresholds: tuple[float, ...] = IOU_GRID,
 ) -> float:
-    """Mean AP over an IoU threshold grid (default 0.50:0.05:0.95)."""
+    """Mean AP over an IoU threshold grid (default 0.50:0.05:0.95), from one IoU table."""
     if not iou_thresholds:
         raise ValidationError("iou_thresholds must not be empty")
-    return _mean([
-        average_precision(match_detections(dets, gts, t, score_threshold))
-        for t in iou_thresholds
-    ])
+    match = iou_matcher(dets, gts, score_threshold)
+    return _mean([average_precision(match(t)) for t in iou_thresholds])
 
 
 def _ap_t2t(tp_distances: np.ndarray, distances: np.ndarray, total_gt: int) -> float:
@@ -250,8 +248,9 @@ def ap_t2t_profile(
 ) -> dict[str, float]:
     """AP_t2t per score regime; each regime is a score mask over one annotation.
 
-    Each IoU threshold is matched once, at the lowest regime threshold, and
-    the kept detections get their distances once, from the first matching.
+    Each IoU threshold is matched once from one IoU table, at the lowest
+    regime threshold, and the kept detections get their distances once,
+    from the first matching.
     A regime keeps the detections scoring at or above its own threshold,
     which by the prefix invariant of :mod:`.matching` is exactly the outcome
     of matching at that threshold. The instance count |X| comes from the
@@ -264,7 +263,7 @@ def ap_t2t_profile(
     """
     thresholds, base = _regimes(score_thresholds)
     return _profile(model, dets, gts, thresholds, iou_thresholds,
-                    lambda t: match_detections(dets, gts, t, base))[0]
+                    iou_matcher(dets, gts, base))[0]
 
 
 @dataclass(frozen=True)
@@ -306,7 +305,7 @@ def metric_report(
     iou_threshold: float = 0.5,
     iou_grid: bool = False,
 ) -> tuple[MetricReport, DistanceAnnotatedOutcome]:
-    """The headline numbers of one evaluation, one matching per IoU threshold.
+    """The headline numbers of one evaluation, every IoU threshold matched from one IoU table.
 
     AP_t2t per regime is taken at ``iou_threshold``, or averaged over
     ``IOU_GRID`` when ``iou_grid`` is set, as :func:`ap_t2t_profile` gives
@@ -319,10 +318,11 @@ def metric_report(
     thresholds, base = _regimes(score_thresholds)
     ap_at: dict[float, float] = {}
     chosen: MatchOutcome | None = None
+    match_at = iou_matcher(dets, gts, base)
 
     def match(t: float) -> MatchOutcome:
         nonlocal chosen
-        outcome = match_detections(dets, gts, t, base)
+        outcome = match_at(t)
         ap_at[t] = average_precision(outcome)
         if t == iou_threshold:
             chosen = outcome

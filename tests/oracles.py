@@ -4,7 +4,8 @@ Everything here is deliberately written the slow, obvious way (explicit set
 construction, nested loops, exact rationals) and shares no code with the
 library paths it checks. The re-match references are the exception: they
 compose the library's own primitives the slow way, once per score regime
-and IoU threshold, as the library itself did before matching once.
+and IoU threshold, as the library itself did before matching once, with
+the pair-at-a-time greedy loop in place of the library's IoU table.
 """
 
 from __future__ import annotations
@@ -17,15 +18,20 @@ from t2tmetrics import (
     DEFAULT_SCORE_THRESHOLDS,
     IOU_GRID,
     AnnotatedEntry,
+    Detection,
+    DetectionSet,
     DistanceAnnotatedOutcome,
+    GroundTruthSet,
     Kind,
+    MatchOutcome,
     MetricReport,
     RegimeError,
     T2TError,
+    ValidationError,
     annotate_distances,
     ap_t2t,
     average_precision,
-    match_detections,
+    iou,
 )
 
 
@@ -69,6 +75,61 @@ def average_precision_enumeration(records, total_gt: int) -> Fraction:
     return total / total_gt
 
 
+def match_detections_loop(
+    dets: DetectionSet,
+    gts: GroundTruthSet,
+    iou_threshold: float = 0.5,
+    score_threshold: float = 0.0,
+) -> MatchOutcome:
+    """Greedy best-IoU matching within each image, one detection and instance pair at a time.
+
+    This is the library's ``match_detections`` from before it matched from an
+    IoU table. Deterministic: equal scores are ordered by detection id, equal
+    IoUs by instance id. An empty ground-truth set is a valid input (every
+    kept detection becomes a false positive).
+    """
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValidationError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+    if not 0.0 <= score_threshold <= 1.0:
+        raise ValidationError(f"score_threshold must lie in [0, 1], got {score_threshold}")
+
+    kept = [d for d in dets.detections if d.score >= score_threshold]
+    kept.sort(key=lambda d: (-d.score, d.detection_id))
+
+    by_image = gts.instances_by_image()
+    claimed: set[str] = set()
+    tps: list[tuple[Detection, str]] = []
+    fps: list[Detection] = []
+    for det in kept:
+        best_iou = 0.0
+        best_id: str | None = None
+        for inst in by_image.get(det.image_id, ()):
+            if inst.instance_id in claimed:
+                continue
+            overlap = iou(det.box, inst.box)
+            if overlap < iou_threshold:
+                continue
+            if overlap > best_iou or (overlap == best_iou and
+                                      (best_id is None or inst.instance_id < best_id)):
+                best_iou = overlap
+                best_id = inst.instance_id
+        if best_id is None:
+            fps.append(det)
+        else:
+            claimed.add(best_id)
+            tps.append((det, best_id))
+
+    fns = tuple(inst.instance_id for inst in gts.instances if inst.instance_id not in claimed)
+    return MatchOutcome(
+        true_positives=tuple(tps),
+        false_positives=tuple(fps),
+        false_negatives=fns,
+        iou_threshold=iou_threshold,
+        score_threshold=score_threshold,
+        total_gt=len(gts.instances),
+    )
+
+
 def ap_t2t_profile_rematch(model, dets, gts, score_thresholds=None, iou_thresholds=(0.5,)):
     """AP_t2t per regime, matching and annotating afresh for every regime and IoU."""
     thresholds = DEFAULT_SCORE_THRESHOLDS if score_thresholds is None else score_thresholds
@@ -78,7 +139,7 @@ def ap_t2t_profile_rematch(model, dets, gts, score_thresholds=None, iou_threshol
         try:
             values = []
             for iou_threshold in iou_thresholds:
-                outcome = match_detections(dets, gts, iou_threshold, score_threshold)
+                outcome = match_detections_loop(dets, gts, iou_threshold, score_threshold)
                 values.append(ap_t2t(annotate_distances(model, outcome)))
             results[name] = float(sum(values) / len(values))
         except T2TError as exc:
@@ -90,7 +151,7 @@ def ap_t2t_profile_rematch(model, dets, gts, score_thresholds=None, iou_threshol
 
 def ap_over_iou_range_rematch(dets, gts, score_threshold=0.0, iou_thresholds=IOU_GRID) -> float:
     values = [
-        average_precision(match_detections(dets, gts, t, score_threshold))
+        average_precision(match_detections_loop(dets, gts, t, score_threshold))
         for t in iou_thresholds
     ]
     return float(sum(values) / len(values))
@@ -101,7 +162,7 @@ def metric_report_rematch(model, dets, gts, score_thresholds, iou_threshold=0.5,
     iou_thresholds = IOU_GRID if iou_grid else (iou_threshold,)
     profile = ap_t2t_profile_rematch(model, dets, gts, score_thresholds, iou_thresholds)
     base_score = min(score_thresholds.values())
-    outcome = match_detections(dets, gts, iou_threshold, base_score)
+    outcome = match_detections_loop(dets, gts, iou_threshold, base_score)
     report = MetricReport(
         ap=average_precision(outcome),
         ap_5095=ap_over_iou_range_rematch(dets, gts, base_score),

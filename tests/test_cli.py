@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t2tmetrics import IOU_GRID, MetricReport, export_csv, scaling_series
+from t2tmetrics import IOU_GRID, MetricReport, export_csv, load_feature_matrix, scaling_series
 from t2tmetrics.cli import main
 
 SCENARIO_SPEC = {
@@ -97,10 +97,11 @@ def test_evaluate_is_deterministic(dataset, tmp_path):
 def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
     dataset, tmp_path, monkeypatch
 ):
-    # Matchings and annotations count one per call; the distance kernel counts
-    # the rows it is given.
+    # IoU table builds, the thresholds matched from them and annotations count
+    # one per call; the distance kernel counts the rows it is given.
     work = {
-        "match_detections": lambda *args, **kwargs: 1,
+        "iou_matcher": lambda *args, **kwargs: 1,
+        "match": lambda iou_threshold: 1,
         "annotate_distances": lambda *args, **kwargs: 1,
         "train2test_distances": lambda model, features: len(features),
     }
@@ -110,12 +111,13 @@ def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             calls[name] += work[name](*args, **kwargs)
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            return counted("match", result) if name == "iou_matcher" else result
 
         return wrapper
 
     # Patch every module that binds the name, as ``from x import name`` copies it.
-    for name in work:
+    for name in ("iou_matcher", "annotate_distances", "train2test_distances"):
         bound = [
             module for mod_name, module in sys.modules.items()
             if mod_name.split(".")[0] == "t2tmetrics" and hasattr(module, name)
@@ -125,6 +127,7 @@ def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
 
     # evaluate matches every IOU_GRID point for AP@[.5:.95]; plain ap-t2t needs one.
+    # Each run builds one IoU table and matches every threshold from it.
     runs = (
         (evaluate_args(dataset, tmp_path / "grid") + ["--iou-grid"], len(IOU_GRID)),
         (evaluate_args(dataset, tmp_path / "plain"), len(IOU_GRID)),
@@ -133,7 +136,8 @@ def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
     for argv, matchings in runs:
         calls.update(dict.fromkeys(calls, 0))
         assert main(argv) == 0
-        assert 0 < calls["match_detections"] <= matchings, argv
+        assert calls["iou_matcher"] == 1, argv
+        assert 0 < calls["match"] <= matchings, argv
         assert calls["annotate_distances"] == 1, argv
         assert 0 < calls["train2test_distances"] <= SCENARIO_SPEC["n_tp"] + SCENARIO_SPEC["n_fp"]
 
@@ -292,6 +296,32 @@ def test_distances_epsilon_flag_equals_config_key(dataset, tmp_path):
     flag = (tmp_path / "flag.csv").read_bytes()
     assert flag == (tmp_path / "config.csv").read_bytes()
     assert flag != (tmp_path / "default.csv").read_bytes()
+
+
+# Two pairs of finite boxes whose IoU arithmetic overflows (IoU inf / nan, which
+# clamped to 1.0) or underflows (0 / 0, a ZeroDivisionError) without the box limits.
+@pytest.mark.parametrize("gt_box, det_box, refused", [
+    ([0, 0, 1e200, 1e200], [0, 0, 1e200, 1e199], "ground_truth.json: annotations[0]"),
+    ([0, 0, 1, 1], [0, 0, 1e200, 1e199], "detections.json: detections[0]"),
+    ([0, 0, 1e-200, 1e-200], [0.5e-200, 0, 1e-200, 1e-200], "ground_truth.json: annotations[0]"),
+    ([0, 0, 1, 1], [0.5e-200, 0, 1e-200, 1e-200], "detections.json: detections[0]"),
+])
+def test_box_area_out_of_range_exits_1_naming_file_and_record(
+    dataset, tmp_path, capsys, gt_box, det_box, refused
+):
+    gt = json.loads((dataset / "ground_truth.json").read_text())
+    dets = json.loads((dataset / "detections.json").read_text())
+    gt["annotations"][0]["bbox"] = gt_box
+    dets[0]["bbox"], dets[0]["image_id"] = det_box, gt["annotations"][0]["image_id"]
+    write_json(dataset / "ground_truth.json", gt)
+    write_json(dataset / "detections.json", dets)
+    argv = ["distances"] + evaluate_args(dataset, tmp_path / "d.csv")[1:] + ["--iou", "0.95"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert line.startswith(f"error: {dataset / refused}: ")
+    assert "box area w * h must lie in" in line
+    assert not (tmp_path / "d.csv").exists()
 
 
 # ----------------------------------------------------------------------- ap-t2t
@@ -658,23 +688,48 @@ def test_usage_errors_exit_1(capsys, argv):
 
 FUZZ_CONFIG = {"iou_threshold": 0.5, "score_thresholds": {"all": 0.01, "high": 0.5},
                "epsilon": 0.001, "bins": 5}
-FUZZ_FILES = {
-    "--gt": "ground_truth.json",
-    "--det": "detections.json",
-    "--features": "features.t2tfeat",
-    "--train-features": "train_features.t2tfeat",
-    "--config": "run.json",
+MATCHING_FLAGS = ["--gt", "ground_truth.json", "--det", "detections.json", "--config", "run.json"]
+BINARY_FEATURES = ["--features", "features.t2tfeat", "--train-features", "train_features.t2tfeat"]
+CSV_FEATURES = ["--features", "features.csv", "--train-features", "train_features.csv"]
+# Each run's argv; names of fuzz inputs stand for their mutated copies, and
+# "out" for a fresh output path.
+FUZZ_RUNS = {
+    **{f"{command} {container}": [command, *MATCHING_FLAGS, *features, "--out", "out"]
+       for command in ("evaluate", "distances", "ap-t2t")
+       for container, features in (("t2tfeat", BINARY_FEATURES), ("csv", CSV_FEATURES))},
+    **{f"report {kind}": ["report", "--kind", kind, "--input", f"{kind}.csv", "--out", "out"]
+       for kind in ("series", "histogram", "bars")},
+    "replacement": ["replacement", "--curve", "curve.csv", "--target", "0.3",
+                    "--target", "100:0.4:0.2", "--out", "out"],
 }
+
+
+def features_csv(path: Path) -> str:
+    matrix = load_feature_matrix(path)
+    return "".join(f"{row_id},{','.join(map(repr, row))}\n"
+                   for row_id, row in zip(matrix.row_ids, matrix.data.tolist()))
 
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
-    """File name -> bytes of one valid scenario and run config."""
+    """File name -> bytes of one valid scenario, run config and CSV input of each command."""
     data = tmp_path_factory.mktemp("fuzz")
     spec = write_json(data / "spec.json", SCENARIO_SPEC)
     assert main(["scenario", "--spec", str(spec), "--out", str(data)]) == 0
     write_json(data / "run.json", FUZZ_CONFIG)
-    return {name: (data / name).read_bytes() for name in FUZZ_FILES.values()}
+    for name in ("features", "train_features"):
+        (data / f"{name}.csv").write_text(features_csv(data / f"{name}.t2tfeat"))
+    assert main(evaluate_args(data, data / "evaluated")) == 0
+    (data / "histogram.csv").write_bytes((data / "evaluated" / "distance_hist_tp.csv").read_bytes())
+    (data / "series.csv").write_text(export_csv(scaling_series([
+        (5, MetricReport(ap=0.2, ap_5095=0.1, ap_t2t_by_regime={"all": 0.05, "med": 0.02})),
+        (10, MetricReport(ap=0.4, ap_5095=0.2, ap_t2t_by_regime={"all": 0.3, "med": 0.2})),
+    ])))
+    (data / "bars.csv").write_text("label,value\nbaseline,4\nsynth,9.5\n")
+    (data / "curve.csv").write_text("count,accuracy,run_id\n5,0.2,r1\n10,0.4,r1\n"
+                                    "5,0.3,r2\n10,0.5,r2\n")
+    names = {name for argv in FUZZ_RUNS.values() for name in argv if (data / name).is_file()}
+    return {name: (data / name).read_bytes() for name in names}
 
 
 edits = st.lists(
@@ -703,22 +758,20 @@ def mutate(blob: bytes, ops) -> bytes:
     return bytes(out)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    command=st.sampled_from(["evaluate", "distances", "ap-t2t"]),
-    target=st.sampled_from(sorted(FUZZ_FILES.values())),
-    ops=edits,
-)
+@settings(max_examples=100, deadline=None)
+@given(run=st.sampled_from(sorted(FUZZ_RUNS)), pick=st.integers(0, 3), ops=edits)
 def test_mutated_input_ends_in_an_exit_code_and_at_most_one_error_line(
-    fuzz_inputs, command, target, ops
+    fuzz_inputs, run, pick, ops
 ):
+    inputs = [name for name in FUZZ_RUNS[run] if name in fuzz_inputs]
+    target = inputs[pick % len(inputs)]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, blob in fuzz_inputs.items():
+        for name in inputs:
+            blob = fuzz_inputs[name]
             (tmp / name).write_bytes(mutate(blob, ops) if name == target else blob)
-        argv = [command, "--out", str(tmp / ("out.csv" if command == "distances" else "out"))]
-        for flag, name in FUZZ_FILES.items():
-            argv += [flag, str(tmp / name)]
+        argv = [str(tmp / arg) if arg in fuzz_inputs or arg == "out" else arg
+                for arg in FUZZ_RUNS[run]]
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)  # an escaping exception fails the test with its traceback

@@ -2,7 +2,9 @@ import dataclasses
 import functools
 import json
 import logging
+import re
 import struct
+import sys
 import tracemalloc
 import types
 import typing
@@ -73,6 +75,33 @@ def test_bbox_validation():
         BoundingBox(0, 0, 5, -1)
     with pytest.raises(ValidationError):
         BoundingBox(float("nan"), 0, 1, 1)
+
+
+MAX = sys.float_info.max
+TINY = sys.float_info.min
+
+
+@pytest.mark.parametrize("box, message", [
+    ((0, 0, 1e200, 1e200), "box area w * h must lie in"),  # area overflows to inf
+    ((0, 0, 1e200, 1e199), "box area w * h must lie in"),
+    ((0, 0, 1e-200, 1e-200), "box area w * h must lie in"),  # area underflows to 0
+    ((0, 0, MAX, 2.0), "box area w * h must lie in"),
+    ((0, 0, TINY, 0.5), "box area w * h must lie in"),
+    ((MAX / 2, 0, MAX, 1e-300), "box far edges x + w and y + h must be finite"),
+    ((0, MAX, 1e-300, MAX / 2**50), "box far edges x + w and y + h must be finite"),
+])
+def test_bbox_limits(box, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        BoundingBox(*box)
+
+
+@pytest.mark.parametrize("box", [
+    (0, 0, 2.0, MAX / 4),  # area MAX / 2
+    (0, 0, TINY, 1.0),  # area the least normal float
+    (-MAX, MAX / 2, MAX, 1e-300),  # far edges 0 and MAX / 2
+])
+def test_bbox_limits_are_inclusive(box):
+    assert BoundingBox(*box).to_list() == list(box)
 
 
 def test_detection_score_range():

@@ -1,3 +1,7 @@
+import sys
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +17,11 @@ from t2tmetrics import (
     ImageInfo,
     ValidationError,
     iou,
+    iou_matcher,
     match_detections,
 )
+from t2tmetrics.matching import _edges, _iou_cells
+from oracles import match_detections_loop
 
 
 def make_gt(instances):
@@ -295,3 +302,144 @@ def test_higher_score_cut_is_a_prefix_of_the_base_outcome(data):
             claimed = {g for _, g in tps}
             fns = [inst.instance_id for inst in gts.instances if inst.instance_id not in claimed]
             assert fns == list(expected.false_negatives)
+
+
+# ------------------------------------------------------------------ IoU table
+
+
+def table_cells(dets, gts):
+    """The IoU table of one image: det boxes by gt boxes, as the matcher builds it."""
+    out = np.empty((1, len(dets), len(gts)))
+    _iou_cells(_edges(dets)[None, :-1], _edges(gts)[None, :-1], out)
+    return out[0]
+
+
+def assert_cells_are_iou(dets, gts):
+    cells = table_cells(dets, gts)
+    for i, a in enumerate(dets):
+        for j, b in enumerate(gts):
+            assert cells[i, j].hex() == iou(a, b).hex(), (a, b)
+
+
+wide_boxes = st.builds(
+    BoundingBox,
+    st.floats(-1e4, 1e4),
+    st.floats(-1e4, 1e4),
+    st.floats(1e-3, 1e4),
+    st.floats(1e-3, 1e4),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(wide_boxes, lattice_boxes), min_size=1, max_size=6),
+       st.lists(st.one_of(wide_boxes, lattice_boxes), min_size=1, max_size=6))
+def test_iou_table_cells_are_bit_equal_to_iou(dets, gts):
+    # Lattice boxes make touching edges, duplicates and identical boxes common.
+    assert_cells_are_iou(dets, gts)
+
+
+def test_iou_table_at_the_box_limits_warns_nothing():
+    big, tiny = sys.float_info.max, sys.float_info.min
+    boxes = [
+        BoundingBox(-big, -big, big, 0.5),  # area MAX / 2, far edges 0 and -MAX
+        BoundingBox(big / 2, 0.0, big / 2, 1.0),  # far edge MAX, area MAX / 2
+        BoundingBox(-big, big / 4, 1e-300, 1e-7),  # a small box far from the others
+        BoundingBox(0.0, 0.0, tiny, 1.0),  # area the least normal float
+        BoundingBox(0.0, 0.0, 1.0, tiny),
+        BoundingBox(tiny, 0.0, 1.0, 1.0),
+        BoundingBox(0.0, 0.0, 2.0, big / 4),
+        # Its extent is below the spacing of floats at its position, so iou's
+        # intersection with itself overflows and its ratio is NaN, clamped to 1.0.
+        BoundingBox(2.0**1000, 2.0**128, 1.4 * 2.0**947, 1.4 * 2.0**75),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_cells_are_iou(boxes, boxes)
+        gts = make_gt([(f"g{i}", "im", b.to_list()) for i, b in enumerate(boxes)])
+        dets = make_dets([(f"d{i}", "im", b.to_list(), 0.5) for i, b in enumerate(boxes)])
+        assert match_detections(dets, gts, 0.5) == match_detections_loop(dets, gts, 0.5)
+
+
+# Instance ids whose string order differs from their insertion order: NULs,
+# digits, case and non-ASCII.
+INSTANCE_IDS = ("b", "a\0", "a", "a\0\0", "10", "9", "B", "é", "a\0b")
+IMAGES = ("im0", "im1", "im2", "im3")
+
+
+@st.composite
+def scenes(draw):
+    """Tied scores and IoUs, duplicate boxes, images with instances but no
+    detections, and detections on images with no instances or no entry."""
+    ids = draw(st.permutations(INSTANCE_IDS))[:draw(st.integers(0, len(INSTANCE_IDS)))]
+    gt_images = draw(st.lists(st.sampled_from(IMAGES[:3]), min_size=len(ids), max_size=len(ids)))
+    gt_boxes = [draw(lattice_boxes) for _ in ids]
+    gts = GroundTruthSet(
+        images=tuple(ImageInfo(id=i, file_name="", width=10, height=10) for i in IMAGES[:3]),
+        instances=tuple(GroundTruthInstance(image_id=im, box=box, instance_id=iid)
+                        for iid, im, box in zip(ids, gt_images, gt_boxes)),
+    )
+    dets = []
+    for k in range(draw(st.integers(0, 14))):
+        # a copy of a ground-truth box is a duplicate with IoU exactly 1
+        box = draw(st.sampled_from(gt_boxes)) if gt_boxes and draw(st.booleans()) \
+            else draw(lattice_boxes)
+        dets.append(Detection(image_id=draw(st.sampled_from(IMAGES)), box=box,
+                              score=draw(st.sampled_from(SCORE_CUTS)), detection_id=f"d{k}"))
+    return DetectionSet(detections=tuple(dets)), gts
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenes(), st.data())
+def test_matcher_equals_the_loop_oracle(scene, data):
+    dets, gts = scene
+    # Boundary thresholds: an IoU the scene holds exactly, and the next float above it.
+    overlaps = sorted({iou(d.box, g.box) for d in dets.detections for g in gts.instances} - {0.0})
+    exact = data.draw(st.sampled_from(overlaps)) if overlaps else 1.0
+    thresholds = (*IOU_GRID, exact, float(np.nextafter(exact, 2.0)), 1.0)
+    for score_threshold in (0.0, data.draw(st.sampled_from(SCORE_CUTS))):
+        match = iou_matcher(dets, gts, score_threshold)
+        for t in thresholds:
+            expected = outcome_or_error(match_detections_loop, dets, gts, t, score_threshold)
+            assert outcome_or_error(lambda *_: match(t), dets, gts, t, score_threshold) == expected
+            assert outcome_or_error(match_detections, dets, gts, t, score_threshold) == expected
+    # Invalid thresholds fail with the oracle's errors, the IoU threshold checked first.
+    for t, score_threshold in ((1.5, 0.5), (float("nan"), 0.5), (0.5, 1.5), (0.0, -1.0)):
+        expected = outcome_or_error(match_detections_loop, dets, gts, t, score_threshold)
+        assert isinstance(expected, str)
+        assert outcome_or_error(match_detections, dets, gts, t, score_threshold) == expected
+
+
+def outcome_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_skewed_images_are_matched_within_a_memory_bound():
+    """One image with 10,000 detections beside 799 images with 40 each."""
+    rng = np.random.default_rng(5)
+    sizes = [10_000] + [40] * 799
+    gts_per_image = 10
+    instances, detections = [], []
+    for image, n in enumerate(sizes):
+        grid = rng.integers(0, 20, (gts_per_image, 2)).astype(float) * 4.0
+        for j, (x, y) in enumerate(grid):
+            instances.append((f"g{image}-{j}", f"im{image}", (x, y, 6.0, 6.0)))
+        picks = rng.integers(0, gts_per_image, n)
+        jitter = rng.integers(-3, 4, (n, 2)).astype(float)
+        for k in range(n):
+            x, y = grid[picks[k]] + jitter[k]
+            detections.append((f"d{image}-{k}", f"im{image}", (x, y, 6.0, 6.0),
+                               float(rng.integers(0, 20)) / 20))
+    gts, dets = make_gt(instances), make_dets(detections)
+    unpadded_bytes = 8 * gts_per_image * sum(sizes)
+
+    tracemalloc.start()
+    try:
+        outcome = match_detections(dets, gts, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * unpadded_bytes + (1 << 20), (peak, unpadded_bytes)
+    assert outcome == match_detections_loop(dets, gts, 0.5)
