@@ -400,7 +400,7 @@ def test_matcher_equals_the_loop_oracle(scene, data):
         match = iou_matcher(dets, gts, score_threshold)
         for t in thresholds:
             expected = outcome_or_error(match_detections_loop, dets, gts, t, score_threshold)
-            assert outcome_or_error(lambda *_: match(t), dets, gts, t, score_threshold) == expected
+            assert outcome_or_error(match, t) == expected
             assert outcome_or_error(match_detections, dets, gts, t, score_threshold) == expected
     # Invalid thresholds fail with the oracle's errors, the IoU threshold checked first.
     for t, score_threshold in ((1.5, 0.5), (float("nan"), 0.5), (0.5, 1.5), (0.0, -1.0)):
