@@ -78,8 +78,11 @@ _MAX_AREA = sys.float_info.max / 2
 class BoundingBox:
     """Axis-aligned box as (x, y, w, h) with strictly positive extent.
 
-    Its far edges x + w and y + h must be finite and its area w * h must lie
-    in [sys.float_info.min, sys.float_info.max / 2].
+    Its far edges x + w and y + h must be finite, the extents (x + w) - x and
+    (y + h) - y that IoU arithmetic sees must lie within a quarter of w and h,
+    and its area w * h must lie in [sys.float_info.min, sys.float_info.max / 2].
+    Then an intersection stays below its union, and every IoU is a finite
+    float in [0, 1].
     """
 
     x: float
@@ -90,17 +93,25 @@ class BoundingBox:
     def __post_init__(self) -> None:
         for name in ("x", "y", "w", "h"):
             object.__setattr__(self, name, _require_finite(getattr(self, name), f"box {name}"))
-        if self.w <= 0 or self.h <= 0:
-            raise ValidationError(f"box extent must be positive, got w={self.w}, h={self.h}")
-        if not (math.isfinite(self.x + self.w) and math.isfinite(self.y + self.h)):
+        x, y, w, h = self.x, self.y, self.w, self.h
+        if w <= 0 or h <= 0:
+            raise ValidationError(f"box extent must be positive, got w={w}, h={h}")
+        far_x, far_y = x + w, y + h
+        if not (math.isfinite(far_x) and math.isfinite(far_y)):
             raise ValidationError(
-                f"box far edges x + w and y + h must be finite, got x={self.x}, y={self.y}, "
-                f"w={self.w}, h={self.h}"
+                f"box far edges x + w and y + h must be finite, got x={x}, y={y}, w={w}, h={h}"
             )
-        if not _MIN_AREA <= self.area <= _MAX_AREA:
+        # IoU arithmetic sees the extent (x + w) - x, which rounding at the far
+        # edge can change: (2**60 + 192) - 2**60 is 256.
+        if not (abs(far_x - x - w) <= w / 4 and abs(far_y - y - h) <= h / 4):
             raise ValidationError(
-                f"box area w * h must lie in [{_MIN_AREA}, {_MAX_AREA}], got {self.area} "
-                f"(w={self.w}, h={self.h})"
+                f"box extent is lost to rounding at its position: (x + w) - x and (y + h) - y "
+                f"must lie within a quarter of w and h, got x={x}, y={y}, w={w}, h={h}"
+            )
+        if not _MIN_AREA <= w * h <= _MAX_AREA:
+            raise ValidationError(
+                f"box area w * h must lie in [{_MIN_AREA}, {_MAX_AREA}], got {w * h} "
+                f"(w={w}, h={h})"
             )
 
     @property
@@ -411,16 +422,14 @@ def load_detections(path: str | Path) -> DetectionSet:
             score = raw["score"]
             if isinstance(score, bool) or not isinstance(score, (int, float)):
                 raise ParseError(f"{where}: score must be a number")
-            dets.append(
-                Detection(
-                    image_id=_as_identifier(raw["image_id"], f"{where}.image_id"),
-                    box=_parse_box(raw["bbox"], where),
-                    score=float(score),
-                    detection_id=det_id,
-                )
-            )
+            image_id = _as_identifier(raw["image_id"], f"{where}.image_id")
+            box = _parse_box(raw["bbox"], where)
         except KeyError as exc:
             raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
+        # Only the score check is left to name the record; the errors above
+        # already do.
+        try:
+            dets.append(Detection(image_id=image_id, box=box, score=float(score), detection_id=det_id))
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
     out = DetectionSet(detections=tuple(dets))

@@ -298,16 +298,23 @@ def test_distances_epsilon_flag_equals_config_key(dataset, tmp_path):
     assert flag != (tmp_path / "default.csv").read_bytes()
 
 
-# Two pairs of finite boxes whose IoU arithmetic overflows (IoU inf / nan, which
+AREA = "box area w * h must lie in"
+ROUNDED = "box extent is lost to rounding at its position"
+LOST = [2.0**60, 2.0**60, 192.0, 512 / 3]  # (x + w) - x is 256, not 192
+
+
+# Pairs of finite boxes whose IoU arithmetic overflows (IoU inf / nan, which
 # clamped to 1.0) or underflows (0 / 0, a ZeroDivisionError) without the box limits.
-@pytest.mark.parametrize("gt_box, det_box, refused", [
-    ([0, 0, 1e200, 1e200], [0, 0, 1e200, 1e199], "ground_truth.json: annotations[0]"),
-    ([0, 0, 1, 1], [0, 0, 1e200, 1e199], "detections.json: detections[0]"),
-    ([0, 0, 1e-200, 1e-200], [0.5e-200, 0, 1e-200, 1e-200], "ground_truth.json: annotations[0]"),
-    ([0, 0, 1, 1], [0.5e-200, 0, 1e-200, 1e-200], "detections.json: detections[0]"),
+@pytest.mark.parametrize("gt_box, det_box, refused, message", [
+    ([0, 0, 1e200, 1e200], [0, 0, 1e200, 1e199], "ground_truth.json: annotations[0]", AREA),
+    ([0, 0, 1, 1], [0, 0, 1e200, 1e199], "detections.json: detections[0]", AREA),
+    ([0, 0, 1e-200, 1e-200], [0.5e-200, 0, 1e-200, 1e-200], "ground_truth.json: annotations[0]", AREA),
+    ([0, 0, 1, 1], [0.5e-200, 0, 1e-200, 1e-200], "detections.json: detections[0]", AREA),
+    (LOST, LOST, "ground_truth.json: annotations[0]", ROUNDED),
+    ([0, 0, 1, 1], LOST, "detections.json: detections[0]", ROUNDED),
 ])
-def test_box_area_out_of_range_exits_1_naming_file_and_record(
-    dataset, tmp_path, capsys, gt_box, det_box, refused
+def test_box_out_of_limits_exits_1_naming_file_and_record(
+    dataset, tmp_path, capsys, gt_box, det_box, refused, message
 ):
     gt = json.loads((dataset / "ground_truth.json").read_text())
     dets = json.loads((dataset / "detections.json").read_text())
@@ -319,8 +326,8 @@ def test_box_area_out_of_range_exits_1_naming_file_and_record(
     assert main(argv) == 1
     err = capsys.readouterr().err
     [line] = [line for line in err.splitlines() if line.startswith("error:")]
-    assert line.startswith(f"error: {dataset / refused}: ")
-    assert "box area w * h must lie in" in line
+    assert line.startswith(f"error: {dataset / refused}: {message}")
+    assert line.count(refused) == 1
     assert not (tmp_path / "d.csv").exists()
 
 

@@ -89,6 +89,12 @@ TINY = sys.float_info.min
     ((0, 0, TINY, 0.5), "box area w * h must lie in"),
     ((MAX / 2, 0, MAX, 1e-300), "box far edges x + w and y + h must be finite"),
     ((0, MAX, 1e-300, MAX / 2**50), "box far edges x + w and y + h must be finite"),
+    # Extents below the float spacing at their far edges: iou of the first with
+    # itself divided 0 by 0, and of the second overflowed to NaN, clamped to 1.0.
+    ((2.0**60, 2.0**60, 192.0, 512 / 3), "box extent is lost to rounding at its position"),
+    ((2.0**1000, 2.0**128, 1.4 * 2.0**947, 1.4 * 2.0**75),
+     "box extent is lost to rounding at its position"),
+    ((-(2.0**60), 0, 1.0, 1.0), "box extent is lost to rounding at its position"),
 ])
 def test_bbox_limits(box, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
@@ -98,7 +104,8 @@ def test_bbox_limits(box, message):
 @pytest.mark.parametrize("box", [
     (0, 0, 2.0, MAX / 4),  # area MAX / 2
     (0, 0, TINY, 1.0),  # area the least normal float
-    (-MAX, MAX / 2, MAX, 1e-300),  # far edges 0 and MAX / 2
+    (-MAX, 0, MAX, 1e-300),  # far edges 0 and 1e-300
+    (2.0**60, 0, 1152.0, 1.0),  # x + w rounds: (x + w) - x is 1024, within a quarter of w
 ])
 def test_bbox_limits_are_inclusive(box):
     assert BoundingBox(*box).to_list() == list(box)

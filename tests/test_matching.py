@@ -341,16 +341,15 @@ def test_iou_table_cells_are_bit_equal_to_iou(dets, gts):
 def test_iou_table_at_the_box_limits_warns_nothing():
     big, tiny = sys.float_info.max, sys.float_info.min
     boxes = [
-        BoundingBox(-big, -big, big, 0.5),  # area MAX / 2, far edges 0 and -MAX
+        BoundingBox(-big, -1.0, big, 0.5),  # area MAX / 2, far edges 0 and -0.5
         BoundingBox(big / 2, 0.0, big / 2, 1.0),  # far edge MAX, area MAX / 2
-        BoundingBox(-big, big / 4, 1e-300, 1e-7),  # a small box far from the others
+        BoundingBox(-1e300, 1e-300, 1e290, 1e-290),  # a small box far from the others
         BoundingBox(0.0, 0.0, tiny, 1.0),  # area the least normal float
         BoundingBox(0.0, 0.0, 1.0, tiny),
         BoundingBox(tiny, 0.0, 1.0, 1.0),
         BoundingBox(0.0, 0.0, 2.0, big / 4),
-        # Its extent is below the spacing of floats at its position, so iou's
-        # intersection with itself overflows and its ratio is NaN, clamped to 1.0.
-        BoundingBox(2.0**1000, 2.0**128, 1.4 * 2.0**947, 1.4 * 2.0**75),
+        # x + w rounds, so iou sees the extent 2**949, a fifth below w.
+        BoundingBox(2.0**1000, 2.0**60, 1.25 * 2.0**949, 1.25 * 2.0**70),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -358,6 +357,34 @@ def test_iou_table_at_the_box_limits_warns_nothing():
         gts = make_gt([(f"g{i}", "im", b.to_list()) for i, b in enumerate(boxes)])
         dets = make_dets([(f"d{i}", "im", b.to_list(), 0.5) for i, b in enumerate(boxes)])
         assert match_detections(dets, gts, 0.5) == match_detections_loop(dets, gts, 0.5)
+
+
+# Starts in units of the extent: beyond 2**52 extents the far edge x + w rounds,
+# and near these multiples the extent is about 0.55 to 3 float spacings.
+NEAR_SPACING = tuple(sign * 2.0**52 / k for k in (0.55, 0.7, 1.0, 1.5, 2.0, 3.0) for sign in (1, -1))
+
+
+@st.composite
+def axes(draw):
+    """(start, extent) of one box axis; two extents multiply to an area in the box limits."""
+    extent = draw(st.floats(2.0**-511, 2.0**511))
+    return extent * draw(st.one_of(st.floats(-2.0**60, 2.0**60), st.sampled_from(NEAR_SPACING))), extent
+
+
+@settings(max_examples=300, deadline=None)
+@given(axes(), axes(), axes(), axes(), st.booleans())
+def test_iou_of_any_two_accepted_boxes_is_a_float_in_0_1(ax, ay, bx, by, same):
+    try:
+        a = BoundingBox(ax[0], ay[0], ax[1], ay[1])
+        b = a if same else BoundingBox(bx[0], by[0], bx[1], by[1])
+    except ValidationError:
+        return  # the box limits refuse it
+    # Comparing a box with itself is where a rounded extent made iou negative,
+    # NaN (clamped to 1.0) or a division of 0 by 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert 0.0 <= iou(a, b) <= 1.0
+        assert_cells_are_iou([a, b], [a, b])
 
 
 # Instance ids whose string order differs from their insertion order: NULs,
