@@ -17,8 +17,8 @@ from .errors import NumericalError, ParseError, T2TError, ValidationError
 from .feature_model import annotate_distances, fit_gaussian, load_model, save_model
 from .fsio import write_text
 from .ingest import (
-    _csv_records,
     _load_json,
+    _read_csv_rows,
     bind_features,
     decode,
     load_detections,
@@ -240,16 +240,6 @@ def cmd_ap_t2t(args: argparse.Namespace) -> int:
         print(f"ap_t2t[{name}]={value:.6g}")
     print(f"wrote {out}/ap_t2t.csv")
     return 0
-
-
-def _read_csv_rows(path: Path) -> list[list[str]]:
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from exc
-    return [r for _, r in _csv_records(path, text) if r]
 
 
 def _read_curve_file(path: Path) -> list[AccuracyCurve]:

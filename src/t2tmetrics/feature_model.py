@@ -28,13 +28,13 @@ from .errors import (
     ValidationError,
 )
 from .fsio import write_bytes
-from .ingest import FeatureMatrix
+from .ingest import FeatureMatrix, _Cursor, _read_bytes
 from .matching import MatchOutcome
 
 MODEL_MAGIC = b"T2TMODL\x00"
 
-_U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
+# dimension, epsilon, sample count
+_MODEL_HEADER = struct.Struct("<QdQ")
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,12 +267,9 @@ def annotate_distances(model: GaussianTrainModel, outcome: MatchOutcome) -> Dist
 def save_model(model: GaussianTrainModel, path) -> None:
     """Binary container: magic, u64 dim, f64 epsilon, u64 sample count, then
     mean, covariance, and precision as little-endian float64."""
-    d = model.dim
     parts = [
         MODEL_MAGIC,
-        _U64.pack(d),
-        _F64.pack(model.regularization),
-        _U64.pack(model.sample_count),
+        _MODEL_HEADER.pack(model.dim, model.regularization, model.sample_count),
         np.ascontiguousarray(model.mean, dtype="<f8").tobytes(),
         np.ascontiguousarray(model.covariance, dtype="<f8").tobytes(),
         np.ascontiguousarray(model.precision, dtype="<f8").tobytes(),
@@ -281,34 +278,20 @@ def save_model(model: GaussianTrainModel, path) -> None:
 
 
 def load_model(path) -> GaussianTrainModel:
-    from pathlib import Path
-
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
-    blob = path.read_bytes()
-    if blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
+    blob = _read_bytes(path)
+    if not blob.startswith(MODEL_MAGIC):
         raise ParseError(f"{path}: bad magic {blob[:8]!r}")
-    offset = len(MODEL_MAGIC)
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(blob):
-            raise ParseError(f"{path}: truncated model file while reading {what}")
-        out = blob[offset : offset + n]
-        offset += n
-        return out
-
-    d = _U64.unpack(take(8, "dimension"))[0]
-    eps = _F64.unpack(take(8, "epsilon"))[0]
-    count = _U64.unpack(take(8, "sample count"))[0]
+    cursor = _Cursor(path, blob, len(MODEL_MAGIC))
+    d, eps, count = _MODEL_HEADER.unpack(cursor.take(_MODEL_HEADER.size, "header"))
     if d < 1:
         raise ParseError(f"{path}: dimension must be >= 1, got {d}")
-    mean = np.frombuffer(take(8 * d, "mean"), dtype="<f8").copy()
-    cov = np.frombuffer(take(8 * d * d, "covariance"), dtype="<f8").reshape(d, d).copy()
-    prec = np.frombuffer(take(8 * d * d, "precision"), dtype="<f8").reshape(d, d).copy()
-    if offset != len(blob):
-        raise ParseError(f"{path}: trailing bytes after model payload")
-    return GaussianTrainModel(
-        mean=mean, covariance=cov, precision=prec, regularization=eps, sample_count=count
-    )
+    mean = np.frombuffer(cursor.take(8 * d, "mean"), dtype="<f8").copy()
+    cov = np.frombuffer(cursor.take(8 * d * d, "covariance"), dtype="<f8").reshape(d, d).copy()
+    prec = np.frombuffer(cursor.take(8 * d * d, "precision"), dtype="<f8").reshape(d, d).copy()
+    cursor.end("model payload")
+    try:
+        return GaussianTrainModel(
+            mean=mean, covariance=cov, precision=prec, regularization=eps, sample_count=count
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

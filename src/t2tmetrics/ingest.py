@@ -23,6 +23,14 @@ Identifiers may appear as JSON strings or integers; they are normalized to
 strings internally and written back as strings. Out-of-range or non-finite
 values are rejected with an error naming the offending record, never clamped
 or repaired.
+
+Reading
+-------
+Every input file of the package, this module's and the model file and report
+CSVs of the other modules alike, is read through ``_read_bytes``: a missing
+file is ``no such file: PATH`` and any other OS error a ``ParseError`` naming
+the path. Text is decoded once, as UTF-8 with universal newlines, and both
+binary containers are read through one bounds-checked ``_Cursor``.
 """
 
 from __future__ import annotations
@@ -247,17 +255,53 @@ class FeatureMatrix:
 # ---------------------------------------------------------------- ground truth
 
 
-def _load_json(path: str | Path) -> object:
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
+def _read_bytes(path: str | Path) -> bytes:
+    """The bytes of an input file; the one place the package opens an input."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise ParseError(f"no such file: {path}") from None
+    except OSError as exc:  # a directory, a permission, a device error
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
+def _text(path: str | Path, blob: bytes) -> str:
+    """UTF-8 text with universal newlines, as ``Path.read_text`` decodes it."""
+    try:
+        text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 text ({exc.reason})") from exc
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+class _Cursor:
+    """Reads through a binary container, checking each size taken from the
+    file against the bytes left before any use."""
+
+    def __init__(self, path: str | Path, blob: bytes, offset: int) -> None:
+        self.path, self.blob, self.offset = path, memoryview(blob), offset
+
+    def take(self, n: int, what: str) -> memoryview:
+        if n > len(self.blob) - self.offset:
+            raise ParseError(f"{self.path}: truncated file: {what} needs {n} bytes")
+        self.offset += n
+        return self.blob[self.offset - n : self.offset]
+
+    def end(self, what: str) -> None:
+        if self.offset != len(self.blob):
+            raise ParseError(f"{self.path}: trailing bytes after {what}")
+
+
+def _load_json(path: str | Path) -> object:
+    text = _text(path, _read_bytes(path))
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer over the interpreter's digit limit
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 # Each scalar field type: the JSON values it accepts, and how to say so.
@@ -453,38 +497,24 @@ def write_detections(dets: DetectionSet, path: str | Path) -> Path:
 # ------------------------------------------------------------ feature matrices
 
 
-def _load_features_binary(path: Path) -> FeatureMatrix:
-    # Sizes from the file are checked against the bytes left before any use.
-    blob = memoryview(path.read_bytes())
-    offset = len(FEATURE_MAGIC)
-
-    def take(n: int, what: str) -> memoryview:
-        nonlocal offset
-        if n > len(blob) - offset:
-            raise ParseError(f"{path}: truncated feature file: {what} needs {n} bytes")
-        offset += n
-        return blob[offset - n : offset]
-
-    rows, dim = struct.unpack("<QQ", take(16, "header"))
+def _load_features_binary(path: str | Path, blob: bytes) -> FeatureMatrix:
+    cursor = _Cursor(path, blob, len(FEATURE_MAGIC))
+    rows, dim = struct.unpack("<QQ", cursor.take(16, "header"))
     if rows < 1 or dim < 1:
         raise ParseError(f"{path}: header declares empty matrix ({rows}x{dim})")
-    data = np.frombuffer(take(rows * dim * 4, "feature values"), dtype="<f4").reshape(rows, dim)
+    data = np.frombuffer(cursor.take(rows * dim * 4, "feature values"), dtype="<f4").reshape(rows, dim)
     ids = []
     for i in range(rows):
-        (length,) = _U32.unpack(take(4, f"id length of row {i}"))
+        (length,) = _U32.unpack(cursor.take(4, f"id length of row {i}"))
         try:
-            ids.append(str(take(length, f"id of row {i}"), "utf-8"))
+            ids.append(str(cursor.take(length, f"id of row {i}"), "utf-8"))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: row {i} id is not valid UTF-8 ({exc.reason})") from exc
-    if offset != len(blob):
-        raise ParseError(f"{path}: trailing bytes after row ids")
-    if not np.isfinite(data).all():
-        bad = int(np.argwhere(~np.isfinite(data))[0][0])
-        raise ValidationError(f"{path}: non-finite feature value in row {ids[bad]!r}")
+    cursor.end("row ids")
     return FeatureMatrix(data=data.astype(np.float64), row_ids=tuple(ids))
 
 
-def _csv_records(path: Path, text: str):
+def _csv_records(path: str | Path, text: str):
     """Yield (line number, record) of CSV text; a malformed record is a ParseError."""
     reader = csv.reader(io.StringIO(text))
     try:
@@ -494,15 +524,16 @@ def _csv_records(path: Path, text: str):
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _load_features_csv(path: Path) -> FeatureMatrix:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: neither a feature binary nor UTF-8 CSV ({exc.reason})") from exc
+def _read_csv_rows(path: str | Path) -> list[list[str]]:
+    """The non-empty records of a CSV file."""
+    return [r for _, r in _csv_records(path, _text(path, _read_bytes(path))) if r]
+
+
+def _load_features_csv(path: str | Path, blob: bytes) -> FeatureMatrix:
     ids: list[str] = []
     rows: list[list[float]] = []
     width: int | None = None
-    for lineno, record in _csv_records(path, text):
+    for lineno, record in _csv_records(path, _text(path, blob)):
         if not record:
             continue
         if len(record) < 2:
@@ -519,12 +550,9 @@ def _load_features_csv(path: Path) -> FeatureMatrix:
         values = []
         for col, cell in enumerate(record[1:], start=2):
             try:
-                v = float(cell)
+                values.append(float(cell))
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}, column {col}: not a number: {cell!r}") from None
-            if not math.isfinite(v):
-                raise ValidationError(f"{path}: line {lineno}: non-finite value in row {row_id!r}")
-            values.append(v)
         ids.append(row_id)
         rows.append(values)
     if not rows:
@@ -534,15 +562,12 @@ def _load_features_csv(path: Path) -> FeatureMatrix:
 
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     """Load a feature matrix, sniffing the binary magic and falling back to CSV."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
-    with open(path, "rb") as fh:
-        head = fh.read(len(FEATURE_MAGIC))
-    if head == FEATURE_MAGIC:
-        fm = _load_features_binary(path)
-    else:
-        fm = _load_features_csv(path)
+    blob = _read_bytes(path)
+    load = _load_features_binary if blob.startswith(FEATURE_MAGIC) else _load_features_csv
+    try:
+        fm = load(path, blob)
+    except ValidationError as exc:  # from FeatureMatrix, which names the row
+        raise ValidationError(f"{path}: {exc}") from None
     logger.info("loaded %dx%d feature matrix from %s", fm.rows, fm.dim, path)
     return fm
 
