@@ -146,6 +146,8 @@ def _fit(cfg: RunConfig):
 def _load_inputs(cfg: RunConfig):
     """Ground truth, feature-bound detections and the model of a matching command."""
     _require(cfg, "ground_truth", "detections", "features", "out")
+    if cfg.model is None and cfg.train_features is None:
+        raise ValidationError("missing required inputs: --model or --train-features")
     gts = load_ground_truth(cfg.ground_truth)
     dets = bind_features(load_detections(cfg.detections), load_feature_matrix(cfg.features))
     # The matcher would count a detection on an unlisted image as a false positive.
@@ -154,11 +156,7 @@ def _load_inputs(cfg: RunConfig):
         if det.image_id not in images:
             raise ValidationError(f"{cfg.detections}: detection {det.detection_id!r} "
                                   f"references unknown image {det.image_id!r}")
-    if cfg.model is not None:
-        return gts, dets, load_model(cfg.model)
-    if cfg.train_features is None:
-        raise ValidationError("missing required inputs: --model or --train-features")
-    return gts, dets, _fit(cfg)
+    return gts, dets, load_model(cfg.model) if cfg.model is not None else _fit(cfg)
 
 
 def _base_regime(thresholds: dict[str, float]) -> str:

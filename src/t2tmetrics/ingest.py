@@ -26,11 +26,12 @@ or repaired.
 
 Reading
 -------
-Every input file of the package, this module's and the model file and report
-CSVs of the other modules alike, is read through ``_read_bytes``: a missing
-file is ``no such file: PATH`` and any other OS error a ``ParseError`` naming
-the path. Text is decoded once, as UTF-8 with universal newlines, and both
-binary containers are read through one bounds-checked ``_Cursor``.
+Every input file is read through ``_read_bytes``, including the model file and
+the report and curve CSVs that other modules load: a missing file is ``no such
+file: PATH``, and any other OS error is a ``ParseError`` naming the path. Text
+is decoded once, as UTF-8 with universal newlines, and both binary containers
+are read through one bounds-checked ``_Cursor``. Outputs are written through
+``fsio.write_bytes`` alone.
 """
 
 from __future__ import annotations
@@ -64,6 +65,27 @@ def _require_finite(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise ValidationError(f"{what} must be finite, got {value!r}")
     return value
+
+
+def _json_number(value: object, where: str) -> float:
+    """A JSON number as a float; a bool, a non-number or an integer too large
+    for a float is refused, naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{where} is out of range for a float") from None
+
+
+def _first_repeat(ids: typing.Iterable[str]) -> str | None:
+    """The first id that occurs a second time, or None."""
+    seen: set[str] = set()
+    for i in ids:
+        if i in seen:
+            return i
+        seen.add(i)
+    return None
 
 
 def _as_identifier(value: object, what: str) -> str:
@@ -175,10 +197,9 @@ class GroundTruthSet:
     instances: tuple[GroundTruthInstance, ...]
 
     def __post_init__(self) -> None:
-        image_ids = [im.id for im in self.images]
-        if len(set(image_ids)) != len(image_ids):
-            raise ValidationError("duplicate image ids in ground truth")
-        known = set(image_ids)
+        if (repeat := _first_repeat(im.id for im in self.images)) is not None:
+            raise ValidationError(f"duplicate image id {repeat!r} in ground truth")
+        known = {im.id for im in self.images}
         seen: set[str] = set()
         for inst in self.instances:
             if inst.instance_id in seen:
@@ -204,11 +225,8 @@ class DetectionSet:
     detections: tuple[Detection, ...]
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for det in self.detections:
-            if det.detection_id in seen:
-                raise ValidationError(f"duplicate detection id {det.detection_id!r}")
-            seen.add(det.detection_id)
+        if (repeat := _first_repeat(det.detection_id for det in self.detections)) is not None:
+            raise ValidationError(f"duplicate detection id {repeat!r}")
 
     def __len__(self) -> int:
         return len(self.detections)
@@ -235,8 +253,8 @@ class FeatureMatrix:
             raise ValidationError(
                 f"{len(self.row_ids)} row ids for {data.shape[0]} data rows"
             )
-        if len(set(self.row_ids)) != len(self.row_ids):
-            raise ValidationError("duplicate row ids in feature matrix")
+        if (repeat := _first_repeat(self.row_ids)) is not None:
+            raise ValidationError(f"duplicate row id {repeat!r} in feature matrix")
         if not np.isfinite(data).all():
             bad = int(np.argwhere(~np.isfinite(data))[0][0])
             raise ValidationError(f"non-finite feature value in row {self.row_ids[bad]!r}")
@@ -252,7 +270,7 @@ class FeatureMatrix:
         return self.data.shape[1]
 
 
-# ---------------------------------------------------------------- ground truth
+# --------------------------------------------------------------------- reading
 
 
 def _read_bytes(path: str | Path) -> bytes:
@@ -302,6 +320,24 @@ def _load_json(path: str | Path) -> object:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
+
+
+def _csv_records(path: str | Path, text: str):
+    """Yield (line number, record) of CSV text; a malformed record is a ParseError."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for record in reader:
+            yield reader.line_num, record
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _read_csv_rows(path: str | Path) -> list[list[str]]:
+    """The non-empty records of a CSV file."""
+    return [r for _, r in _csv_records(path, _text(path, _read_bytes(path))) if r]
+
+
+# ---------------------------------------------------------------- ground truth
 
 
 # Each scalar field type: the JSON values it accepts, and how to say so.
@@ -367,11 +403,7 @@ def decode(cls: type, raw: object, where: str):
 def _parse_box(raw: object, where: str) -> BoundingBox:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ParseError(f"{where}: bbox must be a list of four numbers")
-    vals = []
-    for v in raw:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(f"{where}: bbox must contain numbers only")
-        vals.append(float(v))
+    vals = [_json_number(v, f"{where}: bbox[{j}]") for j, v in enumerate(raw)]
     try:
         return BoundingBox(*vals)
     except ValidationError as exc:
@@ -401,16 +433,13 @@ def load_ground_truth(path: str | Path) -> GroundTruthSet:
             size = (raw["width"], raw["height"])
             if not all(type(v) is int for v in size):
                 raise ParseError(f"{where}: width and height must be integers, got {size}")
-            images.append(
-                ImageInfo(
-                    id=_as_identifier(raw["id"], f"{where}.id"),
-                    file_name=str(raw.get("file_name", "")),
-                    width=size[0],
-                    height=size[1],
-                )
-            )
+            image_id = _as_identifier(raw["id"], f"{where}.id")
         except KeyError as exc:
             raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
+        try:
+            images.append(ImageInfo(image_id, str(raw.get("file_name", "")), *size))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
 
     instances = []
     for i, raw in enumerate(doc["annotations"]):
@@ -428,7 +457,10 @@ def load_ground_truth(path: str | Path) -> GroundTruthSet:
         except KeyError as exc:
             raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
 
-    gts = GroundTruthSet(images=tuple(images), instances=tuple(instances))
+    try:
+        gts = GroundTruthSet(images=tuple(images), instances=tuple(instances))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     logger.info("loaded %d ground-truth instances over %d images from %s",
                 len(gts.instances), len(gts.images), path)
     return gts
@@ -463,9 +495,7 @@ def load_detections(path: str | Path) -> DetectionSet:
             raise ParseError(f"{where}: expected an object")
         try:
             det_id = _as_identifier(raw["detection_id"], f"{where}.detection_id")
-            score = raw["score"]
-            if isinstance(score, bool) or not isinstance(score, (int, float)):
-                raise ParseError(f"{where}: score must be a number")
+            score = _json_number(raw["score"], f"{where}: score")
             image_id = _as_identifier(raw["image_id"], f"{where}.image_id")
             box = _parse_box(raw["bbox"], where)
         except KeyError as exc:
@@ -473,10 +503,13 @@ def load_detections(path: str | Path) -> DetectionSet:
         # Only the score check is left to name the record; the errors above
         # already do.
         try:
-            dets.append(Detection(image_id=image_id, box=box, score=float(score), detection_id=det_id))
+            dets.append(Detection(image_id=image_id, box=box, score=score, detection_id=det_id))
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
-    out = DetectionSet(detections=tuple(dets))
+    try:
+        out = DetectionSet(detections=tuple(dets))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     logger.info("loaded %d detections from %s", len(out), path)
     return out
 
@@ -512,21 +545,6 @@ def _load_features_binary(path: str | Path, blob: bytes) -> FeatureMatrix:
             raise ParseError(f"{path}: row {i} id is not valid UTF-8 ({exc.reason})") from exc
     cursor.end("row ids")
     return FeatureMatrix(data=data.astype(np.float64), row_ids=tuple(ids))
-
-
-def _csv_records(path: str | Path, text: str):
-    """Yield (line number, record) of CSV text; a malformed record is a ParseError."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        for record in reader:
-            yield reader.line_num, record
-    except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-
-
-def _read_csv_rows(path: str | Path) -> list[list[str]]:
-    """The non-empty records of a CSV file."""
-    return [r for _, r in _csv_records(path, _text(path, _read_bytes(path))) if r]
 
 
 def _load_features_csv(path: str | Path, blob: bytes) -> FeatureMatrix:

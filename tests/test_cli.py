@@ -163,6 +163,13 @@ def test_evaluate_missing_flags(dataset, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: missing required inputs: --gt, --det, --features\n"
 
+    # The model flags are checked before any input is read: these files are missing.
+    argv = evaluate_args(tmp_path / "missing", tmp_path / "o")
+    at = argv.index("--train-features")
+    del argv[at:at + 2]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: missing required inputs: --model or --train-features\n"
+
 
 def test_evaluate_rank_deficient_epsilon_zero_exits_2(tmp_path, capsys):
     write_json(tmp_path / "gt.json", {
@@ -788,6 +795,97 @@ def test_mutated_input_ends_in_an_exit_code_and_at_most_one_error_line(
     assert "Traceback" not in err
     if code != 0:
         assert err.startswith("error: ") or "\nerror: " in err
+
+
+# ------------------------------------------------- unreadable and unwritable
+
+
+MATCHING_INPUTS = ["--gt", "ground_truth.json", "--det", "detections.json",
+                   "--features", "features.t2tfeat", "--train-features", "train_features.t2tfeat"]
+# Each command's argv with valid inputs; names stand for files of `read_inputs`.
+READ_RUNS = {
+    **{command: [command, *MATCHING_INPUTS, "--out", "out"]
+       for command in ("evaluate", "distances", "ap-t2t")},
+    "fit": ["fit", "--train-features", "train_features.t2tfeat", "--out", "out"],
+    "scenario": ["scenario", "--out", "out"],
+    "report": ["report", "--kind", "bars", "--input", "bars.csv", "--out", "out"],
+    "replacement": ["replacement", "--curve", "curve.csv", "--target", "0.3", "--out", "out"],
+}
+DIRECTORY_CASES = [
+    *[(command, flag, "directory")
+      for command in ("evaluate", "distances", "ap-t2t")
+      for flag in ("--gt", "--det", "--features", "--train-features", "--model", "--config")],
+    ("fit", "--train-features", "directory"),
+    ("fit", "--config", "directory"),
+    ("scenario", "--spec", "directory"),
+    ("report", "--input", "directory"),
+    ("replacement", "--curve", "directory"),
+]
+
+
+@pytest.fixture(scope="module")
+def read_inputs(tmp_path_factory):
+    """A directory holding one valid input for every flag of READ_RUNS, a
+    directory, a deeply nested JSON file and detections with a huge id."""
+    data = tmp_path_factory.mktemp("read")
+    spec = write_json(data / "spec.json", SCENARIO_SPEC)
+    assert main(["scenario", "--spec", str(spec), "--out", str(data)]) == 0
+    assert main(["fit", "--train-features", str(data / "train_features.t2tfeat"),
+                 "--out", str(data / "model.t2tmodl")]) == 0
+    write_json(data / "run.json", {"bins": 5})
+    (data / "bars.csv").write_text("label,value\nbaseline,4\n")
+    (data / "curve.csv").write_text("count,accuracy\n5,0.2\n10,0.4\n")
+    (data / "directory").mkdir()
+    (data / "nested").write_text("[" * 200_000)
+    dets = json.loads((data / "detections.json").read_text())
+    text = json.dumps(dets).replace(json.dumps(dets[0]["detection_id"]), "1" * 5001, 1)
+    (data / "huge_id").write_text(text)
+    return data
+
+
+@pytest.mark.parametrize("command, flag, bad", [
+    *DIRECTORY_CASES,
+    *[(command, flag, "nested") for command, flag in (
+        ("evaluate", "--gt"), ("evaluate", "--det"), ("evaluate", "--config"),
+        ("scenario", "--spec"))],
+    ("distances", "--det", "huge_id"),
+])
+def test_unreadable_input_exits_1_naming_the_file(
+    read_inputs, tmp_path, capsys, command, flag, bad
+):
+    defaults = {"--model": "model.t2tmodl", "--config": "run.json", "--spec": "spec.json"}
+    argv = list(READ_RUNS[command])
+    if flag not in argv:
+        argv += [flag, defaults[flag]]
+    if flag == "--model":  # else the model would be fitted from the training features
+        at = argv.index("--train-features")
+        del argv[at:at + 2]
+    argv[argv.index(flag) + 1] = bad
+    argv = [str(tmp_path / arg) if arg == "out" else arg for arg in argv]
+    argv = [str(read_inputs / arg) if (read_inputs / arg).exists() else arg for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(read_inputs / bad) in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, out", [
+    ("fit", "file/m.t2tmodl"),
+    ("distances", "directory"),
+    ("evaluate", "file"),
+])
+def test_unwritable_output_exits_1_naming_the_file(dataset, tmp_path, capsys, command, out):
+    (tmp_path / "file").write_text("a regular file\n")
+    (tmp_path / "directory").mkdir()
+    argv = evaluate_args(dataset, tmp_path / out)
+    argv[0] = command
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {tmp_path / out}")
+    assert "Traceback" not in err
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 # ------------------------------------------------------------------ subprocess

@@ -1,8 +1,9 @@
 import os
+import re
 
 import pytest
 
-from t2tmetrics import fsio
+from t2tmetrics import DataError, fsio
 
 
 def test_write_text_creates_parents(tmp_path):
@@ -25,7 +26,7 @@ def test_failed_replace_leaves_nothing_behind(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", boom)
     target = tmp_path / "out.txt"
-    with pytest.raises(OSError):
+    with pytest.raises(DataError, match=re.escape(f"{target}: cannot write: disk full")):
         fsio.write_text(target, "half-written")
     assert list(tmp_path.iterdir()) == []
 
@@ -38,7 +39,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", boom)
-    with pytest.raises(OSError):
+    with pytest.raises(DataError, match=re.escape(f"{target}: cannot write: disk full")):
         fsio.write_text(target, "second")
     assert target.read_text() == "first"
     assert list(tmp_path.iterdir()) == [target]

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import json
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import t2tmetrics
 from t2tmetrics import (
     BindingError,
     BoundingBox,
@@ -194,22 +196,51 @@ def test_bad_values_rejected(tmp_path):
         load_ground_truth(write_json(tmp_path / "c.json", doc))
     assert "img-9" in str(err.value)
 
+    # Integers too large for a float, which json parses below its digit limit.
+    huge = int("9" * 4001)
+    doc = det_doc()
+    doc[1]["bbox"][2] = huge
+    path = write_json(tmp_path / "d.json", doc)
+    with pytest.raises(ValidationError) as err:
+        load_detections(path)
+    assert str(err.value) == f"{path}: detections[1]: bbox[2] is out of range for a float"
+
+    doc = det_doc()
+    doc[0]["score"] = huge
+    path = write_json(tmp_path / "e.json", doc)
+    with pytest.raises(ValidationError) as err:
+        load_detections(path)
+    assert str(err.value) == f"{path}: detections[0]: score is out of range for a float"
+
 
 def test_duplicate_ids_rejected(tmp_path):
     doc = gt_doc()
     doc["annotations"][1]["id"] = "a"
-    with pytest.raises(ValidationError):
-        load_ground_truth(write_json(tmp_path / "a.json", doc))
+    path = write_json(tmp_path / "a.json", doc)
+    with pytest.raises(ValidationError) as err:
+        load_ground_truth(path)
+    assert str(err.value) == f"{path}: duplicate ground-truth instance id 'a'"
 
     doc = gt_doc()
     doc["images"][1]["id"] = "img-1"
-    with pytest.raises(ValidationError):
-        load_ground_truth(write_json(tmp_path / "b.json", doc))
+    path = write_json(tmp_path / "b.json", doc)
+    with pytest.raises(ValidationError) as err:
+        load_ground_truth(path)
+    assert str(err.value) == f"{path}: duplicate image id 'img-1' in ground truth"
 
     doc = det_doc()
     doc[1]["detection_id"] = "d1"
-    with pytest.raises(ValidationError):
-        load_detections(write_json(tmp_path / "c.json", doc))
+    path = write_json(tmp_path / "c.json", doc)
+    with pytest.raises(ValidationError) as err:
+        load_detections(path)
+    assert str(err.value) == f"{path}: duplicate detection id 'd1'"
+
+    doc = gt_doc()
+    doc["images"][1]["width"] = 0
+    path = write_json(tmp_path / "d.json", doc)
+    with pytest.raises(ValidationError) as err:
+        load_ground_truth(path)
+    assert str(err.value) == f"{path}: images[1]: image 'img-2' must have positive size"
 
 
 def test_fuzzed_documents_raise_structured_errors(tmp_path):
@@ -302,6 +333,12 @@ def test_feature_csv(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_feature_matrix(nan)
     assert "d1" in str(err.value)
+
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("d1,0.5\nd2,1.0\nd1,2.0\n")
+    with pytest.raises(ValidationError) as err:
+        load_feature_matrix(repeated)
+    assert str(err.value) == f"{repeated}: duplicate row id 'd1' in feature matrix"
 
     missing = tmp_path / "does-not-exist.csv"
     with pytest.raises(ParseError) as err:
@@ -432,3 +469,38 @@ def test_decode_yields_declared_types_or_a_validation_error(cls, data):
             continue
         for name in names:
             assert _conforms(getattr(obj, name), hints[name]), (name, getattr(obj, name))
+
+
+# --------------------------------------------------------------- file access
+
+
+FILE_ACCESS = {"open", "read_bytes", "read_text"}
+
+
+def _file_access_sites(tree: ast.AST, function: str = ""):
+    """(enclosing function, call) of every call that opens or reads a file."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _file_access_sites(node, node.name)
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            is_json_load = (isinstance(func, ast.Attribute) and func.attr == "load"
+                            and isinstance(func.value, ast.Name) and func.value.id == "json")
+            if name in FILE_ACCESS or is_json_load:
+                yield function, ast.unparse(func)
+        yield from _file_access_sites(node, function)
+
+
+def test_only_ingest_reads_and_only_fsio_writes_files():
+    # One read path and one write path: a seventh reader would skip the
+    # checks that name the file and turn OS errors into error lines.
+    sites = set()
+    for module in sorted(Path(t2tmetrics.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        sites |= {(module.stem, fn, call) for fn, call in _file_access_sites(tree)}
+    assert sites == {
+        ("ingest", "_read_bytes", "Path(path).read_bytes"),
+        ("fsio", "write_bytes", "open"),
+    }
