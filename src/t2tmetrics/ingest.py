@@ -67,19 +67,22 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
-def _json_number(value: object, where: str) -> float:
+def _json_number(value: object, where: str, what: str) -> float:
     """A JSON number as a float; a bool, a non-number or an integer too large
-    for a float is refused, naming ``where``."""
+    for a float is refused, naming the record ``where`` and the field ``what``.
+    The message is built only on failure: this runs for every box value."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where} must be a number")
+        raise ParseError(f"{where}: {what} must be a number")
     try:
         return float(value)
     except OverflowError:
-        raise ValidationError(f"{where} is out of range for a float") from None
+        raise ValidationError(f"{where}: {what} is out of range for a float") from None
 
 
-def _first_repeat(ids: typing.Iterable[str]) -> str | None:
+def _first_repeat(ids: list[str] | tuple[str, ...]) -> str | None:
     """The first id that occurs a second time, or None."""
+    if len(set(ids)) == len(ids):
+        return None
     seen: set[str] = set()
     for i in ids:
         if i in seen:
@@ -197,9 +200,10 @@ class GroundTruthSet:
     instances: tuple[GroundTruthInstance, ...]
 
     def __post_init__(self) -> None:
-        if (repeat := _first_repeat(im.id for im in self.images)) is not None:
+        image_ids = [im.id for im in self.images]
+        if (repeat := _first_repeat(image_ids)) is not None:
             raise ValidationError(f"duplicate image id {repeat!r} in ground truth")
-        known = {im.id for im in self.images}
+        known = set(image_ids)
         seen: set[str] = set()
         for inst in self.instances:
             if inst.instance_id in seen:
@@ -225,7 +229,7 @@ class DetectionSet:
     detections: tuple[Detection, ...]
 
     def __post_init__(self) -> None:
-        if (repeat := _first_repeat(det.detection_id for det in self.detections)) is not None:
+        if (repeat := _first_repeat([det.detection_id for det in self.detections])) is not None:
             raise ValidationError(f"duplicate detection id {repeat!r}")
 
     def __len__(self) -> int:
@@ -403,7 +407,7 @@ def decode(cls: type, raw: object, where: str):
 def _parse_box(raw: object, where: str) -> BoundingBox:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ParseError(f"{where}: bbox must be a list of four numbers")
-    vals = [_json_number(v, f"{where}: bbox[{j}]") for j, v in enumerate(raw)]
+    vals = [_json_number(v, where, "bbox value") for v in raw]
     try:
         return BoundingBox(*vals)
     except ValidationError as exc:
@@ -495,7 +499,7 @@ def load_detections(path: str | Path) -> DetectionSet:
             raise ParseError(f"{where}: expected an object")
         try:
             det_id = _as_identifier(raw["detection_id"], f"{where}.detection_id")
-            score = _json_number(raw["score"], f"{where}: score")
+            score = _json_number(raw["score"], where, "score")
             image_id = _as_identifier(raw["image_id"], f"{where}.image_id")
             box = _parse_box(raw["bbox"], where)
         except KeyError as exc:

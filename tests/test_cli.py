@@ -800,13 +800,12 @@ def test_mutated_input_ends_in_an_exit_code_and_at_most_one_error_line(
 # ------------------------------------------------- unreadable and unwritable
 
 
-MATCHING_INPUTS = ["--gt", "ground_truth.json", "--det", "detections.json",
-                   "--features", "features.t2tfeat", "--train-features", "train_features.t2tfeat"]
 # Each command's argv with valid inputs; names stand for files of `read_inputs`.
 READ_RUNS = {
-    **{command: [command, *MATCHING_INPUTS, "--out", "out"]
+    **{command: [command, *MATCHING_FLAGS, *BINARY_FEATURES, "--out", "out"]
        for command in ("evaluate", "distances", "ap-t2t")},
-    "fit": ["fit", "--train-features", "train_features.t2tfeat", "--out", "out"],
+    "fit": ["fit", "--config", "run.json", "--train-features", "train_features.t2tfeat",
+            "--out", "out"],
     "scenario": ["scenario", "--out", "out"],
     "report": ["report", "--kind", "bars", "--input", "bars.csv", "--out", "out"],
     "replacement": ["replacement", "--curve", "curve.csv", "--target", "0.3", "--out", "out"],
@@ -832,7 +831,7 @@ def read_inputs(tmp_path_factory):
     assert main(["scenario", "--spec", str(spec), "--out", str(data)]) == 0
     assert main(["fit", "--train-features", str(data / "train_features.t2tfeat"),
                  "--out", str(data / "model.t2tmodl")]) == 0
-    write_json(data / "run.json", {"bins": 5})
+    write_json(data / "run.json", FUZZ_CONFIG)
     (data / "bars.csv").write_text("label,value\nbaseline,4\n")
     (data / "curve.csv").write_text("count,accuracy\n5,0.2\n10,0.4\n")
     (data / "directory").mkdir()
@@ -853,7 +852,7 @@ def read_inputs(tmp_path_factory):
 def test_unreadable_input_exits_1_naming_the_file(
     read_inputs, tmp_path, capsys, command, flag, bad
 ):
-    defaults = {"--model": "model.t2tmodl", "--config": "run.json", "--spec": "spec.json"}
+    defaults = {"--model": "model.t2tmodl", "--spec": "spec.json"}
     argv = list(READ_RUNS[command])
     if flag not in argv:
         argv += [flag, defaults[flag]]

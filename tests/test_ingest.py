@@ -203,7 +203,7 @@ def test_bad_values_rejected(tmp_path):
     path = write_json(tmp_path / "d.json", doc)
     with pytest.raises(ValidationError) as err:
         load_detections(path)
-    assert str(err.value) == f"{path}: detections[1]: bbox[2] is out of range for a float"
+    assert str(err.value) == f"{path}: detections[1]: bbox value is out of range for a float"
 
     doc = det_doc()
     doc[0]["score"] = huge
