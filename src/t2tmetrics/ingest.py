@@ -287,7 +287,7 @@ def _read_bytes(path: str | Path) -> bytes:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
-def _text(path: str | Path, blob: bytes) -> str:
+def _decode_text(path: str | Path, blob: bytes) -> str:
     """UTF-8 text with universal newlines, as ``Path.read_text`` decodes it."""
     try:
         text = blob.decode("utf-8")
@@ -315,7 +315,7 @@ class _Cursor:
 
 
 def _load_json(path: str | Path) -> object:
-    text = _text(path, _read_bytes(path))
+    text = _decode_text(path, _read_bytes(path))
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -338,7 +338,7 @@ def _csv_records(path: str | Path, text: str):
 
 def _read_csv_rows(path: str | Path) -> list[list[str]]:
     """The non-empty records of a CSV file."""
-    return [r for _, r in _csv_records(path, _text(path, _read_bytes(path))) if r]
+    return [r for _, r in _csv_records(path, _decode_text(path, _read_bytes(path))) if r]
 
 
 # ---------------------------------------------------------------- ground truth
@@ -555,7 +555,7 @@ def _load_features_csv(path: str | Path, blob: bytes) -> FeatureMatrix:
     ids: list[str] = []
     rows: list[list[float]] = []
     width: int | None = None
-    for lineno, record in _csv_records(path, _text(path, blob)):
+    for lineno, record in _csv_records(path, _decode_text(path, blob)):
         if not record:
             continue
         if len(record) < 2:

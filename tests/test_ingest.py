@@ -328,6 +328,15 @@ def test_feature_csv(tmp_path):
         load_feature_matrix(ragged)
     assert "line 2" in str(err.value)
 
+    # Universal newlines: "\r" ends a line, and "\r\n" counts as one.
+    carriage = tmp_path / "carriage.csv"
+    carriage.write_bytes(b"d1,0.5,1.5\rd2,-1.0,2.0\r")
+    assert load_feature_matrix(carriage).row_ids == ("d1", "d2")
+    ragged.write_bytes(b"d1,0.5,1.5\r\nd2,-1.0\r\n")
+    with pytest.raises(ParseError) as err:
+        load_feature_matrix(ragged)
+    assert "line 2" in str(err.value)
+
     nan = tmp_path / "nan.csv"
     nan.write_text("d1,0.5,nan\n")
     with pytest.raises(ValidationError) as err:
