@@ -144,19 +144,24 @@ def _fit(cfg: RunConfig):
 
 
 def _load_inputs(cfg: RunConfig):
-    """Ground truth, feature-bound detections and the model of a matching command."""
+    """Ground truth, feature-bound detections and the model of a matching command.
+
+    The model is loaded or fitted before the test features are read, so the
+    training rows are freed before the test rows exist.
+    """
     _require(cfg, "ground_truth", "detections", "features", "out")
     if cfg.model is None and cfg.train_features is None:
         raise ValidationError("missing required inputs: --model or --train-features")
     gts = load_ground_truth(cfg.ground_truth)
-    dets = bind_features(load_detections(cfg.detections), load_feature_matrix(cfg.features))
+    dets = load_detections(cfg.detections)
     # The matcher would count a detection on an unlisted image as a false positive.
     images = {im.id for im in gts.images}
     for det in dets.detections:
         if det.image_id not in images:
             raise ValidationError(f"{cfg.detections}: detection {det.detection_id!r} "
                                   f"references unknown image {det.image_id!r}")
-    return gts, dets, load_model(cfg.model) if cfg.model is not None else _fit(cfg)
+    model = load_model(cfg.model) if cfg.model is not None else _fit(cfg)
+    return gts, bind_features(dets, load_feature_matrix(cfg.features)), model
 
 
 def _base_regime(thresholds: dict[str, float]) -> str:

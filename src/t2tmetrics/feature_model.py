@@ -134,14 +134,19 @@ def fit_gaussian(
     yields the zero covariance. Rank deficiency is certain when rows <= dim,
     so that case demands a positive epsilon up front.
     """
-    X = features.data
-    n, d = X.shape
+    # The one float64 copy of the rows, centered in place: the same arithmetic
+    # as ``X - X.mean(axis=0)`` on a float64 X, so float32 and float64 data
+    # holding equal values give bit-identical moments.
+    centered = np.array(features.data, dtype=np.float64)
+    n, d = centered.shape
     # Huge features overflow to a non-finite covariance, which _invert_spd refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = X.mean(axis=0)
-        centered = X - mean
-        cov = centered.T @ centered / max(n - 1, 1)
+        mean = centered.mean(axis=0)
+        centered -= mean
+        cov = centered.T @ centered
+        cov /= max(n - 1, 1)
         eps = default_regularization(cov) if regularization is None else float(regularization)
+    del centered  # freed before the inversion allocates its d x d matrices
     if n <= d and eps == 0.0:
         raise SingularCovarianceError(
             f"sample covariance from {n} rows in {d} dimensions is rank-deficient; "

@@ -240,15 +240,23 @@ class DetectionSet:
 class FeatureMatrix:
     """Row-major feature matrix with one id per row.
 
-    Values are held as float64 regardless of the on-disk container; the
-    binary writer quantizes to float32, which is the format's precision.
+    ``data`` is a read-only view. Values read from a ``T2TFEAT`` file stay
+    float32, as stored, and share the file's bytes; values read from CSV are
+    float64. Given float32 or float64 data is kept as it is, and any other
+    dtype is widened to float64. Every computation on the values widens them
+    exactly to float64. The binary writer quantizes to float32, which is the
+    format's precision.
     """
 
     data: np.ndarray
     row_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data)
+        if data.dtype not in (np.float32, np.float64):
+            data = data.astype(np.float64)
+        data = data.view()
+        data.flags.writeable = False
         if data.ndim != 2:
             raise ValidationError(f"feature data must be 2-D, got shape {data.shape}")
         if data.shape[0] < 1 or data.shape[1] < 1:
@@ -353,6 +361,17 @@ _JSON_SCALARS = {
 }
 
 
+def _shown(value: object) -> str:
+    """``repr(value)`` for an error message, cut to its first 20 characters
+    when longer and followed by its size, as in ``9999…(400 digits)``."""
+    text = repr(value)
+    if len(text) <= 20:
+        return text
+    if isinstance(value, int):
+        return f"{text[:20]}…({len(text.lstrip('-'))} digits)"
+    return f"{text[:20]}…({len(text)} characters)"
+
+
 def _decode_value(hint: object, value: object, where: str) -> object:
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if type(None) in args:
@@ -364,18 +383,18 @@ def _decode_value(hint: object, value: object, where: str) -> object:
     if hint in _JSON_SCALARS:
         accepted, expected = _JSON_SCALARS[hint]
         if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
-            raise ValidationError(f"{where} must be {expected}, got {value!r}")
+            raise ValidationError(f"{where} must be {expected}, got {_shown(value)}")
         try:
             return hint(value)
         except OverflowError:
-            raise ValidationError(f"{where} is out of range for a float: {value}") from None
+            raise ValidationError(f"{where} is out of range for a float: {_shown(value)}") from None
     if origin is dict:
         if not isinstance(value, dict):
-            raise ValidationError(f"{where} must be an object, got {value!r}")
+            raise ValidationError(f"{where} must be an object, got {_shown(value)}")
         return {k: _decode_value(args[1], v, f"{where}.{k}") for k, v in value.items()}
     # tuple[...], the one field type left
     if not isinstance(value, (list, tuple)) or len(value) != len(args):
-        raise ValidationError(f"{where} must be a list of {len(args)} values, got {value!r}")
+        raise ValidationError(f"{where} must be a list of {len(args)} values, got {_shown(value)}")
     return tuple(_decode_value(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
 
 
@@ -539,6 +558,7 @@ def _load_features_binary(path: str | Path, blob: bytes) -> FeatureMatrix:
     rows, dim = struct.unpack("<QQ", cursor.take(16, "header"))
     if rows < 1 or dim < 1:
         raise ParseError(f"{path}: header declares empty matrix ({rows}x{dim})")
+    # A read-only view of the file's bytes: the payload is never copied.
     data = np.frombuffer(cursor.take(rows * dim * 4, "feature values"), dtype="<f4").reshape(rows, dim)
     ids = []
     for i in range(rows):
@@ -548,7 +568,7 @@ def _load_features_binary(path: str | Path, blob: bytes) -> FeatureMatrix:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: row {i} id is not valid UTF-8 ({exc.reason})") from exc
     cursor.end("row ids")
-    return FeatureMatrix(data=data.astype(np.float64), row_ids=tuple(ids))
+    return FeatureMatrix(data=data, row_ids=tuple(ids))
 
 
 def _load_features_csv(path: str | Path, blob: bytes) -> FeatureMatrix:
@@ -606,7 +626,8 @@ def write_feature_matrix(fm: FeatureMatrix, path: str | Path) -> Path:
 
 
 def bind_features(dets: DetectionSet, features: FeatureMatrix) -> DetectionSet:
-    """Attach feature rows to detections by detection id.
+    """Give each detection, by detection id, a read-only view of its row of
+    ``features.data``.
 
     Every detection must have a row; missing rows raise BindingError listing
     the ids. Extra rows are permitted and reported as a warning.
@@ -620,7 +641,7 @@ def bind_features(dets: DetectionSet, features: FeatureMatrix) -> DetectionSet:
     if extra > 0:
         logger.warning("%d feature rows are not referenced by any detection", extra)
     bound = tuple(
-        replace(det, feature=features.data[index[det.detection_id]].copy())
+        replace(det, feature=features.data[index[det.detection_id]])
         for det in dets.detections
     )
     return DetectionSet(detections=bound)

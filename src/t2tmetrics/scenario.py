@@ -36,6 +36,7 @@ from .ingest import (
     GroundTruthInstance,
     GroundTruthSet,
     ImageInfo,
+    _shown,
     decode,
     write_detections,
     write_feature_matrix,
@@ -51,6 +52,11 @@ _FP_BAND_OFFSET = _GRID_ROWS * _CELL + _CELL
 _IMAGE_W = int(_GRID_COLS * _CELL + _CELL / 2)
 _IMAGE_H = int(_FP_BAND_OFFSET + _GRID_ROWS * _CELL + _CELL / 2)
 _MAX_BOX_JITTER = 4.0
+
+# Upper bounds on a spec: generation loops over every instance and detection
+# in Python, and the feature matrices are held in memory.
+_MAX_COUNT = 10**7
+_MAX_MATRIX_VALUES = 2**31
 
 
 @dataclass(frozen=True)
@@ -70,15 +76,28 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         if self.n_gt < 1:
-            raise ValidationError(f"n_gt must be >= 1, got {self.n_gt}")
+            raise ValidationError(f"n_gt must be >= 1, got {_shown(self.n_gt)}")
         if not 0 <= self.n_tp <= self.n_gt:
-            raise ValidationError(f"n_tp must lie in [0, n_gt], got {self.n_tp}")
+            raise ValidationError(f"n_tp must lie in [0, n_gt], got {_shown(self.n_tp)}")
         if self.n_fp < 0:
-            raise ValidationError(f"n_fp must be >= 0, got {self.n_fp}")
+            raise ValidationError(f"n_fp must be >= 0, got {_shown(self.n_fp)}")
         if self.feature_dim < 1:
-            raise ValidationError(f"feature_dim must be >= 1, got {self.feature_dim}")
+            raise ValidationError(f"feature_dim must be >= 1, got {_shown(self.feature_dim)}")
         if self.n_train < 2:
-            raise ValidationError(f"n_train must be >= 2, got {self.n_train}")
+            raise ValidationError(f"n_train must be >= 2, got {_shown(self.n_train)}")
+        for name in ("n_gt", "n_fp", "n_train"):
+            if getattr(self, name) > _MAX_COUNT:
+                raise ValidationError(
+                    f"{name} must be <= {_MAX_COUNT}, got {_shown(getattr(self, name))}"
+                )
+        for name, rows, what in (
+            ("test", self.n_tp + self.n_fp, "(n_tp + n_fp)"), ("training", self.n_train, "n_train")
+        ):
+            if rows * self.feature_dim > _MAX_MATRIX_VALUES:
+                raise ValidationError(
+                    f"the {name} feature matrix {what} x feature_dim = {rows} x "
+                    f"{_shown(self.feature_dim)} exceeds {_MAX_MATRIX_VALUES} values"
+                )
         for name in ("tp_distance_scale", "fp_distance_scale"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
