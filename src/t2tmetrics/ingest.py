@@ -178,7 +178,8 @@ class GroundTruthInstance:
 
 @dataclass(frozen=True, eq=False)
 class Detection:
-    """One detector output; ``feature`` stays None until bound from a matrix."""
+    """One detector output; ``feature`` stays None until ``bind_features`` sets
+    it to a read-only row view of a ``FeatureMatrix``."""
 
     image_id: str
     box: BoundingBox

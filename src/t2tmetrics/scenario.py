@@ -75,21 +75,16 @@ class ScenarioSpec:
     n_train: int = 80
 
     def __post_init__(self) -> None:
-        if self.n_gt < 1:
-            raise ValidationError(f"n_gt must be >= 1, got {_shown(self.n_gt)}")
+        for name, low in (("n_gt", 1), ("n_fp", 0), ("n_train", 2)):
+            value = getattr(self, name)
+            if not low <= value <= _MAX_COUNT:
+                raise ValidationError(
+                    f"{name} must lie in [{low}, {_MAX_COUNT}], got {_shown(value)}"
+                )
         if not 0 <= self.n_tp <= self.n_gt:
             raise ValidationError(f"n_tp must lie in [0, n_gt], got {_shown(self.n_tp)}")
-        if self.n_fp < 0:
-            raise ValidationError(f"n_fp must be >= 0, got {_shown(self.n_fp)}")
         if self.feature_dim < 1:
             raise ValidationError(f"feature_dim must be >= 1, got {_shown(self.feature_dim)}")
-        if self.n_train < 2:
-            raise ValidationError(f"n_train must be >= 2, got {_shown(self.n_train)}")
-        for name in ("n_gt", "n_fp", "n_train"):
-            if getattr(self, name) > _MAX_COUNT:
-                raise ValidationError(
-                    f"{name} must be <= {_MAX_COUNT}, got {_shown(getattr(self, name))}"
-                )
         for name, rows, what in (
             ("test", self.n_tp + self.n_fp, "(n_tp + n_fp)"), ("training", self.n_train, "n_train")
         ):

@@ -171,6 +171,17 @@ def test_evaluate_missing_flags(dataset, tmp_path, capsys):
     assert capsys.readouterr().err == "error: missing required inputs: --model or --train-features\n"
 
 
+@pytest.mark.parametrize("command", ["evaluate", "distances", "ap-t2t"])
+def test_model_is_fitted_before_the_test_features_are_read(dataset, tmp_path, capsys, command):
+    argv = [command] + evaluate_args(dataset, tmp_path / "out")[1:]
+    argv[argv.index("--features") + 1] = str(tmp_path / "missing_test.t2tfeat")
+    argv[argv.index("--train-features") + 1] = str(tmp_path / "missing_train.t2tfeat")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: no such file: {tmp_path / 'missing_train.t2tfeat'}"]
+
+
 def test_evaluate_rank_deficient_epsilon_zero_exits_2(tmp_path, capsys):
     write_json(tmp_path / "gt.json", {
         "images": [{"id": "im", "width": 100, "height": 100}],
@@ -455,6 +466,31 @@ def test_scenario_rejects_bad_spec(tmp_path, capsys):
     spec = write_json(tmp_path / "spec.json", {"n_gt": 4, "bogus": 1})
     assert main(["scenario", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_scenario_refuses_a_30_digit_count_at_once(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n_gt": ' + "9" * 30 + ', "n_tp": 1}')
+    # Without the bound the generator would loop over ~4e28 images.
+    result = subprocess.run(
+        [sys.executable, "-m", "t2tmetrics.cli", "scenario", "--spec", str(spec),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 1
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {spec}: n_gt must lie in [1, 10000000], got 99999999999999999999…(30 digits)"]
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_settings_error_line_abridges_a_400_digit_value(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text('{"epsilon": ' + "9" * 400 + "}")
+    assert main(["evaluate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: {config}: epsilon is out of range for a float: {'9' * 20}…(400 digits)"
+    assert len(line) < 200
 
 
 @pytest.mark.parametrize("command", ["evaluate", "distances", "ap-t2t"])

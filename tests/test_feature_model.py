@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,11 +23,13 @@ from t2tmetrics import (
     annotate_distances,
     default_regularization,
     fit_gaussian,
+    load_feature_matrix,
     load_model,
     model_from_moments,
     save_model,
     train2test_distance,
     train2test_distances,
+    write_feature_matrix,
 )
 from oracles import covariance_twopass, train2test_distance_exact
 
@@ -98,6 +101,56 @@ def test_fit_rank_deficiency_guard():
 
     with pytest.raises(ValidationError):
         fit_gaussian(matrix(np.eye(3)), regularization=-1e-9)
+
+
+def row_ids(n):
+    return tuple(f"r{i}" for i in range(n))
+
+
+@pytest.mark.parametrize("n, d, epsilon", [
+    (4096, 256, None),
+    (20_000, 1, None),  # the mean reduces along the contiguous axis
+    (48, 64, 0.25),  # n <= d: the epsilon is given
+])
+def test_float32_and_float64_features_give_bit_identical_models_and_distances(n, d, epsilon):
+    rng = np.random.default_rng(n + d)
+    values = (3.0 * rng.normal(size=(n, d)) + rng.normal(size=d)).astype(np.float32)
+    fm32 = FeatureMatrix(data=values, row_ids=row_ids(n))
+    fm64 = FeatureMatrix(data=values.astype(np.float64), row_ids=row_ids(n))
+    assert fm32.data.dtype == np.float32
+    m32, m64 = fit_gaussian(fm32, epsilon), fit_gaussian(fm64, epsilon)
+    for name in ("mean", "covariance", "precision"):
+        assert np.array_equal(getattr(m32, name), getattr(m64, name)), name
+    assert m32.regularization == m64.regularization
+
+    # The float64 arithmetic of a fit on widened rows: X.mean(axis=0), then X - mean.
+    X = values.astype(np.float64)
+    mean = X.mean(axis=0)
+    centered = X - mean
+    cov = centered.T @ centered / max(n - 1, 1)
+    assert np.array_equal(m32.mean, mean)
+    assert np.array_equal(m32.covariance, (cov + cov.T) / 2.0)
+
+    rows = values[:600]
+    expected = train2test_distances(m64, rows.astype(np.float64))
+    assert np.array_equal(train2test_distances(m32, rows), expected)
+    assert np.array_equal(train2test_distances(m32, list(rows)), expected)
+
+
+def test_fit_of_a_binary_file_holds_one_float64_copy(tmp_path):
+    n, d = 4096, 256
+    path = tmp_path / "train.t2tfeat"
+    data = np.random.default_rng(9).normal(size=(n, d))
+    write_feature_matrix(FeatureMatrix(data=data, row_ids=row_ids(n)), path)
+    tracemalloc.start()
+    try:
+        fit_gaussian(load_feature_matrix(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The file's bytes are the float32 payload (1x); the centered float64
+    # copy is 2x. A second copy of the rows would pass 4x.
+    assert peak <= 3.5 * n * d * 4
 
 
 def test_model_validation():

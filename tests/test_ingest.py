@@ -388,6 +388,50 @@ def test_bind_features(tmp_path, caplog):
     assert any("not referenced" in m for m in caplog.messages)
 
 
+def test_binary_features_are_a_read_only_float32_view_of_the_file(tmp_path):
+    path = tmp_path / "f.t2tfeat"
+    write_feature_matrix(FeatureMatrix(data=np.arange(6.0).reshape(3, 2), row_ids=("a", "b", "c")), path)
+    fm = load_feature_matrix(path)
+    assert fm.data.dtype == np.float32
+    assert not fm.data.flags.writeable and not fm.data.flags.owndata
+    assert fm.data.base is not None
+    with pytest.raises(ValueError):
+        fm.data[0, 0] = 1.0
+
+    csv = tmp_path / "f.csv"
+    csv.write_text("a,0.5,1.5\n")
+    fm = load_feature_matrix(csv)
+    assert fm.data.dtype == np.float64
+    assert not fm.data.flags.writeable
+
+
+@pytest.mark.parametrize("given, held", [
+    (np.float32, np.float32),
+    (np.float64, np.float64),
+    (np.float16, np.float64),
+    (np.int64, np.float64),
+])
+def test_feature_matrix_keeps_float32_and_float64_and_widens_other_dtypes(given, held):
+    data = np.arange(4).reshape(2, 2).astype(given)
+    fm = FeatureMatrix(data=data, row_ids=("a", "b"))
+    assert fm.data.dtype == held
+    assert not fm.data.flags.writeable
+    np.testing.assert_array_equal(fm.data, [[0.0, 1.0], [2.0, 3.0]])
+
+
+def test_bound_features_are_read_only_rows_of_the_one_matrix(tmp_path):
+    dets = load_detections(write_json(tmp_path / "det.json", det_doc()))
+    path = tmp_path / "f.t2tfeat"
+    write_feature_matrix(FeatureMatrix(data=np.arange(4.0).reshape(2, 2), row_ids=("d2", "d1")), path)
+    fm = load_feature_matrix(path)
+    bound = bind_features(dets, fm)
+    for det, row in zip(bound.detections, (fm.data[1], fm.data[0])):
+        assert np.shares_memory(det.feature, fm.data)
+        np.testing.assert_array_equal(det.feature, row)
+        with pytest.raises(ValueError):
+            det.feature[0] = -1.0
+
+
 # ------------------------------------------------------------- integer sizes
 
 
@@ -478,6 +522,22 @@ def test_decode_yields_declared_types_or_a_validation_error(cls, data):
             continue
         for name in names:
             assert _conforms(getattr(obj, name), hints[name]), (name, getattr(obj, name))
+
+
+@pytest.mark.parametrize("cls, raw, message", [
+    (RunConfig, {"epsilon": 10**400 - 1},
+     "epsilon is out of range for a float: 99999999999999999999…(400 digits)"),
+    (RunConfig, {"epsilon": -(10**400)},
+     "epsilon is out of range for a float: -1000000000000000000…(401 digits)"),
+    (RunConfig, {"iou_grid": "x" * 1000},
+     "iou_grid must be true or false, got 'xxxxxxxxxxxxxxxxxxx…(1002 characters)"),
+    (ScenarioSpec, {"n_gt": int("9" * 30), "n_tp": 1},
+     "n_gt must lie in [1, 10000000], got 99999999999999999999…(30 digits)"),
+])
+def test_decode_errors_show_at_most_20_characters_of_a_value(cls, raw, message):
+    with pytest.raises(ValidationError) as err:
+        decode(cls, raw, "settings.json")
+    assert str(err.value) == f"settings.json: {message}"
 
 
 # --------------------------------------------------------------- file access

@@ -52,6 +52,23 @@ def test_spec_validation():
         generate_scenario(small_spec(n_tp=0, n_fp=0))
 
 
+@pytest.mark.parametrize("overrides, field", [
+    (dict(n_gt=10**7 + 1), "n_gt"),
+    (dict(n_fp=10**7 + 1), "n_fp"),
+    (dict(n_train=10**7 + 1), "n_train"),
+    (dict(n_gt=10**7, n_tp=10**7, n_fp=0, feature_dim=215), "(n_tp + n_fp) x feature_dim"),
+    (dict(n_tp=0, n_fp=1, n_train=3, feature_dim=2**30), "n_train x feature_dim"),
+])
+def test_spec_sizes_have_upper_bounds(overrides, field):
+    with pytest.raises(ValidationError) as err:
+        small_spec(**overrides)
+    assert field in str(err.value)
+
+
+def test_spec_at_its_upper_bounds_is_valid():
+    small_spec(n_gt=10**7, n_tp=10**7, n_fp=10**7, n_train=10**7, feature_dim=107)
+
+
 def test_spec_dict_round_trip():
     spec = small_spec(tp_score_range=(0.6, 0.9))
     assert ScenarioSpec.from_dict(spec.to_dict()) == spec
