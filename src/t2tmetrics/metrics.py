@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -38,18 +37,29 @@ from .matching import IOU_GRID, MatchOutcome, iou_matcher, match_detections
 # subset.
 DEFAULT_SCORE_THRESHOLDS: dict[str, float] = {"all": 0.01, "med": 0.1, "high": 0.5}
 
-# AP sums are ratios of small integers. Up to this many entries they are
-# accumulated as exact rationals and rounded once at the end, which keeps the
-# result independent of summation order; beyond it, float summation.
+# AP sums are ratios of small integers. Up to this many terms they are added
+# exactly in integers and rounded once, correctly, so the result does not
+# depend on summation order; beyond it, floats are added in rank order.
 _EXACT_SUM_LIMIT = 4096
 
 
 def _ratio_mean(ratios: list[tuple[int, int]], denominator: int) -> float:
-    """sum(n/d for n, d in ratios) / denominator, correctly rounded when small."""
-    if len(ratios) <= _EXACT_SUM_LIMIT:
-        total = sum((Fraction(n, d) for n, d in ratios), Fraction(0))
-        return float(total / denominator)
-    return float(sum(n / d for n, d in ratios) / denominator)
+    """sum(n/d for n, d in ratios) / denominator, correctly rounded when small.
+
+    The exact sum combines neighbouring terms pairwise, (a/b) + (c/d) =
+    (a*d + c*b) / (b*d), with no gcd, until one n/d is left; Python int true
+    division rounds that once. Every n and d must be a Python int, since
+    fixed-width products would wrap; ``denominator`` is taken as an int.
+    """
+    if len(ratios) > _EXACT_SUM_LIMIT:
+        return float(sum(n / d for n, d in ratios) / denominator)
+    terms = ratios or [(0, 1)]
+    while len(terms) > 1:
+        odd = terms[-1:] if len(terms) % 2 else []
+        pairs = zip(terms[0::2], terms[1::2])
+        terms = [(a * d + c * b, b * d) for (a, b), (c, d) in pairs] + odd
+    [(n, d)] = terms
+    return n / (d * int(denominator))
 
 
 def _mean(values: list[float]) -> float:
@@ -137,7 +147,7 @@ def _ap_t2t(tp_distances: np.ndarray, distances: np.ndarray, total_gt: int) -> f
     all_d = np.sort(distances)
     tp_within = np.searchsorted(tp_d, tp_d, side="right")
     all_within = np.searchsorted(all_d, tp_d, side="right")
-    terms = [(int(t), int(a)) for t, a in zip(tp_within, all_within)]
+    terms = list(zip(tp_within.tolist(), all_within.tolist()))
     return _ratio_mean(terms, total_gt)
 
 

@@ -1,5 +1,10 @@
+import fractions
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from t2tmetrics import (
     DEFAULT_SCORE_THRESHOLDS,
@@ -29,6 +34,8 @@ from t2tmetrics import (
     precision_recall,
     t2t_precision_recall,
 )
+from t2tmetrics import metrics
+from t2tmetrics.metrics import _ratio_mean
 from t2tmetrics.scenario import ScenarioSpec
 from oracles import (
     ap_over_iou_range_rematch,
@@ -336,6 +343,91 @@ def test_score_and_distance_rankings_are_dual():
             total_gt=total_gt,
         )
         assert ap_t2t(annotated) == average_precision(outcome)
+
+
+# ---------------------------------------------------------------- exact sums
+
+
+def exact_mean(terms, denominator):
+    return float(sum(Fraction(n, d) for n, d in terms) / denominator)
+
+
+# Denominators are drawn from a few repeated values or from up to 10**6.
+RATIO = st.tuples(
+    st.integers(0, 10**6),
+    st.one_of(st.sampled_from((1, 2, 3, 4, 6, 12)), st.integers(1, 10**6)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 301).flatmap(lambda k: st.lists(RATIO, min_size=k, max_size=k)),
+    st.integers(1, 10**4),
+)
+def test_ratio_mean_is_the_correctly_rounded_exact_sum(terms, denominator):
+    assert _ratio_mean(terms, denominator) == exact_mean(terms, denominator)
+
+
+def test_ratio_mean_is_exact_up_to_4096_terms_and_a_rank_order_float_sum_above():
+    # An AP staircase: the k-th TP at rank positions[k-1], ranks up to 8,192.
+    rng = np.random.default_rng(0)
+    positions = np.sort(rng.choice(np.arange(1, 8193), 4097, replace=False)).tolist()
+    terms = list(enumerate(positions, start=1))
+
+    def float_mean(terms):
+        return float(sum(n / d for n, d in terms) / 4100)
+
+    at_limit = terms[:4096]
+    assert _ratio_mean(at_limit, 4100) == exact_mean(at_limit, 4100) != float_mean(at_limit)
+    assert _ratio_mean(terms, 4100) == float_mean(terms) != exact_mean(terms, 4100)
+
+
+def rank_staircase(rng, n_tp, n_entries):
+    """TP ranks in [n_entries // 4, n_entries] and FP ranks filling the rest, so
+    a product of a few TP denominators already passes 2**63."""
+    ranks = np.arange(1, n_entries + 1)
+    tp = rng.choice(ranks[n_entries // 4 - 1:], n_tp, replace=False)
+    return sorted(tp.tolist()), sorted(set(ranks.tolist()) - set(tp.tolist()))
+
+
+@pytest.mark.parametrize("int_type", [int, np.int64])
+def test_ap_and_ap_t2t_stay_exact_when_denominator_products_pass_2_63(int_type):
+    tp_ranks, fp_ranks = rank_staircase(np.random.default_rng(41), 120, 4000)
+    total_gt = int_type(150)
+
+    outcome = make_outcome(
+        [1.0 - r / 4096 for r in tp_ranks], [1.0 - r / 4096 for r in fp_ranks], total_gt
+    )
+    records = [(d.score, d.detection_id, True) for d, _ in outcome.true_positives]
+    records += [(d.score, d.detection_id, False) for d in outcome.false_positives]
+    assert average_precision(outcome) == float(average_precision_enumeration(records, 150))
+
+    annotated = make_annotated(
+        tp=[(0.5, float(r)) for r in tp_ranks], fp=[(0.5, float(r)) for r in fp_ranks],
+        total_gt=total_gt,
+    )
+    assert ap_t2t(annotated) == float(ap_t2t_exact(tp_ranks, fp_ranks, 150))
+
+
+def test_report_and_profile_construct_no_fraction(monkeypatch):
+    assert not hasattr(metrics, "Fraction")
+    scenario = generate_scenario(ScenarioSpec(
+        n_gt=60, n_tp=45, n_fp=50, feature_dim=4, fp_distance_scale=1.5,
+        tp_score_range=(0.0, 1.0), fp_score_range=(0.0, 1.0), seed=5,
+    ))
+    model = scenario.planted_model()
+    dets, gts = scenario.detections, scenario.ground_truth
+    args = (model, dets, gts, DEFAULT_SCORE_THRESHOLDS, 0.5, True)
+    expected = (metric_report_rematch(*args),
+                ap_t2t_profile_rematch(model, dets, gts, iou_thresholds=IOU_GRID))
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was constructed")
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+    got = (metric_report(*args), ap_t2t_profile(model, dets, gts, iou_thresholds=IOU_GRID))
+    monkeypatch.undo()
+    assert got == expected
 
 
 # -------------------------------------------------------------- regime profile
