@@ -1,4 +1,3 @@
-import fractions
 from fractions import Fraction
 
 import numpy as np
@@ -424,7 +423,7 @@ def test_report_and_profile_construct_no_fraction(monkeypatch):
     def refuse(cls, *args, **kwargs):
         raise AssertionError("a Fraction was constructed")
 
-    monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+    monkeypatch.setattr(Fraction, "__new__", refuse)
     got = (metric_report(*args), ap_t2t_profile(model, dets, gts, iou_thresholds=IOU_GRID))
     monkeypatch.undo()
     assert got == expected
