@@ -6,9 +6,13 @@ Mahalanobis form
 
     d(x) = (x - mean)^T  inv(covariance + epsilon * I)  (x - mean)
 
-with no square root. The inverse is taken through a symmetric
-positive-definite factorization; a covariance that cannot be factorized is
-reported as a singularity error rather than silently pseudo-inverted.
+with no square root. The mean is one float64 reduction over the stored
+rows; the covariance is a sum of per-block products over row blocks of
+``_FIT_BLOCK_ROWS``, each block widened to float64 and centered on that
+mean, so no float64 copy of all the rows is made. The inverse is taken
+through a symmetric positive-definite factorization; a covariance that
+cannot be factorized is reported as a singularity error rather than
+silently pseudo-inverted.
 """
 
 from __future__ import annotations
@@ -57,10 +61,13 @@ class GaussianTrainModel:
                 f"inconsistent model shapes: mean {mean.shape}, covariance {cov.shape}, "
                 f"precision {prec.shape}"
             )
+        work = np.empty_like(cov)  # one d x d buffer for both checks
         for name, m in (("covariance", cov), ("precision", prec)):
-            scale = float(np.abs(m).max())
-            if scale > 0 and float(np.abs(m - m.T).max()) > 1e-10 * scale:
-                raise ValidationError(f"{name} is not symmetric")
+            scale = float(np.abs(m, out=work).max())
+            if scale > 0:
+                np.subtract(m, m.T, out=work)
+                if float(np.abs(work, out=work).max()) > 1e-10 * scale:
+                    raise ValidationError(f"{name} is not symmetric")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all() and np.isfinite(prec).all()):
             raise ValidationError("model contains non-finite values")
         if self.regularization < 0 or not np.isfinite(self.regularization):
@@ -85,8 +92,12 @@ def default_regularization(covariance: np.ndarray) -> float:
 def _invert_spd(matrix: np.ndarray, regularization: float) -> np.ndarray:
     """Inverse of (matrix + regularization * I) via Cholesky; raises on failure."""
     d = matrix.shape[0]
+    # The entries of ``matrix + regularization * np.eye(d)``, bit for bit,
+    # without the d x d identity and product: epsilon * 0.0 off the diagonal,
+    # epsilon * 1.0 == epsilon on it.
     with np.errstate(over="ignore", invalid="ignore"):
-        target = matrix + regularization * np.eye(d)
+        target = matrix + regularization * 0.0
+        target.flat[:: d + 1] = matrix.diagonal() + regularization
     if not np.isfinite(target).all():  # LAPACK would factor NaNs silently
         raise NumericalError(f"covariance (epsilon={regularization}) has non-finite entries")
     try:
@@ -96,8 +107,14 @@ def _invert_spd(matrix: np.ndarray, regularization: float) -> np.ndarray:
             f"covariance (epsilon={regularization}) is not positive definite; "
             f"pass a larger regularization epsilon"
         ) from exc
+    del target
     precision = np.linalg.solve(factor.T, np.linalg.solve(factor, np.eye(d)))
-    return (precision + precision.T) / 2.0
+    del factor
+    # In place, (p + p.T) / 2 to the bit: numpy reads p.T from a copy where it
+    # overlaps the output, and halving is exact.
+    precision += precision.T
+    precision /= 2.0
+    return precision
 
 
 def model_from_moments(
@@ -110,7 +127,8 @@ def model_from_moments(
     mean = np.asarray(mean, dtype=np.float64)
     cov = np.asarray(covariance, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = (cov + cov.T) / 2.0
+        cov = cov + cov.T
+        cov /= 2.0
     # An infinite epsilon, like an overflowed covariance, is left to _invert_spd.
     if not regularization >= 0.0:
         raise ValidationError(f"regularization must be >= 0, got {regularization}")
@@ -124,6 +142,19 @@ def model_from_moments(
     )
 
 
+# Training rows per block of the covariance sum: one float64 block at a time
+# is widened and centered. A training set of at most this many rows is one
+# block, so its covariance is the single product ``X.T @ X`` bit for bit.
+_FIT_BLOCK_ROWS = 1024
+
+
+def _centered_gram(data: np.ndarray, start: int, mean: np.ndarray) -> np.ndarray:
+    """``B.T @ B`` of the float64 block B of rows ``start`` onward, centered on ``mean``."""
+    block = np.array(data[start:start + _FIT_BLOCK_ROWS], dtype=np.float64)
+    block -= mean
+    return block.T @ block
+
+
 def fit_gaussian(
     features: FeatureMatrix,
     regularization: float | None = None,
@@ -133,20 +164,27 @@ def fit_gaussian(
     ``regularization=None`` applies the trace-scaled default. A single row
     yields the zero covariance. Rank deficiency is certain when rows <= dim,
     so that case demands a positive epsilon up front.
+
+    The rows are read where they are stored, float32 or float64: the mean is
+    one float64 reduction, bit-equal to ``X.mean(axis=0)`` on the widened X,
+    and the covariance sums the products of ``_FIT_BLOCK_ROWS``-row blocks
+    (Chan, Golub & LeVeque 1983, with every block centered on that mean).
+    Float32 and float64 data holding equal values give bit-identical models.
+    The function drops its reference to ``features`` before the inversion, so
+    a matrix that only the caller's argument holds is freed by then.
     """
-    # The one float64 copy of the rows, centered in place: the same arithmetic
-    # as ``X - X.mean(axis=0)`` on a float64 X, so float32 and float64 data
-    # holding equal values give bit-identical moments.
-    centered = np.array(features.data, dtype=np.float64)
-    n, d = centered.shape
+    data = features.data
+    del features
+    n, d = data.shape
     # Huge features overflow to a non-finite covariance, which _invert_spd refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = centered.mean(axis=0)
-        centered -= mean
-        cov = centered.T @ centered
+        mean = data.mean(axis=0, dtype=np.float64)
+        cov = _centered_gram(data, 0, mean)
+        for start in range(_FIT_BLOCK_ROWS, n, _FIT_BLOCK_ROWS):
+            cov += _centered_gram(data, start, mean)
         cov /= max(n - 1, 1)
         eps = default_regularization(cov) if regularization is None else float(regularization)
-    del centered  # freed before the inversion allocates its d x d matrices
+    del data  # the rows are freed before the inversion allocates its d x d matrices
     if n <= d and eps == 0.0:
         raise SingularCovarianceError(
             f"sample covariance from {n} rows in {d} dimensions is rank-deficient; "

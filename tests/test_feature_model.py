@@ -31,6 +31,8 @@ from t2tmetrics import (
     train2test_distances,
     write_feature_matrix,
 )
+from t2tmetrics import feature_model
+from t2tmetrics.cli import main
 from oracles import covariance_twopass, train2test_distance_exact
 
 
@@ -123,11 +125,15 @@ def test_float32_and_float64_features_give_bit_identical_models_and_distances(n,
         assert np.array_equal(getattr(m32, name), getattr(m64, name)), name
     assert m32.regularization == m64.regularization
 
-    # The float64 arithmetic of a fit on widened rows: X.mean(axis=0), then X - mean.
+    # The float64 arithmetic of a fit on widened rows: X.mean(axis=0), then
+    # X - mean, then the sum of the products of 1024-row blocks.
     X = values.astype(np.float64)
     mean = X.mean(axis=0)
     centered = X - mean
-    cov = centered.T @ centered / max(n - 1, 1)
+    cov = centered[:1024].T @ centered[:1024]
+    for start in range(1024, n, 1024):
+        cov += centered[start:start + 1024].T @ centered[start:start + 1024]
+    cov = cov / max(n - 1, 1)
     assert np.array_equal(m32.mean, mean)
     assert np.array_equal(m32.covariance, (cov + cov.T) / 2.0)
 
@@ -151,6 +157,138 @@ def test_fit_of_a_binary_file_holds_one_float64_copy(tmp_path):
     # The file's bytes are the float32 payload (1x); the centered float64
     # copy is 2x. A second copy of the rows would pass 4x.
     assert peak <= 3.5 * n * d * 4
+
+
+@pytest.mark.parametrize("n", [1024, 1025, 3 * 1024 + 7])
+def test_blocked_fit_matches_the_oracles_at_the_block_edges(n):
+    d = 5
+    rng = np.random.default_rng(n)
+    # A shared factor keeps every covariance entry far from zero, so a
+    # relative bound on each entry is meaningful; the offset tests centering.
+    X = (rng.normal(size=(n, d)) + rng.normal(size=(n, 1)) + 40.0).astype(np.float32)
+    model = fit_gaussian(FeatureMatrix(data=X, row_ids=row_ids(n)))
+    widened = X.astype(np.float64)
+    assert np.array_equal(model.mean, widened.mean(axis=0))
+    mean, cov = covariance_twopass(widened)
+    np.testing.assert_allclose(model.covariance, cov, rtol=1e-12, atol=0)
+    if n <= 1024:  # one block: the single product of the whole centered matrix
+        centered = widened - widened.mean(axis=0)
+        one = centered.T @ centered / (n - 1)
+        assert np.array_equal(model.covariance, (one + one.T) / 2.0)
+    tests = X[:: n // 16].astype(np.float64) + rng.normal(size=(1, d))
+    got = train2test_distances(model, tests)
+    for x, value in zip(tests, got):
+        exact = train2test_distance_exact(model, x)
+        assert abs(Fraction(float(value)) - exact) <= Fraction(1, 10**12) * exact
+
+
+def test_blocked_fit_of_a_binary_file_holds_one_float64_block(tmp_path):
+    n, d = 4096, 256  # four blocks of 1024 rows
+    path = tmp_path / "train.t2tfeat"
+    data = np.random.default_rng(9).normal(size=(n, d))
+    write_feature_matrix(FeatureMatrix(data=data, row_ids=row_ids(n)), path)
+    tracemalloc.start()
+    try:
+        fit_gaussian(load_feature_matrix(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    payload, block, square = n * d * 4, 1024 * d * 8, d * d * 8
+    # Measured on numpy 2.4: payload + block + 2.08 d x d matrices (the running
+    # sum and one block's product; the row ids make the 0.08). A float64 copy
+    # of all the rows would add 2x the payload.
+    assert peak <= payload + block + 3 * square
+
+
+def test_cli_fit_frees_the_training_rows_before_the_inversion(tmp_path, monkeypatch):
+    n, d = 16384, 32
+    path = tmp_path / "train.t2tfeat"
+    data = np.random.default_rng(10).normal(size=(n, d))
+    write_feature_matrix(FeatureMatrix(data=data, row_ids=row_ids(n)), path)
+    traced = []
+    invert = feature_model._invert_spd
+
+    def probed(matrix, regularization):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return invert(matrix, regularization)
+
+    monkeypatch.setattr(feature_model, "_invert_spd", probed)
+    tracemalloc.start()
+    try:
+        assert main(["fit", "--train-features", str(path), "--out", str(tmp_path / "m.t2tmodl")]) == 0
+    finally:
+        tracemalloc.stop()
+    # The file's bytes (2 MB of float32 payload, then the row ids) are gone.
+    # What is left, about 0.25 MB when measured, is the moments and what the
+    # command's own set-up allocated.
+    assert len(traced) == 1
+    assert traced[0] < n * d * 4 / 2
+
+
+def _invert_spd_reference(matrix, regularization):
+    """The regularized inverse written out: the identity added, two solves, (p + p.T) / 2."""
+    d = matrix.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = matrix + regularization * np.eye(d)
+    if not np.isfinite(target).all():
+        raise NumericalError(f"covariance (epsilon={regularization}) has non-finite entries")
+    try:
+        factor = np.linalg.cholesky(target)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovarianceError(
+            f"covariance (epsilon={regularization}) is not positive definite; "
+            f"pass a larger regularization epsilon"
+        ) from exc
+    precision = np.linalg.solve(factor.T, np.linalg.solve(factor, np.eye(d)))
+    return (precision + precision.T) / 2.0
+
+
+def _outcome(invert, matrix, regularization):
+    try:
+        return invert(matrix, regularization).tobytes()
+    except (NumericalError, SingularCovarianceError) as exc:
+        return type(exc), str(exc)
+
+
+def test_invert_spd_is_bit_identical_to_the_written_out_inverse():
+    rng = np.random.default_rng(13)
+    cases = []
+    for d in (1, 2, 7, 64, 200):
+        a = rng.normal(size=(d + 3, d))
+        cases += [(a.T @ a, eps) for eps in (0.0, 1e-3, 2.5)]
+    signed = np.diag([2.0, 3.0, 4.0])
+    signed[0, 1] = signed[1, 0] = signed[1, 2] = signed[2, 1] = -0.0
+    cases += [(signed, eps) for eps in (0.0, -0.0, 0.5)]
+    cases += [(np.eye(3), np.inf)]
+    with_nan = np.eye(3)
+    with_nan[2, 0] = np.nan
+    cases += [(with_nan, 0.0), (with_nan, 1.0)]
+    cases += [(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0), (np.zeros((4, 4)), 0.0)]
+    for matrix, eps in cases:
+        before = matrix.copy()
+        assert _outcome(feature_model._invert_spd, matrix, eps) == _outcome(
+            _invert_spd_reference, matrix, eps
+        )
+        assert matrix.tobytes() == before.tobytes()
+    assert _outcome(feature_model._invert_spd, np.eye(3), np.inf) == (
+        NumericalError, "covariance (epsilon=inf) has non-finite entries"
+    )
+    assert _outcome(feature_model._invert_spd, with_nan, 1.0) == (
+        NumericalError, "covariance (epsilon=1.0) has non-finite entries"
+    )
+    assert _outcome(feature_model._invert_spd, np.zeros((4, 4)), 0.0) == (
+        SingularCovarianceError,
+        "covariance (epsilon=0.0) is not positive definite; pass a larger regularization epsilon",
+    )
+
+    # model_from_moments symmetrizes a copy: (c + c.T) / 2, bit for bit.
+    c = rng.normal(size=(6, 6)) * 1e-3 + 5.0 * np.eye(6)
+    before = c.copy()
+    model = model_from_moments(np.zeros(6), c, regularization=0.1)
+    assert model.covariance.tobytes() == ((before + before.T) / 2.0).tobytes()
+    assert c.tobytes() == before.tobytes()
+    sym = (before + before.T) / 2.0
+    assert model.precision.tobytes() == _invert_spd_reference(sym, 0.1).tobytes()
 
 
 def test_model_validation():
