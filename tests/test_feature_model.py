@@ -169,7 +169,7 @@ def test_blocked_fit_matches_the_oracles_at_the_block_edges(n):
     model = fit_gaussian(FeatureMatrix(data=X, row_ids=row_ids(n)))
     widened = X.astype(np.float64)
     assert np.array_equal(model.mean, widened.mean(axis=0))
-    mean, cov = covariance_twopass(widened)
+    _, cov = covariance_twopass(widened)
     np.testing.assert_allclose(model.covariance, cov, rtol=1e-12, atol=0)
     if n <= 1024:  # one block: the single product of the whole centered matrix
         centered = widened - widened.mean(axis=0)
