@@ -19,6 +19,7 @@ from .fsio import write_text
 from .ingest import (
     _load_json,
     _read_csv_rows,
+    _unknown_image,
     bind_features,
     decode,
     load_detections,
@@ -27,7 +28,13 @@ from .ingest import (
 )
 from .matching import IOU_GRID, match_detections
 from .metrics import DEFAULT_SCORE_THRESHOLDS, RegimeError, ap_t2t_profile, metric_report
-from .replacement import AccuracyCurve, average_runs, build_accuracy_curve, matching_image_count
+from .replacement import (
+    AccuracyCurve,
+    average_runs,
+    build_accuracy_curve,
+    matching_image_count,
+    replacement_gain,
+)
 from .report import (
     BarChart,
     Histogram,
@@ -155,11 +162,10 @@ def _load_inputs(cfg: RunConfig):
     gts = load_ground_truth(cfg.ground_truth)
     dets = load_detections(cfg.detections)
     # The matcher would count a detection on an unlisted image as a false positive.
-    images = {im.id for im in gts.images}
-    for det in dets.detections:
-        if det.image_id not in images:
-            raise ValidationError(f"{cfg.detections}: detection {det.detection_id!r} "
-                                  f"references unknown image {det.image_id!r}")
+    unknown = _unknown_image(dets, gts)
+    if unknown is not None:
+        raise ValidationError(f"{cfg.detections}: detection {unknown[0]!r} "
+                              f"references unknown image {unknown[1]!r}")
     model = load_model(cfg.model) if cfg.model is not None else _fit(cfg)
     return gts, bind_features(dets, load_feature_matrix(cfg.features)), model
 
@@ -227,7 +233,7 @@ def cmd_distances(args: argparse.Namespace) -> int:
     outcome = match_detections(dets, gts, cfg.iou_threshold, args.score_threshold)
     annotated = annotate_distances(model, outcome)
     write_text(cfg.out, export_csv(annotated))
-    print(f"wrote {len(annotated.entries)} distance rows to {cfg.out}")
+    print(f"wrote {len(annotated._cols.ids)} distance rows to {cfg.out}")
     return 0
 
 
@@ -307,8 +313,7 @@ def cmd_replacement(args: argparse.Namespace) -> int:
         result = matching_image_count(curve, with_acc, cross_domain_count=cross)
         gain = None
         if without_acc is not None:
-            baseline = matching_image_count(curve, without_acc)
-            gain = result.matched_same_domain_count - baseline.matched_same_domain_count
+            gain = replacement_gain(curve, with_acc, without_acc, cross_domain_count=cross)
         rows.append((result, gain))
         label = str(cross) if cross is not None else with_acc
         bars.append((label, gain if gain is not None else result.matched_same_domain_count))

@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .fsio import write_bytes
-from .ingest import FeatureMatrix, _Cursor, _read_bytes
+from .ingest import FeatureMatrix, _ColumnView, _Cursor, _read_bytes
 from .matching import MatchOutcome
 
 MODEL_MAGIC = b"T2TMODL\x00"
@@ -262,9 +262,25 @@ class AnnotatedEntry:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class _Entries:
+    """An annotated outcome as columns, in entry order: ids, whether each
+    entry is a TP, and float64 scores and distances."""
+
+    ids: list[str]
+    tp: np.ndarray
+    scores: np.ndarray
+    distances: np.ndarray
+
+
 @dataclass(frozen=True)
-class DistanceAnnotatedOutcome:
-    """Match outcome with one train2test distance per kept detection."""
+class DistanceAnnotatedOutcome(_ColumnView):
+    """Match outcome with one train2test distance per kept detection.
+
+    An outcome of :func:`annotate_distances` or ``metric_report`` holds its
+    entries as columns and builds the ``AnnotatedEntry`` objects only when a
+    caller reads ``entries``.
+    """
 
     entries: tuple[AnnotatedEntry, ...]
     total_gt: int
@@ -280,28 +296,66 @@ class DistanceAnnotatedOutcome:
         if n_tp > self.total_gt:
             raise ValidationError(f"{n_tp} true positives exceed total_gt = {self.total_gt}")
 
+    def _columns_of_fields(self) -> _Entries:
+        entries = self.entries
+        return _Entries(
+            ids=[e.detection_id for e in entries],
+            tp=np.array([e.kind is Kind.TP for e in entries], dtype=bool),
+            scores=np.array([e.score for e in entries], dtype=np.float64),
+            distances=np.array([e.distance for e in entries], dtype=np.float64),
+        )
+
+    def _field_of_columns(self, name: str) -> tuple[AnnotatedEntry, ...]:
+        cols = self._cols
+        return tuple(
+            AnnotatedEntry(detection_id=det_id, kind=Kind.TP if tp else Kind.FP, score=score,
+                           distance=distance)
+            for det_id, tp, score, distance in zip(
+                cols.ids, cols.tp.tolist(), cols.scores.tolist(), cols.distances.tolist())
+        )
+
     def distances(self, kind: Kind) -> np.ndarray:
-        return np.array([e.distance for e in self.entries if e.kind is kind], dtype=np.float64)
+        cols = self._cols
+        if kind is Kind.TP:
+            return cols.distances[cols.tp]
+        return cols.distances[~cols.tp] if kind is Kind.FP else np.empty(0)
+
+
+def _entry_order(outcome: MatchOutcome) -> np.ndarray:
+    """The positions in an outcome's kept list of its annotation entries:
+    its TPs, then its FPs, each in the outcome's order."""
+    return np.argsort(outcome._cols.claims < 0, kind="stable")
+
+
+def _annotated(outcome: MatchOutcome, at: np.ndarray, distances: np.ndarray) -> DistanceAnnotatedOutcome:
+    """The annotation listing the kept detections of ``outcome`` at positions
+    ``at`` (:func:`_entry_order`) with ``distances``."""
+    cols = outcome._cols
+    det_cols = cols.dets._cols
+    kept = cols.kept[at]
+    entries = _Entries(ids=[det_cols.ids[k] for k in kept.tolist()], tp=cols.claims[at] >= 0,
+                       scores=det_cols.scores[kept], distances=distances)
+    refused = ~np.isfinite(distances)
+    if refused.any():  # the entry's own check raises its error
+        k = int(refused.argmax())
+        AnnotatedEntry(entries.ids[k], Kind.TP if entries.tp[k] else Kind.FP,
+                       float(entries.scores[k]), float(distances[k]))
+    return DistanceAnnotatedOutcome._view(entries, total_gt=outcome.total_gt,
+                                          score_threshold=outcome.score_threshold)
 
 
 def annotate_distances(model: GaussianTrainModel, outcome: MatchOutcome) -> DistanceAnnotatedOutcome:
     """Attach a distance to every TP and FP detection of the outcome."""
-    kept = [det for det, _ in outcome.true_positives] + list(outcome.false_positives)
-    unbound = sorted(det.detection_id for det in kept if det.feature is None)
+    cols = outcome._cols
+    at = _entry_order(outcome)
+    kept = cols.kept[at]
+    det_cols = cols.dets._cols
+    unbound = sorted(det_cols.unbound(kept))
     if unbound:
         shown = ", ".join(unbound[:10]) + (", ..." if len(unbound) > 10 else "")
         raise BindingError(f"{len(unbound)} detections have no bound feature: {shown}")
-    kinds = [Kind.TP] * len(outcome.true_positives) + [Kind.FP] * len(outcome.false_positives)
-    distances = train2test_distances(model, [det.feature for det in kept])
-    entries = [
-        AnnotatedEntry(detection_id=det.detection_id, kind=kind, score=det.score, distance=d)
-        for det, kind, d in zip(kept, kinds, distances.tolist())
-    ]
-    return DistanceAnnotatedOutcome(
-        entries=tuple(entries),
-        total_gt=outcome.total_gt,
-        score_threshold=outcome.score_threshold,
-    )
+    distances = train2test_distances(model, det_cols.features_at(kept))
+    return _annotated(outcome, at, distances)
 
 
 # ------------------------------------------------------------- model file I/O

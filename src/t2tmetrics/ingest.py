@@ -37,7 +37,9 @@ are read through one bounds-checked ``_Cursor``. Outputs are written through
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
 import logging
 import math
@@ -195,28 +197,215 @@ class Detection:
             )
 
 
+class _ColumnView:
+    """Base of the frozen dataclasses that hold their records as columns.
+
+    An instance made by its public constructor has its fields and builds its
+    columns ``_cols`` from them on first read (``_columns_of_fields``). A view
+    made by ``_view`` has its columns and the fields it was given, and builds
+    each other field from the columns on first read (``_field_of_columns``),
+    so no record object exists until a caller reads one.
+    """
+
+    @classmethod
+    def _view(cls, cols, **values):
+        view = object.__new__(cls)
+        object.__setattr__(view, "_cols", cols)
+        for name, value in values.items():
+            object.__setattr__(view, name, value)
+        return view
+
+    def __getattr__(self, name: str):
+        if name == "_cols":
+            value = self._columns_of_fields()
+        elif name in self.__dataclass_fields__:
+            value = self._field_of_columns(name)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
+
+
+def _index(names: list) -> tuple[list, np.ndarray]:
+    """The distinct ``names`` in first-seen order, and the position of each name among them."""
+    position: dict = {}
+    at = [position.setdefault(name, len(position)) for name in names]
+    return list(position), np.array(at, dtype=np.intp)
+
+
+def _id_rank(ids: list[str]) -> np.ndarray:
+    """The position of each id in Python's string order (numpy strings drop
+    trailing NULs, so numpy cannot order these ids)."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
+def _box_rows(boxes) -> np.ndarray:
+    """The (n, 4) float64 array of (x, y, w, h) of ``BoundingBox`` objects."""
+    values = itertools.chain.from_iterable((b.x, b.y, b.w, b.h) for b in boxes)
+    return np.fromiter(values, dtype=np.float64).reshape(-1, 4)
+
+
+def _boxes_pass(boxes: np.ndarray) -> np.ndarray:
+    """Whether each (x, y, w, h) row passes every ``BoundingBox`` check, by
+    the same float operations."""
+    x, y, w, h = boxes.T
+    with np.errstate(all="ignore"):
+        far_x, far_y, area = x + w, y + h, w * h
+        ok = np.isfinite(boxes).all(axis=1) & (w > 0) & (h > 0)
+        ok &= np.isfinite(far_x) & np.isfinite(far_y)
+        ok &= (np.abs(far_x - x - w) <= w / 4) & (np.abs(far_y - y - h) <= h / 4)
+        ok &= (_MIN_AREA <= area) & (area <= _MAX_AREA)
+    return ok
+
+
+class _RowsAt:
+    """Rows ``data[rows]`` of a feature matrix, copied a slice at a time."""
+
+    def __init__(self, data: np.ndarray, rows: np.ndarray) -> None:
+        self.data, self.rows = data, rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        return self.data[self.rows[part]]
+
+
+@dataclass(frozen=True, eq=False)
+class _DetectionColumns:
+    """A detection set as columns, in the set's order.
+
+    ``image`` is the position of each detection's image id in
+    ``image_names``, and ``boxes`` is (n, 4) float64 of (x, y, w, h). A
+    detection's feature is row ``rows[k]`` of the matrix ``features``; or,
+    when ``rows`` is None, ``features[k]`` of a tuple of arrays and Nones;
+    or none at all, when ``features`` is None.
+    """
+
+    ids: list[str]
+    image_names: list[str]
+    image: np.ndarray
+    boxes: np.ndarray
+    scores: np.ndarray
+    features: np.ndarray | tuple | None = None
+    rows: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, dets: tuple[Detection, ...]) -> _DetectionColumns:
+        image_names, image = _index([det.image_id for det in dets])
+        features = tuple(det.feature for det in dets)
+        return cls(
+            ids=[det.detection_id for det in dets],
+            image_names=image_names,
+            image=image,
+            boxes=_box_rows(det.box for det in dets),
+            scores=np.array([det.score for det in dets], dtype=np.float64),
+            features=None if all(f is None for f in features) else features,
+        )
+
+    @functools.cached_property
+    def id_rank(self) -> np.ndarray:
+        return _id_rank(self.ids)
+
+    def detections(self) -> tuple[Detection, ...]:
+        """The records as ``Detection`` objects."""
+        names = [self.image_names[k] for k in self.image.tolist()]
+        if self.rows is not None:
+            features = [self.features[r] for r in self.rows.tolist()]
+        else:
+            features = self.features or [None] * len(self.ids)
+        return tuple(
+            Detection(image_id=name, box=BoundingBox(*box), score=score, detection_id=det_id,
+                      feature=feature)
+            for name, box, score, det_id, feature in zip(
+                names, self.boxes.tolist(), self.scores.tolist(), self.ids, features)
+        )
+
+    def unbound(self, at: np.ndarray) -> list[str]:
+        """The ids of the detections at positions ``at`` that have no feature."""
+        if self.rows is not None:
+            return []
+        if self.features is None:
+            return [self.ids[k] for k in at.tolist()]
+        return [self.ids[k] for k in at.tolist() if self.features[k] is None]
+
+    def features_at(self, at: np.ndarray):
+        """The features of the detections at positions ``at``, as a sequence
+        ``train2test_distances`` takes; no matrix row is copied here."""
+        if self.rows is not None:
+            return _RowsAt(self.features, self.rows[at])
+        return [self.features[k] for k in at.tolist()]
+
+
+def _check_detection_ids(ids: list[str]) -> None:
+    if (repeat := _first_repeat(ids)) is not None:
+        raise ValidationError(f"duplicate detection id {repeat!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class _InstanceColumns:
+    """Ground-truth instances as columns: ids, the position of each one's
+    image in the set's ``images``, and (n, 4) float64 boxes of (x, y, w, h)."""
+
+    ids: list[str]
+    image: np.ndarray
+    boxes: np.ndarray
+
+    @functools.cached_property
+    def id_rank(self) -> np.ndarray:
+        return _id_rank(self.ids)
+
+
+def _instance_images(images: tuple[ImageInfo, ...], ids: list[str], image_ids: list[str]) -> np.ndarray:
+    """The position in ``images`` of each instance's image, after checking that
+    image and instance ids are unique and that every instance's image is listed."""
+    listed = [im.id for im in images]
+    if (repeat := _first_repeat(listed)) is not None:
+        raise ValidationError(f"duplicate image id {repeat!r} in ground truth")
+    position = {image_id: k for k, image_id in enumerate(listed)}
+    at = [position.get(image_id, -1) for image_id in image_ids]
+    if -1 in at or len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for inst_id, image_id in zip(ids, image_ids):
+            if inst_id in seen:
+                raise ValidationError(f"duplicate ground-truth instance id {inst_id!r}")
+            seen.add(inst_id)
+            if image_id not in position:
+                raise ValidationError(
+                    f"instance {inst_id!r} references unknown image {image_id!r}"
+                )
+    return np.array(at, dtype=np.intp)
+
+
 @dataclass(frozen=True)
-class GroundTruthSet:
+class GroundTruthSet(_ColumnView):
+    """Images and their annotated instances, the instances held as columns
+    (``_InstanceColumns``). A set read by ``load_ground_truth`` builds its
+    ``instances`` objects only when a caller reads them."""
+
     images: tuple[ImageInfo, ...]
     instances: tuple[GroundTruthInstance, ...]
 
     def __post_init__(self) -> None:
-        image_ids = [im.id for im in self.images]
-        if (repeat := _first_repeat(image_ids)) is not None:
-            raise ValidationError(f"duplicate image id {repeat!r} in ground truth")
-        known = set(image_ids)
-        seen: set[str] = set()
-        for inst in self.instances:
-            if inst.instance_id in seen:
-                raise ValidationError(f"duplicate ground-truth instance id {inst.instance_id!r}")
-            seen.add(inst.instance_id)
-            if inst.image_id not in known:
-                raise ValidationError(
-                    f"instance {inst.instance_id!r} references unknown image {inst.image_id!r}"
-                )
+        # Building the columns checks the set's invariants.
+        object.__setattr__(self, "_cols", self._columns_of_fields())
+
+    def _columns_of_fields(self) -> _InstanceColumns:
+        ids = [inst.instance_id for inst in self.instances]
+        image = _instance_images(self.images, ids, [inst.image_id for inst in self.instances])
+        return _InstanceColumns(ids=ids, image=image, boxes=_box_rows(i.box for i in self.instances))
+
+    def _field_of_columns(self, name: str) -> tuple[GroundTruthInstance, ...]:
+        cols = self._cols
+        return tuple(
+            GroundTruthInstance(image_id=self.images[k].id, box=BoundingBox(*box), instance_id=inst_id)
+            for inst_id, k, box in zip(cols.ids, cols.image.tolist(), cols.boxes.tolist())
+        )
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self._cols.ids)
 
     def instances_by_image(self) -> dict[str, list[GroundTruthInstance]]:
         grouped: dict[str, list[GroundTruthInstance]] = {}
@@ -226,15 +415,24 @@ class GroundTruthSet:
 
 
 @dataclass(frozen=True)
-class DetectionSet:
+class DetectionSet(_ColumnView):
+    """Detections, held as columns (``_DetectionColumns``). A set read by
+    ``load_detections`` or made by ``bind_features`` builds its
+    ``detections`` objects only when a caller reads them."""
+
     detections: tuple[Detection, ...]
 
     def __post_init__(self) -> None:
-        if (repeat := _first_repeat([det.detection_id for det in self.detections])) is not None:
-            raise ValidationError(f"duplicate detection id {repeat!r}")
+        _check_detection_ids(self._cols.ids)
+
+    def _columns_of_fields(self) -> _DetectionColumns:
+        return _DetectionColumns.of(self.detections)
+
+    def _field_of_columns(self, name: str) -> tuple[Detection, ...]:
+        return self._cols.detections()
 
     def __len__(self) -> int:
-        return len(self.detections)
+        return len(self._cols.ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,6 +632,83 @@ def _parse_box(raw: object, where: str) -> BoundingBox:
         raise ValidationError(f"{where}: {exc}") from None
 
 
+# Records are checked a whole column at a time. When a check refuses a record,
+# the records are checked one at a time from the first one refused (0 when a
+# field is missing or of the wrong type) by building the scalar BoundingBox,
+# Detection or GroundTruthInstance, which raise every error text.
+
+
+def _field_values(records: list, keys: tuple[str, ...]) -> list[list] | None:
+    """The values of each key over ``records``, or None unless every record
+    is an object holding every key."""
+    if set(map(type, records)) - {dict}:
+        return None
+    try:
+        return [[record[key] for record in records] for key in keys]
+    except KeyError:
+        return None
+
+
+def _identifiers(values: list) -> list[str] | None:
+    """``values`` as id strings, as ``_as_identifier`` makes them, or None
+    unless each is a non-empty string or an integer."""
+    kinds = set(map(type, values))
+    if not kinds <= {str, int}:
+        return None
+    if int in kinds:
+        values = [v if type(v) is str else str(v) for v in values]
+    return None if "" in values else values
+
+
+def _numbers(values: list) -> np.ndarray | None:
+    """``values`` as float64, as ``_json_number`` makes them, or None unless
+    each is an int or a float (not a bool) that a float holds."""
+    if not set(map(type, values)) <= {float, int}:
+        return None
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return None
+
+
+def _box_array(bboxes: list) -> np.ndarray | None:
+    """The (n, 4) array of ``bbox`` values, or None unless each is a list of four numbers."""
+    if set(map(type, bboxes)) - {list} or set(map(len, bboxes)) - {4}:
+        return None
+    values = _numbers(list(itertools.chain.from_iterable(bboxes)))
+    return None if values is None else values.reshape(-1, 4)
+
+
+def _instance_record(path: str | Path, records: list, i: int) -> GroundTruthInstance:
+    where = f"{path}: annotations[{i}]"
+    raw = records[i]
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where}: expected an object")
+    try:
+        return GroundTruthInstance(
+            image_id=_as_identifier(raw["image_id"], f"{where}.image_id"),
+            box=_parse_box(raw["bbox"], where),
+            instance_id=_as_identifier(raw["id"], f"{where}.id"),
+        )
+    except KeyError as exc:
+        raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
+
+
+def _instance_columns(records: list) -> tuple[list[str], list[str], np.ndarray] | int:
+    """The ids, image ids and boxes of annotation records that pass every
+    check, or the index to check them one at a time from."""
+    values = _field_values(records, ("image_id", "bbox", "id"))
+    if values is None:
+        return 0
+    image_ids, boxes, ids = _identifiers(values[0]), _box_array(values[1]), _identifiers(values[2])
+    if image_ids is None or boxes is None or ids is None:
+        return 0
+    refused = ~_boxes_pass(boxes)
+    if refused.any():
+        return int(refused.argmax())
+    return ids, image_ids, boxes
+
+
 def load_ground_truth(path: str | Path) -> GroundTruthSet:
     """Load a ground-truth document, rejecting malformed or invalid records.
 
@@ -465,28 +740,23 @@ def load_ground_truth(path: str | Path) -> GroundTruthSet:
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
 
-    instances = []
-    for i, raw in enumerate(doc["annotations"]):
-        where = f"{path}: annotations[{i}]"
-        if not isinstance(raw, dict):
-            raise ParseError(f"{where}: expected an object")
-        try:
-            instances.append(
-                GroundTruthInstance(
-                    image_id=_as_identifier(raw["image_id"], f"{where}.image_id"),
-                    box=_parse_box(raw["bbox"], where),
-                    instance_id=_as_identifier(raw["id"], f"{where}.id"),
-                )
-            )
-        except KeyError as exc:
-            raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
-
+    records = doc["annotations"]
+    found = _instance_columns(records)
+    if isinstance(found, int):
+        # Record by record from the first one refused; each one before it passed every check.
+        instances = [_instance_record(path, records, i) for i in range(found, len(records))]
+        instances = [_instance_record(path, records, i) for i in range(found)] + instances
+        found = ([inst.instance_id for inst in instances], [inst.image_id for inst in instances],
+                 _box_rows(inst.box for inst in instances))
+    ids, image_ids, boxes = found
+    images = tuple(images)
     try:
-        gts = GroundTruthSet(images=tuple(images), instances=tuple(instances))
+        image = _instance_images(images, ids, image_ids)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
+    gts = GroundTruthSet._view(_InstanceColumns(ids=ids, image=image, boxes=boxes), images=images)
     logger.info("loaded %d ground-truth instances over %d images from %s",
-                len(gts.instances), len(gts.images), path)
+                len(gts), len(gts.images), path)
     return gts
 
 
@@ -507,33 +777,58 @@ def write_ground_truth(gts: GroundTruthSet, path: str | Path) -> Path:
 # ----------------------------------------------------------------- detections
 
 
+def _detection_record(path: str | Path, records: list, i: int) -> Detection:
+    where = f"{path}: detections[{i}]"
+    raw = records[i]
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where}: expected an object")
+    try:
+        det_id = _as_identifier(raw["detection_id"], f"{where}.detection_id")
+        score = _json_number(raw["score"], where, "score")
+        image_id = _as_identifier(raw["image_id"], f"{where}.image_id")
+        box = _parse_box(raw["bbox"], where)
+    except KeyError as exc:
+        raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
+    # Only the score check is left to name the record; the errors above
+    # already do.
+    try:
+        return Detection(image_id=image_id, box=box, score=score, detection_id=det_id)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+def _detection_columns(records: list) -> _DetectionColumns | int:
+    """The columns of detection records that pass every check, or the index
+    to check them one at a time from."""
+    values = _field_values(records, ("detection_id", "score", "image_id", "bbox"))
+    if values is None:
+        return 0
+    ids, scores = _identifiers(values[0]), _numbers(values[1])
+    image_ids, boxes = _identifiers(values[2]), _box_array(values[3])
+    if ids is None or scores is None or image_ids is None or boxes is None:
+        return 0
+    refused = ~(_boxes_pass(boxes) & (scores >= 0.0) & (scores <= 1.0))
+    if refused.any():
+        return int(refused.argmax())
+    image_names, image = _index(image_ids)
+    return _DetectionColumns(ids=ids, image_names=image_names, image=image, boxes=boxes, scores=scores)
+
+
 def load_detections(path: str | Path) -> DetectionSet:
     """Load a detection list; scores outside [0, 1] are rejected, not clamped."""
     doc = _load_json(path)
     if not isinstance(doc, list):
         raise ParseError(f"{path}: expected a JSON list of detection records")
-    dets = []
-    for i, raw in enumerate(doc):
-        where = f"{path}: detections[{i}]"
-        if not isinstance(raw, dict):
-            raise ParseError(f"{where}: expected an object")
-        try:
-            det_id = _as_identifier(raw["detection_id"], f"{where}.detection_id")
-            score = _json_number(raw["score"], where, "score")
-            image_id = _as_identifier(raw["image_id"], f"{where}.image_id")
-            box = _parse_box(raw["bbox"], where)
-        except KeyError as exc:
-            raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
-        # Only the score check is left to name the record; the errors above
-        # already do.
-        try:
-            dets.append(Detection(image_id=image_id, box=box, score=score, detection_id=det_id))
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+    cols = _detection_columns(doc)
+    if isinstance(cols, int):
+        # Record by record from the first one refused; each one before it passed every check.
+        dets = [_detection_record(path, doc, i) for i in range(cols, len(doc))]
+        cols = _DetectionColumns.of([_detection_record(path, doc, i) for i in range(cols)] + dets)
     try:
-        out = DetectionSet(detections=tuple(dets))
+        _check_detection_ids(cols.ids)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
+    out = DetectionSet._view(cols)
     logger.info("loaded %d detections from %s", len(out), path)
     return out
 
@@ -627,22 +922,31 @@ def write_feature_matrix(fm: FeatureMatrix, path: str | Path) -> Path:
 
 
 def bind_features(dets: DetectionSet, features: FeatureMatrix) -> DetectionSet:
-    """Give each detection, by detection id, a read-only view of its row of
-    ``features.data``.
+    """Give each detection, by detection id, its row of ``features.data``; a
+    detection read from the result has a read-only view of that row.
 
     Every detection must have a row; missing rows raise BindingError listing
     the ids. Extra rows are permitted and reported as a warning.
     """
+    cols = dets._cols
     index = {row_id: i for i, row_id in enumerate(features.row_ids)}
-    missing = sorted(d.detection_id for d in dets.detections if d.detection_id not in index)
-    if missing:
+    rows = [index.get(det_id, -1) for det_id in cols.ids]
+    if -1 in rows:
+        missing = sorted(det_id for det_id, row in zip(cols.ids, rows) if row < 0)
         shown = ", ".join(missing[:10]) + (", ..." if len(missing) > 10 else "")
         raise BindingError(f"{len(missing)} detections have no feature row: {shown}")
     extra = len(index) - len(dets)
     if extra > 0:
         logger.warning("%d feature rows are not referenced by any detection", extra)
-    bound = tuple(
-        replace(det, feature=features.data[index[det.detection_id]])
-        for det in dets.detections
-    )
-    return DetectionSet(detections=bound)
+    return DetectionSet._view(replace(cols, features=features.data, rows=np.array(rows, dtype=np.intp)))
+
+
+def _unknown_image(dets: DetectionSet, gts: GroundTruthSet) -> tuple[str, str] | None:
+    """The id and image id of the first detection whose image ``gts`` does not list."""
+    cols = dets._cols
+    listed = {im.id for im in gts.images}
+    unknown = [k for k, name in enumerate(cols.image_names) if name not in listed]
+    if not unknown:
+        return None
+    first = int(np.isin(cols.image, unknown).argmax())
+    return cols.ids[first], cols.image_names[cols.image[first]]

@@ -22,14 +22,13 @@ float :func:`iou` returns for that pair, bit for bit.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import BoundingBox, Detection, DetectionSet, GroundTruthSet
+from .ingest import BoundingBox, Detection, DetectionSet, GroundTruthSet, _ColumnView
 
 # IoU thresholds 0.50, 0.55, ..., 0.95 used for averaged AP. Built from
 # integer ratios so each grid point is the correctly rounded double.
@@ -55,13 +54,40 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return v if v < 1.0 else 1.0
 
 
+@dataclass(frozen=True, eq=False)
+class _Claims:
+    """A match outcome as columns.
+
+    ``kept`` holds the positions in ``dets`` of the kept detections and
+    ``claims`` the position in ``gt_ids`` of the instance each one claimed,
+    or -1 for a false positive. An outcome of the matcher lists them in rank
+    order (-score, detection_id) and has ``rank`` None; an outcome built from
+    its fields lists its TPs and then its FPs as given, and ``rank`` is the
+    order that ranks them.
+    """
+
+    dets: DetectionSet
+    kept: np.ndarray
+    claims: np.ndarray
+    gt_ids: list[str]
+    rank: np.ndarray | None = None
+
+
+def _rank_order(dets: DetectionSet, at: np.ndarray) -> np.ndarray:
+    """The order of the detections at positions ``at`` by (-score, detection_id)."""
+    cols = dets._cols
+    return np.lexsort((cols.id_rank[at], -cols.scores[at]))
+
+
 @dataclass(frozen=True)
-class MatchOutcome:
+class MatchOutcome(_ColumnView):
     """Partition of detections into TP/FP and ground truth into matched/missed.
 
     ``true_positives`` pairs each matched detection with the instance id it
     claimed. ``total_gt`` is the full instance count |X|, independent of the
-    score threshold.
+    score threshold. An outcome of :func:`iou_matcher` holds the claim of
+    each kept detection in rank order, and builds its three tuples only when
+    a caller reads them.
     """
 
     true_positives: tuple[tuple[Detection, str], ...]
@@ -87,15 +113,56 @@ class MatchOutcome:
         if set(claimed) & set(self.false_negatives):
             raise ValidationError("an instance is both matched and missed")
 
+    def _columns_of_fields(self) -> _Claims:
+        dets = DetectionSet(detections=tuple(d for d, _ in self.true_positives) + self.false_positives)
+        n_tp = len(self.true_positives)
+        claims = np.arange(len(dets))
+        claims[n_tp:] = -1
+        return _Claims(dets=dets, kept=np.arange(len(dets)), claims=claims,
+                       gt_ids=[g for _, g in self.true_positives] + list(self.false_negatives),
+                       rank=_rank_order(dets, np.arange(len(dets))))
 
-def _edges(boxes: list[BoundingBox]) -> np.ndarray:
-    """One row (x, y, x + w, y + h, w * h) per box, then an all-zero row for padding.
+    def _field_of_columns(self, name: str) -> tuple:
+        cols = self._cols
+        claims = cols.claims.tolist()
+        if name == "false_negatives":
+            taken = set(claims)
+            return tuple(i for k, i in enumerate(cols.gt_ids) if k not in taken)
+        objects = cols.dets.detections
+        kept = [objects[k] for k in cols.kept.tolist()]
+        if name == "true_positives":
+            return tuple((det, cols.gt_ids[g]) for det, g in zip(kept, claims) if g >= 0)
+        return tuple(det for det, g in zip(kept, claims) if g < 0)
+
+    def _ranked_tp(self) -> np.ndarray:
+        """Whether each kept detection is a true positive, in rank order (-score, detection_id)."""
+        cols = self._cols
+        tp = cols.claims >= 0
+        return tp if cols.rank is None else tp[cols.rank]
+
+
+def _prefix(outcome: MatchOutcome, score_threshold: float) -> MatchOutcome:
+    """The outcome of the same matching at a score threshold at or above
+    ``outcome``'s, which the prefix invariant makes its score >= threshold prefix.
+
+    ``outcome`` must come from :func:`iou_matcher`, which lists it in rank order.
+    """
+    cols = outcome._cols
+    n = int(np.count_nonzero(cols.dets._cols.scores[cols.kept] >= score_threshold))
+    return MatchOutcome._view(
+        _Claims(dets=cols.dets, kept=cols.kept[:n], claims=cols.claims[:n], gt_ids=cols.gt_ids),
+        iou_threshold=outcome.iou_threshold,
+        score_threshold=score_threshold,
+        total_gt=outcome.total_gt,
+    )
+
+
+def _edges(xywh: np.ndarray) -> np.ndarray:
+    """One row (x, y, x + w, y + h, w * h) per (x, y, w, h) row, then an all-zero row for padding.
 
     The zero box overlaps no box, so index -1 pads a table with IoU 0.
     """
-    values = itertools.chain.from_iterable((b.x, b.y, b.w, b.h) for b in boxes)
-    xywh = np.fromiter(values, dtype=np.float64, count=4 * len(boxes)).reshape(-1, 4)
-    edges = np.zeros((len(boxes) + 1, 5))
+    edges = np.zeros((len(xywh) + 1, 5))
     edges[:-1, :2] = xywh[:, :2]
     np.add(xywh[:, :2], xywh[:, 2:], out=edges[:-1, 2:4])
     np.multiply(xywh[:, 2], xywh[:, 3], out=edges[:-1, 4])
@@ -142,6 +209,25 @@ def _iou_table(rows: np.ndarray, cols: np.ndarray, det_edges: np.ndarray,
     return table
 
 
+def _slots(image: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The position of each entry among the entries of its image, in entry
+    order; ``count`` holds the number of entries per image."""
+    order = np.argsort(image, kind="stable")
+    slot = np.empty(len(image), dtype=np.intp)
+    slot[order] = np.arange(len(image)) - (np.cumsum(count) - count)[image[order]]
+    return slot
+
+
+def _padded(image: np.ndarray, slot: np.ndarray, values: np.ndarray, place: np.ndarray,
+            shape: tuple[int, int]) -> np.ndarray:
+    """A -1-padded (images, width) array holding ``values[k]`` at
+    (``place[image[k]]``, ``slot[k]``) for the entries on the bucket's images."""
+    out = np.full(shape, -1, dtype=np.intp)
+    at = place[image] >= 0
+    out[place[image[at]], slot[at]] = values[at]
+    return out
+
+
 def iou_matcher(
     dets: DetectionSet,
     gts: GroundTruthSet,
@@ -157,33 +243,39 @@ def iou_matcher(
     images without instances are false positives at every threshold and
     take no table row.
     """
-    kept = [d for d in dets.detections if d.score >= score_threshold]
-    kept.sort(key=lambda d: (-d.score, d.detection_id))
-    ids = [inst.instance_id for inst in gts.instances]
-    cols_of: dict[str, list[int]] = {}
-    for k, inst in enumerate(gts.instances):
-        cols_of.setdefault(inst.image_id, []).append(k)
-    rows_of: dict[str, list[int]] = {}
-    for k, det in enumerate(kept):
-        if det.image_id in cols_of:
-            rows_of.setdefault(det.image_id, []).append(k)
+    det_cols, gt_cols = dets._cols, gts._cols
+    kept = np.flatnonzero(det_cols.scores >= score_threshold)
+    kept = kept[_rank_order(dets, kept)]
+    gt_ids = gt_cols.ids
+    n_images = len(gts.images)
+    image_of = {im.id: k for k, im in enumerate(gts.images)}
+    det_image = np.array([image_of.get(name, n_images) for name in det_cols.image_names],
+                         dtype=np.intp)[det_cols.image[kept]]
+    # Rank positions of the kept detections on listed images, and their images.
+    n_cols = np.bincount(gt_cols.image, minlength=n_images + 1)  # 0 at the unlisted index
+    ranks = np.flatnonzero(n_cols[det_image] > 0)
+    row_image = det_image[ranks]
+    n_rows = np.bincount(row_image, minlength=n_images + 1)
+    row_slot = _slots(row_image, n_rows)
+    # Instances by image, in ``instance_id`` order within each image.
+    by_id = np.argsort(gt_cols.id_rank)
+    col_slot = np.empty(len(gt_ids), dtype=np.intp)
+    col_slot[by_id] = _slots(gt_cols.image[by_id], n_cols)
 
     # Images go in buckets by the bit lengths of their row and column counts,
     # so padding at most doubles each side of an image's cells.
-    buckets: dict[tuple[int, int], list[tuple[list[int], list[int]]]] = {}
-    for image, rows in rows_of.items():
-        # Python's string order: numpy strings drop trailing NULs.
-        cols = sorted(cols_of[image], key=ids.__getitem__)
-        buckets.setdefault((len(rows).bit_length(), len(cols).bit_length()), []).append((rows, cols))
-    det_edges = _edges([d.box for d in kept])
-    gt_edges = _edges([inst.box for inst in gts.instances])
+    active = np.flatnonzero(n_rows > 0)
+    keys = np.frexp(n_rows[active])[1] * 64 + np.frexp(n_cols[active])[1]
+    det_edges = _edges(det_cols.boxes[kept])
+    gt_edges = _edges(gt_cols.boxes)
     blocks = []
-    for images in buckets.values():
-        rows = np.full((len(images), max(len(r) for r, _ in images)), -1, dtype=np.intp)
-        cols = np.full((len(images), max(len(c) for _, c in images)), -1, dtype=np.intp)
-        for i, (r, c) in enumerate(images):
-            rows[i, :len(r)] = r
-            cols[i, :len(c)] = c
+    for key in np.unique(keys):
+        images = active[keys == key]
+        place = np.full(n_images + 1, -1, dtype=np.intp)
+        place[images] = np.arange(len(images))
+        rows = _padded(row_image, row_slot, ranks, place, (len(images), n_rows[images].max()))
+        cols = _padded(gt_cols.image, col_slot, np.arange(len(gt_ids)), place,
+                       (len(images), n_cols[images].max()))
         blocks.append((rows, cols, _iou_table(rows, cols, det_edges, gt_edges)))
 
     def match(iou_threshold: float) -> MatchOutcome:
@@ -204,15 +296,11 @@ def iou_matcher(
                 at, best = images[hit], best[hit]
                 free[at, best] = 0.0
                 claims[rows[at, r]] = cols[at, best]
-        claimed = claims.tolist()
-        taken = set(claimed)
-        return MatchOutcome(
-            true_positives=tuple((det, ids[k]) for det, k in zip(kept, claimed) if k >= 0),
-            false_positives=tuple(det for det, k in zip(kept, claimed) if k < 0),
-            false_negatives=tuple(i for k, i in enumerate(ids) if k not in taken),
+        return MatchOutcome._view(
+            _Claims(dets=dets, kept=kept, claims=claims, gt_ids=gt_ids),
             iou_threshold=iou_threshold,
             score_threshold=score_threshold,
-            total_gt=len(ids),
+            total_gt=len(gt_ids),
         )
 
     return match

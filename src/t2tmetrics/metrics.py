@@ -23,14 +23,14 @@ import numpy as np
 
 from .errors import T2TError, UndefinedMetricError, ValidationError
 from .feature_model import (
-    AnnotatedEntry,
     DistanceAnnotatedOutcome,
     GaussianTrainModel,
-    Kind,
+    _annotated,
+    _entry_order,
     annotate_distances,
 )
 from .ingest import DetectionSet, GroundTruthSet
-from .matching import IOU_GRID, MatchOutcome, iou_matcher, match_detections
+from .matching import IOU_GRID, MatchOutcome, _prefix, iou_matcher
 
 # Score thresholds naming the three detection regimes: every candidate with a
 # minimal score, the above-medium-confidence subset, and the high-confidence
@@ -42,18 +42,30 @@ DEFAULT_SCORE_THRESHOLDS: dict[str, float] = {"all": 0.01, "med": 0.1, "high": 0
 # depend on summation order; beyond it, floats are added in rank order.
 _EXACT_SUM_LIMIT = 4096
 
+# Fraction bits of the fixed-point bound on an exact sum.
+_FIXED_BITS = 96
+
 
 def _ratio_mean(ratios: list[tuple[int, int]], denominator: int) -> float:
     """sum(n/d for n, d in ratios) / denominator, correctly rounded when small.
 
-    The exact sum combines neighbouring terms pairwise, (a/b) + (c/d) =
-    (a*d + c*b) / (b*d), with no gcd, until one n/d is left; Python int true
-    division rounds that once. Every n and d must be a Python int, since
-    fixed-width products would wrap; ``denominator`` is taken as an int.
+    First each term is floored to a multiple of 2**-_FIXED_BITS, which puts
+    the exact sum in [low, low + len(ratios)) such units. Rounding is
+    monotone, so when both ends round to one float the exact mean does too.
+    Otherwise (the mean lies within about 2**-80 of a rounding boundary) the
+    exact sum combines neighbouring terms pairwise, (a/b) + (c/d) =
+    (a*d + c*b) / (b*d), with no gcd, until one n/d is left. Python int true
+    division rounds each result once. Every n and d must be a Python int,
+    since fixed-width shifts and products would wrap; ``denominator`` is
+    taken as an int.
     """
     if len(ratios) > _EXACT_SUM_LIMIT:
         return float(sum(n / d for n, d in ratios) / denominator)
-    terms = ratios or [(0, 1)]
+    scale = int(denominator) << _FIXED_BITS
+    low = sum((n << _FIXED_BITS) // d for n, d in ratios)
+    if (mean := low / scale) == (low + len(ratios)) / scale:
+        return mean
+    terms = ratios
     while len(terms) > 1:
         odd = terms[-1:] if len(terms) % 2 else []
         pairs = zip(terms[0::2], terms[1::2])
@@ -74,6 +86,18 @@ def _check_unit_interval(value: float, what: str) -> float:
     return value
 
 
+def _precision_recall(
+    annotated: DistanceAnnotatedOutcome, keep: np.ndarray
+) -> tuple[float | None, float]:
+    """Precision and recall over the entries that ``keep`` marks."""
+    tp = int(np.count_nonzero(keep & annotated._cols.tp))
+    fp = int(np.count_nonzero(keep)) - tp
+    recall = tp / annotated.total_gt if annotated.total_gt > 0 else 0.0
+    if tp + fp == 0:
+        return None, recall
+    return tp / (tp + fp), recall
+
+
 def precision_recall(
     annotated: DistanceAnnotatedOutcome, score_threshold: float
 ) -> tuple[float | None, float]:
@@ -83,13 +107,8 @@ def precision_recall(
     case is signalled, not defaulted). Recall over an empty instance set is
     reported as 0.0.
     """
-    _check_unit_interval(score_threshold, "score_threshold")
-    tp = sum(1 for e in annotated.entries if e.kind is Kind.TP and e.score >= score_threshold)
-    fp = sum(1 for e in annotated.entries if e.kind is Kind.FP and e.score >= score_threshold)
-    recall = tp / annotated.total_gt if annotated.total_gt > 0 else 0.0
-    if tp + fp == 0:
-        return None, recall
-    return tp / (tp + fp), recall
+    score_threshold = _check_unit_interval(score_threshold, "score_threshold")
+    return _precision_recall(annotated, annotated._cols.scores >= score_threshold)
 
 
 def t2t_precision_recall(
@@ -100,12 +119,7 @@ def t2t_precision_recall(
         raise ValidationError(
             f"distance_threshold must be finite and >= 0, got {distance_threshold}"
         )
-    tp = sum(1 for e in annotated.entries if e.kind is Kind.TP and e.distance <= distance_threshold)
-    fp = sum(1 for e in annotated.entries if e.kind is Kind.FP and e.distance <= distance_threshold)
-    recall = tp / annotated.total_gt if annotated.total_gt > 0 else 0.0
-    if tp + fp == 0:
-        return None, recall
-    return tp / (tp + fp), recall
+    return _precision_recall(annotated, annotated._cols.distances <= distance_threshold)
 
 
 def average_precision(outcome: MatchOutcome) -> float:
@@ -116,16 +130,8 @@ def average_precision(outcome: MatchOutcome) -> float:
     """
     if outcome.total_gt == 0:
         raise UndefinedMetricError("average precision is undefined without ground truth")
-    ranked = [(det.score, det.detection_id, True) for det, _ in outcome.true_positives]
-    ranked += [(det.score, det.detection_id, False) for det in outcome.false_positives]
-    ranked.sort(key=lambda t: (-t[0], t[1]))
-    cum_tp = 0
-    terms: list[tuple[int, int]] = []
-    for position, (_, _, is_tp) in enumerate(ranked, start=1):
-        if is_tp:
-            cum_tp += 1
-            terms.append((cum_tp, position))
-    return _ratio_mean(terms, outcome.total_gt)
+    positions = (np.flatnonzero(outcome._ranked_tp()) + 1).tolist()
+    return _ratio_mean(list(enumerate(positions, start=1)), outcome.total_gt)
 
 
 def ap_over_iou_range(
@@ -161,8 +167,8 @@ def ap_t2t(annotated: DistanceAnnotatedOutcome) -> float:
     """
     if annotated.total_gt == 0:
         raise UndefinedMetricError("AP_t2t is undefined without ground truth")
-    distances = np.array([e.distance for e in annotated.entries], dtype=np.float64)
-    return _ap_t2t(annotated.distances(Kind.TP), distances, annotated.total_gt)
+    cols = annotated._cols
+    return _ap_t2t(cols.distances[cols.tp], cols.distances, annotated.total_gt)
 
 
 class RegimeError(T2TError):
@@ -190,28 +196,22 @@ def _regimes(score_thresholds: dict[str, float] | None) -> tuple[dict[str, float
     return thresholds, min(thresholds.values())
 
 
-def _columns(annotated: DistanceAnnotatedOutcome) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The ids, distances and scores of an annotation, so that no entry outlives the call."""
-    entries = annotated.entries
-    ids = [e.detection_id for e in entries]
-    return ids, np.array([e.distance for e in entries]), np.array([e.score for e in entries])
-
-
 def _profile(
     model: GaussianTrainModel,
-    dets: DetectionSet,
     gts: GroundTruthSet,
     thresholds: dict[str, float],
     iou_thresholds: tuple[float, ...],
     match: Callable[[float], MatchOutcome],
-) -> tuple[dict[str, float], list[str], np.ndarray]:
-    """AP_t2t per regime, as :func:`ap_t2t_profile` defines it, and the ids and distances.
+) -> tuple[dict[str, float], np.ndarray]:
+    """AP_t2t per regime, as :func:`ap_t2t_profile` defines it, and the
+    distance of each annotated detection in rank order.
 
-    ``match(iou)`` gives the outcome at one IoU threshold and the lowest regime threshold.
+    ``match(iou)`` gives the :func:`iou_matcher` outcome at one IoU threshold
+    and the lowest regime threshold.
     """
     if not iou_thresholds:
         raise ValidationError("iou_thresholds must not be empty")
-    if len(gts.instances) == 0:
+    if len(gts) == 0:
         raise UndefinedMetricError("AP_t2t is undefined without ground truth")
     values: dict[str, list[float]] = {name: [] for name in thresholds}
     failures: dict[str, T2TError] = {}
@@ -225,28 +225,34 @@ def _profile(
         if k == 0:
             # Annotate once. Regimes are nested by threshold, so the lowest one
             # whose detections all get a distance serves every regime above it;
-            # each one below it is re-matched and fails with its own error.
+            # each one below it fails with its own error, from its own prefix
+            # of the outcome.
             for name in sorted(thresholds, key=thresholds.__getitem__):
                 try:
+                    regime = outcome
                     if thresholds[name] > outcome.score_threshold:
-                        outcome = match_detections(dets, gts, iou_threshold, thresholds[name])
-                    ids, distances, scores = _columns(annotate_distances(model, outcome))
+                        regime = _prefix(outcome, thresholds[name])
+                    annotated = annotate_distances(model, regime)
                     break
                 except T2TError as exc:
                     failures[name] = exc
             live = [name for name in thresholds if name not in failures]
             if not live:
                 break
-        # A set, not np.isin: numpy strings drop trailing NULs, so "a" == "a\0".
-        tp_ids = {det.detection_id for det, _ in outcome.true_positives}
-        tp = np.array([i in tp_ids for i in ids], dtype=bool)
+            # The annotation lists TPs, then FPs; put its distances in rank order.
+            distances = np.empty(len(annotated._cols.ids))
+            distances[_entry_order(regime)] = annotated._cols.distances
+            cols = outcome._cols
+            scores = cols.dets._cols.scores[cols.kept[:len(distances)]]
+            keep = {name: scores >= thresholds[name] for name in live}
+        tp = outcome._cols.claims[:len(distances)] >= 0
         for name in live:
-            keep = scores >= thresholds[name]
-            values[name].append(_ap_t2t(distances[keep & tp], distances[keep], outcome.total_gt))
+            values[name].append(
+                _ap_t2t(distances[keep[name] & tp], distances[keep[name]], outcome.total_gt))
     results = {name: _mean(v) for name, v in values.items() if name not in failures}
     if failures:
         raise RegimeError(results, {n: failures[n] for n in thresholds if n in failures})
-    return results, ids, distances
+    return results, distances
 
 
 def ap_t2t_profile(
@@ -272,8 +278,7 @@ def ap_t2t_profile(
     partial results is raised after all regimes were attempted.
     """
     thresholds, base = _regimes(score_thresholds)
-    return _profile(model, dets, gts, thresholds, iou_thresholds,
-                    iou_matcher(dets, gts, base))[0]
+    return _profile(model, gts, thresholds, iou_thresholds, iou_matcher(dets, gts, base))[0]
 
 
 @dataclass(frozen=True)
@@ -338,23 +343,17 @@ def metric_report(
             chosen = outcome
         return outcome
 
-    ap_t2t_by_regime, ids, distances = _profile(model, dets, gts, thresholds, profile_ious, match)
+    ap_t2t_by_regime, distances = _profile(model, gts, thresholds, profile_ious, match)
     for t in (iou_threshold, *IOU_GRID):
         if t not in ap_at:
             match(t)
+    n_tp = int(np.count_nonzero(chosen._cols.claims >= 0))
     report = MetricReport(
         ap=ap_at[iou_threshold],
         ap_5095=_mean([ap_at[t] for t in IOU_GRID]),
         ap_t2t_by_regime=ap_t2t_by_regime,
-        counts=(
-            len(chosen.true_positives),
-            len(chosen.false_positives),
-            len(chosen.false_negatives),
-        ),
+        counts=(n_tp, len(chosen._cols.kept) - n_tp, chosen.total_gt - n_tp),
     )
-    distance_of = dict(zip(ids, distances.tolist()))
-    entries = [AnnotatedEntry(det.detection_id, Kind.TP, det.score, distance_of[det.detection_id])
-               for det, _ in chosen.true_positives]
-    entries += [AnnotatedEntry(det.detection_id, Kind.FP, det.score, distance_of[det.detection_id])
-                for det in chosen.false_positives]
-    return report, DistanceAnnotatedOutcome(tuple(entries), chosen.total_gt, base)
+    # Every regime succeeded, so every kept detection has its distance.
+    at = _entry_order(chosen)
+    return report, _annotated(chosen, at, distances[at])

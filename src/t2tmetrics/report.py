@@ -224,9 +224,12 @@ def export_csv(obj) -> str:
         rows = [[label, _fmt(value)] for label, value in obj.bars]
         return _csv_text(["label", "value"], rows)
     if isinstance(obj, DistanceAnnotatedOutcome):
+        cols = obj._cols
+        kinds = [(Kind.TP if tp else Kind.FP).value for tp in cols.tp.tolist()]
+        scores, distances = cols.scores.tolist(), cols.distances.tolist()
         rows = [
-            [e.detection_id, e.kind.value, _fmt(e.score), _fmt(e.distance)]
-            for e in sorted(obj.entries, key=lambda e: e.detection_id)
+            [cols.ids[k], kinds[k], _fmt(scores[k]), _fmt(distances[k])]
+            for k in sorted(range(len(cols.ids)), key=cols.ids.__getitem__)
         ]
         return _csv_text(["detection_id", "kind", "score", "distance"], rows)
     if isinstance(obj, list) and all(isinstance(r, ReplacementResult) for r in obj):

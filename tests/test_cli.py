@@ -11,8 +11,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t2tmetrics import IOU_GRID, MetricReport, export_csv, load_feature_matrix, scaling_series
+from t2tmetrics import (
+    IOU_GRID,
+    AnnotatedEntry,
+    BoundingBox,
+    Detection,
+    DetectionSet,
+    GroundTruthInstance,
+    GroundTruthSet,
+    MatchOutcome,
+    MetricReport,
+    annotate_distances,
+    bind_features,
+    build_accuracy_curve,
+    export_csv,
+    fit_gaussian,
+    load_detections,
+    load_feature_matrix,
+    load_ground_truth,
+    replacement_gain,
+    scaling_series,
+)
 from t2tmetrics.cli import main
+from t2tmetrics.report import _fmt
+
+from oracles import match_detections_loop
 
 SCENARIO_SPEC = {
     "n_gt": 8,
@@ -140,6 +163,65 @@ def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
         assert 0 < calls["match"] <= matchings, argv
         assert calls["annotate_distances"] == 1, argv
         assert 0 < calls["train2test_distances"] <= SCENARIO_SPEC["n_tp"] + SCENARIO_SPEC["n_fp"]
+
+
+def count_record_objects(monkeypatch):
+    """Count the per-record objects built from now on: each BoundingBox,
+    Detection, GroundTruthInstance and AnnotatedEntry, each MatchOutcome made
+    by its constructor, and each tuple field a match outcome builds."""
+    counts = {}
+    classes = (BoundingBox, Detection, GroundTruthInstance, AnnotatedEntry, MatchOutcome)
+    for cls in classes:
+        counts[cls.__name__] = 0
+
+        def init(self, *args, __init=cls.__init__, __name=cls.__name__, **kwargs):
+            counts[__name] += 1
+            __init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    counts["MatchOutcome tuples"] = 0
+    build = MatchOutcome._field_of_columns
+
+    def field_of_columns(self, name):
+        counts["MatchOutcome tuples"] += 1
+        return build(self, name)
+
+    monkeypatch.setattr(MatchOutcome, "_field_of_columns", field_of_columns)
+    return counts
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_evaluate_builds_no_record_objects(dataset, tmp_path, monkeypatch, grid):
+    counts = count_record_objects(monkeypatch)
+    assert main(evaluate_args(dataset, tmp_path / "out") + ["--iou-grid"] * grid) == 0
+    assert set(counts.values()) == {0}, counts
+
+
+def test_distances_builds_no_record_objects_and_writes_the_object_path_csv(
+    dataset, tmp_path, monkeypatch
+):
+    # The same CSV through the objects: the loop oracle's outcome over the
+    # built Detection and GroundTruthInstance objects, annotated and exported.
+    model = fit_gaussian(load_feature_matrix(dataset / "train_features.t2tfeat"))
+    loaded = load_ground_truth(dataset / "ground_truth.json")
+    gts = GroundTruthSet(images=loaded.images, instances=loaded.instances)
+    bound = bind_features(load_detections(dataset / "detections.json"),
+                          load_feature_matrix(dataset / "features.t2tfeat"))
+    dets = DetectionSet(detections=bound.detections)
+    expected = export_csv(annotate_distances(model, match_detections_loop(dets, gts, 0.5, 0.01)))
+
+    counts = count_record_objects(monkeypatch)
+    out = tmp_path / "d.csv"
+    assert main([
+        "distances",
+        "--gt", str(dataset / "ground_truth.json"),
+        "--det", str(dataset / "detections.json"),
+        "--features", str(dataset / "features.t2tfeat"),
+        "--train-features", str(dataset / "train_features.t2tfeat"),
+        "--out", str(out),
+    ]) == 0
+    assert set(counts.values()) == {0}, counts
+    assert out.read_bytes() == expected.encode()
 
 
 def test_summary_contains_no_absolute_paths(dataset, tmp_path):
@@ -396,6 +478,23 @@ def test_replacement_command(tmp_path, capsys):
     assert rows[2] == "100,10,false,"
     assert rows[3] == "200,10,false,5"
     assert (out / "replacement.svg").exists()
+
+
+def test_replacement_gain_of_the_command_is_replacement_gain(tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("count,accuracy\n5,0.1\n10,0.3\n20,0.2\n40,0.5\n80,0.6\n")
+    targets = ("7:0.55:0.25", "3:0.25:0.55", "9:0.9:0.05", "4:0.3:0.3")
+    out = tmp_path / "out"
+    assert main(["replacement", "--curve", str(curve), "--out", str(out)]
+                + [arg for target in targets for arg in ("--target", target)]) == 0
+    samples = [(5, "0.1"), (10, "0.3"), (20, "0.2"), (40, "0.5"), (80, "0.6")]
+    rows = (out / "replacement.csv").read_text().splitlines()[1:]
+    for row, target in zip(rows, targets):
+        cross, with_acc, without_acc = target.split(":")
+        gain = replacement_gain(build_accuracy_curve(samples, label="curve"), with_acc,
+                                without_acc, cross_domain_count=int(cross))
+        assert row.split(",")[0] == cross
+        assert row.split(",")[3] == _fmt(gain)
 
 
 def test_replacement_averages_runs(tmp_path, capsys):

@@ -23,6 +23,9 @@ from t2tmetrics import (
     Detection,
     DetectionSet,
     FeatureMatrix,
+    GroundTruthInstance,
+    GroundTruthSet,
+    ImageInfo,
     ParseError,
     ValidationError,
     bind_features,
@@ -263,6 +266,179 @@ def test_fuzzed_documents_raise_structured_errors(tmp_path):
             continue
         # the only substitution that stays legal: an integer identifier
         assert record.get(key) == -3 and key in ("detection_id", "image_id")
+
+
+# ------------------------------------------------- column checks, error texts
+#
+# The loaders check records a whole column at a time. This reference checks
+# them one at a time with the scalar constructors, the way the loaders did
+# before, so every error type and text can be compared.
+
+
+def scalar_identifier(value, what):
+    if isinstance(value, str):
+        if not value:
+            raise ValidationError(f"{what} must be a non-empty string")
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise ValidationError(f"{what} must be a string or integer, got {type(value).__name__}")
+
+
+def scalar_number(value, where, what):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where}: {what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{where}: {what} is out of range for a float") from None
+
+
+def scalar_box(raw, where):
+    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
+        raise ParseError(f"{where}: bbox must be a list of four numbers")
+    values = [scalar_number(v, where, "bbox value") for v in raw]
+    try:
+        return BoundingBox(*values)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+def scalar_load_detections(path, doc):
+    dets = []
+    for i, raw in enumerate(doc):
+        where = f"{path}: detections[{i}]"
+        if not isinstance(raw, dict):
+            raise ParseError(f"{where}: expected an object")
+        try:
+            det_id = scalar_identifier(raw["detection_id"], f"{where}.detection_id")
+            score = scalar_number(raw["score"], where, "score")
+            image_id = scalar_identifier(raw["image_id"], f"{where}.image_id")
+            box = scalar_box(raw["bbox"], where)
+        except KeyError as exc:
+            raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
+        try:
+            dets.append(Detection(image_id=image_id, box=box, score=score, detection_id=det_id))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
+    try:
+        return DetectionSet(detections=tuple(dets))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def scalar_load_instances(path, doc):
+    """The ground-truth loader's annotation checks; the documents' images are valid."""
+    images = tuple(ImageInfo(im["id"], im["file_name"], im["width"], im["height"])
+                   for im in doc["images"])
+    instances = []
+    for i, raw in enumerate(doc["annotations"]):
+        where = f"{path}: annotations[{i}]"
+        if not isinstance(raw, dict):
+            raise ParseError(f"{where}: expected an object")
+        try:
+            instances.append(GroundTruthInstance(
+                image_id=scalar_identifier(raw["image_id"], f"{where}.image_id"),
+                box=scalar_box(raw["bbox"], where),
+                instance_id=scalar_identifier(raw["id"], f"{where}.id"),
+            ))
+        except KeyError as exc:
+            raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
+    try:
+        return GroundTruthSet(images=images, instances=tuple(instances))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def result_or_error(load, *args):
+    try:
+        return load(*args)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+# Boxes on both sides of every BoundingBox limit (see test_bbox_limits).
+LIMIT_BOXES = [
+    [0, 0, 2.0, MAX / 4], [0, 0, 2.0, MAX / 2], [0, 0, TINY, 1.0], [0, 0, TINY, 0.5],
+    [0, 0, 1e200, 1e200], [0, 0, 1e-200, 1e-200], [-MAX, 0, MAX, 1e-300],
+    [MAX / 2, 0, MAX, 1e-300], [0, MAX, 1e-300, MAX / 2**50],
+    [2.0**60, 0, 1152.0, 1.0], [2.0**60, 2.0**60, 192.0, 512 / 3], [-(2.0**60), 0, 1.0, 1.0],
+    [2.0**1000, 2.0**128, 1.4 * 2.0**947, 1.4 * 2.0**75],
+    [0, 0, 0.0, 5], [0, 0, 5, -1], [float("nan"), 0, 1, 1], [0, float("inf"), 1, 1],
+    [0, 0, 10**400, 1], [0, 0, 2**70, 2**-70], [-0.0, 0, 1, 1],
+]
+# Values to plant in each kind of field: limits, wrong types, bools and
+# numbers in strings; some of them are valid.
+PLANTED = {
+    "id": ["", "x", True, False, 1.5, None, [], 7, 2**70],
+    "score": [1.5, -0.1, 1 + 2**-52, -(2**-1074), float("nan"), float("inf"), True, "0.5",
+              None, -0.0, 0, 1, 10**400],
+    "bbox": LIMIT_BOXES + [None, 5, "0,0,1,1", {}, [0, 0, 1], [0, 0, 1, 1, 1], [0, 0, "1", 1],
+                           [0, True, 1, 1]],
+}
+
+
+def planted(draw, records, keys):
+    """Plant one bad or boundary value in one record of ``records``; ``keys[0]`` is its id."""
+    i = draw(st.integers(0, len(records) - 1))
+    kind = draw(st.sampled_from(["value"] * 4 + ["missing", "not an object", "duplicate"]))
+    if kind == "value":
+        key = draw(st.sampled_from(keys))
+        records[i][key] = draw(st.sampled_from(PLANTED.get(key, PLANTED["id"])))
+    elif kind == "missing":
+        del records[i][draw(st.sampled_from(keys))]
+    elif kind == "not an object":
+        records[i] = draw(st.sampled_from([None, 3, "record", [1, 2]]))
+    else:
+        records[i][keys[0]] = records[draw(st.integers(0, len(records) - 1))][keys[0]]
+
+
+@st.composite
+def detection_docs(draw):
+    n = draw(st.integers(1, 8))
+    records = [
+        {"detection_id": draw(st.sampled_from([f"d{k}", k])), "image_id": f"im{k % 3}",
+         "bbox": [draw(st.integers(-5, 5)), 0.5, draw(st.integers(1, 4)), 2.25],
+         "score": draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1]))}
+        for k in range(n)
+    ]
+    planted(draw, records, ["detection_id", "score", "image_id", "bbox"])
+    return records
+
+
+@st.composite
+def ground_truth_docs(draw):
+    n = draw(st.integers(1, 8))
+    records = [
+        {"id": draw(st.sampled_from([f"g{k}", k])), "image_id": draw(st.sampled_from(["im0", "im1", 2])),
+         "bbox": [0.5, draw(st.integers(-5, 5)), 1.75, draw(st.integers(1, 4))]}
+        for k in range(n)
+    ]
+    planted(draw, records, ["id", "image_id", "bbox"])
+    images = [{"id": name, "file_name": "", "width": 8, "height": 8} for name in ("im0", "im1", "2")]
+    return {"images": images, "annotations": records}
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=detection_docs())
+def test_detection_loader_raises_the_scalar_loop_errors(tmp_path_factory, doc):
+    path = write_json(tmp_path_factory.mktemp("det") / "det.json", doc)
+    expected = result_or_error(scalar_load_detections, path, json.loads(path.read_text()))
+    got = result_or_error(load_detections, path)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert [(d.detection_id, d.image_id, d.box, d.score) for d in got.detections] == [
+            (d.detection_id, d.image_id, d.box, d.score) for d in expected.detections]
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=ground_truth_docs())
+def test_ground_truth_loader_raises_the_scalar_loop_errors(tmp_path_factory, doc):
+    path = write_json(tmp_path_factory.mktemp("gt") / "gt.json", doc)
+    expected = result_or_error(scalar_load_instances, path, json.loads(path.read_text()))
+    got = result_or_error(load_ground_truth, path)
+    assert got == expected
 
 
 # -------------------------------------------------------------------- features

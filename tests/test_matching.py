@@ -310,7 +310,8 @@ def test_higher_score_cut_is_a_prefix_of_the_base_outcome(data):
 def table_cells(dets, gts):
     """The IoU table of one image: det boxes by gt boxes, as the matcher builds it."""
     out = np.empty((1, len(dets), len(gts)))
-    _iou_cells(_edges(dets)[None, :-1], _edges(gts)[None, :-1], out)
+    det_rows, gt_rows = (np.array([b.to_list() for b in boxes]) for boxes in (dets, gts))
+    _iou_cells(_edges(det_rows)[None, :-1], _edges(gt_rows)[None, :-1], out)
     return out[0]
 
 

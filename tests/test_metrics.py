@@ -33,7 +33,7 @@ from t2tmetrics import (
     precision_recall,
     t2t_precision_recall,
 )
-from t2tmetrics import metrics
+from t2tmetrics import matching, metrics
 from t2tmetrics.metrics import _ratio_mean
 from t2tmetrics.scenario import ScenarioSpec
 from oracles import (
@@ -367,6 +367,16 @@ def test_ratio_mean_is_the_correctly_rounded_exact_sum(terms, denominator):
     assert _ratio_mean(terms, denominator) == exact_mean(terms, denominator)
 
 
+def test_ratio_mean_rounds_a_mean_on_a_rounding_midpoint_exactly():
+    # 1 + 2**-53 and 1 + 3 * 2**-53 lie halfway between two floats, where the
+    # fixed-point bound cannot tell the rounding; ties go to the even float.
+    # The upper end of the bound rounds up in the first, and the lower end,
+    # floored from thirds, rounds down in the second.
+    assert _ratio_mean([(2**53 + 1, 2**53)], 1) == 1.0
+    assert _ratio_mean([(1, 3), (2, 3), (3, 2**53)], 1) == 1.0 + 2.0**-51
+    assert _ratio_mean([(2**54 + 1, 2**54), (1, 2**54)], 2) == 0.5
+
+
 def test_ratio_mean_is_exact_up_to_4096_terms_and_a_rank_order_float_sum_above():
     # An AP staircase: the k-th TP at rank positions[k-1], ranks up to 8,192.
     rng = np.random.default_rng(0)
@@ -509,6 +519,22 @@ def test_profile_partial_failure_keeps_results():
     assert set(err.value.failures) == {"all"}
     assert isinstance(err.value.failures["all"], BindingError)
     assert err.value.results == {"med": 0.5, "high": 0.5}
+
+
+def test_a_failing_regime_is_not_matched_again(monkeypatch):
+    # The regime above the failing one is a prefix of the one matching: no
+    # second IoU table is built for it.
+    tables = []
+    for module in (matching, metrics):
+        build = module.iou_matcher
+        monkeypatch.setattr(module, "iou_matcher",
+                            lambda *args, _build=build: tables.append(args) or _build(*args))
+    model = model_from_moments(np.zeros(2), np.eye(2))
+    dets = grid_dets([("a", 0, 0.95, [0.5, 0.0]), ("b", None, 0.05, None)])
+    with pytest.raises(RegimeError) as err:
+        ap_t2t_profile(model, dets, grid_gts(2), iou_thresholds=IOU_GRID)
+    assert len(tables) == 1
+    assert set(err.value.failures) == {"all"}
 
 
 def test_profile_validation():
