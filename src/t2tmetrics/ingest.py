@@ -279,9 +279,8 @@ class _DetectionColumns:
 
     ``image`` is the position of each detection's image id in
     ``image_names``, and ``boxes`` is (n, 4) float64 of (x, y, w, h). A
-    detection's feature is row ``rows[k]`` of the matrix ``features``; or,
-    when ``rows`` is None, ``features[k]`` of a tuple of arrays and Nones;
-    or none at all, when ``features`` is None.
+    detection's feature is row ``rows[k]`` of the matrix ``features`` or,
+    when ``rows`` is None, ``features[k]``, an array or None.
     """
 
     ids: list[str]
@@ -289,20 +288,19 @@ class _DetectionColumns:
     image: np.ndarray
     boxes: np.ndarray
     scores: np.ndarray
-    features: np.ndarray | tuple | None = None
+    features: np.ndarray | tuple
     rows: np.ndarray | None = None
 
     @classmethod
     def of(cls, dets: tuple[Detection, ...]) -> _DetectionColumns:
         image_names, image = _index([det.image_id for det in dets])
-        features = tuple(det.feature for det in dets)
         return cls(
             ids=[det.detection_id for det in dets],
             image_names=image_names,
             image=image,
             boxes=_box_rows(det.box for det in dets),
             scores=np.array([det.score for det in dets], dtype=np.float64),
-            features=None if all(f is None for f in features) else features,
+            features=tuple(det.feature for det in dets),
         )
 
     @functools.cached_property
@@ -312,10 +310,9 @@ class _DetectionColumns:
     def detections(self) -> tuple[Detection, ...]:
         """The records as ``Detection`` objects."""
         names = [self.image_names[k] for k in self.image.tolist()]
+        features = self.features
         if self.rows is not None:
-            features = [self.features[r] for r in self.rows.tolist()]
-        else:
-            features = self.features or [None] * len(self.ids)
+            features = [features[r] for r in self.rows.tolist()]
         return tuple(
             Detection(image_id=name, box=BoundingBox(*box), score=score, detection_id=det_id,
                       feature=feature)
@@ -327,8 +324,6 @@ class _DetectionColumns:
         """The ids of the detections at positions ``at`` that have no feature."""
         if self.rows is not None:
             return []
-        if self.features is None:
-            return [self.ids[k] for k in at.tolist()]
         return [self.ids[k] for k in at.tolist() if self.features[k] is None]
 
     def features_at(self, at: np.ndarray):
@@ -811,7 +806,8 @@ def _detection_columns(records: list) -> _DetectionColumns | int:
     if refused.any():
         return int(refused.argmax())
     image_names, image = _index(image_ids)
-    return _DetectionColumns(ids=ids, image_names=image_names, image=image, boxes=boxes, scores=scores)
+    return _DetectionColumns(ids=ids, image_names=image_names, image=image, boxes=boxes,
+                             scores=scores, features=(None,) * len(ids))
 
 
 def load_detections(path: str | Path) -> DetectionSet:
