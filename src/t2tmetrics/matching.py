@@ -115,12 +115,10 @@ class MatchOutcome(_ColumnView):
 
     def _columns_of_fields(self) -> _Claims:
         dets = DetectionSet(detections=tuple(d for d, _ in self.true_positives) + self.false_positives)
-        n_tp = len(self.true_positives)
-        claims = np.arange(len(dets))
-        claims[n_tp:] = -1
-        return _Claims(dets=dets, kept=np.arange(len(dets)), claims=claims,
+        at = np.arange(len(dets))
+        return _Claims(dets=dets, kept=at, claims=np.where(at < len(self.true_positives), at, -1),
                        gt_ids=[g for _, g in self.true_positives] + list(self.false_negatives),
-                       rank=_rank_order(dets, np.arange(len(dets))))
+                       rank=_rank_order(dets, at))
 
     def _field_of_columns(self, name: str) -> tuple:
         cols = self._cols
