@@ -28,13 +28,7 @@ from .ingest import (
 )
 from .matching import IOU_GRID, match_detections
 from .metrics import DEFAULT_SCORE_THRESHOLDS, RegimeError, ap_t2t_profile, metric_report
-from .replacement import (
-    AccuracyCurve,
-    average_runs,
-    build_accuracy_curve,
-    matching_image_count,
-    replacement_gain,
-)
+from .replacement import AccuracyCurve, average_runs, build_accuracy_curve, matching_image_count
 from .report import (
     BarChart,
     Histogram,
@@ -233,7 +227,7 @@ def cmd_distances(args: argparse.Namespace) -> int:
     outcome = match_detections(dets, gts, cfg.iou_threshold, args.score_threshold)
     annotated = annotate_distances(model, outcome)
     write_text(cfg.out, export_csv(annotated))
-    print(f"wrote {len(annotated._cols.ids)} distance rows to {cfg.out}")
+    print(f"wrote {len(annotated)} distance rows to {cfg.out}")
     return 0
 
 
@@ -313,7 +307,8 @@ def cmd_replacement(args: argparse.Namespace) -> int:
         result = matching_image_count(curve, with_acc, cross_domain_count=cross)
         gain = None
         if without_acc is not None:
-            gain = replacement_gain(curve, with_acc, without_acc, cross_domain_count=cross)
+            baseline = matching_image_count(curve, without_acc)
+            gain = result.matched_same_domain_count - baseline.matched_same_domain_count
         rows.append((result, gain))
         label = str(cross) if cross is not None else with_acc
         bars.append((label, gain if gain is not None else result.matched_same_domain_count))

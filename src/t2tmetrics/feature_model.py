@@ -314,6 +314,9 @@ class DistanceAnnotatedOutcome(_ColumnView):
                 cols.ids, cols.tp.tolist(), cols.scores.tolist(), cols.distances.tolist())
         )
 
+    def __len__(self) -> int:
+        return len(self._cols.ids)
+
     def distances(self, kind: Kind) -> np.ndarray:
         cols = self._cols
         if kind is Kind.TP:

@@ -42,30 +42,18 @@ DEFAULT_SCORE_THRESHOLDS: dict[str, float] = {"all": 0.01, "med": 0.1, "high": 0
 # depend on summation order; beyond it, floats are added in rank order.
 _EXACT_SUM_LIMIT = 4096
 
-# Fraction bits of the fixed-point bound on an exact sum.
-_FIXED_BITS = 96
-
 
 def _ratio_mean(ratios: list[tuple[int, int]], denominator: int) -> float:
     """sum(n/d for n, d in ratios) / denominator, correctly rounded when small.
 
-    First each term is floored to a multiple of 2**-_FIXED_BITS, which puts
-    the exact sum in [low, low + len(ratios)) such units. Rounding is
-    monotone, so when both ends round to one float the exact mean does too.
-    Otherwise (the mean lies within about 2**-80 of a rounding boundary) the
-    exact sum combines neighbouring terms pairwise, (a/b) + (c/d) =
-    (a*d + c*b) / (b*d), with no gcd, until one n/d is left. Python int true
-    division rounds each result once. Every n and d must be a Python int,
-    since fixed-width shifts and products would wrap; ``denominator`` is
-    taken as an int.
+    The exact sum combines neighbouring terms pairwise, (a/b) + (c/d) =
+    (a*d + c*b) / (b*d), with no gcd, until one n/d is left; Python int true
+    division rounds that once. Every n and d must be a Python int, since
+    fixed-width products would wrap; ``denominator`` is taken as an int.
     """
     if len(ratios) > _EXACT_SUM_LIMIT:
         return float(sum(n / d for n, d in ratios) / denominator)
-    scale = int(denominator) << _FIXED_BITS
-    low = sum((n << _FIXED_BITS) // d for n, d in ratios)
-    if (mean := low / scale) == (low + len(ratios)) / scale:
-        return mean
-    terms = ratios
+    terms = ratios or [(0, 1)]
     while len(terms) > 1:
         odd = terms[-1:] if len(terms) % 2 else []
         pairs = zip(terms[0::2], terms[1::2])

@@ -174,14 +174,8 @@ def replacement_gain(
     curve: AccuracyCurve,
     accuracy_with_synth: float | str | Fraction,
     accuracy_without_synth: float | str | Fraction,
-    cross_domain_count: int | None = None,
 ) -> float:
-    """Image-count gain attributable to synthetic data: matched(with) - matched(without).
-
-    ``cross_domain_count``, the cross-domain images behind the "with"
-    accuracy, goes with that lookup as :func:`matching_image_count` takes it;
-    it does not change the gain.
-    """
-    with_synth = matching_image_count(curve, accuracy_with_synth, cross_domain_count)
+    """Image-count gain attributable to synthetic data: matched(with) - matched(without)."""
+    with_synth = matching_image_count(curve, accuracy_with_synth)
     without_synth = matching_image_count(curve, accuracy_without_synth)
     return with_synth.matched_same_domain_count - without_synth.matched_same_domain_count

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import logging
 import subprocess
 import sys
 import tempfile
@@ -492,9 +493,20 @@ def test_replacement_gain_of_the_command_is_replacement_gain(tmp_path, capsys):
     for row, target in zip(rows, targets):
         cross, with_acc, without_acc = target.split(":")
         gain = replacement_gain(build_accuracy_curve(samples, label="curve"), with_acc,
-                                without_acc, cross_domain_count=int(cross))
+                                without_acc)
         assert row.split(",")[0] == cross
         assert row.split(",")[3] == _fmt(gain)
+
+
+def test_replacement_warns_once_for_a_with_accuracy_crossing_more_than_once(tmp_path, capsys, caplog):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("count,accuracy\n5,0.1\n10,0.3\n20,0.2\n40,0.5\n80,0.6\n")
+    with caplog.at_level(logging.WARNING):
+        assert main(["replacement", "--curve", str(curve), "--target", "3:0.25:0.55",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert [m for m in caplog.messages if "crossed" in m] == [
+        "target accuracy 0.25 crossed 3 times; using the lowest count 8.75"
+    ]
 
 
 def test_replacement_averages_runs(tmp_path, capsys):

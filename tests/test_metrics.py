@@ -368,10 +368,9 @@ def test_ratio_mean_is_the_correctly_rounded_exact_sum(terms, denominator):
 
 
 def test_ratio_mean_rounds_a_mean_on_a_rounding_midpoint_exactly():
-    # 1 + 2**-53 and 1 + 3 * 2**-53 lie halfway between two floats, where the
-    # fixed-point bound cannot tell the rounding; ties go to the even float.
-    # The upper end of the bound rounds up in the first, and the lower end,
-    # floored from thirds, rounds down in the second.
+    # 1 + 2**-53 and 1 + 3 * 2**-53 lie halfway between two floats; the exact
+    # sum is rounded once, so ties go to the even float, and thirds that a
+    # float sum would round first do not move the second off its midpoint.
     assert _ratio_mean([(2**53 + 1, 2**53)], 1) == 1.0
     assert _ratio_mean([(1, 3), (2, 3), (3, 2**53)], 1) == 1.0 + 2.0**-51
     assert _ratio_mean([(2**54 + 1, 2**54), (1, 2**54)], 2) == 0.5
