@@ -264,8 +264,10 @@ class AnnotatedEntry:
 
 @dataclass(frozen=True, eq=False)
 class _Entries:
-    """An annotated outcome as columns, in entry order: ids, whether each
-    entry is a TP, and float64 scores and distances."""
+    """An annotated outcome as columns: ids, whether each entry is a TP, and
+    float64 scores and distances. An annotation of a match outcome lists its
+    kept detections in the outcome's rank order; one built from ``entries``
+    lists them as given."""
 
     ids: list[str]
     tp: np.ndarray
@@ -277,9 +279,10 @@ class _Entries:
 class DistanceAnnotatedOutcome(_ColumnView):
     """Match outcome with one train2test distance per kept detection.
 
-    An outcome of :func:`annotate_distances` or ``metric_report`` holds its
-    entries as columns and builds the ``AnnotatedEntry`` objects only when a
-    caller reads ``entries``.
+    ``entries`` lists the TPs, then the FPs. An outcome of
+    :func:`annotate_distances` or ``metric_report`` lists each part in rank
+    order (-score, detection_id), holds its entries as columns and builds the
+    ``AnnotatedEntry`` objects only when a caller reads ``entries``.
     """
 
     entries: tuple[AnnotatedEntry, ...]
@@ -289,55 +292,50 @@ class DistanceAnnotatedOutcome(_ColumnView):
     def __post_init__(self) -> None:
         if self.total_gt < 0:
             raise ValidationError(f"total_gt must be >= 0, got {self.total_gt}")
-        ids = [e.detection_id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate detection id in annotated outcome")
-        n_tp = sum(1 for e in self.entries if e.kind is Kind.TP)
-        if n_tp > self.total_gt:
-            raise ValidationError(f"{n_tp} true positives exceed total_gt = {self.total_gt}")
-
-    def _columns_of_fields(self) -> _Entries:
         entries = self.entries
-        return _Entries(
+        cols = _Entries(
             ids=[e.detection_id for e in entries],
             tp=np.array([e.kind is Kind.TP for e in entries], dtype=bool),
             scores=np.array([e.score for e in entries], dtype=np.float64),
             distances=np.array([e.distance for e in entries], dtype=np.float64),
         )
+        if len(set(cols.ids)) != len(cols.ids):
+            raise ValidationError("duplicate detection id in annotated outcome")
+        n_tp = int(np.count_nonzero(cols.tp))
+        if n_tp > self.total_gt:
+            raise ValidationError(f"{n_tp} true positives exceed total_gt = {self.total_gt}")
+        object.__setattr__(self, "_cols", cols)
 
     def _field_of_columns(self, name: str) -> tuple[AnnotatedEntry, ...]:
         cols = self._cols
+        ids, tp = cols.ids, cols.tp.tolist()
+        scores, distances = cols.scores.tolist(), cols.distances.tolist()
         return tuple(
-            AnnotatedEntry(detection_id=det_id, kind=Kind.TP if tp else Kind.FP, score=score,
-                           distance=distance)
-            for det_id, tp, score, distance in zip(
-                cols.ids, cols.tp.tolist(), cols.scores.tolist(), cols.distances.tolist())
+            AnnotatedEntry(detection_id=ids[k], kind=Kind.TP if tp[k] else Kind.FP,
+                           score=scores[k], distance=distances[k])
+            for k in np.argsort(~cols.tp, kind="stable").tolist()
         )
 
     def __len__(self) -> int:
         return len(self._cols.ids)
 
-    def distances(self, kind: Kind) -> np.ndarray:
+    def distances(self, kind: Kind | str) -> np.ndarray:
+        """The distances of the TP or the FP entries, in column order."""
+        try:
+            kind = Kind(kind)
+        except ValueError:
+            raise ValidationError(f"kind must be 'tp' or 'fp', got {kind!r}") from None
         cols = self._cols
-        if kind is Kind.TP:
-            return cols.distances[cols.tp]
-        return cols.distances[~cols.tp] if kind is Kind.FP else np.empty(0)
+        return cols.distances[cols.tp if kind is Kind.TP else ~cols.tp]
 
 
-def _entry_order(outcome: MatchOutcome) -> np.ndarray:
-    """The positions in an outcome's kept list of its annotation entries:
-    its TPs, then its FPs, each in the outcome's order."""
-    return np.argsort(outcome._cols.claims < 0, kind="stable")
-
-
-def _annotated(outcome: MatchOutcome, at: np.ndarray, distances: np.ndarray) -> DistanceAnnotatedOutcome:
-    """The annotation listing the kept detections of ``outcome`` at positions
-    ``at`` (:func:`_entry_order`) with ``distances``."""
+def _annotated(outcome: MatchOutcome, distances: np.ndarray) -> DistanceAnnotatedOutcome:
+    """The annotation listing the kept detections of ``outcome``, in its rank
+    order, with ``distances``."""
     cols = outcome._cols
     det_cols = cols.dets._cols
-    kept = cols.kept[at]
-    entries = _Entries(ids=[det_cols.ids[k] for k in kept.tolist()], tp=cols.claims[at] >= 0,
-                       scores=det_cols.scores[kept], distances=distances)
+    entries = _Entries(ids=[det_cols.ids[k] for k in cols.kept.tolist()], tp=cols.claims >= 0,
+                       scores=det_cols.scores[cols.kept], distances=distances)
     refused = ~np.isfinite(distances)
     if refused.any():  # the entry's own check raises its error
         k = int(refused.argmax())
@@ -350,15 +348,13 @@ def _annotated(outcome: MatchOutcome, at: np.ndarray, distances: np.ndarray) -> 
 def annotate_distances(model: GaussianTrainModel, outcome: MatchOutcome) -> DistanceAnnotatedOutcome:
     """Attach a distance to every TP and FP detection of the outcome."""
     cols = outcome._cols
-    at = _entry_order(outcome)
-    kept = cols.kept[at]
     det_cols = cols.dets._cols
-    unbound = sorted(det_cols.unbound(kept))
+    unbound = sorted(det_cols.unbound(cols.kept))
     if unbound:
         shown = ", ".join(unbound[:10]) + (", ..." if len(unbound) > 10 else "")
         raise BindingError(f"{len(unbound)} detections have no bound feature: {shown}")
-    distances = train2test_distances(model, det_cols.features_at(kept))
-    return _annotated(outcome, at, distances)
+    distances = train2test_distances(model, det_cols.features_at(cols.kept))
+    return _annotated(outcome, distances)
 
 
 # ------------------------------------------------------------- model file I/O

@@ -198,13 +198,13 @@ class Detection:
 
 
 class _ColumnView:
-    """Base of the frozen dataclasses that hold their records as columns.
+    """Base of the frozen dataclasses that hold their records as columns ``_cols``.
 
-    An instance made by its public constructor has its fields and builds its
-    columns ``_cols`` from them on first read (``_columns_of_fields``). A view
-    made by ``_view`` has its columns and the fields it was given, and builds
-    each other field from the columns on first read (``_field_of_columns``),
-    so no record object exists until a caller reads one.
+    Every instance has its columns from the start: the public constructor
+    builds them from the fields in ``__post_init__``, and ``_view`` is given
+    them with only some fields. A field that was not given is built from the
+    columns on first read (``_field_of_columns``), so no record object exists
+    until a caller reads one.
     """
 
     @classmethod
@@ -216,12 +216,9 @@ class _ColumnView:
         return view
 
     def __getattr__(self, name: str):
-        if name == "_cols":
-            value = self._columns_of_fields()
-        elif name in self.__dataclass_fields__:
-            value = self._field_of_columns(name)
-        else:
+        if name not in self.__dataclass_fields__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self._field_of_columns(name)
         object.__setattr__(self, name, value)
         return value
 
@@ -385,12 +382,10 @@ class GroundTruthSet(_ColumnView):
 
     def __post_init__(self) -> None:
         # Building the columns checks the set's invariants.
-        object.__setattr__(self, "_cols", self._columns_of_fields())
-
-    def _columns_of_fields(self) -> _InstanceColumns:
         ids = [inst.instance_id for inst in self.instances]
         image = _instance_images(self.images, ids, [inst.image_id for inst in self.instances])
-        return _InstanceColumns(ids=ids, image=image, boxes=_box_rows(i.box for i in self.instances))
+        object.__setattr__(self, "_cols", _InstanceColumns(
+            ids=ids, image=image, boxes=_box_rows(i.box for i in self.instances)))
 
     def _field_of_columns(self, name: str) -> tuple[GroundTruthInstance, ...]:
         cols = self._cols
@@ -418,10 +413,9 @@ class DetectionSet(_ColumnView):
     detections: tuple[Detection, ...]
 
     def __post_init__(self) -> None:
-        _check_detection_ids(self._cols.ids)
-
-    def _columns_of_fields(self) -> _DetectionColumns:
-        return _DetectionColumns.of(self.detections)
+        cols = _DetectionColumns.of(self.detections)
+        _check_detection_ids(cols.ids)
+        object.__setattr__(self, "_cols", cols)
 
     def _field_of_columns(self, name: str) -> tuple[Detection, ...]:
         return self._cols.detections()

@@ -56,21 +56,18 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _Claims:
-    """A match outcome as columns.
+    """A match outcome as columns, in rank order (-score, detection_id).
 
-    ``kept`` holds the positions in ``dets`` of the kept detections and
-    ``claims`` the position in ``gt_ids`` of the instance each one claimed,
-    or -1 for a false positive. An outcome of the matcher lists them in rank
-    order (-score, detection_id) and has ``rank`` None; an outcome built from
-    its fields lists its TPs and then its FPs as given, and ``rank`` is the
-    order that ranks them.
+    ``kept`` holds the positions in ``dets`` of the kept detections in rank
+    order, and ``claims`` the position in ``gt_ids`` of the instance each one
+    claimed, or -1 for a false positive. Every outcome has this one order,
+    whether the matcher made it or its constructor did.
     """
 
     dets: DetectionSet
     kept: np.ndarray
     claims: np.ndarray
     gt_ids: list[str]
-    rank: np.ndarray | None = None
 
 
 def _rank_order(dets: DetectionSet, at: np.ndarray) -> np.ndarray:
@@ -85,9 +82,9 @@ class MatchOutcome(_ColumnView):
 
     ``true_positives`` pairs each matched detection with the instance id it
     claimed. ``total_gt`` is the full instance count |X|, independent of the
-    score threshold. An outcome of :func:`iou_matcher` holds the claim of
-    each kept detection in rank order, and builds its three tuples only when
-    a caller reads them.
+    score threshold. Every outcome holds the claim of each kept detection in
+    rank order; an outcome of :func:`iou_matcher` builds its three tuples only
+    when a caller reads them.
     """
 
     true_positives: tuple[tuple[Detection, str], ...]
@@ -112,13 +109,11 @@ class MatchOutcome(_ColumnView):
             raise ValidationError("a ground-truth instance was claimed twice")
         if set(claimed) & set(self.false_negatives):
             raise ValidationError("an instance is both matched and missed")
-
-    def _columns_of_fields(self) -> _Claims:
         dets = DetectionSet(detections=tuple(d for d, _ in self.true_positives) + self.false_positives)
-        at = np.arange(len(dets))
-        return _Claims(dets=dets, kept=at, claims=np.where(at < len(self.true_positives), at, -1),
-                       gt_ids=[g for _, g in self.true_positives] + list(self.false_negatives),
-                       rank=_rank_order(dets, at))
+        kept = _rank_order(dets, np.arange(len(dets)))
+        object.__setattr__(self, "_cols", _Claims(
+            dets=dets, kept=kept, claims=np.where(kept < len(self.true_positives), kept, -1),
+            gt_ids=claimed + list(self.false_negatives)))
 
     def _field_of_columns(self, name: str) -> tuple:
         cols = self._cols
@@ -132,19 +127,10 @@ class MatchOutcome(_ColumnView):
             return tuple((det, cols.gt_ids[g]) for det, g in zip(kept, claims) if g >= 0)
         return tuple(det for det, g in zip(kept, claims) if g < 0)
 
-    def _ranked_tp(self) -> np.ndarray:
-        """Whether each kept detection is a true positive, in rank order (-score, detection_id)."""
-        cols = self._cols
-        tp = cols.claims >= 0
-        return tp if cols.rank is None else tp[cols.rank]
-
 
 def _prefix(outcome: MatchOutcome, score_threshold: float) -> MatchOutcome:
     """The outcome of the same matching at a score threshold at or above
-    ``outcome``'s, which the prefix invariant makes its score >= threshold prefix.
-
-    ``outcome`` must come from :func:`iou_matcher`, which lists it in rank order.
-    """
+    ``outcome``'s, which the prefix invariant makes its score >= threshold prefix."""
     cols = outcome._cols
     n = int(np.count_nonzero(cols.dets._cols.scores[cols.kept] >= score_threshold))
     return MatchOutcome._view(

@@ -26,7 +26,6 @@ from .feature_model import (
     DistanceAnnotatedOutcome,
     GaussianTrainModel,
     _annotated,
-    _entry_order,
     annotate_distances,
 )
 from .ingest import DetectionSet, GroundTruthSet
@@ -118,7 +117,7 @@ def average_precision(outcome: MatchOutcome) -> float:
     """
     if outcome.total_gt == 0:
         raise UndefinedMetricError("average precision is undefined without ground truth")
-    positions = (np.flatnonzero(outcome._ranked_tp()) + 1).tolist()
+    positions = (np.flatnonzero(outcome._cols.claims >= 0) + 1).tolist()
     return _ratio_mean(list(enumerate(positions, start=1)), outcome.total_gt)
 
 
@@ -227,11 +226,7 @@ def _profile(
             live = [name for name in thresholds if name not in failures]
             if not live:
                 break
-            # The annotation lists TPs, then FPs; put its distances in rank order.
-            distances = np.empty(len(annotated._cols.ids))
-            distances[_entry_order(regime)] = annotated._cols.distances
-            cols = outcome._cols
-            scores = cols.dets._cols.scores[cols.kept[:len(distances)]]
+            distances, scores = annotated._cols.distances, annotated._cols.scores
             keep = {name: scores >= thresholds[name] for name in live}
         tp = outcome._cols.claims[:len(distances)] >= 0
         for name in live:
@@ -343,5 +338,4 @@ def metric_report(
         counts=(n_tp, len(chosen._cols.kept) - n_tp, chosen.total_gt - n_tp),
     )
     # Every regime succeeded, so every kept detection has its distance.
-    at = _entry_order(chosen)
-    return report, _annotated(chosen, at, distances[at])
+    return report, _annotated(chosen, distances)

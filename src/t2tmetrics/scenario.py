@@ -21,7 +21,7 @@ files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ from .ingest import (
     GroundTruthSet,
     ImageInfo,
     _shown,
+    bind_features,
     decode,
     write_detections,
     write_feature_matrix,
@@ -247,7 +248,6 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
                 box=shifted,
                 score=float(tp_scores[i]),
                 detection_id=f"tp-{i:05d}",
-                feature=tp_features[i].copy(),
             )
         )
     for i in range(spec.n_fp):
@@ -258,20 +258,18 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
                 box=box,
                 score=float(fp_scores[i]),
                 detection_id=f"fp-{i:05d}",
-                feature=fp_features[i].copy(),
             )
         )
 
-    det_set = DetectionSet(detections=tuple(detections))
     test_features = FeatureMatrix(
-        data=np.array([d.feature for d in detections], dtype=np.float64),
+        data=np.concatenate([tp_features, fp_features]),
         row_ids=tuple(d.detection_id for d in detections),
     )
 
     return Scenario(
         spec=spec,
         ground_truth=GroundTruthSet(images=images, instances=tuple(instances)),
-        detections=det_set,
+        detections=bind_features(DetectionSet(detections=tuple(detections)), test_features),
         train_features=FeatureMatrix(
             data=train, row_ids=tuple(f"train-{i:05d}" for i in range(spec.n_train))
         ),
@@ -294,24 +292,16 @@ def shrink_tp_distances(scenario: Scenario, factor: float) -> Scenario:
         raise ValidationError(f"shrink factor must lie in [0, 1], got {factor}")
     if factor == 1.0:
         return scenario
-    s = math.sqrt(factor)
     mean = scenario.planted_mean
-    moved = []
-    for det in scenario.detections.detections:
-        if det.detection_id in scenario.tp_detection_ids:
-            new_feature = _f32(mean + s * (det.feature - mean))
-            moved.append(dc_replace(det, feature=new_feature))
-        else:
-            moved.append(det)
-    det_set = DetectionSet(detections=tuple(moved))
-    test_features = FeatureMatrix(
-        data=np.array([d.feature for d in moved], dtype=np.float64),
-        row_ids=tuple(d.detection_id for d in moved),
-    )
+    row_ids = scenario.test_features.row_ids
+    tp = np.array([row_id in scenario.tp_detection_ids for row_id in row_ids], dtype=bool)
+    data = np.array(scenario.test_features.data, dtype=np.float64)
+    data[tp] = _f32(mean + math.sqrt(factor) * (data[tp] - mean))
+    test_features = FeatureMatrix(data=data, row_ids=row_ids)
     return Scenario(
         spec=scenario.spec,
         ground_truth=scenario.ground_truth,
-        detections=det_set,
+        detections=bind_features(scenario.detections, test_features),
         train_features=scenario.train_features,
         test_features=test_features,
         planted_mean=scenario.planted_mean,

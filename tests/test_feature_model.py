@@ -498,6 +498,51 @@ def test_annotate_distances():
     np.testing.assert_array_equal(annotated.distances(Kind.TP), [25.0])
 
 
+def test_annotated_entries_list_tps_then_fps_each_in_rank_order():
+    # The TPs are given out of rank order; "t1" and "t2" tie on score, so the
+    # detection id breaks the tie.
+    model = model_from_moments(np.zeros(2), np.eye(2))
+    outcome = MatchOutcome(
+        true_positives=(
+            (det("t3", 0.5, [1.0, 0.0]), "g3"),
+            (det("t2", 0.9, [0.0, 2.0]), "g2"),
+            (det("t1", 0.9, [3.0, 4.0]), "g1"),
+        ),
+        false_positives=(det("f2", 0.2, [1.0, 1.0]), det("f1", 0.7, [0.0, 3.0])),
+        false_negatives=(),
+        iou_threshold=0.5,
+        score_threshold=0.0,
+        total_gt=3,
+    )
+    annotated = annotate_distances(model, outcome)
+    assert [(e.detection_id, e.kind, e.distance) for e in annotated.entries] == [
+        ("t1", Kind.TP, 25.0),
+        ("t2", Kind.TP, 4.0),
+        ("t3", Kind.TP, 1.0),
+        ("f1", Kind.FP, 9.0),
+        ("f2", Kind.FP, 2.0),
+    ]
+
+
+def test_distances_takes_the_kind_or_its_value():
+    model = model_from_moments(np.zeros(2), np.eye(2))
+    outcome = MatchOutcome(
+        true_positives=((det("t1", 0.9, [1.0, 1.0]), "g1"),),
+        false_positives=(det("f1", 0.4, [1.0, 0.0]),),
+        false_negatives=(),
+        iou_threshold=0.5,
+        score_threshold=0.0,
+        total_gt=1,
+    )
+    annotated = annotate_distances(model, outcome)
+    np.testing.assert_array_equal(annotated.distances("tp"), annotated.distances(Kind.TP))
+    np.testing.assert_array_equal(annotated.distances("tp"), [2.0])
+    np.testing.assert_array_equal(annotated.distances("fp"), annotated.distances(Kind.FP))
+    np.testing.assert_array_equal(annotated.distances("fp"), [1.0])
+    with pytest.raises(ValidationError, match="'tn'"):
+        annotated.distances("tn")
+
+
 def test_annotate_requires_bound_features():
     model = model_from_moments(np.zeros(2), np.eye(2))
     outcome = MatchOutcome(

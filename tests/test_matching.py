@@ -15,12 +15,14 @@ from t2tmetrics import (
     GroundTruthInstance,
     GroundTruthSet,
     ImageInfo,
+    MatchOutcome,
     ValidationError,
+    average_precision,
     iou,
     iou_matcher,
     match_detections,
 )
-from t2tmetrics.matching import _edges, _iou_cells
+from t2tmetrics.matching import _edges, _iou_cells, _prefix
 from oracles import match_detections_loop
 
 
@@ -291,6 +293,16 @@ def test_higher_score_cut_is_a_prefix_of_the_base_outcome(data):
     base = data.draw(st.sampled_from(SCORE_CUTS[:3]))
     for t in IOU_GRID:
         outcome = match_detections(dets, gts, t, base)
+        # The same outcome built by hand, its TPs and FPs in a drawn order.
+        rebuilt = MatchOutcome(
+            true_positives=tuple(data.draw(st.permutations(outcome.true_positives))),
+            false_positives=tuple(data.draw(st.permutations(outcome.false_positives))),
+            false_negatives=outcome.false_negatives,
+            iou_threshold=t,
+            score_threshold=base,
+            total_gt=outcome.total_gt,
+        )
+        assert average_precision(rebuilt) == average_precision(outcome)
         for cut in SCORE_CUTS:
             if cut < base:
                 continue
@@ -302,6 +314,10 @@ def test_higher_score_cut_is_a_prefix_of_the_base_outcome(data):
             claimed = {g for _, g in tps}
             fns = [inst.instance_id for inst in gts.instances if inst.instance_id not in claimed]
             assert fns == list(expected.false_negatives)
+            cut_rebuilt = _prefix(rebuilt, cut)
+            assert [(d.detection_id, g) for d, g in cut_rebuilt.true_positives] == tps
+            assert [d.detection_id for d in cut_rebuilt.false_positives] == fps
+            assert sorted(cut_rebuilt.false_negatives) == sorted(fns)
 
 
 # ------------------------------------------------------------------ IoU table
