@@ -19,6 +19,7 @@ from .fsio import write_text
 from .ingest import (
     _load_json,
     _read_csv_rows,
+    _shown,
     _unknown_image,
     bind_features,
     decode,
@@ -78,8 +79,6 @@ def _parse_score_thresholds(text: str) -> dict[str, float]:
             out[name] = float(value)
         except ValueError:
             raise ValidationError(f"score threshold {name!r} is not a number: {value!r}") from None
-    if not out:
-        raise ValidationError("empty score threshold list")
     return out
 
 
@@ -266,13 +265,16 @@ def _read_curve_file(path: Path) -> list[AccuracyCurve]:
         try:
             count = int(row[0])
         except ValueError:
-            raise ParseError(f"{path}: row {lineno}: image count is not an integer: {row[0]!r}") from None
+            raise ParseError(f"{path}: row {lineno}: image count is not an integer: {_shown(row[0])}") from None
         run = row[2].strip() if len(row) == 3 else ""
         grouped.setdefault(run, []).append((count, row[1].strip()))
-    return [
-        build_accuracy_curve(samples, label=run or path.stem)
-        for run, samples in grouped.items()
-    ]
+    try:
+        return [
+            build_accuracy_curve(samples, label=run or path.stem)
+            for run, samples in grouped.items()
+        ]
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _parse_target(text: str) -> tuple[int | None, str, str | None]:
@@ -283,11 +285,11 @@ def _parse_target(text: str) -> tuple[int | None, str, str | None]:
         try:
             cross = int(parts[0])
         except ValueError:
-            raise ValidationError(f"target {text!r}: cross count is not an integer") from None
+            raise ValidationError(f"target {_shown(text)}: cross count is not an integer") from None
         if cross <= 0:
-            raise ValidationError(f"target {text!r}: cross count must be positive")
+            raise ValidationError(f"target {_shown(text)}: cross count must be positive")
         return cross, parts[1], parts[2] if len(parts) == 3 else None
-    raise ValidationError(f"target must look like [CROSS:]WITH[:WITHOUT], got {text!r}")
+    raise ValidationError(f"target must look like [CROSS:]WITH[:WITHOUT], got {_shown(text)}")
 
 
 def cmd_replacement(args: argparse.Namespace) -> int:
@@ -363,44 +365,47 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows = _read_report_csv(path)
     header, body = rows[0], rows[1:]
     title = args.title or ""
-    if args.kind == "series":
-        if header[:3] != ["series", "x", "y"]:
-            raise ParseError(f"{path}: expected columns series,x,y[,floored]")
-        groups: dict[str, list[tuple[float, float]]] = {}
-        for row in body:
+    try:
+        if args.kind == "series":
+            if header[:3] != ["series", "x", "y"]:
+                raise ParseError(f"{path}: expected columns series,x,y[,floored]")
+            groups: dict[str, list[tuple[float, float]]] = {}
+            for row in body:
+                try:
+                    groups.setdefault(row[0], []).append((float(row[1]), float(row[2])))
+                except ValueError:
+                    raise ParseError(f"{path}: non-numeric series row: {row!r}") from None
+            plot = SeriesPlot(
+                series=tuple(Series(label=k, points=tuple(v)) for k, v in groups.items()),
+                x_label="training images",
+                y_label="AP_t2t",
+                y_scale="linear" if args.linear else "log",
+                title=title,
+            )
+            svg = render_svg(plot)
+        elif args.kind == "histogram":
+            if header != ["bin_lo", "bin_hi", "count"]:
+                raise ParseError(f"{path}: expected columns bin_lo,bin_hi,count")
             try:
-                groups.setdefault(row[0], []).append((float(row[1]), float(row[2])))
+                lows = [float(r[0]) for r in body]
+                edges = lows[:1] + [float(r[1]) for r in body]
+                counts = [int(r[2]) for r in body]
             except ValueError:
-                raise ParseError(f"{path}: non-numeric series row: {row!r}") from None
-        plot = SeriesPlot(
-            series=tuple(Series(label=k, points=tuple(v)) for k, v in groups.items()),
-            x_label="training images",
-            y_label="AP_t2t",
-            y_scale="linear" if args.linear else "log",
-            title=title,
-        )
-        svg = render_svg(plot)
-    elif args.kind == "histogram":
-        if header != ["bin_lo", "bin_hi", "count"]:
-            raise ParseError(f"{path}: expected columns bin_lo,bin_hi,count")
-        try:
-            lows = [float(r[0]) for r in body]
-            edges = lows[:1] + [float(r[1]) for r in body]
-            counts = [int(r[2]) for r in body]
-        except ValueError:
-            raise ParseError(f"{path}: non-numeric histogram row") from None
-        for i in range(1, len(body)):
-            if lows[i] != edges[i]:
-                raise ParseError(f"{path}: bins are not contiguous at row {i + 1}")
-        svg = render_svg(Histogram(edges=tuple(edges), counts=tuple(counts), label=title))
-    else:
-        if header != ["label", "value"]:
-            raise ParseError(f"{path}: expected columns label,value")
-        try:
-            bars = tuple((r[0], float(r[1])) for r in body)
-        except ValueError:
-            raise ParseError(f"{path}: non-numeric bar row") from None
-        svg = render_svg(BarChart(bars=bars, title=title))
+                raise ParseError(f"{path}: non-numeric histogram row") from None
+            for i in range(1, len(body)):
+                if lows[i] != edges[i]:
+                    raise ParseError(f"{path}: bins are not contiguous at row {i + 1}")
+            svg = render_svg(Histogram(edges=tuple(edges), counts=tuple(counts), label=title))
+        else:
+            if header != ["label", "value"]:
+                raise ParseError(f"{path}: expected columns label,value")
+            try:
+                bars = tuple((r[0], float(r[1])) for r in body)
+            except ValueError:
+                raise ParseError(f"{path}: non-numeric bar row") from None
+            svg = render_svg(BarChart(bars=bars, title=title))
+    except ValidationError as exc:  # from a chart constructor, which names the value
+        raise ValidationError(f"{path}: {exc}") from None
     write_text(args.out, svg)
     print(f"wrote {args.out}")
     return 0

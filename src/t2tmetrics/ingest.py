@@ -153,9 +153,6 @@ class BoundingBox:
     def area(self) -> float:
         return self.w * self.h
 
-    def to_list(self) -> list[float]:
-        return [self.x, self.y, self.w, self.h]
-
 
 @dataclass(frozen=True)
 class ImageInfo:
@@ -623,8 +620,18 @@ def _parse_box(raw: object, where: str) -> BoundingBox:
 
 # Records are checked a whole column at a time. When a check refuses a record,
 # the records are checked one at a time from the first one refused (0 when a
-# field is missing or of the wrong type) by building the scalar BoundingBox,
-# Detection or GroundTruthInstance, which raise every error text.
+# field is missing or of the wrong type) by the scalar checks, ``_as_identifier``,
+# ``_json_number`` and the BoundingBox and Detection constructors, which raise
+# every error text. A column check refuses only what a record check refuses,
+# so that walk always raises.
+
+
+def _raise_first_refused(check, path: str | Path, records: list, first: int) -> typing.NoReturn:
+    """Check ``records`` one at a time from ``first`` and raise the error of
+    the first one refused; every record before ``first`` passed."""
+    for i in range(first, len(records)):
+        check(path, records, i)
+    raise AssertionError(f"{path}: a column check refused a record that its record check passes")
 
 
 def _field_values(records: list, keys: tuple[str, ...]) -> list[list] | None:
@@ -668,34 +675,32 @@ def _box_array(bboxes: list) -> np.ndarray | None:
     return None if values is None else values.reshape(-1, 4)
 
 
-def _instance_record(path: str | Path, records: list, i: int) -> GroundTruthInstance:
+def _instance_record(path: str | Path, records: list, i: int) -> None:
     where = f"{path}: annotations[{i}]"
     raw = records[i]
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: expected an object")
     try:
-        return GroundTruthInstance(
-            image_id=_as_identifier(raw["image_id"], f"{where}.image_id"),
-            box=_parse_box(raw["bbox"], where),
-            instance_id=_as_identifier(raw["id"], f"{where}.id"),
-        )
+        _as_identifier(raw["image_id"], f"{where}.image_id")
+        _parse_box(raw["bbox"], where)
+        _as_identifier(raw["id"], f"{where}.id")
     except KeyError as exc:
         raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
 
 
-def _instance_columns(records: list) -> tuple[list[str], list[str], np.ndarray] | int:
+def _instance_columns(path: str | Path, records: list) -> tuple[list[str], list[str], np.ndarray]:
     """The ids, image ids and boxes of annotation records that pass every
-    check, or the index to check them one at a time from."""
+    check; otherwise the first record refused raises its error."""
     values = _field_values(records, ("image_id", "bbox", "id"))
-    if values is None:
-        return 0
-    image_ids, boxes, ids = _identifiers(values[0]), _box_array(values[1]), _identifiers(values[2])
-    if image_ids is None or boxes is None or ids is None:
-        return 0
-    refused = ~_boxes_pass(boxes)
-    if refused.any():
-        return int(refused.argmax())
-    return ids, image_ids, boxes
+    first = 0
+    if values is not None:
+        image_ids, boxes, ids = _identifiers(values[0]), _box_array(values[1]), _identifiers(values[2])
+        if image_ids is not None and boxes is not None and ids is not None:
+            refused = ~_boxes_pass(boxes)
+            if not refused.any():
+                return ids, image_ids, boxes
+            first = int(refused.argmax())
+    _raise_first_refused(_instance_record, path, records, first)
 
 
 def load_ground_truth(path: str | Path) -> GroundTruthSet:
@@ -729,15 +734,7 @@ def load_ground_truth(path: str | Path) -> GroundTruthSet:
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
 
-    records = doc["annotations"]
-    found = _instance_columns(records)
-    if isinstance(found, int):
-        # Record by record from the first one refused; each one before it passed every check.
-        instances = [_instance_record(path, records, i) for i in range(found, len(records))]
-        instances = [_instance_record(path, records, i) for i in range(found)] + instances
-        found = ([inst.instance_id for inst in instances], [inst.image_id for inst in instances],
-                 _box_rows(inst.box for inst in instances))
-    ids, image_ids, boxes = found
+    ids, image_ids, boxes = _instance_columns(path, doc["annotations"])
     images = tuple(images)
     try:
         image = _instance_images(images, ids, image_ids)
@@ -750,14 +747,15 @@ def load_ground_truth(path: str | Path) -> GroundTruthSet:
 
 
 def write_ground_truth(gts: GroundTruthSet, path: str | Path) -> Path:
+    cols = gts._cols
     doc = {
         "images": [
             {"id": im.id, "file_name": im.file_name, "width": im.width, "height": im.height}
             for im in gts.images
         ],
         "annotations": [
-            {"id": inst.instance_id, "image_id": inst.image_id, "bbox": inst.box.to_list()}
-            for inst in gts.instances
+            {"id": inst_id, "image_id": gts.images[k].id, "bbox": box}
+            for inst_id, k, box in zip(cols.ids, cols.image.tolist(), cols.boxes.tolist())
         ],
     }
     return write_text(path, json.dumps(doc, indent=2) + "\n")
@@ -766,7 +764,7 @@ def write_ground_truth(gts: GroundTruthSet, path: str | Path) -> Path:
 # ----------------------------------------------------------------- detections
 
 
-def _detection_record(path: str | Path, records: list, i: int) -> Detection:
+def _detection_record(path: str | Path, records: list, i: int) -> None:
     where = f"{path}: detections[{i}]"
     raw = records[i]
     if not isinstance(raw, dict):
@@ -781,27 +779,27 @@ def _detection_record(path: str | Path, records: list, i: int) -> Detection:
     # Only the score check is left to name the record; the errors above
     # already do.
     try:
-        return Detection(image_id=image_id, box=box, score=score, detection_id=det_id)
+        Detection(image_id=image_id, box=box, score=score, detection_id=det_id)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _detection_columns(records: list) -> _DetectionColumns | int:
-    """The columns of detection records that pass every check, or the index
-    to check them one at a time from."""
+def _detection_columns(path: str | Path, records: list) -> _DetectionColumns:
+    """The columns of detection records that pass every check; otherwise the
+    first record refused raises its error."""
     values = _field_values(records, ("detection_id", "score", "image_id", "bbox"))
-    if values is None:
-        return 0
-    ids, scores = _identifiers(values[0]), _numbers(values[1])
-    image_ids, boxes = _identifiers(values[2]), _box_array(values[3])
-    if ids is None or scores is None or image_ids is None or boxes is None:
-        return 0
-    refused = ~(_boxes_pass(boxes) & (scores >= 0.0) & (scores <= 1.0))
-    if refused.any():
-        return int(refused.argmax())
-    image_names, image = _index(image_ids)
-    return _DetectionColumns(ids=ids, image_names=image_names, image=image, boxes=boxes,
-                             scores=scores, features=(None,) * len(ids))
+    first = 0
+    if values is not None:
+        ids, scores = _identifiers(values[0]), _numbers(values[1])
+        image_ids, boxes = _identifiers(values[2]), _box_array(values[3])
+        if ids is not None and scores is not None and image_ids is not None and boxes is not None:
+            refused = ~(_boxes_pass(boxes) & (scores >= 0.0) & (scores <= 1.0))
+            if not refused.any():
+                image_names, image = _index(image_ids)
+                return _DetectionColumns(ids=ids, image_names=image_names, image=image,
+                                         boxes=boxes, scores=scores, features=(None,) * len(ids))
+            first = int(refused.argmax())
+    _raise_first_refused(_detection_record, path, records, first)
 
 
 def load_detections(path: str | Path) -> DetectionSet:
@@ -809,11 +807,7 @@ def load_detections(path: str | Path) -> DetectionSet:
     doc = _load_json(path)
     if not isinstance(doc, list):
         raise ParseError(f"{path}: expected a JSON list of detection records")
-    cols = _detection_columns(doc)
-    if isinstance(cols, int):
-        # Record by record from the first one refused; each one before it passed every check.
-        dets = [_detection_record(path, doc, i) for i in range(cols, len(doc))]
-        cols = _DetectionColumns.of([_detection_record(path, doc, i) for i in range(cols)] + dets)
+    cols = _detection_columns(path, doc)
     try:
         _check_detection_ids(cols.ids)
     except ValidationError as exc:
@@ -824,14 +818,11 @@ def load_detections(path: str | Path) -> DetectionSet:
 
 
 def write_detections(dets: DetectionSet, path: str | Path) -> Path:
+    cols = dets._cols
     doc = [
-        {
-            "detection_id": det.detection_id,
-            "image_id": det.image_id,
-            "bbox": det.box.to_list(),
-            "score": det.score,
-        }
-        for det in dets.detections
+        {"detection_id": det_id, "image_id": cols.image_names[k], "bbox": box, "score": score}
+        for det_id, k, box, score in zip(
+            cols.ids, cols.image.tolist(), cols.boxes.tolist(), cols.scores.tolist())
     ]
     return write_text(path, json.dumps(doc, indent=2) + "\n")
 

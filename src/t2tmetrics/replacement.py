@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
+from .ingest import _shown
 
 logger = logging.getLogger(__name__)
 
@@ -35,7 +36,11 @@ def _as_accuracy(value: float | str | Fraction, where: str) -> Fraction:
     else:
         raise ValidationError(f"{where}: accuracy must be numeric, got {type(value).__name__}")
     if not 0 <= acc <= 1:
-        raise ValidationError(f"{where}: accuracy must lie in [0, 1], got {float(acc)}")
+        try:
+            shown = str(float(acc))
+        except OverflowError:  # too large for a float: show it as given
+            shown = _shown(value)
+        raise ValidationError(f"{where}: accuracy must lie in [0, 1], got {shown}")
     return acc
 
 

@@ -52,6 +52,8 @@ class Histogram:
             raise ValidationError(
                 f"{len(self.edges)} edges do not bound {len(self.counts)} bins"
             )
+        if not all(math.isfinite(e) for e in self.edges):
+            raise ValidationError("histogram edges must be finite")
         if any(b <= a for a, b in zip(self.edges, self.edges[1:])):
             raise ValidationError("histogram edges must be strictly increasing")
         if any(c < 0 for c in self.counts):

@@ -29,13 +29,12 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .feature_model import GaussianTrainModel
 from .ingest import (
-    BoundingBox,
-    Detection,
     DetectionSet,
     FeatureMatrix,
-    GroundTruthInstance,
     GroundTruthSet,
     ImageInfo,
+    _DetectionColumns,
+    _InstanceColumns,
     _shown,
     bind_features,
     decode,
@@ -54,8 +53,8 @@ _IMAGE_W = int(_GRID_COLS * _CELL + _CELL / 2)
 _IMAGE_H = int(_FP_BAND_OFFSET + _GRID_ROWS * _CELL + _CELL / 2)
 _MAX_BOX_JITTER = 4.0
 
-# Upper bounds on a spec: generation loops over every instance and detection
-# in Python, and the feature matrices are held in memory.
+# Upper bounds on a spec: generation makes one id string per instance,
+# detection and training row, and holds the boxes and feature matrices in memory.
 _MAX_COUNT = 10**7
 _MAX_MATRIX_VALUES = 2**31
 
@@ -138,17 +137,15 @@ class Scenario:
     train_features: FeatureMatrix
     test_features: FeatureMatrix
     planted_mean: np.ndarray
-    planted_feature_std: float
     tp_detection_ids: frozenset[str]
 
     def planted_model(self) -> GaussianTrainModel:
-        """The exact planted Gaussian (not fitted from the sampled rows)."""
+        """The exact planted Gaussian, unit variance around ``planted_mean``, not fitted."""
         d = self.spec.feature_dim
-        cov = np.eye(d) * self.planted_feature_std**2
         return GaussianTrainModel(
             mean=self.planted_mean.copy(),
-            covariance=cov,
-            precision=np.eye(d) / self.planted_feature_std**2,
+            covariance=np.eye(d),
+            precision=np.eye(d),
             regularization=0.0,
             sample_count=self.spec.n_train,
         )
@@ -182,13 +179,15 @@ def _unit_rows(g: np.ndarray) -> np.ndarray:
     return g / norms
 
 
-def _slot_box(index: int, n_images: int, band_offset: float) -> tuple[int, BoundingBox]:
-    image = index % n_images
-    slot = index // n_images
-    row, col = divmod(slot, _GRID_COLS)
-    x = _CELL / 4 + col * _CELL
-    y = _CELL / 4 + row * _CELL + band_offset
-    return image, BoundingBox(x=x, y=y, w=_BOX, h=_BOX)
+def _slot_boxes(n: int, n_images: int, band_offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """The image and the (x, y, w, h) box of slots 0..n-1: slot i is grid cell
+    i // n_images, row by row, of image i % n_images."""
+    index = np.arange(n)
+    row, col = np.divmod(index // n_images, _GRID_COLS)
+    boxes = np.full((n, 4), _BOX)
+    boxes[:, 0] = _CELL / 4 + col * _CELL
+    boxes[:, 1] = _CELL / 4 + row * _CELL + band_offset
+    return index % n_images, boxes
 
 
 def generate_scenario(spec: ScenarioSpec) -> Scenario:
@@ -216,67 +215,46 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
     fp_features = draw_features(spec.n_fp, spec.fp_distance_scale)
     fp_scores = rng.uniform(*spec.fp_score_range, spec.n_fp)
 
-    n_images = max(
-        1,
-        -(-spec.n_gt // _SLOTS_PER_IMAGE),
-        -(-spec.n_fp // _SLOTS_PER_IMAGE),
-    )
+    n_images = -(-max(spec.n_gt, spec.n_fp) // _SLOTS_PER_IMAGE)
     images = tuple(
         ImageInfo(id=f"img-{i:04d}", file_name=f"img-{i:04d}.png",
                   width=_IMAGE_W, height=_IMAGE_H)
         for i in range(n_images)
     )
 
-    instances = []
-    gt_boxes = []
-    for i in range(spec.n_gt):
-        image, box = _slot_box(i, n_images, band_offset=0.0)
-        gt_boxes.append((image, box))
-        instances.append(
-            GroundTruthInstance(
-                image_id=images[image].id, box=box, instance_id=f"gt-{i:05d}"
-            )
-        )
-
-    detections = []
-    for i in range(spec.n_tp):
-        image, box = gt_boxes[i]
-        shifted = BoundingBox(x=box.x + tp_jitter[i], y=box.y, w=box.w, h=box.h)
-        detections.append(
-            Detection(
-                image_id=images[image].id,
-                box=shifted,
-                score=float(tp_scores[i]),
-                detection_id=f"tp-{i:05d}",
-            )
-        )
-    for i in range(spec.n_fp):
-        image, box = _slot_box(i, n_images, band_offset=_FP_BAND_OFFSET)
-        detections.append(
-            Detection(
-                image_id=images[image].id,
-                box=box,
-                score=float(fp_scores[i]),
-                detection_id=f"fp-{i:05d}",
-            )
-        )
-
+    # Held as columns: every id is unique and every image listed by construction.
+    gt_image, gt_boxes = _slot_boxes(spec.n_gt, n_images, band_offset=0.0)
+    fp_image, fp_boxes = _slot_boxes(spec.n_fp, n_images, band_offset=_FP_BAND_OFFSET)
+    tp_boxes = gt_boxes[: spec.n_tp].copy()
+    tp_boxes[:, 0] += tp_jitter
+    tp_ids = [f"tp-{i:05d}" for i in range(spec.n_tp)]
+    det_ids = tp_ids + [f"fp-{i:05d}" for i in range(spec.n_fp)]
+    detections = DetectionSet._view(_DetectionColumns(
+        ids=det_ids,
+        image_names=[im.id for im in images],
+        image=np.concatenate([gt_image[: spec.n_tp], fp_image]),
+        boxes=np.concatenate([tp_boxes, fp_boxes]),
+        scores=np.concatenate([tp_scores, fp_scores]),
+        features=(None,) * len(det_ids),
+    ))
     test_features = FeatureMatrix(
-        data=np.concatenate([tp_features, fp_features]),
-        row_ids=tuple(d.detection_id for d in detections),
+        data=np.concatenate([tp_features, fp_features]), row_ids=tuple(det_ids)
     )
 
     return Scenario(
         spec=spec,
-        ground_truth=GroundTruthSet(images=images, instances=tuple(instances)),
-        detections=bind_features(DetectionSet(detections=tuple(detections)), test_features),
+        ground_truth=GroundTruthSet._view(
+            _InstanceColumns(ids=[f"gt-{i:05d}" for i in range(spec.n_gt)], image=gt_image,
+                             boxes=gt_boxes),
+            images=images,
+        ),
+        detections=bind_features(detections, test_features),
         train_features=FeatureMatrix(
             data=train, row_ids=tuple(f"train-{i:05d}" for i in range(spec.n_train))
         ),
         test_features=test_features,
         planted_mean=planted_mean,
-        planted_feature_std=1.0,
-        tp_detection_ids=frozenset(f"tp-{i:05d}" for i in range(spec.n_tp)),
+        tp_detection_ids=frozenset(tp_ids),
     )
 
 
@@ -305,6 +283,5 @@ def shrink_tp_distances(scenario: Scenario, factor: float) -> Scenario:
         train_features=scenario.train_features,
         test_features=test_features,
         planted_mean=scenario.planted_mean,
-        planted_feature_std=scenario.planted_feature_std,
         tp_detection_ids=scenario.tp_detection_ids,
     )

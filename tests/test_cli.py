@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import logging
+import struct
 import subprocess
 import sys
 import tempfile
@@ -22,11 +23,13 @@ from t2tmetrics import (
     GroundTruthSet,
     MatchOutcome,
     MetricReport,
+    ScenarioSpec,
     annotate_distances,
     bind_features,
     build_accuracy_curve,
     export_csv,
     fit_gaussian,
+    generate_scenario,
     load_detections,
     load_feature_matrix,
     load_ground_truth,
@@ -34,6 +37,8 @@ from t2tmetrics import (
     scaling_series,
 )
 from t2tmetrics.cli import main
+from t2tmetrics.feature_model import _MODEL_HEADER, MODEL_MAGIC
+from t2tmetrics.ingest import FEATURE_MAGIC
 from t2tmetrics.report import _fmt
 
 from oracles import match_detections_loop
@@ -79,6 +84,12 @@ def evaluate_args(data, out):
         "--train-features", str(data / "train_features.t2tfeat"),
         "--out", str(out),
     ]
+
+
+def error_lines(err):
+    """The ``error:`` lines of stderr, after checking that it holds no traceback."""
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
 
 
 # -------------------------------------------------------------------- evaluate
@@ -548,6 +559,37 @@ def test_replacement_bad_target(tmp_path, capsys):
     assert "CROSS" in capsys.readouterr().err
 
 
+# A curve that a float cannot hold, a bad target or a curve the builder
+# refuses: exit 1 and one error line, naming the curve file when it is at fault.
+@pytest.mark.parametrize("curve, target, message", [
+    ("5,0.2\n10,0.4\n", "1e400",
+     "target accuracy: accuracy must lie in [0, 1], got '1e400'"),
+    ("5,0.2\n10,1e400\n", "0.3",
+     "{curve}: curve sample 1: accuracy must lie in [0, 1], got '1e400'"),
+    ("5,0.2\n10," + "9" * 30 + "\n", "0.3",
+     "{curve}: curve sample 1: accuracy must lie in [0, 1], got 1e+30"),
+    ("5,0.2\n10,1." + "0" * 400 + "1\n", "0.3",
+     "{curve}: curve sample 1: accuracy must lie in [0, 1], got 1.0"),
+    ("5,0.2\n5,0.3\n10,0.4\n", "0.3", "{curve}: duplicate image counts in curve: [5]"),
+    ("5,0.2\n", "0.3", "{curve}: a curve needs at least two samples, got 1"),
+    ("\n", "0.3", "{curve}: empty curve file"),
+    ("count,accuracy\n5,0.2\nx,0.4\n", "0.3",
+     "{curve}: row 2: image count is not an integer: 'x'"),
+    ("5,0.2\n10,0.4\n", "x:0.3", "target 'x:0.3': cross count is not an integer"),
+    ("5,0.2\n10,0.4\n", "0:0.3", "target '0:0.3': cross count must be positive"),
+    ("5,0.2\n10,0.4\n", "9" * 5000 + ":0.3",
+     "target '9999999999999999999…(5006 characters): cross count is not an integer"),
+])
+def test_replacement_value_error_exits_1_with_one_error_line(tmp_path, capsys, curve, target,
+                                                             message):
+    path = tmp_path / "curve.csv"
+    path.write_text(curve)
+    assert main(["replacement", "--curve", str(path), "--target", target,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert error_lines(capsys.readouterr().err) == ["error: " + message.format(curve=path)]
+    assert not (tmp_path / "out").exists()
+
+
 # --------------------------------------------------------------------- scenario
 
 
@@ -577,6 +619,18 @@ def test_scenario_rejects_bad_spec(tmp_path, capsys):
     spec = write_json(tmp_path / "spec.json", {"n_gt": 4, "bogus": 1})
     assert main(["scenario", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_scenario_builds_no_record_objects(tmp_path, monkeypatch):
+    spec = ScenarioSpec(**SCENARIO_SPEC)
+    counts = count_record_objects(monkeypatch)
+    generate_scenario(spec).write(tmp_path / "data")
+    assert set(counts.values()) == {0}, counts
+    assert main(["scenario", "--spec", str(write_json(tmp_path / "spec.json", SCENARIO_SPEC)),
+                 "--out", str(tmp_path / "cli")]) == 0
+    assert set(counts.values()) == {0}, counts
+    for name in ("ground_truth.json", "detections.json", "features.t2tfeat"):
+        assert (tmp_path / "data" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
 
 
 def test_scenario_refuses_a_30_digit_count_at_once(tmp_path):
@@ -679,17 +733,28 @@ def test_report_rejects_wrong_columns(tmp_path, capsys):
     ("histogram", "bin_lo,bin_hi,count\n0,1\n", "row 2: expected 3 columns"),
     ("bars", "label,value\nfoo\n", "row 2: expected 2 columns"),
     ("histogram", "bin_lo,bin_hi,count\n0,1,2\nabc,2,3\n", "non-numeric"),
+    ("series", "a,b,c\n1,2,3\n", "expected columns series,x,y[,floored]"),
+    ("bars", "label,value\nfoo,bar\n", "non-numeric bar row"),
+    # Errors of the chart constructors name the file too.
+    ("series", "series,x,y\na,1,nan\n", "series 'a' contains a non-finite point"),
+    ("histogram", "bin_lo,bin_hi,count\n2,1,3\n", "histogram edges must be strictly increasing"),
+    ("histogram", "bin_lo,bin_hi,count\nnan,1,3\n", "histogram edges must be finite"),
+    ("histogram", "bin_lo,bin_hi,count\n0,1,-3\n", "histogram counts must be non-negative"),
+    ("bars", "label,value\nfoo,inf\n", "bar 'foo' has a non-finite value"),
 ])
 def test_report_rejects_malformed_csv(tmp_path, capsys, kind, text, message):
     path = tmp_path / "in.csv"
     argv = ["report", "--kind", kind, "--input", str(path), "--out", str(tmp_path / "x.svg")]
     path.write_text(text)
     assert main(argv) == 1
-    assert f"error: {path}: {message}" in capsys.readouterr().err
+    # The error line begins with the message: some messages go on to give a count.
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line.startswith(f"error: {path}: {message}")
 
     path.write_bytes(text.encode() + b"\xff\n")
     assert main(argv) == 1
     assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
 
 
 # Fields past the csv module's 131072-character limit raise csv.Error.
@@ -819,6 +884,55 @@ def test_out_of_range_setting_exits_1_before_reading_inputs(
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("all=0.1,all=0.2", "duplicate score regime 'all'"),
+    ("all=0.1,high=x", "score threshold 'high' is not a number: 'x'"),
+    ("all=0.1,", "score thresholds must look like name=value, got ''"),
+])
+def test_malformed_score_thresholds_exit_1_before_reading_inputs(tmp_path, capsys, text, message):
+    argv = evaluate_args(tmp_path / "missing", tmp_path / "out") + ["--score-thresholds", text]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def t2tfeat(rows, dim, body=b""):
+    return FEATURE_MAGIC + struct.pack("<QQ", rows, dim) + body
+
+
+def model_file(mean, cov, prec):
+    d = len(mean)
+    values = [*mean, *(v for row in cov for v in row), *(v for row in prec for v in row)]
+    return MODEL_MAGIC + _MODEL_HEADER.pack(d, 0.0, 5) + struct.pack(f"<{len(values)}d", *values)
+
+
+# A malformed training-feature file (read by `fit`) or model file (read by
+# `ap-t2t --model`): exit 1 and one error line naming the file.
+@pytest.mark.parametrize("flag, content, message", [
+    ("--train-features", b"r1,1.0\nr2\n", "line 2: expected a row id and at least one value"),
+    ("--train-features", b"r1,1.0\n ,2.0\n", "line 2: empty row id"),
+    ("--train-features", b"r1,1.0\nr2,abc\n", "line 2, column 2: not a number: 'abc'"),
+    ("--train-features", b"\n\n", "no feature rows"),
+    ("--train-features", t2tfeat(0, 3), "header declares empty matrix (0x3)"),
+    ("--train-features", t2tfeat(1, 1, struct.pack("<fI", 1.0, 1) + b"\xff"),
+     "row 0 id is not valid UTF-8 (invalid start byte)"),
+    ("--model", MODEL_MAGIC + _MODEL_HEADER.pack(0, 0.0, 5), "dimension must be >= 1, got 0"),
+    ("--model", model_file([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]),
+     "precision is not symmetric"),
+])
+def test_malformed_feature_or_model_file_exits_1_naming_it(
+    dataset, tmp_path, capsys, flag, content, message
+):
+    path = tmp_path / "input.bin"
+    path.write_bytes(content)
+    if flag == "--model":  # every input but the model is the valid dataset's
+        argv = ["ap-t2t", *evaluate_args(dataset, tmp_path / "out")[1:-4], "--model", str(path)]
+    else:
+        argv = ["fit", "--train-features", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert error_lines(capsys.readouterr().err) == [f"error: {path}: {message}"]
     assert not (tmp_path / "out").exists()
 
 

@@ -73,7 +73,7 @@ def write_json(path, doc):
 def test_bbox_validation():
     box = BoundingBox(1.0, 2.0, 3.0, 4.0)
     assert box.area == 12.0
-    assert box.to_list() == [1.0, 2.0, 3.0, 4.0]
+    assert (box.x, box.y, box.w, box.h) == (1.0, 2.0, 3.0, 4.0)
     with pytest.raises(ValidationError):
         BoundingBox(0, 0, 0.0, 5)
     with pytest.raises(ValidationError):
@@ -113,7 +113,7 @@ def test_bbox_limits(box, message):
     (2.0**60, 0, 1152.0, 1.0),  # x + w rounds: (x + w) - x is 1024, within a quarter of w
 ])
 def test_bbox_limits_are_inclusive(box):
-    assert BoundingBox(*box).to_list() == list(box)
+    assert dataclasses.astuple(BoundingBox(*box)) == box
 
 
 def test_detection_score_range():

@@ -1,6 +1,8 @@
+import re
 import sys
 import tracemalloc
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -206,7 +208,7 @@ def test_conservation_property(data):
     if n_gt:
         gts = make_gt(
             [
-                (f"g{i}", f"im{data.draw(st.integers(0, 2))}", data.draw(boxes).to_list())
+                (f"g{i}", f"im{data.draw(st.integers(0, 2))}", astuple(data.draw(boxes)))
                 for i in range(n_gt)
             ]
         )
@@ -217,7 +219,7 @@ def test_conservation_property(data):
             (
                 f"d{i}",
                 f"im{data.draw(st.integers(0, 2))}",
-                data.draw(boxes).to_list(),
+                astuple(data.draw(boxes)),
                 data.draw(st.floats(0, 1)),
             )
             for i in range(n_det)
@@ -275,7 +277,7 @@ def test_higher_score_cut_is_a_prefix_of_the_base_outcome(data):
     # Lattice boxes and a few score levels make tied IoUs and tied scores common.
     gts = make_gt(
         [
-            (f"g{i}", f"im{data.draw(st.integers(0, 1))}", data.draw(lattice_boxes).to_list())
+            (f"g{i}", f"im{data.draw(st.integers(0, 1))}", astuple(data.draw(lattice_boxes)))
             for i in range(data.draw(st.integers(1, 8)))
         ]
     )
@@ -284,7 +286,7 @@ def test_higher_score_cut_is_a_prefix_of_the_base_outcome(data):
             (
                 f"d{i}",
                 f"im{data.draw(st.integers(0, 1))}",
-                data.draw(lattice_boxes).to_list(),
+                astuple(data.draw(lattice_boxes)),
                 data.draw(st.sampled_from(SCORE_CUTS)),
             )
             for i in range(data.draw(st.integers(0, 14)))
@@ -320,13 +322,34 @@ def test_higher_score_cut_is_a_prefix_of_the_base_outcome(data):
             assert sorted(cut_rebuilt.false_negatives) == sorted(fns)
 
 
+@pytest.mark.parametrize("tps, fps, fns, total_gt, message", [
+    ([("d1", "g1")], [], ["g2"], 3, "|TP| + |FN| = 1 + 1 does not equal total_gt = 3"),
+    ([("d1", "g1")], ["d1"], [], 1, "a detection appears in both TP and FP (or twice)"),
+    ([("d1", "g1"), ("d2", "g1")], [], [], 2, "a ground-truth instance was claimed twice"),
+    ([("d1", "g1")], [], ["g1"], 2, "an instance is both matched and missed"),
+])
+def test_match_outcome_constructor_refuses_each_broken_invariant(tps, fps, fns, total_gt, message):
+    def det(det_id):
+        return Detection(image_id="im", box=BoundingBox(0, 0, 1, 1), score=0.5, detection_id=det_id)
+
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        MatchOutcome(
+            true_positives=tuple((det(d), g) for d, g in tps),
+            false_positives=tuple(det(d) for d in fps),
+            false_negatives=tuple(fns),
+            iou_threshold=0.5,
+            score_threshold=0.0,
+            total_gt=total_gt,
+        )
+
+
 # ------------------------------------------------------------------ IoU table
 
 
 def table_cells(dets, gts):
     """The IoU table of one image: det boxes by gt boxes, as the matcher builds it."""
     out = np.empty((1, len(dets), len(gts)))
-    det_rows, gt_rows = (np.array([b.to_list() for b in boxes]) for boxes in (dets, gts))
+    det_rows, gt_rows = (np.array([astuple(b) for b in boxes]) for boxes in (dets, gts))
     _iou_cells(_edges(det_rows)[None, :-1], _edges(gt_rows)[None, :-1], out)
     return out[0]
 
@@ -371,8 +394,8 @@ def test_iou_table_at_the_box_limits_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_cells_are_iou(boxes, boxes)
-        gts = make_gt([(f"g{i}", "im", b.to_list()) for i, b in enumerate(boxes)])
-        dets = make_dets([(f"d{i}", "im", b.to_list(), 0.5) for i, b in enumerate(boxes)])
+        gts = make_gt([(f"g{i}", "im", astuple(b)) for i, b in enumerate(boxes)])
+        dets = make_dets([(f"d{i}", "im", astuple(b), 0.5) for i, b in enumerate(boxes)])
         assert match_detections(dets, gts, 0.5) == match_detections_loop(dets, gts, 0.5)
 
 

@@ -113,6 +113,14 @@ def test_histogram_validation():
         Histogram(edges=(0.0, 1.0, 2.0), counts=(1, -2))
 
 
+@pytest.mark.parametrize("edges", [
+    (float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 0.0, 1.0), (0.0, float("nan"), 1.0),
+])
+def test_histogram_refuses_non_finite_edges(edges):
+    with pytest.raises(ValidationError, match="histogram edges must be finite"):
+        Histogram(edges=edges, counts=(1,) * (len(edges) - 1))
+
+
 # -------------------------------------------------------------------- series
 
 
