@@ -66,6 +66,10 @@ class RunConfig:
     iou_grid: bool = False
 
 
+# 100,000 bins already write 8 MB of histograms; more only cost memory.
+MAX_BINS = 100_000
+
+
 def _parse_score_thresholds(text: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for part in text.split(","):
@@ -103,6 +107,8 @@ def _range_problem(cfg: RunConfig) -> tuple[str, str] | None:
         return "epsilon", f"must be finite and >= 0, got {cfg.epsilon}"
     if cfg.bins < 1:
         return "bins", f"must be >= 1, got {cfg.bins}"
+    if cfg.bins > MAX_BINS:
+        return "bins", f"must be <= {MAX_BINS}, got {_shown(cfg.bins)}"
     return None
 
 
@@ -160,7 +166,13 @@ def _load_inputs(cfg: RunConfig):
         raise ValidationError(f"{cfg.detections}: detection {unknown[0]!r} "
                               f"references unknown image {unknown[1]!r}")
     model = load_model(cfg.model) if cfg.model is not None else _fit(cfg)
-    return gts, bind_features(dets, load_feature_matrix(cfg.features)), model
+    features = load_feature_matrix(cfg.features)
+    if features.data.shape[1] != model.dim:
+        raise ValidationError(
+            f"{cfg.features}: features have {features.data.shape[1]} dimensions, but the "
+            f"model from {cfg.model or cfg.train_features} has {model.dim}"
+        )
+    return gts, bind_features(dets, features), model
 
 
 def _base_regime(thresholds: dict[str, float]) -> str:
@@ -446,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="full pipeline: metrics, AP_t2t profile, histograms")
     _add_io_flags(p, matching=True)
     p.add_argument("--score-thresholds", help="regimes, e.g. all=0.01,med=0.1,high=0.5")
-    p.add_argument("--bins", type=int, help="histogram bin count (default 30)")
+    p.add_argument("--bins", type=int, help=f"histogram bin count, 1 to {MAX_BINS} (default 30)")
     p.add_argument("--iou-grid", action="store_true", default=None,
                    help="average AP_t2t over the 0.50:0.05:0.95 IoU grid")
     p.add_argument("--out", type=Path, help="output directory")

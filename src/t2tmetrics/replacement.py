@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -19,27 +20,39 @@ from .ingest import _shown
 logger = logging.getLogger(__name__)
 
 
+def _exact_decimal(text: str, where: str) -> Fraction:
+    """The exact value of a decimal or ``p/q`` text. ``Fraction("1eN")`` builds
+    10**N, so an exponent no float reaches is refused before that."""
+    try:
+        if "/" in text:
+            return Fraction(text)
+        number = Decimal(text)
+        exponent = number.adjusted() if number else 0
+        if -324 <= exponent <= 308:
+            return Fraction(number)  # raises for NaN and infinity
+    except (ArithmeticError, ValueError):  # InvalidOperation is an ArithmeticError
+        raise ValidationError(f"{where}: not a number: {_shown(text)}") from None
+    if exponent > 308:
+        raise ValidationError(f"{where}: accuracy must lie in [0, 1], got {_shown(text)}")
+    raise ValidationError(f"{where}: accuracy {_shown(text)} is too close to 0 for a float")
+
+
 def _as_accuracy(value: float | str | Fraction, where: str) -> Fraction:
-    if isinstance(value, Fraction):
-        acc = value
-    elif isinstance(value, str):
-        try:
-            acc = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"{where}: not a number: {value!r}") from None
-    elif isinstance(value, float):
-        # repr() is the shortest decimal that round-trips, i.e. the number
-        # the user actually wrote.
-        acc = Fraction(repr(value))
-    elif isinstance(value, int):
+    if isinstance(value, (str, float)):
+        # A float's repr() is the shortest decimal that round-trips, i.e. the
+        # number the user actually wrote.
+        acc = _exact_decimal(value if isinstance(value, str) else repr(float(value)), where)
+    elif isinstance(value, (int, Fraction)):
         acc = Fraction(value)
     else:
         raise ValidationError(f"{where}: accuracy must be numeric, got {type(value).__name__}")
     if not 0 <= acc <= 1:
         try:
-            shown = str(float(acc))
-        except OverflowError:  # too large for a float: show it as given
-            shown = _shown(value)
+            rounded = float(acc)
+        except OverflowError:  # too large for a float
+            rounded = None
+        # Show the float, unless it cannot hold the value or rounds it into [0, 1].
+        shown = _shown(value) if rounded is None or 0 <= rounded <= 1 else str(rounded)
         raise ValidationError(f"{where}: accuracy must lie in [0, 1], got {shown}")
     return acc
 

@@ -6,8 +6,8 @@ identical input. CSV companions carry every number the chart shows, at full
 precision (17 significant digits, which round-trips float64 exactly).
 
 On a log-scale series an AP value of exactly 0 has no position; such points
-are drawn at the declared floor (1e-4) and flagged in the CSV so a reader
-can tell a floored zero from a genuine small value.
+are drawn at ``LOG_FLOOR`` (1e-4) and flagged in the CSV so a reader can tell
+a floored zero from a genuine small value.
 """
 
 from __future__ import annotations
@@ -61,32 +61,23 @@ class Histogram:
 
 
 def distance_histogram(
-    annotated: DistanceAnnotatedOutcome,
-    bin_count: int = 30,
-    value_range: tuple[float, float] | None = None,
+    annotated: DistanceAnnotatedOutcome, bin_count: int = 30
 ) -> tuple[Histogram, Histogram]:
     """TP and FP distance histograms over shared uniform bin edges.
 
-    The default range spans [0, max distance] so every distance is counted;
-    an explicit range excludes (never clamps) values outside it. With no
-    entries at all the histograms are empty counts over [0, 1].
+    The range spans [0, max distance] so every distance is counted. With no
+    entries, or only zero distances, the range is [0, 1].
     """
     if bin_count < 1:
         raise ValidationError(f"bin_count must be >= 1, got {bin_count}")
     tp_d = annotated.distances(Kind.TP)
     fp_d = annotated.distances(Kind.FP)
-    if value_range is None:
-        values = np.concatenate([tp_d, fp_d])
-        hi = float(values.max()) if values.size else 1.0
-        lo = 0.0
-        if hi <= lo:
-            hi = lo + 1.0
-    else:
-        lo, hi = float(value_range[0]), float(value_range[1])
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-            raise ValidationError(f"invalid histogram range ({lo}, {hi})")
-    tp_counts, edges = np.histogram(tp_d, bins=bin_count, range=(lo, hi))
-    fp_counts, _ = np.histogram(fp_d, bins=bin_count, range=(lo, hi))
+    values = np.concatenate([tp_d, fp_d])
+    hi = float(values.max()) if values.size else 1.0
+    if hi <= 0.0:
+        hi = 1.0
+    tp_counts, edges = np.histogram(tp_d, bins=bin_count, range=(0.0, hi))
+    fp_counts, _ = np.histogram(fp_d, bins=bin_count, range=(0.0, hi))
     shared = tuple(float(e) for e in edges)
     return (
         Histogram(edges=shared, counts=tuple(int(c) for c in tp_counts),
@@ -113,7 +104,6 @@ class SeriesPlot:
     x_label: str = "x"
     y_label: str = "y"
     y_scale: str = "linear"
-    y_floor: float = LOG_FLOOR
     title: str = ""
 
     def __post_init__(self) -> None:
@@ -234,8 +224,6 @@ def export_csv(obj) -> str:
             for k in sorted(range(len(cols.ids)), key=cols.ids.__getitem__)
         ]
         return _csv_text(["detection_id", "kind", "score", "distance"], rows)
-    if isinstance(obj, list) and all(isinstance(r, ReplacementResult) for r in obj):
-        return replacement_rows_csv([(r, None) for r in obj])
     raise ValidationError(f"no CSV serialization for {type(obj).__name__}")
 
 
@@ -245,9 +233,18 @@ _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 20, 36, 48
 _PLOT_W = _W - _ML - _MR
 _PLOT_H = _H - _MT - _MB
+_X_AXIS_Y = _MT + _PLOT_H
 
 
-def _svg_header(title: str) -> list[str]:
+def _text(x: float, y: float, s: str, anchor: str = "middle", size: int = 11) -> str:
+    return (
+        f'<text x="{x:.2f}" y="{y:.2f}" text-anchor="{anchor}" '
+        f'font-family="sans-serif" font-size="{size}">{escape(s, quote=False)}</text>'
+    )
+
+
+def _svg(title: str, x_label: str, y_label: str, body: list[str]) -> str:
+    """The chart frame (title, axes, axis labels) around the chart's own elements."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -258,36 +255,45 @@ def _svg_header(title: str) -> list[str]:
             f'<text x="{_W / 2:.2f}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>'
         )
-    return parts
-
-
-def _axis_frame() -> str:
-    x0, y0 = _ML, _MT + _PLOT_H
-    x1, y1 = _ML + _PLOT_W, _MT
-    return (
-        f'<path d="M {x0} {y1} L {x0} {y0} L {x1} {y0}" fill="none" '
-        f'stroke="black" stroke-width="1"/>'
+    parts.append(
+        f'<path d="M {_ML} {_MT} L {_ML} {_X_AXIS_Y} L {_ML + _PLOT_W} {_X_AXIS_Y}" '
+        f'fill="none" stroke="black" stroke-width="1"/>'
     )
-
-
-def _text(x: float, y: float, s: str, anchor: str = "middle", size: int = 11) -> str:
-    return (
-        f'<text x="{x:.2f}" y="{y:.2f}" text-anchor="{anchor}" '
-        f'font-family="sans-serif" font-size="{size}">{escape(s, quote=False)}</text>'
-    )
-
-
-def _axis_labels(x_label: str, y_label: str) -> list[str]:
-    parts = []
     if x_label:
         parts.append(_text(_ML + _PLOT_W / 2, _H - 10, x_label, size=12))
     if y_label:
-        cx, cy = 16, _MT + _PLOT_H / 2
+        cy = _MT + _PLOT_H / 2
         parts.append(
-            f'<text x="{cx}" y="{cy:.2f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12" transform="rotate(-90 {cx} {cy:.2f})">'
+            f'<text x="16" y="{cy:.2f}" text-anchor="middle" font-family="sans-serif" '
+            f'font-size="12" transform="rotate(-90 16 {cy:.2f})">'
             f'{escape(y_label, quote=False)}</text>'
         )
+    return "\n".join(parts + body + ["</svg>"]) + "\n"
+
+
+def _x_at(v: float, lo: float, hi: float) -> float:
+    return _ML + (v - lo) / (hi - lo) * _PLOT_W
+
+
+def _y_at(t: float) -> float:
+    """The pixel row of the fraction ``t`` of the y range, 0 at the x axis."""
+    return _MT + _PLOT_H * (1 - t)
+
+
+def _x_ticks(ticks: list[tuple[float, str]]) -> list[str]:
+    parts = []
+    for x, label in ticks:
+        parts.append(f'<line x1="{x:.2f}" y1="{_X_AXIS_Y}" x2="{x:.2f}" y2="{_X_AXIS_Y + 4}" '
+                     f'stroke="black"/>')
+        parts.append(_text(x, _X_AXIS_Y + 16, label))
+    return parts
+
+
+def _y_ticks(ticks: list[tuple[float, str]]) -> list[str]:
+    parts = []
+    for y, label in ticks:
+        parts.append(f'<line x1="{_ML - 4}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" stroke="black"/>')
+        parts.append(_text(_ML - 8, y + 4, label, anchor="end"))
     return parts
 
 
@@ -297,27 +303,14 @@ def _linear_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
-def _decade_ticks(lo: float, hi: float) -> list[int]:
-    return list(range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1))
-
-
 def _render_series(plot: SeriesPlot) -> str:
-    parts = _svg_header(plot.title)
-    parts.append(_axis_frame())
-    parts.extend(_axis_labels(plot.x_label, plot.y_label))
-
     xs = [x for s in plot.series for x, _ in s.points]
+    ys = [y for s in plot.series for _, y in s.points]
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-
-    def x_pos(x: float) -> float:
-        return _ML + (x - x_lo) / (x_hi - x_lo) * _PLOT_W
-
     if plot.y_scale == "log":
-        raw = [y for s in plot.series for _, y in s.points]
-        eff = [max(y, plot.y_floor) for y in raw]
-        y_lo, y_hi = min(eff), max(eff)
+        y_lo, y_hi = max(min(ys), LOG_FLOOR), max(max(ys), LOG_FLOOR)
         if y_hi == y_lo:
             y_lo, y_hi = y_lo / 10, y_hi * 10
         lo_log, hi_log = math.log10(y_lo), math.log10(y_hi)
@@ -325,135 +318,83 @@ def _render_series(plot: SeriesPlot) -> str:
             hi_log = lo_log + 1
 
         def y_pos(y: float) -> float:
-            clamped = max(y, plot.y_floor)
-            t = (math.log10(clamped) - lo_log) / (hi_log - lo_log)
-            return _MT + _PLOT_H * (1 - t)
+            return _y_at((math.log10(max(y, LOG_FLOOR)) - lo_log) / (hi_log - lo_log))
 
-        for exponent in _decade_ticks(y_lo, y_hi):
-            value = 10.0**exponent
-            if not y_lo <= value <= y_hi:
-                continue
-            y = y_pos(value)
-            parts.append(
-                f'<line x1="{_ML - 4}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" stroke="black"/>'
-            )
-            parts.append(_text(_ML - 8, y + 4, f"1e{exponent}", anchor="end"))
+        decades = range(math.floor(lo_log), math.ceil(math.log10(y_hi)) + 1)
+        y_ticks = [(y_pos(10.0**e), f"1e{e}") for e in decades if y_lo <= 10.0**e <= y_hi]
     else:
-        raw = [y for s in plot.series for _, y in s.points]
-        y_lo, y_hi = min(raw), max(raw)
+        y_lo, y_hi = min(ys), max(ys)
         if y_hi == y_lo:
             y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
 
         def y_pos(y: float) -> float:
-            return _MT + _PLOT_H * (1 - (y - y_lo) / (y_hi - y_lo))
+            return _y_at((y - y_lo) / (y_hi - y_lo))
 
-        for value in _linear_ticks(y_lo, y_hi):
-            y = y_pos(value)
-            parts.append(
-                f'<line x1="{_ML - 4}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" stroke="black"/>'
-            )
-            parts.append(_text(_ML - 8, y + 4, f"{value:.3g}", anchor="end"))
+        y_ticks = [(y_pos(v), f"{v:.3g}") for v in _linear_ticks(y_lo, y_hi)]
 
-    x_ticks = sorted(set(xs))
-    if len(x_ticks) > 8:
-        x_ticks = _linear_ticks(x_lo, x_hi, 6)
-    for value in x_ticks:
-        x = x_pos(value)
-        y0 = _MT + _PLOT_H
-        parts.append(f'<line x1="{x:.2f}" y1="{y0}" x2="{x:.2f}" y2="{y0 + 4}" stroke="black"/>')
-        parts.append(_text(x, y0 + 16, f"{value:.6g}"))
-
+    x_values = sorted(set(xs))
+    if len(x_values) > 8:
+        x_values = _linear_ticks(x_lo, x_hi, 6)
+    body = _y_ticks(y_ticks) + _x_ticks([(_x_at(v, x_lo, x_hi), f"{v:.6g}") for v in x_values])
     for i, s in enumerate(plot.series):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{x_pos(x):.2f},{y_pos(y):.2f}" for x, y in s.points)
-        parts.append(
+        points = [(_x_at(x, x_lo, x_hi), y_pos(y)) for x, y in s.points]
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        body.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        for x, y in s.points:
-            parts.append(
-                f'<circle cx="{x_pos(x):.2f}" cy="{y_pos(y):.2f}" r="2.5" fill="{color}"/>'
-            )
+        body.extend(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="{color}"/>'
+                    for x, y in points)
         lx = _ML + _PLOT_W - 110
         ly = _MT + 14 + 16 * i
-        parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
-        parts.append(_text(lx + 28, ly, s.label, anchor="start"))
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        body.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
+                    f'stroke="{color}" stroke-width="1.5"/>')
+        body.append(_text(lx + 28, ly, s.label, anchor="start"))
+    return _svg(plot.title, plot.x_label, plot.y_label, body)
 
 
 def _render_histogram(hist: Histogram) -> str:
-    parts = _svg_header(hist.label or "distance histogram")
-    parts.append(_axis_frame())
-    parts.extend(_axis_labels("train2test distance", "count"))
     lo, hi = hist.edges[0], hist.edges[-1]
     top = max(max(hist.counts), 1)
-
-    def x_pos(x: float) -> float:
-        return _ML + (x - lo) / (hi - lo) * _PLOT_W
-
-    def y_pos(c: float) -> float:
-        return _MT + _PLOT_H * (1 - c / top)
-
     color = "#d62728" if hist.kind is Kind.FP else "#1f77b4"
-    for (e0, e1), count in zip(zip(hist.edges, hist.edges[1:]), hist.counts):
+    body = []
+    for e0, e1, count in zip(hist.edges, hist.edges[1:], hist.counts):
         if count == 0:
             continue
-        x, w = x_pos(e0), x_pos(e1) - x_pos(e0)
-        y = y_pos(count)
-        h = _MT + _PLOT_H - y
-        parts.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
+        x, y = _x_at(e0, lo, hi), _y_at(count / top)
+        body.append(
+            f'<rect x="{x:.2f}" y="{y:.2f}" width="{_x_at(e1, lo, hi) - x:.2f}" '
+            f'height="{_X_AXIS_Y - y:.2f}" '
             f'fill="{color}" fill-opacity="0.7" stroke="white" stroke-width="0.5"/>'
         )
-
-    for value in _linear_ticks(lo, hi):
-        x = x_pos(value)
-        y0 = _MT + _PLOT_H
-        parts.append(f'<line x1="{x:.2f}" y1="{y0}" x2="{x:.2f}" y2="{y0 + 4}" stroke="black"/>')
-        parts.append(_text(x, y0 + 16, f"{value:.4g}"))
-    for count in sorted({0, top // 2, top}):
-        y = y_pos(count)
-        parts.append(f'<line x1="{_ML - 4}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" stroke="black"/>')
-        parts.append(_text(_ML - 8, y + 4, str(count), anchor="end"))
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    body += _x_ticks([(_x_at(v, lo, hi), f"{v:.4g}") for v in _linear_ticks(lo, hi)])
+    body += _y_ticks([(_y_at(c / top), str(c)) for c in sorted({0, top // 2, top})])
+    return _svg(hist.label or "distance histogram", "train2test distance", "count", body)
 
 
 def _render_bars(chart: BarChart) -> str:
-    parts = _svg_header(chart.title)
-    parts.append(_axis_frame())
-    parts.extend(_axis_labels("", chart.y_label))
     values = [v for _, v in chart.bars]
     v_lo, v_hi = min(min(values), 0.0), max(max(values), 0.0)
     if v_hi == v_lo:
         v_hi = v_lo + 1.0
 
     def y_pos(v: float) -> float:
-        return _MT + _PLOT_H * (1 - (v - v_lo) / (v_hi - v_lo))
+        return _y_at((v - v_lo) / (v_hi - v_lo))
 
-    n = len(chart.bars)
-    slot = _PLOT_W / n
+    slot = _PLOT_W / len(chart.bars)
     width = slot * 0.6
     zero = y_pos(0.0)
+    body = []
     for i, (label, value) in enumerate(chart.bars):
         x = _ML + slot * i + (slot - width) / 2
-        y = min(y_pos(value), zero)
-        h = abs(y_pos(value) - zero)
-        parts.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{width:.2f}" height="{h:.2f}" '
-            f'fill="{_PALETTE[0]}" fill-opacity="0.8"/>'
-        )
-        parts.append(_text(x + width / 2, _MT + _PLOT_H + 16, label))
-    for value in _linear_ticks(v_lo, v_hi):
         y = y_pos(value)
-        parts.append(f'<line x1="{_ML - 4}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" stroke="black"/>')
-        parts.append(_text(_ML - 8, y + 4, f"{value:.4g}", anchor="end"))
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        body.append(
+            f'<rect x="{x:.2f}" y="{min(y, zero):.2f}" width="{width:.2f}" '
+            f'height="{abs(y - zero):.2f}" fill="{_PALETTE[0]}" fill-opacity="0.8"/>'
+        )
+        body.append(_text(x + width / 2, _X_AXIS_Y + 16, label))
+    body += _y_ticks([(y_pos(v), f"{v:.4g}") for v in _linear_ticks(v_lo, v_hi)])
+    return _svg(chart.title, "", chart.y_label, body)
 
 
 def render_svg(obj) -> str:

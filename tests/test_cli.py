@@ -569,7 +569,8 @@ def test_replacement_bad_target(tmp_path, capsys):
     ("5,0.2\n10," + "9" * 30 + "\n", "0.3",
      "{curve}: curve sample 1: accuracy must lie in [0, 1], got 1e+30"),
     ("5,0.2\n10,1." + "0" * 400 + "1\n", "0.3",
-     "{curve}: curve sample 1: accuracy must lie in [0, 1], got 1.0"),
+     "{curve}: curve sample 1: accuracy must lie in [0, 1], "
+     "got '1.00000000000000000…(405 characters)"),
     ("5,0.2\n5,0.3\n10,0.4\n", "0.3", "{curve}: duplicate image counts in curve: [5]"),
     ("5,0.2\n", "0.3", "{curve}: a curve needs at least two samples, got 1"),
     ("\n", "0.3", "{curve}: empty curve file"),
@@ -587,6 +588,32 @@ def test_replacement_value_error_exits_1_with_one_error_line(tmp_path, capsys, c
     assert main(["replacement", "--curve", str(path), "--target", target,
                  "--out", str(tmp_path / "out")]) == 1
     assert error_lines(capsys.readouterr().err) == ["error: " + message.format(curve=path)]
+    assert not (tmp_path / "out").exists()
+
+
+# An exponent no float reaches is refused before the exact value is built:
+# Fraction("1e100000000") alone would build a 100,000,001-digit integer.
+@pytest.mark.parametrize("curve, target, message", [
+    ("5,0.2\n10,0.4\n", "1e100000000",
+     "target accuracy: accuracy must lie in [0, 1], got '1e100000000'"),
+    ("5,0.2\n10,0.4\n", "1e-100000000",
+     "target accuracy: accuracy '1e-100000000' is too close to 0 for a float"),
+    ("5,0.2\n10,1e100000000\n", "0.3",
+     "{curve}: curve sample 1: accuracy must lie in [0, 1], got '1e100000000'"),
+    ("5,0.2\n10,1e-100000000\n", "0.3",
+     "{curve}: curve sample 1: accuracy '1e-100000000' is too close to 0 for a float"),
+])
+def test_replacement_refuses_an_exponent_no_float_reaches_at_once(tmp_path, curve, target,
+                                                                  message):
+    path = tmp_path / "curve.csv"
+    path.write_text(curve)
+    result = subprocess.run(
+        [sys.executable, "-m", "t2tmetrics.cli", "replacement", "--curve", str(path),
+         "--target", target, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 1
+    assert error_lines(result.stderr) == ["error: " + message.format(curve=path)]
     assert not (tmp_path / "out").exists()
 
 
@@ -656,6 +683,28 @@ def test_settings_error_line_abridges_a_400_digit_value(tmp_path, capsys):
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"error: {config}: epsilon is out of range for a float: {'9' * 20}…(400 digits)"
     assert len(line) < 200
+
+
+@pytest.mark.parametrize("source", ["--model", "--train-features"])
+@pytest.mark.parametrize("command", ["evaluate", "distances", "ap-t2t"])
+def test_model_of_another_dimension_exits_1_naming_both_files(dataset, tmp_path, capsys,
+                                                              command, source):
+    train = tmp_path / "train_2d.csv"
+    train.write_text("t1,0.0,0.0\nt2,1.0,0.5\nt3,0.5,1.0\n")
+    path = train
+    if source == "--model":
+        path = tmp_path / "model_2d.t2tmodel"
+        assert main(["fit", "--train-features", str(train), "--out", str(path)]) == 0
+    argv = [command] + evaluate_args(dataset, tmp_path / "out")[1:]
+    at = argv.index("--train-features")
+    argv[at:at + 2] = [source, str(path)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert error_lines(capsys.readouterr().err) == [
+        f"error: {dataset / 'features.t2tfeat'}: features have 3 dimensions, "
+        f"but the model from {path} has 2"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "distances", "ap-t2t"])
@@ -870,6 +919,8 @@ def test_malformed_settings_file_exits_1_naming_file_and_key(
     (None, ["--score-threshold", "nan"], "--score-threshold: must be in [0, 1], got nan"),
     (None, ["--score-threshold", "0.01", "--epsilon", "-1"],
      "--epsilon: must be finite and >= 0, got -1.0"),
+    (None, ["--bins", "100001"], "--bins: must be <= 100000, got 100001"),
+    ({"bins": 100001}, [], "{config}: bins: must be <= 100000, got 100001"),
 ])
 def test_out_of_range_setting_exits_1_before_reading_inputs(
     tmp_path, capsys, config, flags, message

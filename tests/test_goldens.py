@@ -1,4 +1,4 @@
-"""Byte-for-byte goldens for ``evaluate --iou-grid`` and ``ap-t2t``.
+"""Byte-for-byte goldens for ``evaluate --iou-grid``, ``ap-t2t`` and the SVG charts.
 
 The scenario plants FP distances close to the TP distances and spreads TP
 scores below the high-regime threshold, so the three score regimes give
@@ -35,7 +35,26 @@ SPEC = {
     "n_gt": 40, "n_tp": 30, "n_fp": 30, "feature_dim": 8,
     "fp_distance_scale": 1.5, "tp_score_range": [0.05, 1.0], "seed": 5,
 }
-EVALUATE_FILES = ("metrics.csv", "summary.json", "distance_hist_tp.csv", "distance_hist_fp.csv")
+EVALUATE_FILES = (
+    "metrics.csv", "summary.json", "distance_hist_tp.csv", "distance_hist_fp.csv",
+    "distance_hist_tp.svg", "distance_hist_fp.svg",
+)
+
+# `t2t report` inputs, one per drawing path: a log series with a zero point
+# (drawn at the floor) and a title to escape, a linear series with more x
+# values than x ticks, a histogram with empty bins, bars with a negative value.
+REPORT_CASES = {
+    "series_log": ("series", ["--title", "AP_t2t <log> & floor"],
+                   "series,x,y,floored\nall,5,0,true\nall,10,0.0125,false\nall,20,0.25,false\n"
+                   "high,5,0.001,false\nhigh,10,0.004,false\nhigh,20,0.1,false\n"),
+    "series_linear": ("series", ["--linear"],
+                      "series,x,y\n" + "".join(f"a,{x},{0.1 * x * x - x}\n" for x in range(10))),
+    "histogram": ("histogram", [],
+                  "bin_lo,bin_hi,count\n0,0.5,3\n0.5,1,0\n1,1.5,7\n1.5,2,0\n2,2.5,1\n"),
+    "bars": ("bars", ["--title", "gains"], "label,value\n100,12.5\n200,-3\n400,30\n"),
+}
+REPLACEMENT_CURVE = "count,accuracy\n5,0.2\n10,0.35\n20,0.5\n40,0.6\n80,0.65\n"
+REPLACEMENT_TARGETS = ("0.3", "100:0.45:0.3", "200:0.62:0.5", "300:0.9:0.2")
 
 
 # Count columns of grid/distance_hist_{tp,fp}.csv, as recorded with per-row
@@ -130,3 +149,22 @@ def test_grid_histogram_counts_are_those_of_the_exact_distances(annotated, kind)
     outcome, exact = annotated
     values = [float(exact[e.detection_id]) for e in outcome.entries if e.kind is kind]
     assert histogram_recount(values, edges) == counts
+
+
+@pytest.mark.parametrize("name", REPORT_CASES)
+def test_report_reproduces_svg_goldens(tmp_path, name):
+    kind, flags, text = REPORT_CASES[name]
+    source = tmp_path / "input.csv"
+    source.write_text(text)
+    out = tmp_path / f"{name}.svg"
+    assert main(["report", "--kind", kind, "--input", str(source), "--out", str(out), *flags]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "report" / f"{name}.svg").read_bytes()
+
+
+def test_replacement_reproduces_goldens(tmp_path):
+    curve = tmp_path / "curve.csv"
+    curve.write_text(REPLACEMENT_CURVE)
+    targets = [arg for target in REPLACEMENT_TARGETS for arg in ("--target", target)]
+    assert main(["replacement", "--curve", str(curve), *targets, "--out", str(tmp_path)]) == 0
+    for name in ("replacement.csv", "replacement.svg"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / "replacement" / name).read_bytes()

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from t2tmetrics import (
     AccuracyCurve,
@@ -60,6 +62,26 @@ def test_accuracies_stored_as_decimals():
     assert c.points[1][1] == Fraction(3, 10)
     # strings are parsed to the same exact values
     assert curve([(5, "0.2"), (10, "0.3")]).points == c.points
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_float_accuracy_is_refused_naming_the_sample(value):
+    with pytest.raises(ValidationError) as err:
+        curve([(5, value), (10, 0.5)])
+    assert str(err.value) == f"curve sample 0: not a number: '{value}'"
+
+
+# Every decimal text of a float keeps its exact value, and a refusal shows the float.
+@given(value=st.floats(allow_nan=False, allow_infinity=False),
+       form=st.sampled_from(["r", ".17e", ".17g"]))
+def test_decimal_text_of_a_float_keeps_its_exact_value(value, form):
+    text = repr(value) if form == "r" else format(value, form)
+    if 0 <= value <= 1:
+        assert curve([(5, text), (10, 0.5)]).points[0][1] == Fraction(text)
+    else:
+        with pytest.raises(ValidationError) as err:
+            curve([(5, text), (10, 0.5)])
+        assert str(err.value) == f"curve sample 0: accuracy must lie in [0, 1], got {value}"
 
 
 # ------------------------------------------------------------------- averaging
