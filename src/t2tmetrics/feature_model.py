@@ -10,9 +10,12 @@ with no square root. The mean is one float64 reduction over the stored
 rows; the covariance is a sum of per-block products over row blocks of
 ``_FIT_BLOCK_ROWS``, each block widened to float64 and centered on that
 mean, so no float64 copy of all the rows is made. The inverse is taken
-through a symmetric positive-definite factorization; a covariance that
+through a blocked Cholesky factor L of ``_CHOL_BLOCK_ROWS``-row blocks and
+its triangular inverse W, as the precision ``W.T @ W``; a covariance that
 cannot be factorized is reported as a singularity error rather than
-silently pseudo-inverted.
+silently pseudo-inverted. LAPACK only factors and inverts the diagonal
+blocks, and every other step is a matrix product whose dimensions are whole
+blocks, so a model's bytes do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -89,27 +92,61 @@ def default_regularization(covariance: np.ndarray) -> float:
     return 1e-6 * float(np.trace(cov)) / cov.shape[0]
 
 
+# Rows per diagonal block of the Cholesky factor and its inverse. LAPACK only
+# ever sees one block. Every other step, the covariance sum too, is a matrix
+# product on operands padded with zeros to a whole number of blocks: OpenBLAS
+# splits such a product among its threads without changing a bit of it, where
+# another size can change the last bits with the thread count.
+_CHOL_BLOCK_ROWS = 64
+
+
+def _padded(d: int) -> int:
+    """``d`` rounded up to a whole number of ``_CHOL_BLOCK_ROWS``."""
+    return -(-d // _CHOL_BLOCK_ROWS) * _CHOL_BLOCK_ROWS
+
+
 def _invert_spd(matrix: np.ndarray, regularization: float) -> np.ndarray:
-    """Inverse of (matrix + regularization * I) via Cholesky; raises on failure."""
+    """Inverse of (matrix + regularization * I) via Cholesky; raises on failure.
+
+    A left-looking blocked Cholesky (Golub & Van Loan, *Matrix Computations*,
+    section 4.2) builds the factor L and its inverse W side by side, one
+    ``_CHOL_BLOCK_ROWS``-row block at a time: the inverse ``W_kk`` of each
+    diagonal block of L finishes both the panel of L below it and block row k
+    of W. The target is padded with the identity to a whole number of blocks;
+    that leaves its factor and inverse in the leading rows and columns. The
+    precision is the leading d x d part of ``W.T @ W``.
+    """
     d = matrix.shape[0]
+    size = _padded(d)
     # The entries of ``matrix + regularization * np.eye(d)``, bit for bit,
     # without the d x d identity and product: epsilon * 0.0 off the diagonal,
     # epsilon * 1.0 == epsilon on it.
+    target = np.zeros((size, size))
+    target.flat[d * (size + 1) :: size + 1] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        target = matrix + regularization * 0.0
-        target.flat[:: d + 1] = matrix.diagonal() + regularization
+        np.add(matrix, regularization * 0.0, out=target[:d, :d])
+        target.flat[: d * (size + 1) : size + 1] = matrix.diagonal() + regularization
     if not np.isfinite(target).all():  # LAPACK would factor NaNs silently
         raise NumericalError(f"covariance (epsilon={regularization}) has non-finite entries")
-    try:
-        factor = np.linalg.cholesky(target)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(
-            f"covariance (epsilon={regularization}) is not positive definite; "
-            f"pass a larger regularization epsilon"
-        ) from exc
-    del target
-    precision = np.linalg.solve(factor.T, np.linalg.solve(factor, np.eye(d)))
-    del factor
+    # Below its diagonal blocks, ``target`` turns into L one block column at a
+    # time, each after its last read; the diagonal blocks of L are not kept.
+    inverse = np.zeros_like(target)
+    for k in range(0, size, _CHOL_BLOCK_ROWS):
+        e = k + _CHOL_BLOCK_ROWS
+        row = target[k:e, :k]  # block row k of L, left of the diagonal
+        try:
+            w_kk = np.linalg.inv(np.linalg.cholesky(target[k:e, k:e] - row @ row.T))
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovarianceError(
+                f"covariance (epsilon={regularization}) is not positive definite; "
+                f"pass a larger regularization epsilon"
+            ) from exc
+        target[e:, k:e] = (target[e:, k:e] - target[e:, :k] @ row.T) @ w_kk.T
+        inverse[k:e, :k] = -w_kk @ (row @ inverse[:k, :k])
+        inverse[k:e, k:e] = w_kk
+    del target, row
+    precision = np.ascontiguousarray((inverse.T @ inverse)[:d, :d])
+    del inverse
     # In place, (p + p.T) / 2 to the bit: numpy reads p.T from a copy where it
     # overlaps the output, and halving is exact.
     precision += precision.T
@@ -144,14 +181,17 @@ def model_from_moments(
 
 # Training rows per block of the covariance sum: one float64 block at a time
 # is widened and centered. A training set of at most this many rows is one
-# block, so its covariance is the single product ``X.T @ X`` bit for bit.
+# block, so its covariance is the single product ``X.T @ X`` of the padded
+# rows bit for bit.
 _FIT_BLOCK_ROWS = 1024
 
 
 def _centered_gram(data: np.ndarray, start: int, mean: np.ndarray) -> np.ndarray:
-    """``B.T @ B`` of the float64 block B of rows ``start`` onward, centered on ``mean``."""
-    block = np.array(data[start:start + _FIT_BLOCK_ROWS], dtype=np.float64)
-    block -= mean
+    """``B.T @ B`` of the float64 block B of rows ``start`` onward, centered on
+    ``mean`` and padded with zero columns to a whole number of blocks."""
+    rows = data[start:start + _FIT_BLOCK_ROWS]
+    block = np.zeros((len(rows), _padded(len(mean))))
+    np.subtract(rows, mean, out=block[:, : len(mean)])
     return block.T @ block
 
 
@@ -183,6 +223,7 @@ def fit_gaussian(
         for start in range(_FIT_BLOCK_ROWS, n, _FIT_BLOCK_ROWS):
             cov += _centered_gram(data, start, mean)
         cov /= max(n - 1, 1)
+        cov = cov[:d, :d]
         eps = default_regularization(cov) if regularization is None else float(regularization)
     del data  # the rows are freed before the inversion allocates its d x d matrices
     if n <= d and eps == 0.0:

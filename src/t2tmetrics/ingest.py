@@ -837,13 +837,25 @@ def _load_features_binary(path: str | Path, blob: bytes) -> FeatureMatrix:
         raise ParseError(f"{path}: header declares empty matrix ({rows}x{dim})")
     # A read-only view of the file's bytes: the payload is never copied.
     data = np.frombuffer(cursor.take(rows * dim * 4, "feature values"), dtype="<f4").reshape(rows, dim)
-    ids = []
+    # The row ids are read from the bytes without ``cursor.take``, whose error
+    # text would be built for every row; on a short read the cursor, moved to
+    # the failing offset, raises that error.
+    at, size, unpack, ids = cursor.offset, len(blob), _U32.unpack_from, []
     for i in range(rows):
-        (length,) = _U32.unpack(cursor.take(4, f"id length of row {i}"))
+        if size - at < 4:
+            cursor.offset = at
+            cursor.take(4, f"id length of row {i}")
+        (length,) = unpack(blob, at)
+        at += 4
+        if size - at < length:
+            cursor.offset = at
+            cursor.take(length, f"id of row {i}")
         try:
-            ids.append(str(cursor.take(length, f"id of row {i}"), "utf-8"))
+            ids.append(blob[at:at + length].decode())
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: row {i} id is not valid UTF-8 ({exc.reason})") from exc
+        at += length
+    cursor.offset = at
     cursor.end("row ids")
     return FeatureMatrix(data=data, row_ids=tuple(ids))
 

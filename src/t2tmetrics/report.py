@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from html import escape
 
@@ -236,10 +237,22 @@ _PLOT_H = _H - _MT - _MB
 _X_AXIS_Y = _MT + _PLOT_H
 
 
+# Characters that XML 1.0 does not allow in a document, not even escaped.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
+def _escaped(s: str) -> str:
+    """``s`` escaped for SVG text; a character that XML cannot hold is refused."""
+    bad = _NOT_XML.search(s)
+    if bad:
+        raise ValidationError(f"text {s!r} holds {bad.group()!r}, which XML does not allow")
+    return escape(s, quote=False)
+
+
 def _text(x: float, y: float, s: str, anchor: str = "middle", size: int = 11) -> str:
     return (
         f'<text x="{x:.2f}" y="{y:.2f}" text-anchor="{anchor}" '
-        f'font-family="sans-serif" font-size="{size}">{escape(s, quote=False)}</text>'
+        f'font-family="sans-serif" font-size="{size}">{_escaped(s)}</text>'
     )
 
 
@@ -253,7 +266,7 @@ def _svg(title: str, x_label: str, y_label: str, body: list[str]) -> str:
     if title:
         parts.append(
             f'<text x="{_W / 2:.2f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>'
+            f'font-family="sans-serif" font-size="14">{_escaped(title)}</text>'
         )
     parts.append(
         f'<path d="M {_ML} {_MT} L {_ML} {_X_AXIS_Y} L {_ML + _PLOT_W} {_X_AXIS_Y}" '
@@ -266,7 +279,7 @@ def _svg(title: str, x_label: str, y_label: str, body: list[str]) -> str:
         parts.append(
             f'<text x="16" y="{cy:.2f}" text-anchor="middle" font-family="sans-serif" '
             f'font-size="12" transform="rotate(-90 16 {cy:.2f})">'
-            f'{escape(y_label, quote=False)}</text>'
+            f'{_escaped(y_label)}</text>'
         )
     return "\n".join(parts + body + ["</svg>"]) + "\n"
 
@@ -303,16 +316,34 @@ def _linear_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
+def _check_length(axis: tuple[float, float], what: str, lo: float, hi: float) -> None:
+    """Refuses an axis on which a tick or a position would not be a float: six
+    ticks, the most a chart draws, need ``5 * (axis[1] - axis[0])``."""
+    if not all(map(math.isfinite, _linear_ticks(*axis, 6))):
+        raise ValidationError(f"{what} from {lo!r} to {hi!r} span more than a chart axis can hold")
+
+
+def _linear_axis(lo: float, hi: float, what: str) -> tuple[float, float]:
+    """The ends of a linear axis over values from ``lo`` to ``hi``: equal values
+    get 0.5 on each side, or half their size where rounding loses 0.5 both ways."""
+    axis = (lo, hi)
+    if hi == lo:
+        pad = 0.5 if lo - 0.5 < lo or hi + 0.5 > hi else abs(lo) / 2
+        axis = (lo - pad, hi + pad)
+    _check_length(axis, what, lo, hi)
+    return axis
+
+
 def _render_series(plot: SeriesPlot) -> str:
     xs = [x for s in plot.series for x, _ in s.points]
     ys = [y for s in plot.series for _, y in s.points]
-    x_lo, x_hi = min(xs), max(xs)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    x_lo, x_hi = _linear_axis(min(xs), max(xs), "x values")
     if plot.y_scale == "log":
         y_lo, y_hi = max(min(ys), LOG_FLOOR), max(max(ys), LOG_FLOOR)
         if y_hi == y_lo:
             y_lo, y_hi = y_lo / 10, y_hi * 10
+        if not y_hi <= 1e308:  # the decade tick at or above y_hi must be a float
+            raise ValidationError(f"y values up to {max(ys)!r} need a log axis beyond 1e308")
         lo_log, hi_log = math.log10(y_lo), math.log10(y_hi)
         if hi_log == lo_log:
             hi_log = lo_log + 1
@@ -323,9 +354,7 @@ def _render_series(plot: SeriesPlot) -> str:
         decades = range(math.floor(lo_log), math.ceil(math.log10(y_hi)) + 1)
         y_ticks = [(y_pos(10.0**e), f"1e{e}") for e in decades if y_lo <= 10.0**e <= y_hi]
     else:
-        y_lo, y_hi = min(ys), max(ys)
-        if y_hi == y_lo:
-            y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        y_lo, y_hi = _linear_axis(min(ys), max(ys), "y values")
 
         def y_pos(y: float) -> float:
             return _y_at((y - y_lo) / (y_hi - y_lo))
@@ -355,6 +384,7 @@ def _render_series(plot: SeriesPlot) -> str:
 
 def _render_histogram(hist: Histogram) -> str:
     lo, hi = hist.edges[0], hist.edges[-1]
+    _check_length((lo, hi), "histogram edges", lo, hi)
     top = max(max(hist.counts), 1)
     color = "#d62728" if hist.kind is Kind.FP else "#1f77b4"
     body = []
@@ -377,6 +407,7 @@ def _render_bars(chart: BarChart) -> str:
     v_lo, v_hi = min(min(values), 0.0), max(max(values), 0.0)
     if v_hi == v_lo:
         v_hi = v_lo + 1.0
+    _check_length((v_lo, v_hi), "bar values", min(values), max(values))
 
     def y_pos(v: float) -> float:
         return _y_at((v - v_lo) / (v_hi - v_lo))

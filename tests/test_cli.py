@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import xml.dom.minidom
 from pathlib import Path
 
 import pytest
@@ -804,6 +805,59 @@ def test_report_rejects_malformed_csv(tmp_path, capsys, kind, text, message):
     assert main(argv) == 1
     assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
     assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("kind, text, flags, message", [
+    ("series", "series,x,y\na,1,1e308\na,2,1e308\n", [],
+     "y values up to 1e+308 need a log axis beyond 1e308"),
+    ("series", "series,x,y\na,1,1\na,2,1.5e308\n", [],
+     "y values up to 1.5e+308 need a log axis beyond 1e308"),
+    ("series", "series,x,y\na,1,-1e308\na,2,1e308\n", ["--linear"],
+     "y values from -1e+308 to 1e+308 span more than a chart axis can hold"),
+    ("series", "series,x,y\na,-1e308,1\na,1e308,2\n", [],
+     "x values from -1e+308 to 1e+308 span more than a chart axis can hold"),
+    ("series", "series,x,y\na,1.5e308,1\n", [],
+     "x values from 1.5e+308 to 1.5e+308 span more than a chart axis can hold"),
+    ("bars", "label,value\na,-1e308\nb,1e308\n", [],
+     "bar values from -1e+308 to 1e+308 span more than a chart axis can hold"),
+    ("histogram", "bin_lo,bin_hi,count\n-1e308,0,1\n0,1e308,2\n", [],
+     "histogram edges from -1e+308 to 1e+308 span more than a chart axis can hold"),
+    ("bars", "label,value\na\x01,1\n", [],
+     "text 'a\\x01' holds '\\x01', which XML does not allow"),
+    ("series", "series,x,y\n\x1b[0m,1,1\n", [],
+     "text '\\x1b[0m' holds '\\x1b', which XML does not allow"),
+    ("histogram", "bin_lo,bin_hi,count\n0,1,2\n", ["--title", "t\x0c"],
+     "text 't\\x0c' holds '\\x0c', which XML does not allow"),
+    ("bars", "label,value\na\uffff,1\n", [],
+     "text 'a\\uffff' holds '\\uffff', which XML does not allow"),
+], ids=["log-flat", "log-top", "linear-y", "x-span", "x-flat", "bars", "histogram",
+        "bar-label", "series-label", "title", "noncharacter"])
+def test_report_refuses_what_no_svg_can_hold(tmp_path, capsys, kind, text, flags, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    argv = ["report", "--kind", kind, "--input", str(path), "--out", str(tmp_path / "x.svg")]
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert error_lines(err) == [f"error: {path}: {message}"]
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("kind, text, flags", [
+    ("series", "series,x,y\na,1,1e20\na,2,1e20\n", ["--linear"]),  # 0.5 is lost to rounding
+    ("series", "series,x,y\na,1e20,1\na,1e20,2\n", []),
+    ("series", "series,x,y\na,1,1e307\na,2,1e307\n", []),
+    ("bars", "label,value\na,-1e307\nb,1e307\n", []),
+    ("bars", "label,value\n\"tab\there\",1\nline\x7f\u00e9,2\n", ["--title", "a\tb"]),
+], ids=["linear-flat-y", "flat-x", "log-flat", "bars", "allowed-characters"])
+def test_report_writes_well_formed_svg_at_the_edges_of_what_it_draws(tmp_path, kind, text, flags):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    out = tmp_path / "x.svg"
+    assert main(["report", "--kind", kind, "--input", str(path), "--out", str(out)] + flags) == 0
+    svg = out.read_text()
+    xml.dom.minidom.parseString(svg)
+    assert "nan" not in svg and "inf" not in svg
 
 
 # Fields past the csv module's 131072-character limit raise csv.Error.

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -126,14 +129,16 @@ def test_float32_and_float64_features_give_bit_identical_models_and_distances(n,
     assert m32.regularization == m64.regularization
 
     # The float64 arithmetic of a fit on widened rows: X.mean(axis=0), then
-    # X - mean, then the sum of the products of 1024-row blocks.
+    # X - mean padded with zero columns to a multiple of 64, then the sum of
+    # the products of 1024-row blocks, of which the leading d x d part is kept.
     X = values.astype(np.float64)
     mean = X.mean(axis=0)
-    centered = X - mean
+    centered = np.zeros((n, -(-d // 64) * 64))
+    centered[:, :d] = X - mean
     cov = centered[:1024].T @ centered[:1024]
     for start in range(1024, n, 1024):
         cov += centered[start:start + 1024].T @ centered[start:start + 1024]
-    cov = cov / max(n - 1, 1)
+    cov = cov[:d, :d] / max(n - 1, 1)
     assert np.array_equal(m32.mean, mean)
     assert np.array_equal(m32.covariance, (cov + cov.T) / 2.0)
 
@@ -226,20 +231,32 @@ def test_cli_fit_frees_the_training_rows_before_the_inversion(tmp_path, monkeypa
 
 
 def _invert_spd_reference(matrix, regularization):
-    """The regularized inverse written out: the identity added, two solves, (p + p.T) / 2."""
+    """The regularized inverse written out: the identity added, the target
+    padded with the identity to a multiple of 64 rows, a blocked Cholesky
+    factor L and its inverse W in 64-row blocks, then (p + p.T) / 2 of the
+    leading d x d part of W.T @ W."""
     d = matrix.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         target = matrix + regularization * np.eye(d)
     if not np.isfinite(target).all():
         raise NumericalError(f"covariance (epsilon={regularization}) has non-finite entries")
-    try:
-        factor = np.linalg.cholesky(target)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(
-            f"covariance (epsilon={regularization}) is not positive definite; "
-            f"pass a larger regularization epsilon"
-        ) from exc
-    precision = np.linalg.solve(factor.T, np.linalg.solve(factor, np.eye(d)))
+    size = -(-d // 64) * 64
+    padded = np.eye(size)
+    padded[:d, :d] = target
+    L, W = np.zeros((size, size)), np.zeros((size, size))
+    for k in range(0, size, 64):
+        e = k + 64
+        try:
+            L[k:e, k:e] = np.linalg.cholesky(padded[k:e, k:e] - L[k:e, :k] @ L[k:e, :k].T)
+            W[k:e, k:e] = np.linalg.inv(L[k:e, k:e])
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovarianceError(
+                f"covariance (epsilon={regularization}) is not positive definite; "
+                f"pass a larger regularization epsilon"
+            ) from exc
+        L[e:, k:e] = (padded[e:, k:e] - L[e:, :k] @ L[k:e, :k].T) @ W[k:e, k:e].T
+        W[k:e, :k] = -W[k:e, k:e] @ (L[k:e, :k] @ W[:k, :k])
+    precision = (W.T @ W)[:d, :d]
     return (precision + precision.T) / 2.0
 
 
@@ -289,6 +306,45 @@ def test_invert_spd_is_bit_identical_to_the_written_out_inverse():
     assert c.tobytes() == before.tobytes()
     sym = (before + before.T) / 2.0
     assert model.precision.tobytes() == _invert_spd_reference(sym, 0.1).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("log_cond", [0, 6])
+def test_blocked_inverse_residual_at_the_block_edges(dim, log_cond):
+    # Inverting through a Cholesky factor leaves a residual of order
+    # dim * u * cond (Higham, Accuracy and Stability of Numerical Algorithms,
+    # section 14.2); the bound allows (dim + 2) rounding errors, since at
+    # dim = 1 the square root, the reciprocal and its square round apart.
+    u = np.finfo(np.float64).eps
+    for seed in range(5):
+        rng = np.random.default_rng([dim, log_cond, seed])
+        Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        cov = (Q * np.logspace(0, -log_cond, dim)) @ Q.T
+        cov = (cov + cov.T) / 2.0
+        eps = default_regularization(cov)
+        target = cov + eps * np.eye(dim)
+        precision = feature_model._invert_spd(cov, eps)
+        residual = np.abs(precision @ target - np.eye(dim)).max()
+        assert residual <= (dim + 2) * u * np.linalg.cond(target)
+
+
+@pytest.mark.parametrize("dim", [128, 130])  # 130: the last 64-row block has 2 rows
+def test_model_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, dim):
+    n = 600
+    path = tmp_path / "train.t2tfeat"
+    data = np.random.default_rng(dim).normal(size=(n, dim)) * np.linspace(0.5, 4.0, dim)
+    write_feature_matrix(FeatureMatrix(data=data, row_ids=row_ids(n)), path)
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.t2tmodl"
+        subprocess.run(
+            [sys.executable, "-m", "t2tmetrics.cli", "fit", "--train-features", str(path),
+             "--out", str(out)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, check=True, timeout=60,
+        )
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_model_validation():

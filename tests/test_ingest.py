@@ -491,6 +491,27 @@ def test_feature_binary_truncation(tmp_path):
     assert "trailing" in str(err.value)
 
 
+def test_feature_binary_truncated_row_ids_name_the_row(tmp_path):
+    fm = FeatureMatrix(data=np.ones((2, 3)), row_ids=("a", "bcd"))
+    path = tmp_path / "f.t2tfeat"
+    write_feature_matrix(fm, path)
+    raw = path.read_bytes()
+    ids_at = len(raw) - (4 + 1 + 4 + 3)  # after the header and the values
+    huge = raw[: ids_at + 5] + struct.pack("<I", 2**32 - 1) + b"bcd"
+    for content, what in [
+        (raw[: ids_at + 2], "id length of row 0 needs 4 bytes"),
+        (raw[: ids_at + 4], "id of row 0 needs 1 bytes"),
+        (raw[: ids_at + 7], "id length of row 1 needs 4 bytes"),
+        (raw[:-1], "id of row 1 needs 3 bytes"),
+        (huge, "id of row 1 needs 4294967295 bytes"),
+    ]:
+        bad = tmp_path / "bad.t2tfeat"
+        bad.write_bytes(content)
+        with pytest.raises(ParseError) as err:
+            load_feature_matrix(bad)
+        assert str(err.value) == f"{bad}: truncated file: {what}"
+
+
 def test_feature_csv(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("d1,0.5,1.5\nd2,-1.0,2.0\n")

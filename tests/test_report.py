@@ -325,9 +325,9 @@ labels = st.text(st.characters(exclude_categories=("Cc", "Cs")), max_size=12)
 
 
 @st.composite
-def series_plots(draw):
+def series_plots(draw, values=values, labels=labels):
     log = draw(st.booleans())
-    points = st.lists(st.tuples(values, st.floats(0, 1e6) if log else values),
+    points = st.lists(st.tuples(values, values.map(abs) if log else values),
                       min_size=1, max_size=10)
     series = draw(st.lists(st.builds(Series, label=labels, points=points.map(tuple)),
                            min_size=1, max_size=6))
@@ -336,27 +336,59 @@ def series_plots(draw):
 
 
 @st.composite
-def histograms(draw):
-    edges = [draw(values)]
-    for width in draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30)):
-        edges.append(edges[-1] + width)
+def histograms(draw, edges=None, labels=labels):
+    if edges is None:
+        edges = [draw(values)]
+        for width in draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30)):
+            edges.append(edges[-1] + width)
+    else:
+        edges = sorted(draw(edges))
     counts = draw(st.lists(st.integers(0, 10**6), min_size=len(edges) - 1,
                            max_size=len(edges) - 1))
     return Histogram(edges=tuple(edges), counts=tuple(counts),
                      kind=draw(st.sampled_from([None, Kind.TP, Kind.FP])), label=draw(labels))
 
 
-bar_charts = st.builds(BarChart, bars=st.lists(st.tuples(labels, values), min_size=1,
-                                               max_size=12).map(tuple),
-                       y_label=labels, title=labels)
+def bar_charts(values=values, labels=labels):
+    return st.builds(BarChart, bars=st.lists(st.tuples(labels, values), min_size=1,
+                                             max_size=12).map(tuple),
+                     y_label=labels, title=labels)
+
 
 CANVAS = {"x": 640, "x1": 640, "x2": 640, "cx": 640, "y": 420, "y1": 420, "y2": 420, "cy": 420}
 
 
 @settings(max_examples=300, deadline=None)
-@given(chart=st.one_of(series_plots(), histograms(), bar_charts))
+@given(chart=st.one_of(series_plots(), histograms(), bar_charts()))
 def test_every_chart_parses_and_stays_inside_the_canvas(chart):
-    doc = xml.dom.minidom.parseString(render_svg(chart))
+    _assert_parses_inside_the_canvas(render_svg(chart))
+
+
+# Any finite value, any magnitude, and any text but lone surrogates, which
+# UTF-8 input cannot hold.
+finite = st.floats(allow_nan=False, allow_infinity=False)
+any_text = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chart=st.one_of(
+    series_plots(finite, any_text),
+    histograms(st.lists(finite, min_size=2, max_size=31, unique=True), any_text),
+    bar_charts(finite, any_text),
+))
+def test_every_chart_of_finite_values_is_drawn_well_formed_or_refused(chart):
+    try:
+        svg = render_svg(chart)
+    except ValidationError as exc:
+        refusals = ("span more than a chart axis can hold", "need a log axis beyond 1e308",
+                    "which XML does not allow")
+        assert any(refusal in str(exc) for refusal in refusals), exc
+        return
+    _assert_parses_inside_the_canvas(svg)
+
+
+def _assert_parses_inside_the_canvas(svg):
+    doc = xml.dom.minidom.parseString(svg)
     assert doc.documentElement.getAttribute("viewBox") == "0 0 640 420"
     for element in doc.getElementsByTagName("*"):
         for name, limit in CANVAS.items():
