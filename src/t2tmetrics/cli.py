@@ -310,7 +310,7 @@ def cmd_replacement(args: argparse.Namespace) -> int:
         curves.extend(_read_curve_file(Path(path)))
     if not curves:
         raise ValidationError("no curves given")
-    curve = curves[0] if len(curves) == 1 else average_runs(curves)
+    curve = average_runs(curves)
     note = curve.label if len(curves) > 1 else f"curve {curve.label!r}"
     print(f"# same-domain accuracy: {note}, {len(curve.points)} samples")
 
@@ -436,13 +436,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_io_flags(p: argparse.ArgumentParser, *, matching: bool = False) -> None:
     p.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    p.add_argument("--gt", dest="ground_truth", type=Path, help="ground-truth JSON")
-    p.add_argument("--det", dest="detections", type=Path, help="detections JSON")
-    p.add_argument("--features", type=Path, help="detection feature matrix")
     p.add_argument("--train-features", dest="train_features", type=Path,
                    help="training feature matrix")
     p.add_argument("--epsilon", type=float, help="covariance regularization (default: trace-scaled)")
     if matching:
+        p.add_argument("--gt", dest="ground_truth", type=Path, help="ground-truth JSON")
+        p.add_argument("--det", dest="detections", type=Path, help="detections JSON")
+        p.add_argument("--features", type=Path, help="detection feature matrix")
         p.add_argument("--model", type=Path, help="fitted model file (instead of --train-features)")
         p.add_argument("--iou", dest="iou_threshold", type=float,
                        help="IoU threshold for matching (default 0.5)")

@@ -15,7 +15,8 @@ its triangular inverse W, as the precision ``W.T @ W``; a covariance that
 cannot be factorized is reported as a singularity error rather than
 silently pseudo-inverted. LAPACK only factors and inverts the diagonal
 blocks, and every other step is a matrix product whose dimensions are whole
-blocks, so a model's bytes do not depend on the BLAS thread count.
+blocks, so a model's bytes do not depend on the BLAS thread count. The
+distance product is padded to whole blocks too, so distances do not either.
 """
 
 from __future__ import annotations
@@ -93,10 +94,11 @@ def default_regularization(covariance: np.ndarray) -> float:
 
 
 # Rows per diagonal block of the Cholesky factor and its inverse. LAPACK only
-# ever sees one block. Every other step, the covariance sum too, is a matrix
-# product on operands padded with zeros to a whole number of blocks: OpenBLAS
-# splits such a product among its threads without changing a bit of it, where
-# another size can change the last bits with the thread count.
+# ever sees one block. Every other step, the covariance sum and the distance
+# product too, is a matrix product on operands padded with zeros to a whole
+# number of blocks: OpenBLAS splits such a product among its threads without
+# changing a bit of it, where another size can change the last bits with the
+# thread count.
 _CHOL_BLOCK_ROWS = 64
 
 
@@ -247,23 +249,31 @@ def train2test_distances(
     ``features`` is an n x dim array or a sequence of n dim-vectors. The rows
     are taken in fixed blocks of ``_BLOCK_ROWS``; only one block at a time is
     stacked as float64, centered and reduced with one product against the
-    precision.
+    precision. Both operands of that product are padded with zeros to a whole
+    number of ``_CHOL_BLOCK_ROWS`` columns, as the fit's are, so a distance's
+    bits do not depend on the BLAS thread count.
     """
+    d, size = model.dim, _padded(model.dim)
+    precision = model.precision
+    if size != d:
+        precision = np.zeros((size, size))
+        precision[:d, :d] = model.precision
     out = np.empty(len(features), dtype=np.float64)
     for start in range(0, len(out), _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, len(out))
         try:
-            centered = np.array(features[start:stop], dtype=np.float64)
+            rows = np.array(features[start:stop], dtype=np.float64)
         except ValueError:  # rows of unequal length
-            centered = None
-        if centered is None or centered.shape[1:] != (model.dim,):
+            rows = None
+        if rows is None or rows.shape[1:] != (d,):
             raise ValidationError(
-                f"feature rows {start} to {stop - 1} are not all of shape ({model.dim},)"
+                f"feature rows {start} to {stop - 1} are not all of shape ({d},)"
             )
-        if not np.isfinite(centered).all():
+        if not np.isfinite(rows).all():
             raise ValidationError("feature contains non-finite values")
-        centered -= model.mean
-        out[start:stop] = np.einsum("ij,ij->i", centered @ model.precision, centered)
+        centered = rows if size == d else np.zeros((len(rows), size))
+        np.subtract(rows, model.mean, out=centered[:, :d])
+        out[start:stop] = np.einsum("ij,ij->i", centered @ precision, centered)
     # The true quadratic form is >= 0; rounding may produce a tiny negative.
     # ``+ 0.0`` turns a clamped -0.0 into 0.0.
     return np.maximum(out, 0.0, out=out) + 0.0
@@ -390,12 +400,13 @@ def annotate_distances(model: GaussianTrainModel, outcome: MatchOutcome) -> Dist
     """Attach a distance to every TP and FP detection of the outcome."""
     cols = outcome._cols
     det_cols = cols.dets._cols
-    unbound = sorted(det_cols.unbound(cols.kept))
+    kept = cols.kept.tolist()
+    features = [det_cols.features[k] for k in kept]
+    unbound = sorted(det_cols.ids[k] for k, f in zip(kept, features) if f is None)
     if unbound:
         shown = ", ".join(unbound[:10]) + (", ..." if len(unbound) > 10 else "")
         raise BindingError(f"{len(unbound)} detections have no bound feature: {shown}")
-    distances = train2test_distances(model, det_cols.features_at(cols.kept))
-    return _annotated(outcome, distances)
+    return _annotated(outcome, train2test_distances(model, features))
 
 
 # ------------------------------------------------------------- model file I/O

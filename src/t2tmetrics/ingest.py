@@ -254,27 +254,13 @@ def _boxes_pass(boxes: np.ndarray) -> np.ndarray:
     return ok
 
 
-class _RowsAt:
-    """Rows ``data[rows]`` of a feature matrix, copied a slice at a time."""
-
-    def __init__(self, data: np.ndarray, rows: np.ndarray) -> None:
-        self.data, self.rows = data, rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, part: slice) -> np.ndarray:
-        return self.data[self.rows[part]]
-
-
 @dataclass(frozen=True, eq=False)
 class _DetectionColumns:
     """A detection set as columns, in the set's order.
 
     ``image`` is the position of each detection's image id in
-    ``image_names``, and ``boxes`` is (n, 4) float64 of (x, y, w, h). A
-    detection's feature is row ``rows[k]`` of the matrix ``features`` or,
-    when ``rows`` is None, ``features[k]``, an array or None.
+    ``image_names``, ``boxes`` is (n, 4) float64 of (x, y, w, h), and
+    ``features[k]`` is detection k's feature, an array or None.
     """
 
     ids: list[str]
@@ -282,8 +268,7 @@ class _DetectionColumns:
     image: np.ndarray
     boxes: np.ndarray
     scores: np.ndarray
-    features: np.ndarray | tuple
-    rows: np.ndarray | None = None
+    features: tuple
 
     @classmethod
     def of(cls, dets: tuple[Detection, ...]) -> _DetectionColumns:
@@ -304,28 +289,12 @@ class _DetectionColumns:
     def detections(self) -> tuple[Detection, ...]:
         """The records as ``Detection`` objects."""
         names = [self.image_names[k] for k in self.image.tolist()]
-        features = self.features
-        if self.rows is not None:
-            features = [features[r] for r in self.rows.tolist()]
         return tuple(
             Detection(image_id=name, box=BoundingBox(*box), score=score, detection_id=det_id,
                       feature=feature)
             for name, box, score, det_id, feature in zip(
-                names, self.boxes.tolist(), self.scores.tolist(), self.ids, features)
+                names, self.boxes.tolist(), self.scores.tolist(), self.ids, self.features)
         )
-
-    def unbound(self, at: np.ndarray) -> list[str]:
-        """The ids of the detections at positions ``at`` that have no feature."""
-        if self.rows is not None:
-            return []
-        return [self.ids[k] for k in at.tolist() if self.features[k] is None]
-
-    def features_at(self, at: np.ndarray):
-        """The features of the detections at positions ``at``, as a sequence
-        ``train2test_distances`` takes; no matrix row is copied here."""
-        if self.rows is not None:
-            return _RowsAt(self.features, self.rows[at])
-        return [self.features[k] for k in at.tolist()]
 
 
 def _check_detection_ids(ids: list[str]) -> None:
@@ -931,7 +900,7 @@ def bind_features(dets: DetectionSet, features: FeatureMatrix) -> DetectionSet:
     extra = len(index) - len(dets)
     if extra > 0:
         logger.warning("%d feature rows are not referenced by any detection", extra)
-    return DetectionSet._view(replace(cols, features=features.data, rows=np.array(rows, dtype=np.intp)))
+    return DetectionSet._view(replace(cols, features=tuple(map(features.data.__getitem__, rows))))
 
 
 def _unknown_image(dets: DetectionSet, gts: GroundTruthSet) -> tuple[str, str] | None:

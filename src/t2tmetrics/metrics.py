@@ -16,6 +16,7 @@ only marks which of them are true positives.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -314,26 +315,14 @@ def metric_report(
     """
     profile_ious = IOU_GRID if iou_grid else (iou_threshold,)
     thresholds, base = _regimes(score_thresholds)
-    ap_at: dict[float, float] = {}
-    chosen: MatchOutcome | None = None
-    match_at = iou_matcher(dets, gts, base)
-
-    def match(t: float) -> MatchOutcome:
-        nonlocal chosen
-        outcome = match_at(t)
-        ap_at[t] = average_precision(outcome)
-        if t == iou_threshold:
-            chosen = outcome
-        return outcome
-
+    match = functools.cache(iou_matcher(dets, gts, base))
     ap_t2t_by_regime, distances = _profile(model, gts, thresholds, profile_ious, match)
-    for t in (iou_threshold, *IOU_GRID):
-        if t not in ap_at:
-            match(t)
+    chosen = match(iou_threshold)
+    ap = functools.cache(lambda t: average_precision(match(t)))
     n_tp = int(np.count_nonzero(chosen._cols.claims >= 0))
     report = MetricReport(
-        ap=ap_at[iou_threshold],
-        ap_5095=_mean([ap_at[t] for t in IOU_GRID]),
+        ap=ap(iou_threshold),
+        ap_5095=_mean([ap(t) for t in IOU_GRID]),
         ap_t2t_by_regime=ap_t2t_by_regime,
         counts=(n_tp, len(chosen._cols.kept) - n_tp, chosen.total_gt - n_tp),
     )

@@ -112,6 +112,9 @@ class SeriesPlot:
             raise ValidationError(f"y_scale must be 'linear' or 'log', got {self.y_scale!r}")
         if not self.series or any(not s.points for s in self.series):
             raise ValidationError("a series plot needs at least one non-empty series")
+        if len(self.series) > len(_PALETTE):  # one colour and one legend row each
+            raise ValidationError(
+                f"a series plot takes at most {len(_PALETTE)} series, got {len(self.series)}")
         for s in self.series:
             for x, y in s.points:
                 if not (math.isfinite(x) and math.isfinite(y)):
@@ -366,7 +369,7 @@ def _render_series(plot: SeriesPlot) -> str:
         x_values = _linear_ticks(x_lo, x_hi, 6)
     body = _y_ticks(y_ticks) + _x_ticks([(_x_at(v, x_lo, x_hi), f"{v:.6g}") for v in x_values])
     for i, s in enumerate(plot.series):
-        color = _PALETTE[i % len(_PALETTE)]
+        color = _PALETTE[i]
         points = [(_x_at(x, x_lo, x_hi), y_pos(y)) for x, y in s.points]
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
         body.append(

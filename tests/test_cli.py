@@ -354,6 +354,8 @@ def test_overflowing_training_covariance_exits_2_naming_file(
     train.write_text("t1,1e200,0,0\nt2,0,1,0\nt3,0,0,1\nt4,1,1,1\n")
     argv = evaluate_args(dataset, tmp_path / "out") + ["--train-features", str(train)] + epsilon
     argv[0] = command
+    if command == "fit":  # fit takes no --gt, --det or --features
+        del argv[1:7]
     assert main(argv) == 2
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
@@ -787,6 +789,8 @@ def test_report_rejects_wrong_columns(tmp_path, capsys):
     ("bars", "label,value\nfoo,bar\n", "non-numeric bar row"),
     # Errors of the chart constructors name the file too.
     ("series", "series,x,y\na,1,nan\n", "series 'a' contains a non-finite point"),
+    ("series", "series,x,y\n" + "".join(f"s{k},1,1\n" for k in range(7)),
+     "a series plot takes at most 6 series, got 7"),
     ("histogram", "bin_lo,bin_hi,count\n2,1,3\n", "histogram edges must be strictly increasing"),
     ("histogram", "bin_lo,bin_hi,count\nnan,1,3\n", "histogram edges must be finite"),
     ("histogram", "bin_lo,bin_hi,count\n0,1,-3\n", "histogram counts must be non-negative"),
@@ -1007,10 +1011,10 @@ def t2tfeat(rows, dim, body=b""):
     return FEATURE_MAGIC + struct.pack("<QQ", rows, dim) + body
 
 
-def model_file(mean, cov, prec):
+def model_file(mean, cov, prec, epsilon=0.0):
     d = len(mean)
     values = [*mean, *(v for row in cov for v in row), *(v for row in prec for v in row)]
-    return MODEL_MAGIC + _MODEL_HEADER.pack(d, 0.0, 5) + struct.pack(f"<{len(values)}d", *values)
+    return MODEL_MAGIC + _MODEL_HEADER.pack(d, epsilon, 5) + struct.pack(f"<{len(values)}d", *values)
 
 
 # A malformed training-feature file (read by `fit`) or model file (read by
@@ -1026,6 +1030,10 @@ def model_file(mean, cov, prec):
     ("--model", MODEL_MAGIC + _MODEL_HEADER.pack(0, 0.0, 5), "dimension must be >= 1, got 0"),
     ("--model", model_file([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]),
      "precision is not symmetric"),
+    ("--model", model_file([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], -1.0),
+     "regularization must be >= 0, got -1.0"),
+    ("--model", model_file([0.0, float("nan")], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]),
+     "model contains non-finite values"),
 ])
 def test_malformed_feature_or_model_file_exits_1_naming_it(
     dataset, tmp_path, capsys, flag, content, message
@@ -1245,6 +1253,8 @@ def test_unwritable_output_exits_1_naming_the_file(dataset, tmp_path, capsys, co
     (tmp_path / "directory").mkdir()
     argv = evaluate_args(dataset, tmp_path / out)
     argv[0] = command
+    if command == "fit":  # fit takes no --gt, --det or --features
+        del argv[1:7]
     assert main(argv) == 1
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]

@@ -21,11 +21,13 @@ from t2tmetrics import (
     MatchOutcome,
     NumericalError,
     ParseError,
+    ScenarioSpec,
     SingularCovarianceError,
     ValidationError,
     annotate_distances,
     default_regularization,
     fit_gaussian,
+    generate_scenario,
     load_feature_matrix,
     load_model,
     model_from_moments,
@@ -347,6 +349,26 @@ def test_model_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, dim):
     assert written[0] == written[1]
 
 
+def test_distances_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # At d=392 an unpadded 256 x d by d x d product changes its last bits
+    # with the thread count; 392 is not a whole number of 64-row blocks.
+    spec = ScenarioSpec(n_gt=400, n_tp=300, n_fp=300, feature_dim=392, n_train=800, seed=3)
+    paths = generate_scenario(spec).write(tmp_path / "scn")
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "t2tmetrics.cli", "distances",
+             "--gt", str(paths["ground_truth"]), "--det", str(paths["detections"]),
+             "--features", str(paths["features"]),
+             "--train-features", str(paths["train_features"]), "--out", str(out)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, check=True, timeout=60,
+        )
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_model_validation():
     eye = np.eye(2)
     with pytest.raises(ValidationError):
@@ -612,6 +634,22 @@ def test_annotate_requires_bound_features():
     with pytest.raises(BindingError) as err:
         annotate_distances(model, outcome)
     assert "t1" in str(err.value)
+
+
+def test_annotate_refuses_a_distance_that_overflows():
+    # The precision is 1e300 * I, so the squared distance of [1e5, 0] is inf.
+    model = model_from_moments(np.zeros(2), np.zeros((2, 2)), 1e-300)
+    outcome = MatchOutcome(
+        true_positives=(),
+        false_positives=(det("d1", 0.4, [1e5, 0.0]),),
+        false_negatives=(),
+        iou_threshold=0.5,
+        score_threshold=0.0,
+        total_gt=0,
+    )
+    with pytest.raises(ValidationError) as err:
+        annotate_distances(model, outcome)
+    assert str(err.value) == "entry 'd1' distance must be finite and >= 0, got inf"
 
 
 def test_annotated_outcome_validation():

@@ -246,6 +246,24 @@ def test_duplicate_ids_rejected(tmp_path):
     assert str(err.value) == f"{path}: images[1]: image 'img-2' must have positive size"
 
 
+@pytest.mark.parametrize("loader, doc, message", [
+    (load_ground_truth, [], "expected an object with 'images' and 'annotations'"),
+    (load_ground_truth, {"images": []}, "expected an object with 'images' and 'annotations'"),
+    (load_ground_truth, {"images": {}, "annotations": []},
+     "'images' and 'annotations' must be lists"),
+    (load_ground_truth, {"images": [gt_doc()["images"][0], "img-2"], "annotations": []},
+     "images[1]: expected an object"),
+    (load_ground_truth, {"images": [{"id": "img-1", "height": 480}], "annotations": []},
+     "images[0]: missing field 'width'"),
+    (load_detections, {"detections": det_doc()}, "expected a JSON list of detection records"),
+])
+def test_documents_of_the_wrong_shape_are_refused_naming_the_file(tmp_path, loader, doc, message):
+    path = write_json(tmp_path / "in.json", doc)
+    with pytest.raises(ParseError) as err:
+        loader(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_fuzzed_documents_raise_structured_errors(tmp_path):
     # Randomly corrupt one field per document: the loader must raise one of
     # the data errors, never crash with anything else or accept bad values.
