@@ -9,19 +9,26 @@ Mahalanobis form
 with no square root. The mean is one float64 reduction over the stored
 rows; the covariance is a sum of per-block products over row blocks of
 ``_FIT_BLOCK_ROWS``, each block widened to float64 and centered on that
-mean, so no float64 copy of all the rows is made. The inverse is taken
-through a blocked Cholesky factor L of ``_CHOL_BLOCK_ROWS``-row blocks and
-its triangular inverse W, as the precision ``W.T @ W``; a covariance that
-cannot be factorized is reported as a singularity error rather than
-silently pseudo-inverted. LAPACK only factors and inverts the diagonal
-blocks, and every other step is a matrix product whose dimensions are whole
-blocks, so a model's bytes do not depend on the BLAS thread count. The
-distance product is padded to whole blocks too, so distances do not either.
+mean, so no float64 copy of all the rows is made. numpy computes each
+``B.T @ B`` as a symmetric rank-k update that fills one triangle and mirrors
+it, so the sum is symmetric to the bit. The fit therefore gives it to the
+model without the ``(cov + cov.T) / 2`` of ``model_from_moments``, which
+would return it unchanged. Both build their models without the
+constructor's symmetry checks, as the precision is symmetrized too. The
+inverse is taken through a blocked Cholesky factor L of
+``_CHOL_BLOCK_ROWS``-row blocks and its triangular inverse W, as the
+precision ``W.T @ W``; a covariance that cannot be factorized is reported
+as a singularity error rather than silently pseudo-inverted. LAPACK only
+factors and inverts the diagonal blocks, and every other step is a matrix
+product whose dimensions are whole blocks, so a model's bytes do not depend
+on the BLAS thread count. The distance product is padded to whole blocks
+too, so distances do not either.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -56,6 +63,23 @@ class GaussianTrainModel:
     sample_count: int
 
     def __post_init__(self) -> None:
+        self._check(known_symmetric=False)
+
+    @classmethod
+    def _built(cls, mean, covariance, precision, regularization, sample_count):
+        """A model whose covariance and precision are symmetric by construction.
+
+        It runs every check of the public constructor but the two symmetry
+        checks, which cost six d x d passes and a d x d buffer.
+        """
+        model = object.__new__(cls)
+        for name, value in (("mean", mean), ("covariance", covariance), ("precision", precision),
+                            ("regularization", regularization), ("sample_count", sample_count)):
+            object.__setattr__(model, name, value)
+        model._check(known_symmetric=True)
+        return model
+
+    def _check(self, known_symmetric: bool) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
         cov = np.asarray(self.covariance, dtype=np.float64)
         prec = np.asarray(self.precision, dtype=np.float64)
@@ -65,13 +89,14 @@ class GaussianTrainModel:
                 f"inconsistent model shapes: mean {mean.shape}, covariance {cov.shape}, "
                 f"precision {prec.shape}"
             )
-        work = np.empty_like(cov)  # one d x d buffer for both checks
-        for name, m in (("covariance", cov), ("precision", prec)):
-            scale = float(np.abs(m, out=work).max())
-            if scale > 0:
-                np.subtract(m, m.T, out=work)
-                if float(np.abs(work, out=work).max()) > 1e-10 * scale:
-                    raise ValidationError(f"{name} is not symmetric")
+        if not known_symmetric:
+            work = np.empty_like(cov)  # one d x d buffer for both checks
+            for name, m in (("covariance", cov), ("precision", prec)):
+                scale = float(np.abs(m, out=work).max())
+                if scale > 0:
+                    np.subtract(m, m.T, out=work)
+                    if float(np.abs(work, out=work).max()) > 1e-10 * scale:
+                        raise ValidationError(f"{name} is not symmetric")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all() and np.isfinite(prec).all()):
             raise ValidationError("model contains non-finite values")
         if self.regularization < 0 or not np.isfinite(self.regularization):
@@ -85,6 +110,17 @@ class GaussianTrainModel:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @functools.cached_property
+    def _padded_precision(self) -> np.ndarray:
+        """The precision padded with zeros to ``_padded(dim)`` rows and columns,
+        built on first use and kept; the precision itself when d needs no padding."""
+        d, size = self.dim, _padded(self.dim)
+        if size == d:
+            return self.precision
+        padded = np.zeros((size, size))
+        padded[:d, :d] = self.precision
+        return padded
 
 
 def default_regularization(covariance: np.ndarray) -> float:
@@ -156,6 +192,16 @@ def _invert_spd(matrix: np.ndarray, regularization: float) -> np.ndarray:
     return precision
 
 
+def _model(mean: np.ndarray, cov: np.ndarray, regularization: float,
+           sample_count: int) -> GaussianTrainModel:
+    """The model of a float64 mean and a symmetric float64 covariance."""
+    # An infinite epsilon, like an overflowed covariance, is left to _invert_spd.
+    if not regularization >= 0.0:
+        raise ValidationError(f"regularization must be >= 0, got {regularization}")
+    precision = _invert_spd(cov, regularization)
+    return GaussianTrainModel._built(mean, cov, precision, float(regularization), sample_count)
+
+
 def model_from_moments(
     mean: np.ndarray,
     covariance: np.ndarray,
@@ -168,17 +214,7 @@ def model_from_moments(
     with np.errstate(over="ignore", invalid="ignore"):
         cov = cov + cov.T
         cov /= 2.0
-    # An infinite epsilon, like an overflowed covariance, is left to _invert_spd.
-    if not regularization >= 0.0:
-        raise ValidationError(f"regularization must be >= 0, got {regularization}")
-    precision = _invert_spd(cov, regularization)
-    return GaussianTrainModel(
-        mean=mean,
-        covariance=cov,
-        precision=precision,
-        regularization=float(regularization),
-        sample_count=sample_count,
-    )
+    return _model(mean, cov, regularization, sample_count)
 
 
 # Training rows per block of the covariance sum: one float64 block at a time
@@ -186,6 +222,8 @@ def model_from_moments(
 # block, so its covariance is the single product ``X.T @ X`` of the padded
 # rows bit for bit.
 _FIT_BLOCK_ROWS = 1024
+
+_HALF_MAX = np.finfo(np.float64).max / 2
 
 
 def _centered_gram(data: np.ndarray, start: int, mean: np.ndarray) -> np.ndarray:
@@ -225,7 +263,11 @@ def fit_gaussian(
         for start in range(_FIT_BLOCK_ROWS, n, _FIT_BLOCK_ROWS):
             cov += _centered_gram(data, start, mean)
         cov /= max(n - 1, 1)
-        cov = cov[:d, :d]
+        cov = np.ascontiguousarray(cov[:d, :d])
+        # The sum is symmetric to the bit, so model_from_moments' (cov + cov.T) / 2
+        # would give it back unchanged, except where doubling an entry overflows.
+        if not (cov.max() <= _HALF_MAX and cov.min() >= -_HALF_MAX):
+            cov = (cov + cov.T) / 2.0
         eps = default_regularization(cov) if regularization is None else float(regularization)
     del data  # the rows are freed before the inversion allocates its d x d matrices
     if n <= d and eps == 0.0:
@@ -233,7 +275,7 @@ def fit_gaussian(
             f"sample covariance from {n} rows in {d} dimensions is rank-deficient; "
             f"pass a regularization epsilon > 0"
         )
-    return model_from_moments(mean, cov, eps, n)
+    return _model(mean, cov, eps, n)
 
 
 # Rows per GEMM block: large enough to amortize the call, small enough that
@@ -254,10 +296,7 @@ def train2test_distances(
     bits do not depend on the BLAS thread count.
     """
     d, size = model.dim, _padded(model.dim)
-    precision = model.precision
-    if size != d:
-        precision = np.zeros((size, size))
-        precision[:d, :d] = model.precision
+    precision = model._padded_precision
     out = np.empty(len(features), dtype=np.float64)
     for start in range(0, len(out), _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, len(out))
@@ -427,7 +466,7 @@ def save_model(model: GaussianTrainModel, path) -> None:
 
 def load_model(path) -> GaussianTrainModel:
     blob = _read_bytes(path)
-    if not blob.startswith(MODEL_MAGIC):
+    if blob[:len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ParseError(f"{path}: bad magic {blob[:8]!r}")
     cursor = _Cursor(path, blob, len(MODEL_MAGIC))
     d, eps, count = _MODEL_HEADER.unpack(cursor.take(_MODEL_HEADER.size, "header"))

@@ -26,12 +26,17 @@ or repaired.
 
 Reading
 -------
-Every input file is read through ``_read_bytes``, including the model file and
-the report and curve CSVs that other modules load: a missing file is ``no such
-file: PATH``, and any other OS error is a ``ParseError`` naming the path. Text
-is decoded once, as UTF-8 with universal newlines, and both binary containers
-are read through one bounds-checked ``_Cursor``. Outputs are written through
-``fsio.write_bytes`` alone.
+Every input file is opened by ``_read_bytes`` alone, including the model file
+and the report and curve CSVs that other modules load: a missing file is ``no
+such file: PATH``, and any other OS error is a ``ParseError`` naming the path.
+It returns a read-only ``mmap`` of the file, not a copy, and ``bytes`` only for
+a file that cannot be mapped, such as an empty file; callers read either
+through the buffer protocol. So the values of a ``T2TFEAT`` file stay in the
+page cache. A file replaced by a rename during a run is safe to read; one
+truncated in place can end the run with SIGBUS. Text is decoded once, as UTF-8
+with universal newlines, and both binary containers are read through one
+bounds-checked ``_Cursor``. Outputs are written through ``fsio.write_bytes``
+alone.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import itertools
 import json
 import logging
 import math
+import mmap
 import struct
 import sys
 import typing
@@ -439,20 +445,29 @@ class FeatureMatrix:
 # --------------------------------------------------------------------- reading
 
 
-def _read_bytes(path: str | Path) -> bytes:
-    """The bytes of an input file; the one place the package opens an input."""
+def _read_bytes(path: str | Path) -> mmap.mmap | bytes:
+    """A read-only map of an input file; the one place the package opens an input.
+
+    Callers read it through the buffer protocol, never as ``bytes``: a file
+    that cannot be mapped, such as an empty file or a pipe, is read into
+    ``bytes`` instead.
+    """
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            try:
+                return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (ValueError, OSError):  # an empty file, a pipe, a device
+                return fh.read()
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None
     except OSError as exc:  # a directory, a permission, a device error
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
-def _decode_text(path: str | Path, blob: bytes) -> str:
+def _decode_text(path: str | Path, blob: mmap.mmap | bytes) -> str:
     """UTF-8 text with universal newlines, as ``Path.read_text`` decodes it."""
     try:
-        text = blob.decode("utf-8")
+        text = str(blob, "utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
@@ -462,7 +477,7 @@ class _Cursor:
     """Reads through a binary container, checking each size taken from the
     file against the bytes left before any use."""
 
-    def __init__(self, path: str | Path, blob: bytes, offset: int) -> None:
+    def __init__(self, path: str | Path, blob: mmap.mmap | bytes, offset: int) -> None:
         self.path, self.blob, self.offset = path, memoryview(blob), offset
 
     def take(self, n: int, what: str) -> memoryview:
@@ -799,7 +814,7 @@ def write_detections(dets: DetectionSet, path: str | Path) -> Path:
 # ------------------------------------------------------------ feature matrices
 
 
-def _load_features_binary(path: str | Path, blob: bytes) -> FeatureMatrix:
+def _load_features_binary(path: str | Path, blob: mmap.mmap | bytes) -> FeatureMatrix:
     cursor = _Cursor(path, blob, len(FEATURE_MAGIC))
     rows, dim = struct.unpack("<QQ", cursor.take(16, "header"))
     if rows < 1 or dim < 1:
@@ -829,7 +844,7 @@ def _load_features_binary(path: str | Path, blob: bytes) -> FeatureMatrix:
     return FeatureMatrix(data=data, row_ids=tuple(ids))
 
 
-def _load_features_csv(path: str | Path, blob: bytes) -> FeatureMatrix:
+def _load_features_csv(path: str | Path, blob: mmap.mmap | bytes) -> FeatureMatrix:
     ids: list[str] = []
     rows: list[list[float]] = []
     width: int | None = None
@@ -863,7 +878,8 @@ def _load_features_csv(path: str | Path, blob: bytes) -> FeatureMatrix:
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     """Load a feature matrix, sniffing the binary magic and falling back to CSV."""
     blob = _read_bytes(path)
-    load = _load_features_binary if blob.startswith(FEATURE_MAGIC) else _load_features_csv
+    binary = blob[:len(FEATURE_MAGIC)] == FEATURE_MAGIC
+    load = _load_features_binary if binary else _load_features_csv
     try:
         fm = load(path, blob)
     except ValidationError as exc:  # from FeatureMatrix, which names the row

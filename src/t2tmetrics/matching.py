@@ -253,7 +253,7 @@ def iou_matcher(
     det_edges = _edges(det_cols.boxes[kept])
     gt_edges = _edges(gt_cols.boxes)
     blocks = []
-    for key in np.unique(keys):
+    for key in sorted(set(keys.tolist())):  # np.unique would import numpy.ma
         images = active[keys == key]
         place = np.full(n_images + 1, -1, dtype=np.intp)
         place[images] = np.arange(len(images))

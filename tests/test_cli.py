@@ -922,6 +922,14 @@ def test_score_thresholds_flag(dataset, tmp_path, capsys):
     assert "name=value" in capsys.readouterr().err
 
 
+def test_the_most_regimes_a_run_takes_are_all_reported(dataset, tmp_path):
+    out = tmp_path / "out"
+    regimes = ",".join(f"r{i}={i / 100}" for i in range(100))
+    assert main(evaluate_args(dataset, out) + ["--score-thresholds", regimes]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert sorted(summary["metrics"]["ap_t2t"]) == sorted(f"r{i}" for i in range(100))
+
+
 # Every malformed value ends in exit 1 and an error line naming the file and
 # key; a traceback would escape main() and fail the test.
 @pytest.mark.parametrize("command, flag, content, key", [
@@ -979,6 +987,10 @@ def test_malformed_settings_file_exits_1_naming_file_and_key(
      "--epsilon: must be finite and >= 0, got -1.0"),
     (None, ["--bins", "100001"], "--bins: must be <= 100000, got 100001"),
     ({"bins": 100001}, [], "{config}: bins: must be <= 100000, got 100001"),
+    (None, ["--score-thresholds", ",".join(f"r{i}=0.5" for i in range(101))],
+     "--score-thresholds: must hold at most 100 regimes, got 101"),
+    ({"score_thresholds": {f"r{i}": 0.5 for i in range(101)}}, [],
+     "{config}: score_thresholds: must hold at most 100 regimes, got 101"),
 ])
 def test_out_of_range_setting_exits_1_before_reading_inputs(
     tmp_path, capsys, config, flags, message
@@ -1243,6 +1255,41 @@ def test_unreadable_input_exits_1_naming_the_file(
     assert "Traceback" not in err
 
 
+# Inputs are mapped, not copied; each file that cannot be mapped or parsed
+# keeps its exit code and its error line.
+@pytest.mark.parametrize("flag, content, message", [
+    ("--gt", b"", "{path}: invalid JSON at line 1: Expecting value"),
+    ("--train-features", b"", "{path}: no feature rows"),
+    ("--model", b"", "{path}: bad magic b''"),
+    ("--gt", None, "{path}: cannot read: Is a directory"),
+    ("--det", "missing", "no such file: {path}"),
+    ("--train-features", t2tfeat(2, 3, struct.pack("<3f", 1, 2, 3)),
+     "{path}: truncated file: feature values needs 24 bytes"),
+    ("--train-features", t2tfeat(2, 3, struct.pack("<6fI", *range(6), 2) + b"a"),
+     "{path}: truncated file: id of row 0 needs 2 bytes"),
+    ("--train-features", t2tfeat(2, 3, struct.pack("<6fI", *range(6), 1) + b"a\x02"),
+     "{path}: truncated file: id length of row 1 needs 4 bytes"),
+    ("--det", b"\xff[]", "{path}: not UTF-8 text at byte 0 (invalid start byte)"),
+])
+def test_an_input_that_cannot_be_mapped_or_parsed_exits_1_with_one_error_line(
+    dataset, tmp_path, capsys, flag, content, message
+):
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    elif content != "missing":
+        path.write_bytes(content)
+    argv = evaluate_args(dataset, tmp_path / "out")
+    if flag == "--model":
+        at = argv.index("--train-features")
+        argv[at:at + 2] = ["--model", str(path)]
+    else:
+        argv[argv.index(flag) + 1] = str(path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, out", [
     ("fit", "file/m.t2tmodl"),
     ("distances", "directory"),
@@ -1282,6 +1329,21 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "evaluate" in result.stdout
+
+
+@pytest.mark.parametrize("command", ["evaluate", "distances"])
+def test_matching_commands_do_not_import_numpy_ma(dataset, tmp_path, command):
+    # numpy.ma costs 12-25 ms of import; np.unique would load it.
+    argv = evaluate_args(dataset, tmp_path / "out")
+    argv[0] = command
+    argv += ["--iou-grid"] if command == "evaluate" else []
+    if command == "distances":
+        argv[-1] = str(tmp_path / "distances.csv")
+    probe = ("import sys\nfrom t2tmetrics.cli import main\n"
+             f"assert main({argv!r}) == 0\nprint('numpy.ma' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, timeout=120)
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_import_loads_no_scipy_xml_or_url_modules():

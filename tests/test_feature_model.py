@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -161,9 +162,9 @@ def test_fit_of_a_binary_file_holds_one_float64_copy(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The file's bytes are the float32 payload (1x); the centered float64
-    # copy is 2x. A second copy of the rows would pass 4x.
-    assert peak <= 3.5 * n * d * 4
+    # The file's bytes are mapped, so tracemalloc does not see them: the peak
+    # is 0.75x the float32 payload. A float64 copy of the rows would add 2x.
+    assert peak <= 1.5 * n * d * 4
 
 
 @pytest.mark.parametrize("n", [1024, 1025, 3 * 1024 + 7])
@@ -200,11 +201,12 @@ def test_blocked_fit_of_a_binary_file_holds_one_float64_block(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    payload, block, square = n * d * 4, 1024 * d * 8, d * d * 8
-    # Measured on numpy 2.4: payload + block + 2.08 d x d matrices (the running
-    # sum and one block's product; the row ids make the 0.08). A float64 copy
-    # of all the rows would add 2x the payload.
-    assert peak <= payload + block + 3 * square
+    block, square = 1024 * d * 8, d * d * 8
+    # Measured on numpy 2.4: block + 2.01 d x d matrices (the running sum and
+    # one block's product; the row ids make the 0.01). The payload is mapped,
+    # not copied; a copy of it would add 8 d x d here, a float64 copy of all
+    # the rows 16.
+    assert peak <= block + 3 * square
 
 
 def test_cli_fit_frees_the_training_rows_before_the_inversion(tmp_path, monkeypatch):
@@ -493,6 +495,21 @@ def test_distances_match_the_exact_oracle(dim, rows, seed):
             assert abs(Fraction(train2test_distance(model, x)) - exact) <= bound
 
 
+@pytest.mark.parametrize("d", [392, 8])
+def test_the_padded_precision_is_built_once_per_model(d):
+    rng = np.random.default_rng(d)
+    model = fit_gaussian(matrix(rng.normal(size=(2 * d + 5, d))))
+    x = rng.normal(size=d)
+    first = train2test_distance(model, x)
+    padded = model._padded_precision
+    assert padded.shape == ((448, 448) if d == 392 else (64, 64))
+    assert np.array_equal(padded[:d, :d], model.precision)
+    assert not padded[d:].any() and not padded[:, d:].any()
+    assert train2test_distance(model, x) == first
+    assert model._padded_precision is padded
+    assert train2test_distances(model, x[np.newaxis])[0] == first
+
+
 def test_precision_is_consistent_inverse():
     rng = np.random.default_rng(15)
     for _ in range(10):
@@ -540,6 +557,53 @@ def test_overflowing_training_features_raise_a_numerical_error():
     for eps in (None, 1.0):
         with pytest.raises(NumericalError, match="non-finite"):
             fit_gaussian(matrix(X), regularization=eps)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_covariance_entry_past_half_the_float_range_is_refused():
+    # The variance 2 * a**2 is finite, but (cov + cov.T) / 2 overflows it; the
+    # fit refuses it as model_from_moments refuses that covariance.
+    a = np.sqrt(np.finfo(np.float64).max / 3)
+    for eps in (None, 0.0):
+        with pytest.raises(NumericalError, match="non-finite"):
+            fit_gaussian(matrix([[a], [-a]]), regularization=eps)
+
+
+def model_bytes(model, path):
+    save_model(model, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("d", [1, 8, 63, 64, 65, 130, 392])
+@pytest.mark.parametrize("n", [2, 1024, 1025, 3000])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fitted_covariance_is_symmetric_and_gives_the_model_of_its_moments(tmp_path, d, n, dtype):
+    # The fit builds its model from the covariance without symmetrizing it
+    # and without the symmetry checks; both are bit-neutral on its moments.
+    rng = np.random.default_rng(d * 7919 + n)
+    values = (2.0 * rng.normal(size=(n, d)) + rng.normal(size=d)).astype(dtype)
+    model = fit_gaussian(FeatureMatrix(data=values, row_ids=row_ids(n)))
+    assert np.array_equal(model.covariance, model.covariance.T)
+    assert model.covariance.flags.c_contiguous
+    again = model_from_moments(model.mean, model.covariance, model.regularization, n)
+    assert model_bytes(model, tmp_path / "fit") == model_bytes(again, tmp_path / "moments")
+
+
+@pytest.mark.parametrize("name", ["covariance", "precision"])
+def test_the_constructor_and_load_model_refuse_an_asymmetric_matrix(tmp_path, name):
+    asym = np.array([[1.0, 0.2], [0.0, 1.0]])
+    fields = dict(mean=np.zeros(2), covariance=np.eye(2), precision=np.eye(2),
+                  regularization=0.0, sample_count=3)
+    with pytest.raises(ValidationError, match=f"^{name} is not symmetric$"):
+        GaussianTrainModel(**{**fields, name: asym})
+
+    path = tmp_path / "m.t2tmodl"
+    raw = model_bytes(model_from_moments(np.zeros(2), np.eye(2)), path)
+    at = {"covariance": -64, "precision": -32}[name] + 16  # entry [1, 0] of the matrix
+    path.write_bytes(raw[:at] + struct.pack("<d", 0.2) + raw[at + 8:])
+    with pytest.raises(ValidationError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: {name} is not symmetric"
 
 
 # ------------------------------------------------------------------ annotation

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import logging
+import mmap
 import re
 import struct
 import sys
@@ -37,7 +38,7 @@ from t2tmetrics import (
     write_ground_truth,
 )
 from t2tmetrics.cli import RunConfig
-from t2tmetrics.ingest import FEATURE_MAGIC, decode
+from t2tmetrics.ingest import FEATURE_MAGIC, _read_bytes, decode
 from t2tmetrics.scenario import ScenarioSpec
 
 
@@ -620,6 +621,24 @@ def test_binary_features_are_a_read_only_float32_view_of_the_file(tmp_path):
     assert not fm.data.flags.writeable
 
 
+def test_inputs_are_mapped_read_only_and_feature_values_stay_in_the_mapping(tmp_path):
+    path = tmp_path / "f.t2tfeat"
+    write_feature_matrix(FeatureMatrix(data=np.ones((2, 3)), row_ids=("a", "b")), path)
+    blob = _read_bytes(path)
+    assert isinstance(blob, mmap.mmap) and blob[:] == path.read_bytes()
+    with pytest.raises(TypeError):
+        blob[0:1] = b"x"
+    # No copy of the file: the values' buffer is the mapping.
+    owner = load_feature_matrix(path).data
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(owner.obj, mmap.mmap)
+
+    empty = tmp_path / "empty"  # a file that cannot be mapped is read
+    empty.write_bytes(b"")
+    assert _read_bytes(empty) == b""
+
+
 @pytest.mark.parametrize("given, held", [
     (np.float32, np.float32),
     (np.float64, np.float64),
@@ -785,6 +804,6 @@ def test_only_ingest_reads_and_only_fsio_writes_files():
         tree = ast.parse(module.read_text(encoding="utf-8"))
         sites |= {(module.stem, fn, call) for fn, call in _file_access_sites(tree)}
     assert sites == {
-        ("ingest", "_read_bytes", "Path(path).read_bytes"),
+        ("ingest", "_read_bytes", "open"),
         ("fsio", "write_bytes", "open"),
     }
