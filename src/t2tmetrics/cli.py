@@ -11,12 +11,15 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field, fields as dc_fields, replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import NumericalError, ParseError, T2TError, ValidationError
 from .feature_model import annotate_distances, fit_gaussian, load_model, save_model
 from .fsio import write_text
 from .ingest import (
+    _csv_number,
     _load_json,
     _read_csv_rows,
     _shown,
@@ -269,21 +272,22 @@ def _read_curve_file(path: Path) -> list[AccuracyCurve]:
     if not rows:
         raise ParseError(f"{path}: empty curve file")
 
-    def looks_like_header(row: list[str]) -> bool:
+    def is_number(text: str) -> bool:
         try:
-            int(row[0])
-            return False
-        except ValueError:
+            (Fraction if "/" in text else Decimal)(text)
             return True
+        except (ArithmeticError, ValueError):
+            return False
 
-    if looks_like_header(rows[0]):
+    # A header such as count,accuracy holds no number; a first row that does is data.
+    if len(rows[0]) >= 2 and not is_number(rows[0][0]) and not is_number(rows[0][1]):
         rows = rows[1:]
     grouped: dict[str, list[tuple[int, str]]] = {}
     for lineno, row in enumerate(rows, start=1):
         if len(row) not in (2, 3):
             raise ParseError(f"{path}: row {lineno}: expected 2 or 3 columns, got {len(row)}")
         try:
-            count = int(row[0])
+            count = _csv_number(int, row[0])
         except ValueError:
             raise ParseError(f"{path}: row {lineno}: image count is not an integer: {_shown(row[0])}") from None
         run = row[2].strip() if len(row) == 3 else ""
@@ -392,7 +396,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             groups: dict[str, list[tuple[float, float]]] = {}
             for row in body:
                 try:
-                    groups.setdefault(row[0], []).append((float(row[1]), float(row[2])))
+                    point = (_csv_number(float, row[1]), _csv_number(float, row[2]))
+                    groups.setdefault(row[0], []).append(point)
                 except ValueError:
                     raise ParseError(f"{path}: non-numeric series row: {row!r}") from None
             plot = SeriesPlot(
@@ -407,9 +412,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             if header != ["bin_lo", "bin_hi", "count"]:
                 raise ParseError(f"{path}: expected columns bin_lo,bin_hi,count")
             try:
-                lows = [float(r[0]) for r in body]
-                edges = lows[:1] + [float(r[1]) for r in body]
-                counts = [int(r[2]) for r in body]
+                lows = [_csv_number(float, r[0]) for r in body]
+                edges = lows[:1] + [_csv_number(float, r[1]) for r in body]
+                counts = [_csv_number(int, r[2]) for r in body]
             except ValueError:
                 raise ParseError(f"{path}: non-numeric histogram row") from None
             for i in range(1, len(body)):
@@ -420,7 +425,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             if header != ["label", "value"]:
                 raise ParseError(f"{path}: expected columns label,value")
             try:
-                bars = tuple((r[0], float(r[1])) for r in body)
+                bars = tuple((r[0], _csv_number(float, r[1])) for r in body)
             except ValueError:
                 raise ParseError(f"{path}: non-numeric bar row") from None
             svg = render_svg(BarChart(bars=bars, title=title))

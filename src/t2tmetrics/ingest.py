@@ -20,9 +20,10 @@ Feature matrices come in two containers, distinguished by the leading bytes:
   the feature values.
 
 Identifiers may appear as JSON strings or integers; they are normalized to
-strings internally and written back as strings. Out-of-range or non-finite
-values are rejected with an error naming the offending record, never clamped
-or repaired.
+strings internally and written back as strings. An image's ``file_name`` is a
+JSON string, ``""`` when absent. A number in a CSV cell holds no ``_``.
+Out-of-range or non-finite values are rejected with an error naming the
+offending record, never clamped or repaired.
 
 Reading
 -------
@@ -518,6 +519,14 @@ def _read_csv_rows(path: str | Path) -> list[list[str]]:
     return [r for _, r in _csv_records(path, _decode_text(path, _read_bytes(path))) if r]
 
 
+def _csv_number(parse, cell: str):
+    """``parse(cell)`` for ``int`` or ``float``, refusing the digit-group
+    underscores that both accept: ``1_5`` is a ValueError, not 15."""
+    if "_" in cell:
+        raise ValueError(f"underscore in number {cell!r}")
+    return parse(cell)
+
+
 # ---------------------------------------------------------------- ground truth
 
 
@@ -602,33 +611,6 @@ def _parse_box(raw: object, where: str) -> BoundingBox:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-# Records are checked a whole column at a time. When a check refuses a record,
-# the records are checked one at a time from the first one refused (0 when a
-# field is missing or of the wrong type) by the scalar checks, ``_as_identifier``,
-# ``_json_number`` and the BoundingBox and Detection constructors, which raise
-# every error text. A column check refuses only what a record check refuses,
-# so that walk always raises.
-
-
-def _raise_first_refused(check, path: str | Path, records: list, first: int) -> typing.NoReturn:
-    """Check ``records`` one at a time from ``first`` and raise the error of
-    the first one refused; every record before ``first`` passed."""
-    for i in range(first, len(records)):
-        check(path, records, i)
-    raise AssertionError(f"{path}: a column check refused a record that its record check passes")
-
-
-def _field_values(records: list, keys: tuple[str, ...]) -> list[list] | None:
-    """The values of each key over ``records``, or None unless every record
-    is an object holding every key."""
-    if set(map(type, records)) - {dict}:
-        return None
-    try:
-        return [[record[key] for record in records] for key in keys]
-    except KeyError:
-        return None
-
-
 def _identifiers(values: list) -> list[str] | None:
     """``values`` as id strings, as ``_as_identifier`` makes them, or None
     unless each is a non-empty string or an integer."""
@@ -659,32 +641,57 @@ def _box_array(bboxes: list) -> np.ndarray | None:
     return None if values is None else values.reshape(-1, 4)
 
 
-def _instance_record(path: str | Path, records: list, i: int) -> None:
-    where = f"{path}: annotations[{i}]"
-    raw = records[i]
-    if not isinstance(raw, dict):
-        raise ParseError(f"{where}: expected an object")
-    try:
-        _as_identifier(raw["image_id"], f"{where}.image_id")
-        _parse_box(raw["bbox"], where)
-        _as_identifier(raw["id"], f"{where}.id")
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
+# A record type is a table of (JSON key, field kind) pairs. A field kind pairs
+# a column check, which gives a whole column or None when it refuses a value,
+# with the scalar check of one value, ``check(value, where, key)``, which
+# raises the error text. ``_record_columns`` checks each field a column at a
+# time, then the rows by a mask. When a check refuses a record, the records are
+# checked one at a time from the first one refused (0 when a field is missing
+# or of the wrong type): each field in table order by its scalar check, then
+# the record's own last check. A column check refuses only what a scalar
+# check refuses, so that walk always raises.
+_ID = (_identifiers, lambda value, where, key: _as_identifier(value, f"{where}.{key}"))
+_NUMBER = (_numbers, _json_number)
+_BOX = (_box_array, lambda value, where, key: _parse_box(value, where))
+
+_ANNOTATION_FIELDS = (("image_id", _ID), ("bbox", _BOX), ("id", _ID))
+_DETECTION_FIELDS = (("detection_id", _ID), ("score", _NUMBER), ("image_id", _ID), ("bbox", _BOX))
 
 
-def _instance_columns(path: str | Path, records: list) -> tuple[list[str], list[str], np.ndarray]:
-    """The ids, image ids and boxes of annotation records that pass every
-    check; otherwise the first record refused raises its error."""
-    values = _field_values(records, ("image_id", "bbox", "id"))
-    first = 0
-    if values is not None:
-        image_ids, boxes, ids = _identifiers(values[0]), _box_array(values[1]), _identifiers(values[2])
-        if image_ids is not None and boxes is not None and ids is not None:
-            refused = ~_boxes_pass(boxes)
-            if not refused.any():
-                return ids, image_ids, boxes
-            first = int(refused.argmax())
-    _raise_first_refused(_instance_record, path, records, first)
+def _record_columns(path: str | Path, section: str, records: list, fields: tuple,
+                    passes, check=None) -> list:
+    """The column of each of ``fields`` over ``records`` when every record
+    passes every check; otherwise the first record refused raises its error.
+
+    ``passes`` gives the row mask of the columns, and ``check``, if given, is
+    called with a record's scalar values after its fields pass.
+    """
+    first, columns = 0, [None]
+    if set(map(type, records)) <= {dict}:
+        try:
+            columns = [column([r[key] for r in records]) for key, (column, _) in fields]
+        except KeyError:  # a record lacks a field
+            pass
+    if all(c is not None for c in columns):
+        refused = ~passes(*columns)
+        if not refused.any():
+            return columns
+        first = int(refused.argmax())
+    for i in range(first, len(records)):
+        where = f"{path}: {section}[{i}]"
+        raw = records[i]
+        if not isinstance(raw, dict):
+            raise ParseError(f"{where}: expected an object")
+        try:
+            scalars = [scalar(raw[key], where, key) for key, (_, scalar) in fields]
+        except KeyError as exc:
+            raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
+        if check is not None:
+            try:
+                check(*scalars)
+            except ValidationError as exc:
+                raise ValidationError(f"{where}: {exc}") from None
+    raise AssertionError(f"{path}: a column check refused a record that its record check passes")
 
 
 def load_ground_truth(path: str | Path) -> GroundTruthSet:
@@ -713,12 +720,18 @@ def load_ground_truth(path: str | Path) -> GroundTruthSet:
             image_id = _as_identifier(raw["id"], f"{where}.id")
         except KeyError as exc:
             raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
+        file_name = raw.get("file_name", "")
+        if not isinstance(file_name, str):
+            raise ValidationError(
+                f"{where}.file_name must be a string, got {type(file_name).__name__}")
         try:
-            images.append(ImageInfo(image_id, str(raw.get("file_name", "")), *size))
+            images.append(ImageInfo(image_id, file_name, *size))
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
 
-    ids, image_ids, boxes = _instance_columns(path, doc["annotations"])
+    image_ids, boxes, ids = _record_columns(
+        path, "annotations", doc["annotations"], _ANNOTATION_FIELDS,
+        lambda _, boxes, __: _boxes_pass(boxes))
     images = tuple(images)
     try:
         image = _instance_images(images, ids, image_ids)
@@ -748,55 +761,23 @@ def write_ground_truth(gts: GroundTruthSet, path: str | Path) -> Path:
 # ----------------------------------------------------------------- detections
 
 
-def _detection_record(path: str | Path, records: list, i: int) -> None:
-    where = f"{path}: detections[{i}]"
-    raw = records[i]
-    if not isinstance(raw, dict):
-        raise ParseError(f"{where}: expected an object")
-    try:
-        det_id = _as_identifier(raw["detection_id"], f"{where}.detection_id")
-        score = _json_number(raw["score"], where, "score")
-        image_id = _as_identifier(raw["image_id"], f"{where}.image_id")
-        box = _parse_box(raw["bbox"], where)
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
-    # Only the score check is left to name the record; the errors above
-    # already do.
-    try:
-        Detection(image_id=image_id, box=box, score=score, detection_id=det_id)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
-
-
-def _detection_columns(path: str | Path, records: list) -> _DetectionColumns:
-    """The columns of detection records that pass every check; otherwise the
-    first record refused raises its error."""
-    values = _field_values(records, ("detection_id", "score", "image_id", "bbox"))
-    first = 0
-    if values is not None:
-        ids, scores = _identifiers(values[0]), _numbers(values[1])
-        image_ids, boxes = _identifiers(values[2]), _box_array(values[3])
-        if ids is not None and scores is not None and image_ids is not None and boxes is not None:
-            refused = ~(_boxes_pass(boxes) & (scores >= 0.0) & (scores <= 1.0))
-            if not refused.any():
-                image_names, image = _index(image_ids)
-                return _DetectionColumns(ids=ids, image_names=image_names, image=image,
-                                         boxes=boxes, scores=scores, features=(None,) * len(ids))
-            first = int(refused.argmax())
-    _raise_first_refused(_detection_record, path, records, first)
-
-
 def load_detections(path: str | Path) -> DetectionSet:
     """Load a detection list; scores outside [0, 1] are rejected, not clamped."""
     doc = _load_json(path)
     if not isinstance(doc, list):
         raise ParseError(f"{path}: expected a JSON list of detection records")
-    cols = _detection_columns(path, doc)
+    ids, scores, image_ids, boxes = _record_columns(
+        path, "detections", doc, _DETECTION_FIELDS,
+        lambda _, scores, __, boxes: _boxes_pass(boxes) & (scores >= 0.0) & (scores <= 1.0),
+        lambda det_id, score, image_id, box: Detection(image_id, box, score, det_id))
     try:
-        _check_detection_ids(cols.ids)
+        _check_detection_ids(ids)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    out = DetectionSet._view(cols)
+    image_names, image = _index(image_ids)
+    out = DetectionSet._view(_DetectionColumns(
+        ids=ids, image_names=image_names, image=image, boxes=boxes, scores=scores,
+        features=(None,) * len(ids)))
     logger.info("loaded %d detections from %s", len(out), path)
     return out
 
@@ -865,7 +846,7 @@ def _load_features_csv(path: str | Path, blob: mmap.mmap | bytes) -> FeatureMatr
         values = []
         for col, cell in enumerate(record[1:], start=2):
             try:
-                values.append(float(cell))
+                values.append(_csv_number(float, cell))
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}, column {col}: not a number: {cell!r}") from None
         ids.append(row_id)

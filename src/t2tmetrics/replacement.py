@@ -22,8 +22,12 @@ logger = logging.getLogger(__name__)
 
 def _exact_decimal(text: str, where: str) -> Fraction:
     """The exact value of a decimal or ``p/q`` text. ``Fraction("1eN")`` builds
-    10**N, so an exponent no float reaches is refused before that."""
+    10**N, so an exponent no float reaches is refused before that. The
+    digit-group underscores that ``Decimal`` and ``Fraction`` accept are
+    refused: ``0.1_5`` is not 0.15."""
     try:
+        if "_" in text:
+            raise ValueError(text)
         if "/" in text:
             return Fraction(text)
         number = Decimal(text)

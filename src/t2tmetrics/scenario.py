@@ -21,7 +21,7 @@ files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -113,18 +113,7 @@ class ScenarioSpec:
         return decode(cls, raw, "scenario spec")
 
     def to_dict(self) -> dict:
-        return {
-            "n_gt": self.n_gt,
-            "n_tp": self.n_tp,
-            "n_fp": self.n_fp,
-            "feature_dim": self.feature_dim,
-            "tp_distance_scale": self.tp_distance_scale,
-            "fp_distance_scale": self.fp_distance_scale,
-            "tp_score_range": list(self.tp_score_range),
-            "fp_score_range": list(self.fp_score_range),
-            "seed": self.seed,
-            "n_train": self.n_train,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True, eq=False)

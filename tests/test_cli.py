@@ -579,6 +579,15 @@ def test_replacement_bad_target(tmp_path, capsys):
     ("\n", "0.3", "{curve}: empty curve file"),
     ("count,accuracy\n5,0.2\nx,0.4\n", "0.3",
      "{curve}: row 2: image count is not an integer: 'x'"),
+    # A first row holding a number is data, not a header to drop.
+    ("5x,0.3\n10,0.5\n20,0.7\n", "0.3", "{curve}: row 1: image count is not an integer: '5x'"),
+    ("1.5,0.3\n10,0.5\n20,0.7\n", "0.3",
+     "{curve}: row 1: image count is not an integer: '1.5'"),
+    # int("1_0") is 10 and Decimal("0.1_5") is 0.15: digit-group underscores are refused.
+    ("count,accuracy\n1_0,0.2\n20,0.4\n", "0.3",
+     "{curve}: row 1: image count is not an integer: '1_0'"),
+    ("5,0.2\n10,0.1_5\n", "0.3", "{curve}: curve sample 1: not a number: '0.1_5'"),
+    ("5,0.2\n10,0.4\n", "0.1_5", "target accuracy: not a number: '0.1_5'"),
     ("5,0.2\n10,0.4\n", "x:0.3", "target 'x:0.3': cross count is not an integer"),
     ("5,0.2\n10,0.4\n", "0:0.3", "target '0:0.3': cross count must be positive"),
     ("5,0.2\n10,0.4\n", "9" * 5000 + ":0.3",
@@ -795,6 +804,10 @@ def test_report_rejects_wrong_columns(tmp_path, capsys):
     ("histogram", "bin_lo,bin_hi,count\nnan,1,3\n", "histogram edges must be finite"),
     ("histogram", "bin_lo,bin_hi,count\n0,1,-3\n", "histogram counts must be non-negative"),
     ("bars", "label,value\nfoo,inf\n", "bar 'foo' has a non-finite value"),
+    # Digit-group underscores are refused in values and counts, not in labels.
+    ("series", "series,x,y\na_1,1_0,2\n", "non-numeric series row"),
+    ("histogram", "bin_lo,bin_hi,count\n0,1,1_0\n", "non-numeric histogram row"),
+    ("bars", "label,value\nfoo_1,0.1_5\n", "non-numeric bar row"),
 ])
 def test_report_rejects_malformed_csv(tmp_path, capsys, kind, text, message):
     path = tmp_path / "in.csv"

@@ -247,6 +247,26 @@ def test_duplicate_ids_rejected(tmp_path):
     assert str(err.value) == f"{path}: images[1]: image 'img-2' must have positive size"
 
 
+@pytest.mark.parametrize("file_name", [None, 12, ["a.png"], False])
+def test_a_file_name_that_is_not_a_string_is_refused(tmp_path, file_name):
+    doc = gt_doc()
+    doc["images"][1]["file_name"] = file_name
+    path = write_json(tmp_path / "gt.json", doc)
+    with pytest.raises(ValidationError) as err:
+        load_ground_truth(path)
+    assert str(err.value) == (
+        f"{path}: images[1].file_name must be a string, got {type(file_name).__name__}")
+
+
+def test_an_absent_file_name_is_empty_and_round_trips(tmp_path):
+    doc = gt_doc()
+    del doc["images"][0]["file_name"]
+    gts = load_ground_truth(write_json(tmp_path / "gt.json", doc))
+    assert [im.file_name for im in gts.images] == ["", "b.png"]
+    written = json.loads(write_ground_truth(gts, tmp_path / "out.json").read_text())
+    assert [im["file_name"] for im in written["images"]] == ["", "b.png"]
+
+
 @pytest.mark.parametrize("loader, doc, message", [
     (load_ground_truth, [], "expected an object with 'images' and 'annotations'"),
     (load_ground_truth, {"images": []}, "expected an object with 'images' and 'annotations'"),
@@ -398,18 +418,23 @@ PLANTED = {
 
 
 def planted(draw, records, keys):
-    """Plant one bad or boundary value in one record of ``records``; ``keys[0]`` is its id."""
-    i = draw(st.integers(0, len(records) - 1))
-    kind = draw(st.sampled_from(["value"] * 4 + ["missing", "not an object", "duplicate"]))
-    if kind == "value":
-        key = draw(st.sampled_from(keys))
-        records[i][key] = draw(st.sampled_from(PLANTED.get(key, PLANTED["id"])))
-    elif kind == "missing":
-        del records[i][draw(st.sampled_from(keys))]
-    elif kind == "not an object":
-        records[i] = draw(st.sampled_from([None, 3, "record", [1, 2]]))
-    else:
-        records[i][keys[0]] = records[draw(st.integers(0, len(records) - 1))][keys[0]]
+    """Plant one to three bad or boundary values, in any records and fields of
+    ``records``; ``keys[0]`` is the records' id. A record that is no longer an
+    object can only be replaced by another non-object."""
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(records) - 1))
+        kind = draw(st.sampled_from(["value"] * 4 + ["missing", "not an object", "duplicate"]))
+        if kind == "not an object" or not isinstance(records[i], dict):
+            records[i] = draw(st.sampled_from([None, 3, "record", [1, 2]]))
+        elif kind == "value":
+            key = draw(st.sampled_from(keys))
+            records[i][key] = draw(st.sampled_from(PLANTED.get(key, PLANTED["id"])))
+        elif kind == "missing":
+            records[i].pop(draw(st.sampled_from(keys)), None)
+        else:
+            source = records[draw(st.integers(0, len(records) - 1))]
+            if isinstance(source, dict) and keys[0] in source:
+                records[i][keys[0]] = source[keys[0]]
 
 
 @st.composite
@@ -569,6 +594,20 @@ def test_feature_csv(tmp_path):
     with pytest.raises(ParseError) as err:
         load_feature_matrix(missing)
     assert "does-not-exist.csv" in str(err.value)
+
+
+def test_feature_csv_refuses_underscores_in_values_but_not_in_row_ids(tmp_path):
+    # float("1_5") is 15.0: a digit-group underscore is refused, not read.
+    path = tmp_path / "f.csv"
+    path.write_text("d_1,0.5,1.5\nd_2,1_5,2.0\n")
+    with pytest.raises(ParseError) as err:
+        load_feature_matrix(path)
+    assert str(err.value) == f"{path}: line 2, column 2: not a number: '1_5'"
+
+    path.write_text("d_1,0.5,1.5\nd_2,15,2.0\n")
+    fm = load_feature_matrix(path)
+    assert fm.row_ids == ("d_1", "d_2")
+    np.testing.assert_array_equal(fm.data, [[0.5, 1.5], [15.0, 2.0]])
 
 
 def test_feature_matrix_validation():

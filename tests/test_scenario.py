@@ -77,6 +77,16 @@ def test_spec_dict_round_trip():
     assert "n_tpp" in str(err.value)
 
 
+def test_spec_dict_holds_every_field_in_order_with_lists_for_pairs():
+    spec = ScenarioSpec(seed=7)
+    assert list(spec.to_dict().items()) == [
+        ("n_gt", 40), ("n_tp", 30), ("n_fp", 15), ("feature_dim", 8),
+        ("tp_distance_scale", 1.0), ("fp_distance_scale", 9.0),
+        ("tp_score_range", [0.5, 1.0]), ("fp_score_range", [0.02, 0.8]),
+        ("seed", 7), ("n_train", 80),
+    ]
+
+
 # --------------------------------------------------------------- determinism
 
 
