@@ -88,7 +88,7 @@ def _parse_score_thresholds(text: str) -> dict[str, float]:
         if name in out:
             raise ValidationError(f"duplicate score regime {name!r}")
         try:
-            out[name] = float(value)
+            out[name] = _csv_number(float, value)
         except ValueError:
             raise ValidationError(f"score threshold {name!r} is not a number: {value!r}") from None
     return out
@@ -307,7 +307,7 @@ def _parse_target(text: str) -> tuple[int | None, str, str | None]:
         return None, parts[0], None
     if len(parts) in (2, 3):
         try:
-            cross = int(parts[0])
+            cross = _csv_number(int, parts[0])
         except ValueError:
             raise ValidationError(f"target {_shown(text)}: cross count is not an integer") from None
         if cross <= 0:

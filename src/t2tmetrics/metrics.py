@@ -37,29 +37,30 @@ from .matching import IOU_GRID, MatchOutcome, _prefix, iou_matcher
 # subset.
 DEFAULT_SCORE_THRESHOLDS: dict[str, float] = {"all": 0.01, "med": 0.1, "high": 0.5}
 
-# AP sums are ratios of small integers. Up to this many terms they are added
-# exactly in integers and rounded once, correctly, so the result does not
-# depend on summation order; beyond it, floats are added in rank order.
-_EXACT_SUM_LIMIT = 4096
 
+def _ratio_mean(numerators, denominators, total: int) -> float:
+    """sum(n/d for each term) / total for int sequences, correctly rounded.
 
-def _ratio_mean(ratios: list[tuple[int, int]], denominator: int) -> float:
-    """sum(n/d for n, d in ratios) / denominator, correctly rounded when small.
-
-    The exact sum combines neighbouring terms pairwise, (a/b) + (c/d) =
-    (a*d + c*b) / (b*d), with no gcd, until one n/d is left; Python int true
-    division rounds that once. Every n and d must be a Python int, since
-    fixed-width products would wrap; ``denominator`` is taken as an int.
+    When every term has 0 <= n <= d < 2**31, each is floored to 64 fractional
+    bits in int64: the exact sum lies in [S, S + m] / 2**64 for m terms, and if
+    both ends round to one float, that float is the mean (Ziv's rounding test).
+    Otherwise the terms are added pairwise in Python ints, (a/b) + (c/d) =
+    (a*d + c*b) / (b*d), with no gcd, and Python int true division rounds once.
     """
-    if len(ratios) > _EXACT_SUM_LIMIT:
-        return float(sum(n / d for n, d in ratios) / denominator)
-    terms = ratios or [(0, 1)]
+    n, d = np.asarray(numerators), np.asarray(denominators)
+    if n.dtype.kind == d.dtype.kind == "i" and np.all((0 <= n) & (n <= d) & (d < 2**31)):
+        high, rest = np.divmod(n.astype(np.int64) << 32, d)
+        floor = (int(high.sum()) << 32) + int(((rest << 32) // d).sum())
+        scale = int(total) << 64
+        if (mean := floor / scale) == (floor + n.size) / scale:
+            return mean
+    terms = list(zip(n.tolist(), d.tolist())) or [(0, 1)]
     while len(terms) > 1:
         odd = terms[-1:] if len(terms) % 2 else []
         pairs = zip(terms[0::2], terms[1::2])
         terms = [(a * d + c * b, b * d) for (a, b), (c, d) in pairs] + odd
     [(n, d)] = terms
-    return n / (d * int(denominator))
+    return n / (d * int(total))
 
 
 def _mean(values: list[float]) -> float:
@@ -118,8 +119,8 @@ def average_precision(outcome: MatchOutcome) -> float:
     """
     if outcome.total_gt == 0:
         raise UndefinedMetricError("average precision is undefined without ground truth")
-    positions = (np.flatnonzero(outcome._cols.claims >= 0) + 1).tolist()
-    return _ratio_mean(list(enumerate(positions, start=1)), outcome.total_gt)
+    positions = np.flatnonzero(outcome._cols.claims >= 0) + 1
+    return _ratio_mean(np.arange(1, positions.size + 1), positions, outcome.total_gt)
 
 
 def ap_over_iou_range(
@@ -141,8 +142,7 @@ def _ap_t2t(tp_distances: np.ndarray, distances: np.ndarray, total_gt: int) -> f
     all_d = np.sort(distances)
     tp_within = np.searchsorted(tp_d, tp_d, side="right")
     all_within = np.searchsorted(all_d, tp_d, side="right")
-    terms = list(zip(tp_within.tolist(), all_within.tolist()))
-    return _ratio_mean(terms, total_gt)
+    return _ratio_mean(tp_within, all_within, total_gt)
 
 
 def ap_t2t(annotated: DistanceAnnotatedOutcome) -> float:

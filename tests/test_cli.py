@@ -589,6 +589,7 @@ def test_replacement_bad_target(tmp_path, capsys):
     ("5,0.2\n10,0.1_5\n", "0.3", "{curve}: curve sample 1: not a number: '0.1_5'"),
     ("5,0.2\n10,0.4\n", "0.1_5", "target accuracy: not a number: '0.1_5'"),
     ("5,0.2\n10,0.4\n", "x:0.3", "target 'x:0.3': cross count is not an integer"),
+    ("5,0.2\n10,0.4\n", "1_0:0.3", "target '1_0:0.3': cross count is not an integer"),
     ("5,0.2\n10,0.4\n", "0:0.3", "target '0:0.3': cross count must be positive"),
     ("5,0.2\n10,0.4\n", "9" * 5000 + ":0.3",
      "target '9999999999999999999…(5006 characters): cross count is not an integer"),
@@ -1024,6 +1025,7 @@ def test_out_of_range_setting_exits_1_before_reading_inputs(
 @pytest.mark.parametrize("text, message", [
     ("all=0.1,all=0.2", "duplicate score regime 'all'"),
     ("all=0.1,high=x", "score threshold 'high' is not a number: 'x'"),
+    ("all=0.0_1", "score threshold 'all' is not a number: '0.0_1'"),
     ("all=0.1,", "score thresholds must look like name=value, got ''"),
 ])
 def test_malformed_score_thresholds_exit_1_before_reading_inputs(tmp_path, capsys, text, message):

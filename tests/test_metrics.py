@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from t2tmetrics import (
@@ -364,20 +365,69 @@ RATIO = st.tuples(
     st.integers(1, 10**4),
 )
 def test_ratio_mean_is_the_correctly_rounded_exact_sum(terms, denominator):
-    assert _ratio_mean(terms, denominator) == exact_mean(terms, denominator)
+    numerators, denominators = [n for n, _ in terms], [d for _, d in terms]
+    assert _ratio_mean(numerators, denominators, denominator) == exact_mean(terms, denominator)
 
 
 def test_ratio_mean_rounds_a_mean_on_a_rounding_midpoint_exactly():
     # 1 + 2**-53 and 1 + 3 * 2**-53 lie halfway between two floats; the exact
     # sum is rounded once, so ties go to the even float, and thirds that a
     # float sum would round first do not move the second off its midpoint.
-    assert _ratio_mean([(2**53 + 1, 2**53)], 1) == 1.0
-    assert _ratio_mean([(1, 3), (2, 3), (3, 2**53)], 1) == 1.0 + 2.0**-51
-    assert _ratio_mean([(2**54 + 1, 2**54), (1, 2**54)], 2) == 0.5
+    assert _ratio_mean([2**53 + 1], [2**53], 1) == 1.0
+    assert _ratio_mean([1, 2, 3], [3, 3, 2**53], 1) == 1.0 + 2.0**-51
+    assert _ratio_mean([2**54 + 1, 1], [2**54, 2**54], 2) == 0.5
 
 
-def test_ratio_mean_is_exact_up_to_4096_terms_and_a_rank_order_float_sum_above():
+# Sizes 0 to 300 or 0 to 40,000, and the examples below always run large ones.
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from((300, 40_000)).flatmap(lambda top: st.integers(0, top)),
+    st.sampled_from(("staircase", "ratios", "exact", "midpoint")),
+    st.integers(0, 2**32),
+    st.sampled_from((1, 2, 4096, 2**31 - 1, 2**31)),
+    st.integers(1, 10**4),
+)
+@example(40_000, "staircase", 0, 1, 30_000)
+@example(40_000, "ratios", 1, 4096, 12_345)
+@example(2_000, "ratios", 1, 2**31 - 1, 12_345)
+@example(40_000, "exact", 2, 2**31, 2**10)
+@example(20_000, "midpoint", 3, 4096, 9_999)
+def test_ratio_mean_is_the_fraction_mean_at_every_size(size, shape, seed, top, total):
+    """AP staircases, ratios n <= d up to and past the int64 bracket's 2**31,
+    means that a float holds exactly, and means on a rounding midpoint."""
+    rng = np.random.default_rng(seed)
+    if shape == "staircase":
+        d = np.sort(rng.choice(np.arange(1, 2 * size + 2), size, replace=False))
+        n = np.arange(1, size + 1)
+    else:  # with d near 2**31, the Fraction sum grows by about 31 bits a term
+        d = rng.integers(1, top, size if top <= 4096 else min(size, 2_000), endpoint=True)
+        n = d if shape == "exact" else rng.integers(0, d, endpoint=True)
+    if shape == "exact":  # every term is 1, so the mean is size / 2**k
+        total = 1 << total.bit_length() - 1
+    numerators, denominators = n.tolist(), d.tolist()
+    if shape == "midpoint":  # one more term puts the mean half an ulp above a float
+        exact = sum(map(Fraction, numerators, denominators), Fraction(0))
+        low = float(exact / total)
+        rest = (Fraction(low) + Fraction(math.ulp(low)) / 2) * total - exact
+        numerators.append(rest.numerator)
+        denominators.append(rest.denominator)
+    terms = zip(numerators, denominators)
+    assert _ratio_mean(numerators, denominators, total) == exact_mean(terms, total)
+
+
+# Floored to 64 fractional bits, each of these means rounds to one float at
+# the bracket's low end and to the next at its high end; 5/998/7 rounds up
+# and 4/753/4 down, so returning either end alone fails one of them.
+@pytest.mark.parametrize("n, d, total", [(5, 998, 7), (4, 753, 4)])
+def test_ratio_mean_sums_exactly_when_the_bracket_does_not_decide(n, d, total):
+    low = (n << 64) // d
+    assert low / (total << 64) != (low + 1) / (total << 64)
+    assert _ratio_mean(np.array([n]), np.array([d]), total) == exact_mean([(n, d)], total)
+
+
+def test_ratio_mean_is_exact_at_4096_and_4097_terms():
     # An AP staircase: the k-th TP at rank positions[k-1], ranks up to 8,192.
+    # A rank-order float sum differs from the exact mean at both sizes.
     rng = np.random.default_rng(0)
     positions = np.sort(rng.choice(np.arange(1, 8193), 4097, replace=False)).tolist()
     terms = list(enumerate(positions, start=1))
@@ -385,9 +435,10 @@ def test_ratio_mean_is_exact_up_to_4096_terms_and_a_rank_order_float_sum_above()
     def float_mean(terms):
         return float(sum(n / d for n, d in terms) / 4100)
 
-    at_limit = terms[:4096]
-    assert _ratio_mean(at_limit, 4100) == exact_mean(at_limit, 4100) != float_mean(at_limit)
-    assert _ratio_mean(terms, 4100) == float_mean(terms) != exact_mean(terms, 4100)
+    for size in (4096, 4097):
+        numerators = np.arange(1, size + 1)
+        got = _ratio_mean(numerators, positions[:size], 4100)
+        assert got == exact_mean(terms[:size], 4100) != float_mean(terms[:size])
 
 
 def rank_staircase(rng, n_tp, n_entries):
@@ -415,6 +466,25 @@ def test_ap_and_ap_t2t_stay_exact_when_denominator_products_pass_2_63(int_type):
         total_gt=total_gt,
     )
     assert ap_t2t(annotated) == float(ap_t2t_exact(tp_ranks, fp_ranks, 150))
+
+
+def test_ap_and_ap_t2t_equal_their_exact_oracles_above_4096_tps():
+    # 4,100 TPs and 300 FPs in random rank order: both sums have 4,100 terms.
+    ranks = np.random.default_rng(43).permutation(np.arange(1, 4401))
+    tp_ranks, fp_ranks = sorted(ranks[:4100].tolist()), sorted(ranks[4100:].tolist())
+
+    outcome = make_outcome(
+        [1.0 - r / 8192 for r in tp_ranks], [1.0 - r / 8192 for r in fp_ranks], 4500
+    )
+    records = [(d.score, d.detection_id, True) for d, _ in outcome.true_positives]
+    records += [(d.score, d.detection_id, False) for d in outcome.false_positives]
+    assert average_precision(outcome) == float(average_precision_enumeration(records, 4500))
+
+    annotated = make_annotated(
+        tp=[(0.5, float(r)) for r in tp_ranks], fp=[(0.5, float(r)) for r in fp_ranks],
+        total_gt=4500,
+    )
+    assert ap_t2t(annotated) == float(ap_t2t_exact(tp_ranks, fp_ranks, 4500))
 
 
 def test_report_and_profile_construct_no_fraction(monkeypatch):
