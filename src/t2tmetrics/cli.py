@@ -23,7 +23,6 @@ from .ingest import (
     _load_json,
     _read_csv_rows,
     _shown,
-    _unknown_image,
     bind_features,
     decode,
     load_detections,
@@ -172,10 +171,11 @@ def _load_inputs(cfg: RunConfig):
     gts = load_ground_truth(cfg.ground_truth)
     dets = load_detections(cfg.detections)
     # The matcher would count a detection on an unlisted image as a false positive.
-    unknown = _unknown_image(dets, gts)
-    if unknown is not None:
-        raise ValidationError(f"{cfg.detections}: detection {unknown[0]!r} "
-                              f"references unknown image {unknown[1]!r}")
+    listed = {im.id for im in gts.images}
+    for det_id, image_id in zip(dets.ids, dets.image_ids):
+        if image_id not in listed:
+            raise ValidationError(f"{cfg.detections}: detection {det_id!r} "
+                                  f"references unknown image {image_id!r}")
     model = load_model(cfg.model) if cfg.model is not None else _fit(cfg)
     features = load_feature_matrix(cfg.features)
     if features.data.shape[1] != model.dim:
@@ -447,17 +447,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _number(parse):
+    """A flag's converter for ``int`` or ``float`` that refuses digit-group
+    underscores, as ``_csv_number`` does; argparse names it in its error."""
+    def convert(text: str):
+        return _csv_number(parse, text)
+
+    convert.__name__ = parse.__name__
+    return convert
+
+
+_INT, _FLOAT = _number(int), _number(float)
+
+
 def _add_io_flags(p: argparse.ArgumentParser, *, matching: bool = False) -> None:
     p.add_argument("--config", type=Path, help="JSON config file; flags override it")
     p.add_argument("--train-features", dest="train_features", type=Path,
                    help="training feature matrix")
-    p.add_argument("--epsilon", type=float, help="covariance regularization (default: trace-scaled)")
+    p.add_argument("--epsilon", type=_FLOAT, help="covariance regularization (default: trace-scaled)")
     if matching:
         p.add_argument("--gt", dest="ground_truth", type=Path, help="ground-truth JSON")
         p.add_argument("--det", dest="detections", type=Path, help="detections JSON")
         p.add_argument("--features", type=Path, help="detection feature matrix")
         p.add_argument("--model", type=Path, help="fitted model file (instead of --train-features)")
-        p.add_argument("--iou", dest="iou_threshold", type=float,
+        p.add_argument("--iou", dest="iou_threshold", type=_FLOAT,
                        help="IoU threshold for matching (default 0.5)")
 
 
@@ -471,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="full pipeline: metrics, AP_t2t profile, histograms")
     _add_io_flags(p, matching=True)
     p.add_argument("--score-thresholds", help="regimes, e.g. all=0.01,med=0.1,high=0.5")
-    p.add_argument("--bins", type=int, help=f"histogram bin count, 1 to {MAX_BINS} (default 30)")
+    p.add_argument("--bins", type=_INT, help=f"histogram bin count, 1 to {MAX_BINS} (default 30)")
     p.add_argument("--iou-grid", action="store_true", default=None,
                    help="average AP_t2t over the 0.50:0.05:0.95 IoU grid")
     p.add_argument("--out", type=Path, help="output directory")
@@ -484,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distances", help="per-detection train2test distances as CSV")
     _add_io_flags(p, matching=True)
-    p.add_argument("--score-threshold", type=float, default=0.01,
+    p.add_argument("--score-threshold", type=_FLOAT, default=0.01,
                    help="drop detections scoring below this (default 0.01)")
     p.add_argument("--out", type=Path, help="output CSV file")
     p.set_defaults(func=cmd_distances)
@@ -507,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scenario", help="generate a synthetic planted dataset")
     p.add_argument("--spec", type=Path, help="scenario spec JSON (defaults apply)")
-    p.add_argument("--seed", type=int, help="override the spec seed")
+    p.add_argument("--seed", type=_INT, help="override the spec seed")
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_scenario)
 

@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .fsio import write_bytes
-from .ingest import FeatureMatrix, _ColumnView, _Cursor, _read_bytes
+from .ingest import FeatureMatrix, _Cursor, _column, _first_repeat, _read_bytes
 from .matching import MatchOutcome
 
 MODEL_MAGIC = b"T2TMODL\x00"
@@ -335,6 +335,13 @@ class Kind(str, enum.Enum):
     FP = "fp"
 
 
+def _check_distance(distance: float, detection_id: str) -> None:
+    """Refuse a distance unless it is finite and >= 0."""
+    if not np.isfinite(distance) or distance < 0:
+        raise ValidationError(
+            f"entry {detection_id!r} distance must be finite and >= 0, got {distance}")
+
+
 @dataclass(frozen=True)
 class AnnotatedEntry:
     detection_id: str
@@ -345,69 +352,60 @@ class AnnotatedEntry:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, Kind):
             raise ValidationError(f"kind must be Kind.TP or Kind.FP, got {self.kind!r}")
-        if not np.isfinite(self.distance) or self.distance < 0:
-            raise ValidationError(
-                f"entry {self.detection_id!r} distance must be finite and >= 0, "
-                f"got {self.distance}"
-            )
+        _check_distance(self.distance, self.detection_id)
 
 
 @dataclass(frozen=True, eq=False)
-class _Entries:
-    """An annotated outcome as columns: ids, whether each entry is a TP, and
-    float64 scores and distances. An annotation of a match outcome lists its
-    kept detections in the outcome's rank order; one built from ``entries``
-    lists them as given."""
+class DistanceAnnotatedOutcome:
+    """Match outcome with one train2test distance per kept detection, as columns.
+
+    ``ids``, the boolean ``tp``, and float64 ``scores`` and ``dist`` hold one
+    entry per kept detection. An outcome of :func:`annotate_distances` or
+    ``metric_report`` lists the kept detections in the match outcome's rank
+    order (-score, detection_id). The constructor checks that no id repeats,
+    that every distance is finite and >= 0 and that the TPs do not outnumber
+    ``total_gt``.
+    """
 
     ids: list[str]
     tp: np.ndarray
     scores: np.ndarray
-    distances: np.ndarray
-
-
-@dataclass(frozen=True)
-class DistanceAnnotatedOutcome(_ColumnView):
-    """Match outcome with one train2test distance per kept detection.
-
-    ``entries`` lists the TPs, then the FPs. An outcome of
-    :func:`annotate_distances` or ``metric_report`` lists each part in rank
-    order (-score, detection_id), holds its entries as columns and builds the
-    ``AnnotatedEntry`` objects only when a caller reads ``entries``.
-    """
-
-    entries: tuple[AnnotatedEntry, ...]
+    dist: np.ndarray
     total_gt: int
     score_threshold: float
 
     def __post_init__(self) -> None:
+        ids = list(self.ids)
+        tp = _column(self.tp, (len(ids),), "tp", bool)
+        scores = _column(self.scores, (len(ids),), "scores")
+        dist = _column(self.dist, (len(ids),), "distances")
         if self.total_gt < 0:
             raise ValidationError(f"total_gt must be >= 0, got {self.total_gt}")
-        entries = self.entries
-        cols = _Entries(
-            ids=[e.detection_id for e in entries],
-            tp=np.array([e.kind is Kind.TP for e in entries], dtype=bool),
-            scores=np.array([e.score for e in entries], dtype=np.float64),
-            distances=np.array([e.distance for e in entries], dtype=np.float64),
-        )
-        if len(set(cols.ids)) != len(cols.ids):
-            raise ValidationError("duplicate detection id in annotated outcome")
-        n_tp = int(np.count_nonzero(cols.tp))
+        if (repeat := _first_repeat(ids)) is not None:
+            raise ValidationError(f"duplicate detection id {repeat!r} in annotated outcome")
+        refused = ~(np.isfinite(dist) & (dist >= 0))
+        if refused.any():
+            k = int(refused.argmax())
+            _check_distance(float(dist[k]), ids[k])
+        n_tp = int(np.count_nonzero(tp))
         if n_tp > self.total_gt:
             raise ValidationError(f"{n_tp} true positives exceed total_gt = {self.total_gt}")
-        object.__setattr__(self, "_cols", cols)
-
-    def _field_of_columns(self, name: str) -> tuple[AnnotatedEntry, ...]:
-        cols = self._cols
-        ids, tp = cols.ids, cols.tp.tolist()
-        scores, distances = cols.scores.tolist(), cols.distances.tolist()
-        return tuple(
-            AnnotatedEntry(detection_id=ids[k], kind=Kind.TP if tp[k] else Kind.FP,
-                           score=scores[k], distance=distances[k])
-            for k in np.argsort(~cols.tp, kind="stable").tolist()
-        )
+        for name, value in (("ids", ids), ("tp", tp), ("scores", scores), ("dist", dist)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self._cols.ids)
+        return len(self.ids)
+
+    @functools.cached_property
+    def entries(self) -> tuple[AnnotatedEntry, ...]:
+        """The TP entries, then the FP entries, each in column order, built on first read."""
+        ids, tp = self.ids, self.tp.tolist()
+        scores, dist = self.scores.tolist(), self.dist.tolist()
+        return tuple(
+            AnnotatedEntry(detection_id=ids[k], kind=Kind.TP if tp[k] else Kind.FP,
+                           score=scores[k], distance=dist[k])
+            for k in np.argsort(~self.tp, kind="stable").tolist()
+        )
 
     def distances(self, kind: Kind | str) -> np.ndarray:
         """The distances of the TP or the FP entries, in column order."""
@@ -415,33 +413,24 @@ class DistanceAnnotatedOutcome(_ColumnView):
             kind = Kind(kind)
         except ValueError:
             raise ValidationError(f"kind must be 'tp' or 'fp', got {kind!r}") from None
-        cols = self._cols
-        return cols.distances[cols.tp if kind is Kind.TP else ~cols.tp]
+        return self.dist[self.tp if kind is Kind.TP else ~self.tp]
 
 
 def _annotated(outcome: MatchOutcome, distances: np.ndarray) -> DistanceAnnotatedOutcome:
     """The annotation listing the kept detections of ``outcome``, in its rank
     order, with ``distances``."""
-    cols = outcome._cols
-    det_cols = cols.dets._cols
-    entries = _Entries(ids=[det_cols.ids[k] for k in cols.kept.tolist()], tp=cols.claims >= 0,
-                       scores=det_cols.scores[cols.kept], distances=distances)
-    refused = ~np.isfinite(distances)
-    if refused.any():  # the entry's own check raises its error
-        k = int(refused.argmax())
-        AnnotatedEntry(entries.ids[k], Kind.TP if entries.tp[k] else Kind.FP,
-                       float(entries.scores[k]), float(distances[k]))
-    return DistanceAnnotatedOutcome._view(entries, total_gt=outcome.total_gt,
-                                          score_threshold=outcome.score_threshold)
+    dets = outcome.dets
+    return DistanceAnnotatedOutcome(
+        ids=list(map(dets.ids.__getitem__, outcome.kept.tolist())), tp=outcome.claims >= 0,
+        scores=dets.scores[outcome.kept], dist=distances, total_gt=outcome.total_gt,
+        score_threshold=outcome.score_threshold)
 
 
 def annotate_distances(model: GaussianTrainModel, outcome: MatchOutcome) -> DistanceAnnotatedOutcome:
     """Attach a distance to every TP and FP detection of the outcome."""
-    cols = outcome._cols
-    det_cols = cols.dets._cols
-    kept = cols.kept.tolist()
-    features = [det_cols.features[k] for k in kept]
-    unbound = sorted(det_cols.ids[k] for k, f in zip(kept, features) if f is None)
+    dets, kept = outcome.dets, outcome.kept.tolist()
+    features = list(map(dets.features.__getitem__, kept))
+    unbound = sorted(dets.ids[k] for k, f in zip(kept, features) if f is None)
     if unbound:
         shown = ", ".join(unbound[:10]) + (", ..." if len(unbound) > 10 else "")
         raise BindingError(f"{len(unbound)} detections have no bound feature: {shown}")

@@ -53,7 +53,7 @@ import mmap
 import struct
 import sys
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +182,14 @@ class GroundTruthInstance:
     instance_id: str
 
 
+def _check_score(score: float, detection_id: str) -> float:
+    """``score`` as a float, refused unless it is finite and lies in [0, 1]."""
+    score = _require_finite(score, f"detection {detection_id!r} score")
+    if not 0.0 <= score <= 1.0:
+        raise ValidationError(f"detection {detection_id!r} score must lie in [0, 1], got {score}")
+    return score
+
+
 @dataclass(frozen=True, eq=False)
 class Detection:
     """One detector output; ``feature`` stays None until ``bind_features`` sets
@@ -194,58 +202,7 @@ class Detection:
     feature: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "score", _require_finite(self.score, f"detection {self.detection_id!r} score"))
-        if not 0.0 <= self.score <= 1.0:
-            raise ValidationError(
-                f"detection {self.detection_id!r} score must lie in [0, 1], got {self.score}"
-            )
-
-
-class _ColumnView:
-    """Base of the frozen dataclasses that hold their records as columns ``_cols``.
-
-    Every instance has its columns from the start: the public constructor
-    builds them from the fields in ``__post_init__``, and ``_view`` is given
-    them with only some fields. A field that was not given is built from the
-    columns on first read (``_field_of_columns``), so no record object exists
-    until a caller reads one.
-    """
-
-    @classmethod
-    def _view(cls, cols, **values):
-        view = object.__new__(cls)
-        object.__setattr__(view, "_cols", cols)
-        for name, value in values.items():
-            object.__setattr__(view, name, value)
-        return view
-
-    def __getattr__(self, name: str):
-        if name not in self.__dataclass_fields__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = self._field_of_columns(name)
-        object.__setattr__(self, name, value)
-        return value
-
-
-def _index(names: list) -> tuple[list, np.ndarray]:
-    """The distinct ``names`` in first-seen order, and the position of each name among them."""
-    position: dict = {}
-    at = [position.setdefault(name, len(position)) for name in names]
-    return list(position), np.array(at, dtype=np.intp)
-
-
-def _id_rank(ids: list[str]) -> np.ndarray:
-    """The position of each id in Python's string order (numpy strings drop
-    trailing NULs, so numpy cannot order these ids)."""
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return rank
-
-
-def _box_rows(boxes) -> np.ndarray:
-    """The (n, 4) float64 array of (x, y, w, h) of ``BoundingBox`` objects."""
-    values = itertools.chain.from_iterable((b.x, b.y, b.w, b.h) for b in boxes)
-    return np.fromiter(values, dtype=np.float64).reshape(-1, 4)
+        object.__setattr__(self, "score", _check_score(self.score, self.detection_id))
 
 
 def _boxes_pass(boxes: np.ndarray) -> np.ndarray:
@@ -261,140 +218,140 @@ def _boxes_pass(boxes: np.ndarray) -> np.ndarray:
     return ok
 
 
-@dataclass(frozen=True, eq=False)
-class _DetectionColumns:
-    """A detection set as columns, in the set's order.
+def _column(values, shape: tuple[int, ...], what: str, dtype: type = np.float64) -> np.ndarray:
+    """``values`` as an array of ``dtype`` and ``shape``."""
+    column = np.asarray(values, dtype=dtype)
+    if column.shape != shape:
+        if column.size or math.prod(shape):
+            raise ValidationError(f"{what} must have shape {shape}, got {column.shape}")
+        column = column.reshape(shape)
+    return column
 
-    ``image`` is the position of each detection's image id in
-    ``image_names``, ``boxes`` is (n, 4) float64 of (x, y, w, h), and
-    ``features[k]`` is detection k's feature, an array or None.
+
+def _located(ids, image_ids, boxes, what: str) -> tuple[list[str], list[str], np.ndarray]:
+    """The id and image id columns of ``what`` records as lists, and their
+    (n, 4) float64 boxes; the first box that fails a ``BoundingBox`` check
+    raises its error, naming its record. The image id column holds one
+    string object per distinct id, however many records name it."""
+    shared: dict[str, str] = {}
+    ids, image_ids = list(ids), [shared.setdefault(name, name) for name in image_ids]
+    if len(image_ids) != len(ids):
+        raise ValidationError(f"{len(image_ids)} image ids for {len(ids)} {what} ids")
+    boxes = _column(boxes, (len(ids), 4), "boxes")
+    refused = ~_boxes_pass(boxes)
+    if refused.any():
+        k = int(refused.argmax())
+        try:
+            BoundingBox(*boxes[k].tolist())
+        except ValidationError as exc:
+            raise ValidationError(f"{what} {ids[k]!r}: {exc}") from None
+    return ids, image_ids, boxes
+
+
+@dataclass(frozen=True, eq=False)
+class GroundTruthSet:
+    """Images and their annotated instances, the instances held as columns.
+
+    ``ids``, ``image_ids`` and the (n, 4) float64 ``boxes`` of (x, y, w, h)
+    hold one entry per instance. The constructor checks every box as
+    ``BoundingBox`` does, that image and instance ids are unique and that
+    every instance's image is listed; ``image_index`` is then the position of
+    each instance's image in ``images``.
+    """
+
+    images: tuple[ImageInfo, ...]
+    ids: list[str]
+    image_ids: list[str]
+    boxes: np.ndarray
+    image_index: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        ids, image_ids, boxes = _located(self.ids, self.image_ids, self.boxes, "instance")
+        listed = [im.id for im in self.images]
+        if (repeat := _first_repeat(listed)) is not None:
+            raise ValidationError(f"duplicate image id {repeat!r} in ground truth")
+        position = {image_id: k for k, image_id in enumerate(listed)}
+        at = [position.get(image_id, -1) for image_id in image_ids]
+        if -1 in at or len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            for inst_id, image_id in zip(ids, image_ids):
+                if inst_id in seen:
+                    raise ValidationError(f"duplicate ground-truth instance id {inst_id!r}")
+                seen.add(inst_id)
+                if image_id not in position:
+                    raise ValidationError(
+                        f"instance {inst_id!r} references unknown image {image_id!r}"
+                    )
+        for name, value in (("ids", ids), ("image_ids", image_ids), ("boxes", boxes),
+                            ("image_index", np.array(at, dtype=np.intp))):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @functools.cached_property
+    def instances(self) -> tuple[GroundTruthInstance, ...]:
+        """The instances as records, built from the columns on first read."""
+        return tuple(
+            GroundTruthInstance(image_id=image_id, box=BoundingBox(*box), instance_id=inst_id)
+            for inst_id, image_id, box in zip(self.ids, self.image_ids, self.boxes.tolist())
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionSet:
+    """Detections held as columns, one entry per detection.
+
+    ``boxes`` is (n, 4) float64 of (x, y, w, h), ``scores`` is float64, and
+    ``features[k]`` is detection k's feature, an array or None; ``None`` for
+    the whole column leaves every feature unbound. The constructor checks
+    every box as ``BoundingBox`` does, every score as ``Detection`` does, and
+    that no detection id repeats.
     """
 
     ids: list[str]
-    image_names: list[str]
-    image: np.ndarray
+    image_ids: list[str]
     boxes: np.ndarray
     scores: np.ndarray
-    features: tuple
+    features: tuple | None = None
 
-    @classmethod
-    def of(cls, dets: tuple[Detection, ...]) -> _DetectionColumns:
-        image_names, image = _index([det.image_id for det in dets])
-        return cls(
-            ids=[det.detection_id for det in dets],
-            image_names=image_names,
-            image=image,
-            boxes=_box_rows(det.box for det in dets),
-            scores=np.array([det.score for det in dets], dtype=np.float64),
-            features=tuple(det.feature for det in dets),
-        )
+    def __post_init__(self) -> None:
+        ids, image_ids, boxes = _located(self.ids, self.image_ids, self.boxes, "detection")
+        scores = _column(self.scores, (len(ids),), "scores")
+        refused = ~((scores >= 0.0) & (scores <= 1.0))
+        if refused.any():
+            k = int(refused.argmax())
+            _check_score(scores[k], ids[k])
+        if (repeat := _first_repeat(ids)) is not None:
+            raise ValidationError(f"duplicate detection id {repeat!r}")
+        features = (None,) * len(ids) if self.features is None else tuple(self.features)
+        if len(features) != len(ids):
+            raise ValidationError(f"{len(features)} features for {len(ids)} detections")
+        for name, value in (("ids", ids), ("image_ids", image_ids), ("boxes", boxes),
+                            ("scores", scores), ("features", features)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
     @functools.cached_property
     def id_rank(self) -> np.ndarray:
-        return _id_rank(self.ids)
+        """The position of each id in Python's string order (numpy strings drop
+        trailing NULs, so numpy cannot order these ids)."""
+        rank = np.empty(len(self.ids), dtype=np.intp)
+        rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = np.arange(len(self.ids))
+        return rank
 
+    @functools.cached_property
     def detections(self) -> tuple[Detection, ...]:
-        """The records as ``Detection`` objects."""
-        names = [self.image_names[k] for k in self.image.tolist()]
+        """The detections as records, built from the columns on first read."""
         return tuple(
-            Detection(image_id=name, box=BoundingBox(*box), score=score, detection_id=det_id,
-                      feature=feature)
-            for name, box, score, det_id, feature in zip(
-                names, self.boxes.tolist(), self.scores.tolist(), self.ids, self.features)
+            Detection(image_id=image_id, box=BoundingBox(*box), score=score,
+                      detection_id=det_id, feature=feature)
+            for det_id, image_id, box, score, feature in zip(
+                self.ids, self.image_ids, self.boxes.tolist(), self.scores.tolist(),
+                self.features)
         )
-
-
-def _check_detection_ids(ids: list[str]) -> None:
-    if (repeat := _first_repeat(ids)) is not None:
-        raise ValidationError(f"duplicate detection id {repeat!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class _InstanceColumns:
-    """Ground-truth instances as columns: ids, the position of each one's
-    image in the set's ``images``, and (n, 4) float64 boxes of (x, y, w, h)."""
-
-    ids: list[str]
-    image: np.ndarray
-    boxes: np.ndarray
-
-    @functools.cached_property
-    def id_rank(self) -> np.ndarray:
-        return _id_rank(self.ids)
-
-
-def _instance_images(images: tuple[ImageInfo, ...], ids: list[str], image_ids: list[str]) -> np.ndarray:
-    """The position in ``images`` of each instance's image, after checking that
-    image and instance ids are unique and that every instance's image is listed."""
-    listed = [im.id for im in images]
-    if (repeat := _first_repeat(listed)) is not None:
-        raise ValidationError(f"duplicate image id {repeat!r} in ground truth")
-    position = {image_id: k for k, image_id in enumerate(listed)}
-    at = [position.get(image_id, -1) for image_id in image_ids]
-    if -1 in at or len(set(ids)) != len(ids):
-        seen: set[str] = set()
-        for inst_id, image_id in zip(ids, image_ids):
-            if inst_id in seen:
-                raise ValidationError(f"duplicate ground-truth instance id {inst_id!r}")
-            seen.add(inst_id)
-            if image_id not in position:
-                raise ValidationError(
-                    f"instance {inst_id!r} references unknown image {image_id!r}"
-                )
-    return np.array(at, dtype=np.intp)
-
-
-@dataclass(frozen=True)
-class GroundTruthSet(_ColumnView):
-    """Images and their annotated instances, the instances held as columns
-    (``_InstanceColumns``). A set read by ``load_ground_truth`` builds its
-    ``instances`` objects only when a caller reads them."""
-
-    images: tuple[ImageInfo, ...]
-    instances: tuple[GroundTruthInstance, ...]
-
-    def __post_init__(self) -> None:
-        # Building the columns checks the set's invariants.
-        ids = [inst.instance_id for inst in self.instances]
-        image = _instance_images(self.images, ids, [inst.image_id for inst in self.instances])
-        object.__setattr__(self, "_cols", _InstanceColumns(
-            ids=ids, image=image, boxes=_box_rows(i.box for i in self.instances)))
-
-    def _field_of_columns(self, name: str) -> tuple[GroundTruthInstance, ...]:
-        cols = self._cols
-        return tuple(
-            GroundTruthInstance(image_id=self.images[k].id, box=BoundingBox(*box), instance_id=inst_id)
-            for inst_id, k, box in zip(cols.ids, cols.image.tolist(), cols.boxes.tolist())
-        )
-
-    def __len__(self) -> int:
-        return len(self._cols.ids)
-
-    def instances_by_image(self) -> dict[str, list[GroundTruthInstance]]:
-        grouped: dict[str, list[GroundTruthInstance]] = {}
-        for inst in self.instances:
-            grouped.setdefault(inst.image_id, []).append(inst)
-        return grouped
-
-
-@dataclass(frozen=True)
-class DetectionSet(_ColumnView):
-    """Detections, held as columns (``_DetectionColumns``). A set read by
-    ``load_detections`` or made by ``bind_features`` builds its
-    ``detections`` objects only when a caller reads them."""
-
-    detections: tuple[Detection, ...]
-
-    def __post_init__(self) -> None:
-        cols = _DetectionColumns.of(self.detections)
-        _check_detection_ids(cols.ids)
-        object.__setattr__(self, "_cols", cols)
-
-    def _field_of_columns(self, name: str) -> tuple[Detection, ...]:
-        return self._cols.detections()
-
-    def __len__(self) -> int:
-        return len(self._cols.ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -732,27 +689,24 @@ def load_ground_truth(path: str | Path) -> GroundTruthSet:
     image_ids, boxes, ids = _record_columns(
         path, "annotations", doc["annotations"], _ANNOTATION_FIELDS,
         lambda _, boxes, __: _boxes_pass(boxes))
-    images = tuple(images)
     try:
-        image = _instance_images(images, ids, image_ids)
+        gts = GroundTruthSet(images=tuple(images), ids=ids, image_ids=image_ids, boxes=boxes)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    gts = GroundTruthSet._view(_InstanceColumns(ids=ids, image=image, boxes=boxes), images=images)
     logger.info("loaded %d ground-truth instances over %d images from %s",
                 len(gts), len(gts.images), path)
     return gts
 
 
 def write_ground_truth(gts: GroundTruthSet, path: str | Path) -> Path:
-    cols = gts._cols
     doc = {
         "images": [
             {"id": im.id, "file_name": im.file_name, "width": im.width, "height": im.height}
             for im in gts.images
         ],
         "annotations": [
-            {"id": inst_id, "image_id": gts.images[k].id, "bbox": box}
-            for inst_id, k, box in zip(cols.ids, cols.image.tolist(), cols.boxes.tolist())
+            {"id": inst_id, "image_id": image_id, "bbox": box}
+            for inst_id, image_id, box in zip(gts.ids, gts.image_ids, gts.boxes.tolist())
         ],
     }
     return write_text(path, json.dumps(doc, indent=2) + "\n")
@@ -769,25 +723,20 @@ def load_detections(path: str | Path) -> DetectionSet:
     ids, scores, image_ids, boxes = _record_columns(
         path, "detections", doc, _DETECTION_FIELDS,
         lambda _, scores, __, boxes: _boxes_pass(boxes) & (scores >= 0.0) & (scores <= 1.0),
-        lambda det_id, score, image_id, box: Detection(image_id, box, score, det_id))
+        lambda det_id, score, image_id, box: _check_score(score, det_id))
     try:
-        _check_detection_ids(ids)
+        out = DetectionSet(ids=ids, image_ids=image_ids, boxes=boxes, scores=scores)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    image_names, image = _index(image_ids)
-    out = DetectionSet._view(_DetectionColumns(
-        ids=ids, image_names=image_names, image=image, boxes=boxes, scores=scores,
-        features=(None,) * len(ids)))
     logger.info("loaded %d detections from %s", len(out), path)
     return out
 
 
 def write_detections(dets: DetectionSet, path: str | Path) -> Path:
-    cols = dets._cols
     doc = [
-        {"detection_id": det_id, "image_id": cols.image_names[k], "bbox": box, "score": score}
-        for det_id, k, box, score in zip(
-            cols.ids, cols.image.tolist(), cols.boxes.tolist(), cols.scores.tolist())
+        {"detection_id": det_id, "image_id": image_id, "bbox": box, "score": score}
+        for det_id, image_id, box, score in zip(
+            dets.ids, dets.image_ids, dets.boxes.tolist(), dets.scores.tolist())
     ]
     return write_text(path, json.dumps(doc, indent=2) + "\n")
 
@@ -887,25 +836,13 @@ def bind_features(dets: DetectionSet, features: FeatureMatrix) -> DetectionSet:
     Every detection must have a row; missing rows raise BindingError listing
     the ids. Extra rows are permitted and reported as a warning.
     """
-    cols = dets._cols
     index = {row_id: i for i, row_id in enumerate(features.row_ids)}
-    rows = [index.get(det_id, -1) for det_id in cols.ids]
+    rows = [index.get(det_id, -1) for det_id in dets.ids]
     if -1 in rows:
-        missing = sorted(det_id for det_id, row in zip(cols.ids, rows) if row < 0)
+        missing = sorted(det_id for det_id, row in zip(dets.ids, rows) if row < 0)
         shown = ", ".join(missing[:10]) + (", ..." if len(missing) > 10 else "")
         raise BindingError(f"{len(missing)} detections have no feature row: {shown}")
     extra = len(index) - len(dets)
     if extra > 0:
         logger.warning("%d feature rows are not referenced by any detection", extra)
-    return DetectionSet._view(replace(cols, features=tuple(map(features.data.__getitem__, rows))))
-
-
-def _unknown_image(dets: DetectionSet, gts: GroundTruthSet) -> tuple[str, str] | None:
-    """The id and image id of the first detection whose image ``gts`` does not list."""
-    cols = dets._cols
-    listed = {im.id for im in gts.images}
-    unknown = [k for k, name in enumerate(cols.image_names) if name not in listed]
-    if not unknown:
-        return None
-    first = int(np.isin(cols.image, unknown).argmax())
-    return cols.ids[first], cols.image_names[cols.image[first]]
+    return replace(dets, features=tuple(map(features.data.__getitem__, rows)))

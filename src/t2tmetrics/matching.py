@@ -22,13 +22,14 @@ float :func:`iou` returns for that pair, bit for bit.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import BoundingBox, Detection, DetectionSet, GroundTruthSet, _ColumnView
+from .ingest import BoundingBox, Detection, DetectionSet, GroundTruthSet
 
 # IoU thresholds 0.50, 0.55, ..., 0.95 used for averaged AP. Built from
 # integer ratios so each grid point is the correctly rounded double.
@@ -55,90 +56,76 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class _Claims:
-    """A match outcome as columns, in rank order (-score, detection_id).
+class MatchOutcome:
+    """Partition of detections into TP/FP and ground truth into matched/missed, as columns.
 
-    ``kept`` holds the positions in ``dets`` of the kept detections in rank
-    order, and ``claims`` the position in ``gt_ids`` of the instance each one
-    claimed, or -1 for a false positive. Every outcome has this one order,
-    whether the matcher made it or its constructor did.
+    ``kept`` holds the positions in ``dets`` of the detections kept at the
+    score threshold, in rank order (-score, detection_id), and ``claims``
+    the position in ``gts`` of the instance each one claimed, or -1 for a
+    false positive. ``total_gt`` is the full instance count |X| of ``gts``,
+    independent of the score threshold. The constructor checks that the kept
+    detections are distinct and in rank order and that no instance is
+    claimed twice.
     """
 
     dets: DetectionSet
+    gts: GroundTruthSet
     kept: np.ndarray
     claims: np.ndarray
-    gt_ids: list[str]
-
-
-def _rank_order(dets: DetectionSet, at: np.ndarray) -> np.ndarray:
-    """The order of the detections at positions ``at`` by (-score, detection_id)."""
-    cols = dets._cols
-    return np.lexsort((cols.id_rank[at], -cols.scores[at]))
-
-
-@dataclass(frozen=True)
-class MatchOutcome(_ColumnView):
-    """Partition of detections into TP/FP and ground truth into matched/missed.
-
-    ``true_positives`` pairs each matched detection with the instance id it
-    claimed. ``total_gt`` is the full instance count |X|, independent of the
-    score threshold. Every outcome holds the claim of each kept detection in
-    rank order; an outcome of :func:`iou_matcher` builds its three tuples only
-    when a caller reads them.
-    """
-
-    true_positives: tuple[tuple[Detection, str], ...]
-    false_positives: tuple[Detection, ...]
-    false_negatives: tuple[str, ...]
     iou_threshold: float
     score_threshold: float
-    total_gt: int
 
     def __post_init__(self) -> None:
-        if len(self.true_positives) + len(self.false_negatives) != self.total_gt:
+        kept = np.asarray(self.kept, dtype=np.intp)
+        claims = np.asarray(self.claims, dtype=np.intp)
+        if kept.ndim != 1 or claims.shape != kept.shape:
             raise ValidationError(
-                f"|TP| + |FN| = {len(self.true_positives)} + {len(self.false_negatives)} "
-                f"does not equal total_gt = {self.total_gt}"
-            )
-        det_ids = [d.detection_id for d, _ in self.true_positives]
-        det_ids += [d.detection_id for d in self.false_positives]
-        if len(set(det_ids)) != len(det_ids):
-            raise ValidationError("a detection appears in both TP and FP (or twice)")
-        claimed = [inst for _, inst in self.true_positives]
-        if len(set(claimed)) != len(claimed):
+                f"kept {kept.shape} and claims {claims.shape} must be 1-D columns of one length")
+        if not np.all((0 <= kept) & (kept < len(self.dets))):
+            raise ValidationError(f"kept positions must lie in [0, {len(self.dets)})")
+        scores, rank = self.dets.scores[kept], self.dets.id_rank[kept]
+        if not np.all((scores[:-1] > scores[1:])
+                      | ((scores[:-1] == scores[1:]) & (rank[:-1] < rank[1:]))):
+            raise ValidationError(
+                "kept detections must be distinct and in rank order (-score, detection_id)")
+        if not np.all((-1 <= claims) & (claims < len(self.gts))):
+            raise ValidationError(f"claims must lie in [-1, {len(self.gts)})")
+        claimed = np.sort(claims[claims >= 0])
+        if np.any(claimed[1:] == claimed[:-1]):
             raise ValidationError("a ground-truth instance was claimed twice")
-        if set(claimed) & set(self.false_negatives):
-            raise ValidationError("an instance is both matched and missed")
-        dets = DetectionSet(detections=tuple(d for d, _ in self.true_positives) + self.false_positives)
-        kept = _rank_order(dets, np.arange(len(dets)))
-        object.__setattr__(self, "_cols", _Claims(
-            dets=dets, kept=kept, claims=np.where(kept < len(self.true_positives), kept, -1),
-            gt_ids=claimed + list(self.false_negatives)))
+        object.__setattr__(self, "kept", kept)
+        object.__setattr__(self, "claims", claims)
 
-    def _field_of_columns(self, name: str) -> tuple:
-        cols = self._cols
-        claims = cols.claims.tolist()
-        if name == "false_negatives":
-            taken = set(claims)
-            return tuple(i for k, i in enumerate(cols.gt_ids) if k not in taken)
-        objects = cols.dets.detections
-        kept = [objects[k] for k in cols.kept.tolist()]
-        if name == "true_positives":
-            return tuple((det, cols.gt_ids[g]) for det, g in zip(kept, claims) if g >= 0)
-        return tuple(det for det, g in zip(kept, claims) if g < 0)
+    @property
+    def total_gt(self) -> int:
+        return len(self.gts)
+
+    @functools.cached_property
+    def true_positives(self) -> tuple[tuple[Detection, str], ...]:
+        """Each matched detection, in rank order, with the instance id it claimed."""
+        records, gt_ids = self.dets.detections, self.gts.ids
+        return tuple((records[k], gt_ids[g])
+                     for k, g in zip(self.kept.tolist(), self.claims.tolist()) if g >= 0)
+
+    @functools.cached_property
+    def false_positives(self) -> tuple[Detection, ...]:
+        """The kept detections that claimed no instance, in rank order."""
+        records = self.dets.detections
+        return tuple(records[k] for k, g in zip(self.kept.tolist(), self.claims.tolist()) if g < 0)
+
+    @functools.cached_property
+    def false_negatives(self) -> tuple[str, ...]:
+        """The ids of the instances that no kept detection claimed, in the order of ``gts``."""
+        taken = set(self.claims.tolist())
+        return tuple(inst_id for k, inst_id in enumerate(self.gts.ids) if k not in taken)
 
 
 def _prefix(outcome: MatchOutcome, score_threshold: float) -> MatchOutcome:
     """The outcome of the same matching at a score threshold at or above
     ``outcome``'s, which the prefix invariant makes its score >= threshold prefix."""
-    cols = outcome._cols
-    n = int(np.count_nonzero(cols.dets._cols.scores[cols.kept] >= score_threshold))
-    return MatchOutcome._view(
-        _Claims(dets=cols.dets, kept=cols.kept[:n], claims=cols.claims[:n], gt_ids=cols.gt_ids),
-        iou_threshold=outcome.iou_threshold,
-        score_threshold=score_threshold,
-        total_gt=outcome.total_gt,
-    )
+    n = int(np.count_nonzero(outcome.dets.scores[outcome.kept] >= score_threshold))
+    return replace(outcome, kept=outcome.kept[:n], claims=outcome.claims[:n],
+                   score_threshold=score_threshold)
 
 
 def _edges(xywh: np.ndarray) -> np.ndarray:
@@ -227,38 +214,37 @@ def iou_matcher(
     images without instances are false positives at every threshold and
     take no table row.
     """
-    det_cols, gt_cols = dets._cols, gts._cols
-    kept = np.flatnonzero(det_cols.scores >= score_threshold)
-    kept = kept[_rank_order(dets, kept)]
-    gt_ids = gt_cols.ids
+    kept = np.flatnonzero(dets.scores >= score_threshold)
+    kept = kept[np.lexsort((dets.id_rank[kept], -dets.scores[kept]))]
+    gt_ids, gt_image = gts.ids, gts.image_index
     n_images = len(gts.images)
     image_of = {im.id: k for k, im in enumerate(gts.images)}
-    det_image = np.array([image_of.get(name, n_images) for name in det_cols.image_names],
-                         dtype=np.intp)[det_cols.image[kept]]
+    det_image = np.array([image_of.get(name, n_images) for name in dets.image_ids],
+                         dtype=np.intp)[kept]
     # Rank positions of the kept detections on listed images, and their images.
-    n_cols = np.bincount(gt_cols.image, minlength=n_images + 1)  # 0 at the unlisted index
+    n_cols = np.bincount(gt_image, minlength=n_images + 1)  # 0 at the unlisted index
     ranks = np.flatnonzero(n_cols[det_image] > 0)
     row_image = det_image[ranks]
     n_rows = np.bincount(row_image, minlength=n_images + 1)
     row_slot = _slots(row_image, n_rows)
     # Instances by image, in ``instance_id`` order within each image.
-    by_id = np.argsort(gt_cols.id_rank)
+    by_id = np.array(sorted(range(len(gt_ids)), key=gt_ids.__getitem__), dtype=np.intp)
     col_slot = np.empty(len(gt_ids), dtype=np.intp)
-    col_slot[by_id] = _slots(gt_cols.image[by_id], n_cols)
+    col_slot[by_id] = _slots(gt_image[by_id], n_cols)
 
     # Images go in buckets by the bit lengths of their row and column counts,
     # so padding at most doubles each side of an image's cells.
     active = np.flatnonzero(n_rows > 0)
     keys = np.frexp(n_rows[active])[1] * 64 + np.frexp(n_cols[active])[1]
-    det_edges = _edges(det_cols.boxes[kept])
-    gt_edges = _edges(gt_cols.boxes)
+    det_edges = _edges(dets.boxes[kept])
+    gt_edges = _edges(gts.boxes)
     blocks = []
     for key in sorted(set(keys.tolist())):  # np.unique would import numpy.ma
         images = active[keys == key]
         place = np.full(n_images + 1, -1, dtype=np.intp)
         place[images] = np.arange(len(images))
         rows = _padded(row_image, row_slot, ranks, place, (len(images), n_rows[images].max()))
-        cols = _padded(gt_cols.image, col_slot, np.arange(len(gt_ids)), place,
+        cols = _padded(gt_image, col_slot, np.arange(len(gt_ids)), place,
                        (len(images), n_cols[images].max()))
         blocks.append((rows, cols, _iou_table(rows, cols, det_edges, gt_edges)))
 
@@ -280,12 +266,8 @@ def iou_matcher(
                 at, best = images[hit], best[hit]
                 free[at, best] = 0.0
                 claims[rows[at, r]] = cols[at, best]
-        return MatchOutcome._view(
-            _Claims(dets=dets, kept=kept, claims=claims, gt_ids=gt_ids),
-            iou_threshold=iou_threshold,
-            score_threshold=score_threshold,
-            total_gt=len(gt_ids),
-        )
+        return MatchOutcome(dets=dets, gts=gts, kept=kept, claims=claims,
+                            iou_threshold=iou_threshold, score_threshold=score_threshold)
 
     return match
 

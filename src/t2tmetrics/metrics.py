@@ -79,7 +79,7 @@ def _precision_recall(
     annotated: DistanceAnnotatedOutcome, keep: np.ndarray
 ) -> tuple[float | None, float]:
     """Precision and recall over the entries that ``keep`` marks."""
-    tp = int(np.count_nonzero(keep & annotated._cols.tp))
+    tp = int(np.count_nonzero(keep & annotated.tp))
     fp = int(np.count_nonzero(keep)) - tp
     recall = tp / annotated.total_gt if annotated.total_gt > 0 else 0.0
     if tp + fp == 0:
@@ -97,7 +97,7 @@ def precision_recall(
     reported as 0.0.
     """
     score_threshold = _check_unit_interval(score_threshold, "score_threshold")
-    return _precision_recall(annotated, annotated._cols.scores >= score_threshold)
+    return _precision_recall(annotated, annotated.scores >= score_threshold)
 
 
 def t2t_precision_recall(
@@ -108,7 +108,7 @@ def t2t_precision_recall(
         raise ValidationError(
             f"distance_threshold must be finite and >= 0, got {distance_threshold}"
         )
-    return _precision_recall(annotated, annotated._cols.distances <= distance_threshold)
+    return _precision_recall(annotated, annotated.dist <= distance_threshold)
 
 
 def average_precision(outcome: MatchOutcome) -> float:
@@ -119,7 +119,7 @@ def average_precision(outcome: MatchOutcome) -> float:
     """
     if outcome.total_gt == 0:
         raise UndefinedMetricError("average precision is undefined without ground truth")
-    positions = np.flatnonzero(outcome._cols.claims >= 0) + 1
+    positions = np.flatnonzero(outcome.claims >= 0) + 1
     return _ratio_mean(np.arange(1, positions.size + 1), positions, outcome.total_gt)
 
 
@@ -155,8 +155,7 @@ def ap_t2t(annotated: DistanceAnnotatedOutcome) -> float:
     """
     if annotated.total_gt == 0:
         raise UndefinedMetricError("AP_t2t is undefined without ground truth")
-    cols = annotated._cols
-    return _ap_t2t(cols.distances[cols.tp], cols.distances, annotated.total_gt)
+    return _ap_t2t(annotated.dist[annotated.tp], annotated.dist, annotated.total_gt)
 
 
 class RegimeError(T2TError):
@@ -227,9 +226,9 @@ def _profile(
             live = [name for name in thresholds if name not in failures]
             if not live:
                 break
-            distances, scores = annotated._cols.distances, annotated._cols.scores
+            distances, scores = annotated.dist, annotated.scores
             keep = {name: scores >= thresholds[name] for name in live}
-        tp = outcome._cols.claims[:len(distances)] >= 0
+        tp = outcome.claims[:len(distances)] >= 0
         for name in live:
             values[name].append(
                 _ap_t2t(distances[keep[name] & tp], distances[keep[name]], outcome.total_gt))
@@ -319,12 +318,12 @@ def metric_report(
     ap_t2t_by_regime, distances = _profile(model, gts, thresholds, profile_ious, match)
     chosen = match(iou_threshold)
     ap = functools.cache(lambda t: average_precision(match(t)))
-    n_tp = int(np.count_nonzero(chosen._cols.claims >= 0))
+    n_tp = int(np.count_nonzero(chosen.claims >= 0))
     report = MetricReport(
         ap=ap(iou_threshold),
         ap_5095=_mean([ap(t) for t in IOU_GRID]),
         ap_t2t_by_regime=ap_t2t_by_regime,
-        counts=(n_tp, len(chosen._cols.kept) - n_tp, chosen.total_gt - n_tp),
+        counts=(n_tp, len(chosen.kept) - n_tp, chosen.total_gt - n_tp),
     )
     # Every regime succeeded, so every kept detection has its distance.
     return report, _annotated(chosen, distances)

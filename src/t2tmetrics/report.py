@@ -220,13 +220,10 @@ def export_csv(obj) -> str:
         rows = [[label, _fmt(value)] for label, value in obj.bars]
         return _csv_text(["label", "value"], rows)
     if isinstance(obj, DistanceAnnotatedOutcome):
-        cols = obj._cols
-        kinds = [(Kind.TP if tp else Kind.FP).value for tp in cols.tp.tolist()]
-        scores, distances = cols.scores.tolist(), cols.distances.tolist()
-        rows = [
-            [cols.ids[k], kinds[k], _fmt(scores[k]), _fmt(distances[k])]
-            for k in sorted(range(len(cols.ids)), key=cols.ids.__getitem__)
-        ]
+        # The ids are unique, so the rows sort by id alone.
+        entries = sorted(zip(obj.ids, obj.tp.tolist(), obj.scores.tolist(), obj.dist.tolist()))
+        rows = [[det_id, (Kind.TP if tp else Kind.FP).value, _fmt(score), _fmt(distance)]
+                for det_id, tp, score, distance in entries]
         return _csv_text(["detection_id", "kind", "score", "distance"], rows)
     raise ValidationError(f"no CSV serialization for {type(obj).__name__}")
 

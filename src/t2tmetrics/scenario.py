@@ -33,8 +33,6 @@ from .ingest import (
     FeatureMatrix,
     GroundTruthSet,
     ImageInfo,
-    _DetectionColumns,
-    _InstanceColumns,
     _shown,
     bind_features,
     decode,
@@ -168,15 +166,16 @@ def _unit_rows(g: np.ndarray) -> np.ndarray:
     return g / norms
 
 
-def _slot_boxes(n: int, n_images: int, band_offset: float) -> tuple[np.ndarray, np.ndarray]:
-    """The image and the (x, y, w, h) box of slots 0..n-1: slot i is grid cell
-    i // n_images, row by row, of image i % n_images."""
+def _slot_boxes(n: int, image_ids: list[str],
+                band_offset: float) -> tuple[list[str], np.ndarray]:
+    """The image id and the (x, y, w, h) box of slots 0..n-1: with k images,
+    slot i is grid cell i // k, row by row, of image i % k."""
     index = np.arange(n)
-    row, col = np.divmod(index // n_images, _GRID_COLS)
+    row, col = np.divmod(index // len(image_ids), _GRID_COLS)
     boxes = np.full((n, 4), _BOX)
     boxes[:, 0] = _CELL / 4 + col * _CELL
     boxes[:, 1] = _CELL / 4 + row * _CELL + band_offset
-    return index % n_images, boxes
+    return [image_ids[k] for k in (index % len(image_ids)).tolist()], boxes
 
 
 def generate_scenario(spec: ScenarioSpec) -> Scenario:
@@ -211,31 +210,28 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
         for i in range(n_images)
     )
 
-    # Held as columns: every id is unique and every image listed by construction.
-    gt_image, gt_boxes = _slot_boxes(spec.n_gt, n_images, band_offset=0.0)
-    fp_image, fp_boxes = _slot_boxes(spec.n_fp, n_images, band_offset=_FP_BAND_OFFSET)
+    image_ids = [im.id for im in images]
+    gt_image, gt_boxes = _slot_boxes(spec.n_gt, image_ids, band_offset=0.0)
+    fp_image, fp_boxes = _slot_boxes(spec.n_fp, image_ids, band_offset=_FP_BAND_OFFSET)
     tp_boxes = gt_boxes[: spec.n_tp].copy()
     tp_boxes[:, 0] += tp_jitter
     tp_ids = [f"tp-{i:05d}" for i in range(spec.n_tp)]
     det_ids = tp_ids + [f"fp-{i:05d}" for i in range(spec.n_fp)]
-    detections = DetectionSet._view(_DetectionColumns(
+    detections = DetectionSet(
         ids=det_ids,
-        image_names=[im.id for im in images],
-        image=np.concatenate([gt_image[: spec.n_tp], fp_image]),
+        image_ids=gt_image[: spec.n_tp] + fp_image,
         boxes=np.concatenate([tp_boxes, fp_boxes]),
         scores=np.concatenate([tp_scores, fp_scores]),
-        features=(None,) * len(det_ids),
-    ))
+    )
     test_features = FeatureMatrix(
         data=np.concatenate([tp_features, fp_features]), row_ids=tuple(det_ids)
     )
 
     return Scenario(
         spec=spec,
-        ground_truth=GroundTruthSet._view(
-            _InstanceColumns(ids=[f"gt-{i:05d}" for i in range(spec.n_gt)], image=gt_image,
-                             boxes=gt_boxes),
-            images=images,
+        ground_truth=GroundTruthSet(
+            images=images, ids=[f"gt-{i:05d}" for i in range(spec.n_gt)],
+            image_ids=gt_image, boxes=gt_boxes,
         ),
         detections=bind_features(detections, test_features),
         train_features=FeatureMatrix(

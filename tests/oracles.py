@@ -21,6 +21,7 @@ from t2tmetrics import (
     Detection,
     DetectionSet,
     DistanceAnnotatedOutcome,
+    GroundTruthInstance,
     GroundTruthSet,
     Kind,
     MatchOutcome,
@@ -33,6 +34,7 @@ from t2tmetrics import (
     average_precision,
     iou,
 )
+from records import annotated_outcome, match_outcome
 
 
 def ap_t2t_bruteforce(tp_distances, fp_distances, total_gt: int) -> float:
@@ -96,7 +98,9 @@ def match_detections_loop(
     kept = [d for d in dets.detections if d.score >= score_threshold]
     kept.sort(key=lambda d: (-d.score, d.detection_id))
 
-    by_image = gts.instances_by_image()
+    by_image: dict[str, list[GroundTruthInstance]] = {}
+    for inst in gts.instances:
+        by_image.setdefault(inst.image_id, []).append(inst)
     claimed: set[str] = set()
     tps: list[tuple[Detection, str]] = []
     fps: list[Detection] = []
@@ -120,14 +124,7 @@ def match_detections_loop(
             tps.append((det, best_id))
 
     fns = tuple(inst.instance_id for inst in gts.instances if inst.instance_id not in claimed)
-    return MatchOutcome(
-        true_positives=tuple(tps),
-        false_positives=tuple(fps),
-        false_negatives=fns,
-        iou_threshold=iou_threshold,
-        score_threshold=score_threshold,
-        total_gt=len(gts.instances),
-    )
+    return match_outcome(tps, fps, fns, iou_threshold, score_threshold)
 
 
 def ap_t2t_profile_rematch(model, dets, gts, score_thresholds=None, iou_thresholds=(0.5,)):
@@ -265,4 +262,4 @@ def make_random_annotated(
         )
         for i in range(n_entries)
     )
-    return DistanceAnnotatedOutcome(entries=entries, total_gt=total_gt, score_threshold=0.0)
+    return annotated_outcome(entries, total_gt)

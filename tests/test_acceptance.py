@@ -13,18 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from oracles import ap_t2t_bruteforce, ap_t2t_exact, make_random_annotated
+from records import annotated_outcome, detection_set, ground_truth, match_outcome
 from t2tmetrics import (
     AnnotatedEntry,
     BoundingBox,
     Detection,
-    DetectionSet,
-    DistanceAnnotatedOutcome,
     FeatureMatrix,
     GroundTruthInstance,
-    GroundTruthSet,
     ImageInfo,
     Kind,
-    MatchOutcome,
     annotate_distances,
     ap_over_iou_range,
     ap_t2t,
@@ -57,7 +54,7 @@ def annotated(tp_distances, fp_distances, total_gt):
         AnnotatedEntry(detection_id=f"f{i}", kind=Kind.FP, score=0.8, distance=float(d))
         for i, d in enumerate(fp_distances)
     ]
-    return DistanceAnnotatedOutcome(entries=tuple(entries), total_gt=total_gt, score_threshold=0.0)
+    return annotated_outcome(entries=tuple(entries), total_gt=total_gt, score_threshold=0.0)
 
 
 def test_c01_ap_t2t_matches_bruteforce_oracle_on_1000_outcomes():
@@ -118,23 +115,22 @@ def test_c05_ap_staircase_and_iou_grid_case_exact():
     det = lambda i, score: Detection(
         detection_id=f"d{i}", image_id="im", box=BoundingBox(0, 0, 1, 1), score=score
     )
-    outcome = MatchOutcome(
+    outcome = match_outcome(
         true_positives=((det(1, 0.9), "g1"), (det(3, 0.7), "g2")),
         false_positives=(det(2, 0.8),),
         false_negatives=(),
         iou_threshold=0.5,
         score_threshold=0.0,
-        total_gt=2,
     )
     assert average_precision(outcome) == 5 / 6
 
-    gts = GroundTruthSet(
+    gts = ground_truth(
         images=(ImageInfo(id="im", file_name="", width=10, height=10),),
         instances=(
             GroundTruthInstance(image_id="im", box=BoundingBox(0, 0, 3, 1), instance_id="g"),
         ),
     )
-    dets = DetectionSet(detections=(
+    dets = detection_set(detections=(
         Detection(detection_id="d", image_id="im", box=BoundingBox(0.75, 0, 3, 1), score=0.9),
     ))
     assert ap_over_iou_range(dets, gts) == 0.3
@@ -152,7 +148,7 @@ def test_c06_order_only_dependence_exact_over_1000_transform_pairs():
         ]
         transforms += [lambda x: x * x, lambda x: x * x * x]
         for fn in transforms:
-            moved = DistanceAnnotatedOutcome(
+            moved = annotated_outcome(
                 entries=tuple(replace(e, distance=fn(e.distance)) for e in out.entries),
                 total_gt=out.total_gt,
                 score_threshold=out.score_threshold,
@@ -179,7 +175,7 @@ def test_c07_single_entry_improvement_never_decreases_ap_t2t():
         for index, factor in moves:
             entries = list(out.entries)
             entries[index] = replace(entries[index], distance=entries[index].distance * factor)
-            moved = DistanceAnnotatedOutcome(
+            moved = annotated_outcome(
                 entries=tuple(entries), total_gt=out.total_gt, score_threshold=0.0
             )
             after = ap_t2t(moved)
@@ -206,7 +202,7 @@ def test_c08_matching_conserves_instances_and_tp_is_monotone_in_score_cut():
             ImageInfo(id=i, file_name="", width=40, height=40) for i in image_ids
         )
         n_gt = int(rng.integers(0, 9))
-        gts = GroundTruthSet(
+        gts = ground_truth(
             images=images,
             instances=tuple(
                 GroundTruthInstance(
@@ -217,7 +213,7 @@ def test_c08_matching_conserves_instances_and_tp_is_monotone_in_score_cut():
                 for j in range(n_gt)
             ),
         )
-        dets = DetectionSet(detections=tuple(
+        dets = detection_set(detections=tuple(
             Detection(
                 detection_id=f"d{j}",
                 image_id=image_ids[int(rng.integers(0, len(image_ids)))],

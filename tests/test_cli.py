@@ -20,6 +20,7 @@ from t2tmetrics import (
     BoundingBox,
     Detection,
     DetectionSet,
+    DistanceAnnotatedOutcome,
     GroundTruthInstance,
     GroundTruthSet,
     MatchOutcome,
@@ -43,6 +44,7 @@ from t2tmetrics.ingest import FEATURE_MAGIC
 from t2tmetrics.report import _fmt
 
 from oracles import match_detections_loop
+from records import detection_set, ground_truth
 
 SCENARIO_SPEC = {
     "n_gt": 8,
@@ -180,11 +182,10 @@ def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
 
 def count_record_objects(monkeypatch):
     """Count the per-record objects built from now on: each BoundingBox,
-    Detection, GroundTruthInstance and AnnotatedEntry, each MatchOutcome made
-    by its constructor, and each tuple field a match outcome builds."""
+    Detection, GroundTruthInstance and AnnotatedEntry, and each record view
+    that a set or outcome builds from its columns."""
     counts = {}
-    classes = (BoundingBox, Detection, GroundTruthInstance, AnnotatedEntry, MatchOutcome)
-    for cls in classes:
+    for cls in (BoundingBox, Detection, GroundTruthInstance, AnnotatedEntry):
         counts[cls.__name__] = 0
 
         def init(self, *args, __init=cls.__init__, __name=cls.__name__, **kwargs):
@@ -192,14 +193,20 @@ def count_record_objects(monkeypatch):
             __init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", init)
-    counts["MatchOutcome tuples"] = 0
-    build = MatchOutcome._field_of_columns
+    views = {GroundTruthSet: ["instances"], DetectionSet: ["detections"],
+             MatchOutcome: ["true_positives", "false_positives", "false_negatives"],
+             DistanceAnnotatedOutcome: ["entries"]}
+    for cls, names in views.items():
+        for name in names:
+            key = f"{cls.__name__}.{name}"
+            counts[key] = 0
+            view = vars(cls)[name]
 
-    def field_of_columns(self, name):
-        counts["MatchOutcome tuples"] += 1
-        return build(self, name)
+            def build(self, __build=view.func, __key=key):
+                counts[__key] += 1
+                return __build(self)
 
-    monkeypatch.setattr(MatchOutcome, "_field_of_columns", field_of_columns)
+            monkeypatch.setattr(view, "func", build)
     return counts
 
 
@@ -217,10 +224,10 @@ def test_distances_builds_no_record_objects_and_writes_the_object_path_csv(
     # built Detection and GroundTruthInstance objects, annotated and exported.
     model = fit_gaussian(load_feature_matrix(dataset / "train_features.t2tfeat"))
     loaded = load_ground_truth(dataset / "ground_truth.json")
-    gts = GroundTruthSet(images=loaded.images, instances=loaded.instances)
+    gts = ground_truth(images=loaded.images, instances=loaded.instances)
     bound = bind_features(load_detections(dataset / "detections.json"),
                           load_feature_matrix(dataset / "features.t2tfeat"))
-    dets = DetectionSet(detections=bound.detections)
+    dets = detection_set(bound.detections)
     expected = export_csv(annotate_distances(model, match_detections_loop(dets, gts, 0.5, 0.01)))
 
     counts = count_record_objects(monkeypatch)
@@ -1096,6 +1103,23 @@ def test_usage_errors_exit_1(capsys, argv):
         main(argv)
     assert exc.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["evaluate", "--bins", "1_0"], "int"),
+    (["evaluate", "--iou", "0.5_0"], "float"),
+    (["evaluate", "--epsilon", "1_0"], "float"),
+    (["distances", "--score-threshold", "0.0_1"], "float"),
+    (["scenario", "--seed", "1_0", "--out", "unused"], "int"),
+])
+def test_numeric_flags_refuse_digit_group_underscores(capsys, argv, kind):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"t2t {argv[0]}: error: argument {argv[1]}: invalid {kind} value: {argv[2]!r}"]
 
 
 # ------------------------------------------------------------------------ fuzz

@@ -19,7 +19,6 @@ from t2tmetrics import (
     FeatureMatrix,
     GaussianTrainModel,
     Kind,
-    MatchOutcome,
     NumericalError,
     ParseError,
     ScenarioSpec,
@@ -40,6 +39,7 @@ from t2tmetrics import (
 from t2tmetrics import feature_model
 from t2tmetrics.cli import main
 from oracles import covariance_twopass, train2test_distance_exact
+from records import match_outcome
 
 
 def matrix(rows, prefix="r"):
@@ -621,13 +621,12 @@ def det(det_id, score, feature):
 
 def test_annotate_distances():
     model = model_from_moments(np.zeros(2), np.eye(2))
-    outcome = MatchOutcome(
+    outcome = match_outcome(
         true_positives=((det("t1", 0.9, [3.0, 4.0]), "g1"),),
         false_positives=(det("f1", 0.4, [1.0, 0.0]),),
         false_negatives=("g2",),
         iou_threshold=0.5,
         score_threshold=0.1,
-        total_gt=2,
     )
     annotated = annotate_distances(model, outcome)
     assert [e.detection_id for e in annotated.entries] == ["t1", "f1"]
@@ -644,7 +643,7 @@ def test_annotated_entries_list_tps_then_fps_each_in_rank_order():
     # The TPs are given out of rank order; "t1" and "t2" tie on score, so the
     # detection id breaks the tie.
     model = model_from_moments(np.zeros(2), np.eye(2))
-    outcome = MatchOutcome(
+    outcome = match_outcome(
         true_positives=(
             (det("t3", 0.5, [1.0, 0.0]), "g3"),
             (det("t2", 0.9, [0.0, 2.0]), "g2"),
@@ -654,7 +653,6 @@ def test_annotated_entries_list_tps_then_fps_each_in_rank_order():
         false_negatives=(),
         iou_threshold=0.5,
         score_threshold=0.0,
-        total_gt=3,
     )
     annotated = annotate_distances(model, outcome)
     assert [(e.detection_id, e.kind, e.distance) for e in annotated.entries] == [
@@ -668,13 +666,12 @@ def test_annotated_entries_list_tps_then_fps_each_in_rank_order():
 
 def test_distances_takes_the_kind_or_its_value():
     model = model_from_moments(np.zeros(2), np.eye(2))
-    outcome = MatchOutcome(
+    outcome = match_outcome(
         true_positives=((det("t1", 0.9, [1.0, 1.0]), "g1"),),
         false_positives=(det("f1", 0.4, [1.0, 0.0]),),
         false_negatives=(),
         iou_threshold=0.5,
         score_threshold=0.0,
-        total_gt=1,
     )
     annotated = annotate_distances(model, outcome)
     np.testing.assert_array_equal(annotated.distances("tp"), annotated.distances(Kind.TP))
@@ -687,13 +684,12 @@ def test_distances_takes_the_kind_or_its_value():
 
 def test_annotate_requires_bound_features():
     model = model_from_moments(np.zeros(2), np.eye(2))
-    outcome = MatchOutcome(
+    outcome = match_outcome(
         true_positives=((det("t1", 0.9, None), "g1"),),
         false_positives=(det("f1", 0.4, [1.0, 0.0]),),
         false_negatives=(),
         iou_threshold=0.5,
         score_threshold=0.0,
-        total_gt=1,
     )
     with pytest.raises(BindingError) as err:
         annotate_distances(model, outcome)
@@ -703,29 +699,42 @@ def test_annotate_requires_bound_features():
 def test_annotate_refuses_a_distance_that_overflows():
     # The precision is 1e300 * I, so the squared distance of [1e5, 0] is inf.
     model = model_from_moments(np.zeros(2), np.zeros((2, 2)), 1e-300)
-    outcome = MatchOutcome(
+    outcome = match_outcome(
         true_positives=(),
         false_positives=(det("d1", 0.4, [1e5, 0.0]),),
         false_negatives=(),
         iou_threshold=0.5,
         score_threshold=0.0,
-        total_gt=0,
     )
     with pytest.raises(ValidationError) as err:
         annotate_distances(model, outcome)
     assert str(err.value) == "entry 'd1' distance must be finite and >= 0, got inf"
 
 
-def test_annotated_outcome_validation():
-    e = AnnotatedEntry(detection_id="a", kind=Kind.TP, score=0.5, distance=1.0)
-    with pytest.raises(ValidationError):
-        DistanceAnnotatedOutcome(entries=(e, e), total_gt=2, score_threshold=0.0)
-    with pytest.raises(ValidationError):
-        DistanceAnnotatedOutcome(entries=(e,), total_gt=0, score_threshold=0.0)
+def test_annotated_entry_validation():
     with pytest.raises(ValidationError):
         AnnotatedEntry(detection_id="a", kind=Kind.TP, score=0.5, distance=-0.1)
     with pytest.raises(ValidationError):
         AnnotatedEntry(detection_id="a", kind="tp", score=0.5, distance=0.1)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"ids": ["a", "a"]}, "duplicate detection id 'a' in annotated outcome"),
+    ({"dist": [1.0, float("nan")]}, "entry 'b' distance must be finite and >= 0, got nan"),
+    ({"dist": [-0.1, 2.0]}, "entry 'a' distance must be finite and >= 0, got -0.1"),
+    ({"dist": [1.0, float("inf")]}, "entry 'b' distance must be finite and >= 0, got inf"),
+    ({"tp": [True, True]}, "2 true positives exceed total_gt = 1"),
+    ({"total_gt": -1}, "total_gt must be >= 0, got -1"),
+    ({"scores": [0.5]}, "scores must have shape (2,), got (1,)"),
+], ids=["duplicate id", "nan distance", "negative distance", "infinite distance",
+        "tps over total_gt", "negative total_gt", "scores length"])
+def test_annotated_outcome_constructor_refuses_each_broken_invariant(changes, message):
+    columns = dict(ids=["a", "b"], tp=[True, False], scores=[0.5, 0.4], dist=[1.0, 2.0],
+                   total_gt=1, score_threshold=0.0)
+    assert len(DistanceAnnotatedOutcome(**columns)) == 2
+    with pytest.raises(ValidationError) as err:
+        DistanceAnnotatedOutcome(**{**columns, **changes})
+    assert str(err.value) == message
 
 
 # ------------------------------------------------------------------- model i/o

@@ -40,6 +40,7 @@ from t2tmetrics import (
 from t2tmetrics.cli import RunConfig
 from t2tmetrics.ingest import FEATURE_MAGIC, _read_bytes, decode
 from t2tmetrics.scenario import ScenarioSpec
+from records import detection_set, ground_truth, plain
 
 
 def gt_doc():
@@ -127,6 +128,49 @@ def test_detection_score_range():
         Detection(detection_id="d", image_id="i", box=box, score=float("nan"))
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"ids": ["g1", "g1"]}, "duplicate ground-truth instance id 'g1'"),
+    ({"image_ids": ["im1", "im3"]}, "instance 'g2' references unknown image 'im3'"),
+    ({"images": (ImageInfo("im1", "", 8, 8),) * 2}, "duplicate image id 'im1' in ground truth"),
+    ({"boxes": [(0, 0, 1, 1), (0, 0, 0, 1)]},
+     "instance 'g2': box extent must be positive, got w=0.0, h=1.0"),
+    ({"boxes": [(0, 0, 1, 1), (float("nan"), 0, 1, 1)]},
+     "instance 'g2': box x must be finite, got nan"),
+    ({"boxes": [(0, 0, 1, 1)]}, "boxes must have shape (2, 4), got (1, 4)"),
+    ({"image_ids": ["im1"]}, "1 image ids for 2 instance ids"),
+], ids=["duplicate id", "unlisted image", "duplicate image", "empty box", "nan box",
+        "boxes length", "image ids length"])
+def test_ground_truth_set_constructor_refuses_each_broken_invariant(changes, message):
+    columns = dict(images=(ImageInfo("im1", "", 8, 8), ImageInfo("im2", "", 8, 8)),
+                   ids=["g1", "g2"], image_ids=["im1", "im2"], boxes=[(0, 0, 1, 1)] * 2)
+    assert len(GroundTruthSet(**columns)) == 2
+    with pytest.raises(ValidationError) as err:
+        GroundTruthSet(**{**columns, **changes})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"ids": ["d1", "d1"]}, "duplicate detection id 'd1'"),
+    ({"boxes": [(0, 0, 1, 1), (0, 0, 1, -1)]},
+     "detection 'd2': box extent must be positive, got w=1.0, h=-1.0"),
+    ({"boxes": [(0, 0, 1, 1), (2.0**60, 0, 192.0, 1)]},
+     "detection 'd2': box extent is lost to rounding at its position"),
+    ({"scores": [0.5, 1.5]}, "detection 'd2' score must lie in [0, 1], got 1.5"),
+    ({"scores": [-0.1, 0.5]}, "detection 'd1' score must lie in [0, 1], got -0.1"),
+    ({"scores": [float("nan"), 0.5]}, "detection 'd1' score must be finite, got nan"),
+    ({"scores": [0.5, 0.5, 0.5]}, "scores must have shape (2,), got (3,)"),
+    ({"features": [None]}, "1 features for 2 detections"),
+], ids=["duplicate id", "negative box", "box lost to rounding", "score above 1",
+        "negative score", "nan score", "scores length", "features length"])
+def test_detection_set_constructor_refuses_each_broken_invariant(changes, message):
+    columns = dict(ids=["d1", "d2"], image_ids=["im1", "im1"], boxes=[(0, 0, 1, 1)] * 2,
+                   scores=[0.5, 0.5])
+    assert len(DetectionSet(**columns)) == 2
+    with pytest.raises(ValidationError) as err:
+        DetectionSet(**{**columns, **changes})
+    assert str(err.value).startswith(message)
+
+
 # ------------------------------------------------------------------ json files
 
 
@@ -135,12 +179,11 @@ def test_ground_truth_round_trip(tmp_path):
     gts = load_ground_truth(path)
     assert len(gts) == 3
     assert sorted(im.id for im in gts.images) == ["img-1", "img-2"]
-    by_image = gts.instances_by_image()
-    assert [g.instance_id for g in by_image["img-1"]] == ["a", "b"]
+    assert [g.instance_id for g in gts.instances if g.image_id == "img-1"] == ["a", "b"]
 
     out = tmp_path / "copy.json"
     write_ground_truth(gts, out)
-    assert load_ground_truth(out) == gts
+    assert plain(load_ground_truth(out)) == plain(gts)
 
 
 def test_detections_round_trip(tmp_path):
@@ -361,7 +404,7 @@ def scalar_load_detections(path, doc):
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
     try:
-        return DetectionSet(detections=tuple(dets))
+        return detection_set(dets)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
@@ -384,7 +427,7 @@ def scalar_load_instances(path, doc):
         except KeyError as exc:
             raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
     try:
-        return GroundTruthSet(images=images, instances=tuple(instances))
+        return ground_truth(images=images, instances=instances)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
@@ -482,7 +525,7 @@ def test_ground_truth_loader_raises_the_scalar_loop_errors(tmp_path_factory, doc
     path = write_json(tmp_path_factory.mktemp("gt") / "gt.json", doc)
     expected = result_or_error(scalar_load_instances, path, json.loads(path.read_text()))
     got = result_or_error(load_ground_truth, path)
-    assert got == expected
+    assert plain(got) == plain(expected)
 
 
 # -------------------------------------------------------------------- features

@@ -26,11 +26,12 @@ from t2tmetrics import (
 )
 from t2tmetrics.matching import _edges, _iou_cells, _prefix
 from oracles import match_detections_loop
+from records import detection_set, ground_truth, match_outcome, plain
 
 
 def make_gt(instances):
     image_ids = sorted({img for _, img, _ in instances})
-    return GroundTruthSet(
+    return ground_truth(
         images=tuple(ImageInfo(id=i, file_name="", width=1000, height=1000) for i in image_ids),
         instances=tuple(
             GroundTruthInstance(instance_id=iid, image_id=img, box=BoundingBox(*box))
@@ -40,8 +41,8 @@ def make_gt(instances):
 
 
 def make_dets(dets):
-    return DetectionSet(
-        detections=tuple(
+    return detection_set(
+        tuple(
             Detection(detection_id=did, image_id=img, box=BoundingBox(*box), score=score)
             for did, img, box, score in dets
         )
@@ -161,11 +162,11 @@ def test_matching_is_per_image():
 
 def test_empty_inputs():
     gts = make_gt([("g", "im", (0, 0, 10, 10))])
-    out = match_detections(DetectionSet(detections=()), gts)
+    out = match_detections(detection_set(()), gts)
     assert out.false_negatives == ("g",)
     assert out.total_gt == 1
 
-    empty_gt = GroundTruthSet(images=(ImageInfo(id="im", file_name="", width=10, height=10),), instances=())
+    empty_gt = ground_truth(images=(ImageInfo(id="im", file_name="", width=10, height=10),), instances=())
     dets = make_dets([("d", "im", (0, 0, 5, 5), 0.5)])
     out = match_detections(dets, empty_gt)
     assert out.total_gt == 0
@@ -213,7 +214,7 @@ def test_conservation_property(data):
             ]
         )
     else:
-        gts = GroundTruthSet(images=(ImageInfo(id="im0", file_name="", width=10, height=10),), instances=())
+        gts = ground_truth(images=(ImageInfo(id="im0", file_name="", width=10, height=10),), instances=())
     dets = make_dets(
         [
             (
@@ -296,13 +297,12 @@ def test_higher_score_cut_is_a_prefix_of_the_base_outcome(data):
     for t in IOU_GRID:
         outcome = match_detections(dets, gts, t, base)
         # The same outcome built by hand, its TPs and FPs in a drawn order.
-        rebuilt = MatchOutcome(
+        rebuilt = match_outcome(
             true_positives=tuple(data.draw(st.permutations(outcome.true_positives))),
             false_positives=tuple(data.draw(st.permutations(outcome.false_positives))),
             false_negatives=outcome.false_negatives,
             iou_threshold=t,
             score_threshold=base,
-            total_gt=outcome.total_gt,
         )
         assert average_precision(rebuilt) == average_precision(outcome)
         for cut in SCORE_CUTS:
@@ -322,25 +322,27 @@ def test_higher_score_cut_is_a_prefix_of_the_base_outcome(data):
             assert sorted(cut_rebuilt.false_negatives) == sorted(fns)
 
 
-@pytest.mark.parametrize("tps, fps, fns, total_gt, message", [
-    ([("d1", "g1")], [], ["g2"], 3, "|TP| + |FN| = 1 + 1 does not equal total_gt = 3"),
-    ([("d1", "g1")], ["d1"], [], 1, "a detection appears in both TP and FP (or twice)"),
-    ([("d1", "g1"), ("d2", "g1")], [], [], 2, "a ground-truth instance was claimed twice"),
-    ([("d1", "g1")], [], ["g1"], 2, "an instance is both matched and missed"),
-])
-def test_match_outcome_constructor_refuses_each_broken_invariant(tps, fps, fns, total_gt, message):
-    def det(det_id):
-        return Detection(image_id="im", box=BoundingBox(0, 0, 1, 1), score=0.5, detection_id=det_id)
-
+@pytest.mark.parametrize("changes, message", [
+    ({"kept": [0, 0, 1]}, "kept detections must be distinct and in rank order"),
+    ({"kept": [1, 0, 2]}, "kept detections must be distinct and in rank order"),
+    ({"kept": [0, 2, 1]}, "kept detections must be distinct and in rank order"),
+    ({"kept": [0, 1, 3]}, "kept positions must lie in [0, 3)"),
+    ({"claims": [0, 0, -1]}, "a ground-truth instance was claimed twice"),
+    ({"claims": [0, 2, -1]}, "claims must lie in [-1, 2)"),
+    ({"claims": [0, -1]}, "must be 1-D columns of one length"),
+], ids=["kept twice", "score order", "id order", "unknown detection", "claimed twice",
+        "unknown instance", "claims length"])
+def test_match_outcome_constructor_refuses_each_broken_invariant(changes, message):
+    # d1 scores 0.9 and claims g1; d2 and d3 tie at 0.5, so d2 ranks first.
+    dets = DetectionSet(ids=["d1", "d2", "d3"], image_ids=["im"] * 3,
+                        boxes=[(0, 0, 1, 1)] * 3, scores=[0.9, 0.5, 0.5])
+    gts = GroundTruthSet(images=(ImageInfo("im", "", 8, 8),), ids=["g1", "g2"],
+                         image_ids=["im"] * 2, boxes=[(0, 0, 1, 1)] * 2)
+    columns = dict(dets=dets, gts=gts, kept=[0, 1, 2], claims=[0, -1, -1],
+                   iou_threshold=0.5, score_threshold=0.0)
+    assert MatchOutcome(**columns).total_gt == 2
     with pytest.raises(ValidationError, match=re.escape(message)):
-        MatchOutcome(
-            true_positives=tuple((det(d), g) for d, g in tps),
-            false_positives=tuple(det(d) for d in fps),
-            false_negatives=tuple(fns),
-            iou_threshold=0.5,
-            score_threshold=0.0,
-            total_gt=total_gt,
-        )
+        MatchOutcome(**{**columns, **changes})
 
 
 # ------------------------------------------------------------------ IoU table
@@ -396,7 +398,7 @@ def test_iou_table_at_the_box_limits_warns_nothing():
         assert_cells_are_iou(boxes, boxes)
         gts = make_gt([(f"g{i}", "im", astuple(b)) for i, b in enumerate(boxes)])
         dets = make_dets([(f"d{i}", "im", astuple(b), 0.5) for i, b in enumerate(boxes)])
-        assert match_detections(dets, gts, 0.5) == match_detections_loop(dets, gts, 0.5)
+        assert plain(match_detections(dets, gts, 0.5)) == plain(match_detections_loop(dets, gts, 0.5))
 
 
 # Starts in units of the extent: beyond 2**52 extents the far edge x + w rounds,
@@ -440,7 +442,7 @@ def scenes(draw):
     ids = draw(st.permutations(INSTANCE_IDS))[:draw(st.integers(0, len(INSTANCE_IDS)))]
     gt_images = draw(st.lists(st.sampled_from(IMAGES[:3]), min_size=len(ids), max_size=len(ids)))
     gt_boxes = [draw(lattice_boxes) for _ in ids]
-    gts = GroundTruthSet(
+    gts = ground_truth(
         images=tuple(ImageInfo(id=i, file_name="", width=10, height=10) for i in IMAGES[:3]),
         instances=tuple(GroundTruthInstance(image_id=im, box=box, instance_id=iid)
                         for iid, im, box in zip(ids, gt_images, gt_boxes)),
@@ -452,7 +454,7 @@ def scenes(draw):
             else draw(lattice_boxes)
         dets.append(Detection(image_id=draw(st.sampled_from(IMAGES)), box=box,
                               score=draw(st.sampled_from(SCORE_CUTS)), detection_id=f"d{k}"))
-    return DetectionSet(detections=tuple(dets)), gts
+    return detection_set(dets), gts
 
 
 @settings(max_examples=150, deadline=None)
@@ -478,7 +480,7 @@ def test_matcher_equals_the_loop_oracle(scene, data):
 
 def outcome_or_error(fn, *args):
     try:
-        return fn(*args)
+        return plain(fn(*args))
     except ValidationError as exc:
         return str(exc)
 
@@ -509,4 +511,4 @@ def test_skewed_images_are_matched_within_a_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 4 * unpadded_bytes + (1 << 20), (peak, unpadded_bytes)
-    assert outcome == match_detections_loop(dets, gts, 0.5)
+    assert plain(outcome) == plain(match_detections_loop(dets, gts, 0.5))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from t2tmetrics import (
     AnnotatedEntry,
     BarChart,
-    DistanceAnnotatedOutcome,
     Histogram,
     Kind,
     MetricReport,
@@ -25,6 +24,7 @@ from t2tmetrics import (
     scaling_series,
 )
 from oracles import histogram_recount
+from records import annotated_outcome
 
 
 def make_annotated(tp_distances, fp_distances, total_gt=None):
@@ -38,7 +38,7 @@ def make_annotated(tp_distances, fp_distances, total_gt=None):
     ]
     if total_gt is None:
         total_gt = len(tp_distances)
-    return DistanceAnnotatedOutcome(
+    return annotated_outcome(
         entries=tuple(entries), total_gt=total_gt, score_threshold=0.0
     )
 
@@ -78,7 +78,7 @@ def test_histogram_default_range_spans_all():
 
 
 def test_histogram_empty_annotated():
-    annotated = DistanceAnnotatedOutcome(entries=(), total_gt=0, score_threshold=0.0)
+    annotated = annotated_outcome(entries=(), total_gt=0, score_threshold=0.0)
     tp, fp = distance_histogram(annotated, bin_count=3)
     assert tp.edges == (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
     assert tp.counts == (0, 0, 0)

@@ -18,6 +18,7 @@ from t2tmetrics import (
     shrink_tp_distances,
     train2test_distance,
 )
+from records import plain
 
 
 def small_spec(**overrides):
@@ -99,7 +100,7 @@ def test_same_seed_reproduces_everything(tmp_path):
     assert [d.score for d in a.detections.detections] == [
         d.score for d in b.detections.detections
     ]
-    assert a.ground_truth == b.ground_truth
+    assert plain(a.ground_truth) == plain(b.ground_truth)
 
     paths_a = a.write(tmp_path / "a")
     paths_b = b.write(tmp_path / "b")
@@ -118,7 +119,7 @@ def test_write_round_trips_through_loaders(tmp_path):
     scenario = generate_scenario(small_spec())
     paths = scenario.write(tmp_path)
 
-    assert load_ground_truth(paths["ground_truth"]) == scenario.ground_truth
+    assert plain(load_ground_truth(paths["ground_truth"])) == plain(scenario.ground_truth)
     dets = load_detections(paths["detections"])
     assert [d.detection_id for d in dets.detections] == [
         d.detection_id for d in scenario.detections.detections
