@@ -4,151 +4,89 @@ The toolkit scores per-detection train2test distances (squared Mahalanobis
 distance from a Gaussian fitted to training features), summarizes them as
 the distance-ranked average precision AP_t2t next to conventional AP, maps
 accuracies back to same-domain image counts, and emits CSV/SVG diagnostics.
+
+Importing the package loads no numpy. ``errors`` and ``fsio`` load with it;
+every other submodule is in ``sys.modules`` and is an attribute of the
+package from the start, but its code runs on its first attribute access
+(``importlib.util.LazyLoader``). Each public name below resolves through the
+module ``__getattr__`` of PEP 562, so it loads its home module on first use,
+and is bound in the package from then on.
 """
 
-from .errors import (
-    BindingError,
-    DataError,
-    NumericalError,
-    ParseError,
-    SingularCovarianceError,
-    T2TError,
-    UndefinedMetricError,
-    ValidationError,
-)
-from .feature_model import (
-    AnnotatedEntry,
-    DistanceAnnotatedOutcome,
-    GaussianTrainModel,
-    Kind,
-    annotate_distances,
-    default_regularization,
-    fit_gaussian,
-    load_model,
-    model_from_moments,
-    save_model,
-    train2test_distance,
-    train2test_distances,
-)
-from .ingest import (
-    BoundingBox,
-    Detection,
-    DetectionSet,
-    FeatureMatrix,
-    GroundTruthInstance,
-    GroundTruthSet,
-    ImageInfo,
-    bind_features,
-    load_detections,
-    load_feature_matrix,
-    load_ground_truth,
-    write_detections,
-    write_feature_matrix,
-    write_ground_truth,
-)
-from .matching import IOU_GRID, MatchOutcome, iou, iou_matcher, match_detections
-from .metrics import (
-    DEFAULT_SCORE_THRESHOLDS,
-    MetricReport,
-    RegimeError,
-    ap_over_iou_range,
-    ap_t2t,
-    ap_t2t_profile,
-    average_precision,
-    metric_report,
-    precision_recall,
-    t2t_precision_recall,
-)
-from .replacement import (
-    AccuracyCurve,
-    ReplacementResult,
-    average_runs,
-    build_accuracy_curve,
-    matching_image_count,
-    replacement_gain,
-)
-from .report import (
-    BarChart,
-    Histogram,
-    Series,
-    SeriesPlot,
-    distance_histogram,
-    export_csv,
-    render_svg,
-    replacement_rows_csv,
-    scaling_series,
-)
-from .scenario import Scenario, ScenarioSpec, generate_scenario, shrink_tp_distances
+import importlib.util
+import sys
+
+from . import errors, fsio
+
+# Each public name, by the module that defines it.
+_PUBLIC = {
+    "errors": (
+        "BindingError", "DataError", "NumericalError", "ParseError", "RegimeError",
+        "SingularCovarianceError", "T2TError", "UndefinedMetricError", "ValidationError",
+    ),
+    "ingest": (
+        "BoundingBox", "Detection", "DetectionSet", "FeatureMatrix", "GroundTruthInstance",
+        "GroundTruthSet", "ImageInfo", "bind_features", "load_detections",
+        "load_feature_matrix", "load_ground_truth", "write_detections",
+        "write_feature_matrix", "write_ground_truth",
+    ),
+    "matching": ("IOU_GRID", "MatchOutcome", "iou", "iou_matcher", "match_detections"),
+    "feature_model": (
+        "AnnotatedEntry", "DistanceAnnotatedOutcome", "GaussianTrainModel", "Kind",
+        "annotate_distances", "default_regularization", "fit_gaussian", "load_model",
+        "model_from_moments", "save_model", "train2test_distance", "train2test_distances",
+    ),
+    "metrics": (
+        "DEFAULT_SCORE_THRESHOLDS", "MetricReport", "ap_over_iou_range", "ap_t2t",
+        "ap_t2t_profile", "average_precision", "metric_report", "precision_recall",
+        "t2t_precision_recall",
+    ),
+    "replacement": (
+        "AccuracyCurve", "ReplacementResult", "average_runs", "build_accuracy_curve",
+        "matching_image_count", "replacement_gain",
+    ),
+    "report": (
+        "BarChart", "Histogram", "Series", "SeriesPlot", "distance_histogram", "export_csv",
+        "render_svg", "replacement_rows_csv", "scaling_series",
+    ),
+    "scenario": ("Scenario", "ScenarioSpec", "generate_scenario", "shrink_tp_distances"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyCurve",
-    "AnnotatedEntry",
-    "BarChart",
-    "BindingError",
-    "BoundingBox",
-    "DataError",
-    "DEFAULT_SCORE_THRESHOLDS",
-    "Detection",
-    "DetectionSet",
-    "DistanceAnnotatedOutcome",
-    "FeatureMatrix",
-    "GaussianTrainModel",
-    "GroundTruthInstance",
-    "GroundTruthSet",
-    "Histogram",
-    "ImageInfo",
-    "IOU_GRID",
-    "Kind",
-    "MatchOutcome",
-    "MetricReport",
-    "NumericalError",
-    "ParseError",
-    "RegimeError",
-    "ReplacementResult",
-    "Scenario",
-    "ScenarioSpec",
-    "Series",
-    "SeriesPlot",
-    "SingularCovarianceError",
-    "T2TError",
-    "UndefinedMetricError",
-    "ValidationError",
-    "annotate_distances",
-    "ap_over_iou_range",
-    "ap_t2t",
-    "ap_t2t_profile",
-    "average_precision",
-    "average_runs",
-    "bind_features",
-    "build_accuracy_curve",
-    "default_regularization",
-    "distance_histogram",
-    "export_csv",
-    "fit_gaussian",
-    "generate_scenario",
-    "iou",
-    "iou_matcher",
-    "load_detections",
-    "load_feature_matrix",
-    "load_ground_truth",
-    "load_model",
-    "match_detections",
-    "matching_image_count",
-    "metric_report",
-    "model_from_moments",
-    "precision_recall",
-    "render_svg",
-    "replacement_gain",
-    "replacement_rows_csv",
-    "save_model",
-    "scaling_series",
-    "shrink_tp_distances",
-    "t2t_precision_recall",
-    "train2test_distance",
-    "train2test_distances",
-    "write_detections",
-    "write_feature_matrix",
-    "write_ground_truth",
-]
+__all__ = sorted(_HOME)
+
+
+def _lazy(name: str):
+    """Register the submodule ``name`` without running its code."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+ingest = _lazy("ingest")
+matching = _lazy("matching")
+feature_model = _lazy("feature_model")
+metrics = _lazy("metrics")
+report = _lazy("report")
+replacement = _lazy("replacement")
+scenario = _lazy("scenario")
+
+
+def __getattr__(name: str):
+    """A public name, bound here on first use as an eager import would bind it."""
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(globals()[home], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

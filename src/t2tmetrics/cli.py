@@ -1,50 +1,36 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 invalid input, 2 numerical failure.
+
+The package modules are bound here as modules, not names: each loads on the
+first call a command makes into it, so a command loads only what it runs.
+``report``, ``replacement`` and ``--help`` load no numpy, and ``fit`` loads
+``ingest`` and ``feature_model`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
 import sys
 from dataclasses import dataclass, field, fields as dc_fields, replace
-from decimal import Decimal
-from fractions import Fraction
 from pathlib import Path
 
-from .errors import NumericalError, ParseError, T2TError, ValidationError
-from .feature_model import annotate_distances, fit_gaussian, load_model, save_model
-from .fsio import write_text
-from .ingest import (
+from . import feature_model, ingest, matching, metrics, replacement, report, scenario
+from .errors import NumericalError, ParseError, RegimeError, T2TError, ValidationError
+from .fsio import (
     _csv_number,
+    _csv_text,
+    _fmt,
     _load_json,
     _read_csv_rows,
     _shown,
-    bind_features,
     decode,
-    load_detections,
-    load_feature_matrix,
-    load_ground_truth,
+    write_text,
 )
-from .matching import IOU_GRID, match_detections
-from .metrics import DEFAULT_SCORE_THRESHOLDS, RegimeError, ap_t2t_profile, metric_report
-from .replacement import AccuracyCurve, average_runs, build_accuracy_curve, matching_image_count
-from .report import (
-    BarChart,
-    Histogram,
-    Series,
-    SeriesPlot,
-    _csv_text,
-    _fmt,
-    distance_histogram,
-    export_csv,
-    render_svg,
-    replacement_rows_csv,
-)
-from .scenario import ScenarioSpec, generate_scenario
 
 logger = logging.getLogger(__name__)
 
@@ -60,8 +46,10 @@ class RunConfig:
     model: Path | None = None
     out: Path | None = None
     iou_threshold: float = 0.5
+    # metrics.DEFAULT_SCORE_THRESHOLDS, written out so that a command that
+    # scores nothing does not load metrics.
     score_thresholds: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_SCORE_THRESHOLDS)
+        default_factory=lambda: {"all": 0.01, "med": 0.1, "high": 0.5}
     )
     epsilon: float | None = None
     bins: int = 30
@@ -154,7 +142,8 @@ def _require(cfg: RunConfig, *keys: str) -> None:
 def _fit(cfg: RunConfig):
     """The Gaussian of the training features; a numerical failure names their file."""
     try:
-        return fit_gaussian(load_feature_matrix(cfg.train_features), cfg.epsilon)
+        return feature_model.fit_gaussian(ingest.load_feature_matrix(cfg.train_features),
+                                          cfg.epsilon)
     except NumericalError as exc:
         raise type(exc)(f"{cfg.train_features}: {exc}") from exc
 
@@ -168,22 +157,22 @@ def _load_inputs(cfg: RunConfig):
     _require(cfg, "ground_truth", "detections", "features", "out")
     if cfg.model is None and cfg.train_features is None:
         raise ValidationError("missing required inputs: --model or --train-features")
-    gts = load_ground_truth(cfg.ground_truth)
-    dets = load_detections(cfg.detections)
+    gts = ingest.load_ground_truth(cfg.ground_truth)
+    dets = ingest.load_detections(cfg.detections)
     # The matcher would count a detection on an unlisted image as a false positive.
     listed = {im.id for im in gts.images}
     for det_id, image_id in zip(dets.ids, dets.image_ids):
         if image_id not in listed:
             raise ValidationError(f"{cfg.detections}: detection {det_id!r} "
                                   f"references unknown image {image_id!r}")
-    model = load_model(cfg.model) if cfg.model is not None else _fit(cfg)
-    features = load_feature_matrix(cfg.features)
+    model = feature_model.load_model(cfg.model) if cfg.model is not None else _fit(cfg)
+    features = ingest.load_feature_matrix(cfg.features)
     if features.data.shape[1] != model.dim:
         raise ValidationError(
             f"{cfg.features}: features have {features.data.shape[1]} dimensions, but the "
             f"model from {cfg.model or cfg.train_features} has {model.dim}"
         )
-    return gts, bind_features(dets, features), model
+    return gts, ingest.bind_features(dets, features), model
 
 
 def _base_regime(thresholds: dict[str, float]) -> str:
@@ -197,14 +186,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     gts, dets, model = _load_inputs(cfg)
 
-    report, annotated = metric_report(
+    scores, annotated = metrics.metric_report(
         model, dets, gts, cfg.score_thresholds, cfg.iou_threshold, cfg.iou_grid
     )
-    hist_tp, hist_fp = distance_histogram(annotated, cfg.bins)
+    hist_tp, hist_fp = report.distance_histogram(annotated, cfg.bins)
 
     summary = {
         "base_regime": _base_regime(cfg.score_thresholds),
-        "counts": {"tp": report.counts[0], "fp": report.counts[1], "fn": report.counts[2]},
+        "counts": {"tp": scores.counts[0], "fp": scores.counts[1], "fn": scores.counts[2]},
         "detections": len(dets),
         "epsilon": model.regularization,
         "feature_dim": model.dim,
@@ -212,20 +201,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "instances": len(gts),
         "iou_grid": cfg.iou_grid,
         "iou_threshold": cfg.iou_threshold,
-        "metrics": report.to_dict(),
+        "metrics": scores.to_dict(),
         "score_thresholds": dict(cfg.score_thresholds),
         "train_rows": model.sample_count,
     }
     out = Path(cfg.out)
-    write_text(out / "metrics.csv", export_csv(report))
+    write_text(out / "metrics.csv", report.export_csv(scores))
     write_text(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    write_text(out / "distance_hist_tp.csv", export_csv(hist_tp))
-    write_text(out / "distance_hist_fp.csv", export_csv(hist_fp))
-    write_text(out / "distance_hist_tp.svg", render_svg(hist_tp))
-    write_text(out / "distance_hist_fp.svg", render_svg(hist_fp))
+    write_text(out / "distance_hist_tp.csv", report.export_csv(hist_tp))
+    write_text(out / "distance_hist_fp.csv", report.export_csv(hist_fp))
+    write_text(out / "distance_hist_tp.svg", report.render_svg(hist_tp))
+    write_text(out / "distance_hist_fp.svg", report.render_svg(hist_fp))
 
-    print(f"ap={report.ap:.6g} ap_5095={report.ap_5095:.6g}")
-    for name, value in report.ap_t2t_by_regime.items():
+    print(f"ap={scores.ap:.6g} ap_5095={scores.ap_5095:.6g}")
+    for name, value in scores.ap_t2t_by_regime.items():
         print(f"ap_t2t[{name}]={value:.6g}")
     print(f"wrote {out}/metrics.csv, summary.json, distance histograms")
     return 0
@@ -235,7 +224,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     _require(cfg, "train_features", "out")
     model = _fit(cfg)
-    save_model(model, cfg.out)
+    feature_model.save_model(model, cfg.out)
     print(
         f"fitted {model.dim}-dim model from {model.sample_count} rows "
         f"(epsilon={model.regularization:.6g}); wrote {cfg.out}"
@@ -246,9 +235,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_distances(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     gts, dets, model = _load_inputs(cfg)
-    outcome = match_detections(dets, gts, cfg.iou_threshold, args.score_threshold)
-    annotated = annotate_distances(model, outcome)
-    write_text(cfg.out, export_csv(annotated))
+    outcome = matching.match_detections(dets, gts, cfg.iou_threshold, args.score_threshold)
+    annotated = feature_model.annotate_distances(model, outcome)
+    write_text(cfg.out, report.export_csv(annotated))
     print(f"wrote {len(annotated)} distance rows to {cfg.out}")
     return 0
 
@@ -256,8 +245,8 @@ def cmd_distances(args: argparse.Namespace) -> int:
 def cmd_ap_t2t(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     gts, dets, model = _load_inputs(cfg)
-    iou_thresholds = IOU_GRID if cfg.iou_grid else (cfg.iou_threshold,)
-    profile = ap_t2t_profile(model, dets, gts, cfg.score_thresholds, iou_thresholds)
+    iou_thresholds = matching.IOU_GRID if cfg.iou_grid else (cfg.iou_threshold,)
+    profile = metrics.ap_t2t_profile(model, dets, gts, cfg.score_thresholds, iou_thresholds)
     rows = [[name, _fmt(cfg.score_thresholds[name]), _fmt(v)] for name, v in profile.items()]
     out = Path(cfg.out)
     write_text(out / "ap_t2t.csv", _csv_text(["regime", "score_threshold", "ap_t2t"], rows))
@@ -265,40 +254,6 @@ def cmd_ap_t2t(args: argparse.Namespace) -> int:
         print(f"ap_t2t[{name}]={value:.6g}")
     print(f"wrote {out}/ap_t2t.csv")
     return 0
-
-
-def _read_curve_file(path: Path) -> list[AccuracyCurve]:
-    rows = _read_csv_rows(path)
-    if not rows:
-        raise ParseError(f"{path}: empty curve file")
-
-    def is_number(text: str) -> bool:
-        try:
-            (Fraction if "/" in text else Decimal)(text)
-            return True
-        except (ArithmeticError, ValueError):
-            return False
-
-    # A header such as count,accuracy holds no number; a first row that does is data.
-    if len(rows[0]) >= 2 and not is_number(rows[0][0]) and not is_number(rows[0][1]):
-        rows = rows[1:]
-    grouped: dict[str, list[tuple[int, str]]] = {}
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) not in (2, 3):
-            raise ParseError(f"{path}: row {lineno}: expected 2 or 3 columns, got {len(row)}")
-        try:
-            count = _csv_number(int, row[0])
-        except ValueError:
-            raise ParseError(f"{path}: row {lineno}: image count is not an integer: {_shown(row[0])}") from None
-        run = row[2].strip() if len(row) == 3 else ""
-        grouped.setdefault(run, []).append((count, row[1].strip()))
-    try:
-        return [
-            build_accuracy_curve(samples, label=run or path.stem)
-            for run, samples in grouped.items()
-        ]
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _parse_target(text: str) -> tuple[int | None, str, str | None]:
@@ -317,51 +272,52 @@ def _parse_target(text: str) -> tuple[int | None, str, str | None]:
 
 
 def cmd_replacement(args: argparse.Namespace) -> int:
-    curves: list[AccuracyCurve] = []
+    curves: list[replacement.AccuracyCurve] = []
     for path in args.curve:
-        curves.extend(_read_curve_file(Path(path)))
+        curves.extend(replacement._read_curve_file(Path(path)))
     if not curves:
         raise ValidationError("no curves given")
-    curve = average_runs(curves)
+    curve = replacement.average_runs(curves)
     note = curve.label if len(curves) > 1 else f"curve {curve.label!r}"
-    print(f"# same-domain accuracy: {note}, {len(curve.points)} samples")
+    lines = [f"# same-domain accuracy: {note}, {len(curve.points)} samples"]
 
     rows = []
     bars = []
     for spec in args.target:
         cross, with_acc, without_acc = _parse_target(spec)
-        result = matching_image_count(curve, with_acc, cross_domain_count=cross)
+        result = replacement.matching_image_count(curve, with_acc, cross_domain_count=cross)
         gain = None
         if without_acc is not None:
-            baseline = matching_image_count(curve, without_acc)
+            baseline = replacement.matching_image_count(curve, without_acc)
             gain = result.matched_same_domain_count - baseline.matched_same_domain_count
         rows.append((result, gain))
         label = str(cross) if cross is not None else with_acc
         bars.append((label, gain if gain is not None else result.matched_same_domain_count))
         gain_txt = "" if gain is None else f" gain={gain:.6g}"
         flag = " (saturated)" if result.saturated else ""
-        print(f"target {spec}: matched={result.matched_same_domain_count:.6g}{flag}{gain_txt}")
+        lines.append(f"target {spec}: matched={result.matched_same_domain_count:.6g}{flag}{gain_txt}")
 
     out = Path(args.out)
     any_gain = any(g is not None for _, g in rows)
-    chart = BarChart(
+    chart = report.BarChart(
         bars=tuple(bars),
         y_label="replacement gain (images)" if any_gain else "matched same-domain images",
         title="replacement analysis",
     )
-    write_text(out / "replacement.csv", replacement_rows_csv(rows))
-    write_text(out / "replacement.svg", render_svg(chart))
-    print(f"wrote {out}/replacement.csv and replacement.svg")
+    write_text(out / "replacement.csv", report.replacement_rows_csv(rows))
+    write_text(out / "replacement.svg", report.render_svg(chart))
+    lines.append(f"wrote {out}/replacement.csv and replacement.svg")
+    print("\n".join(lines))
     return 0
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    spec = ScenarioSpec()
+    spec = scenario.ScenarioSpec()
     if args.spec is not None:
-        spec = decode(ScenarioSpec, _load_json(args.spec), str(args.spec))
+        spec = decode(scenario.ScenarioSpec, _load_json(args.spec), str(args.spec))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    scn = generate_scenario(spec)
+    scn = scenario.generate_scenario(spec)
     out = Path(args.out)
     paths = scn.write(out)
     write_text(out / "scenario_spec.json", json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -400,14 +356,14 @@ def cmd_report(args: argparse.Namespace) -> int:
                     groups.setdefault(row[0], []).append(point)
                 except ValueError:
                     raise ParseError(f"{path}: non-numeric series row: {row!r}") from None
-            plot = SeriesPlot(
-                series=tuple(Series(label=k, points=tuple(v)) for k, v in groups.items()),
+            plot = report.SeriesPlot(
+                series=tuple(report.Series(label=k, points=tuple(v)) for k, v in groups.items()),
                 x_label="training images",
                 y_label="AP_t2t",
                 y_scale="linear" if args.linear else "log",
                 title=title,
             )
-            svg = render_svg(plot)
+            svg = report.render_svg(plot)
         elif args.kind == "histogram":
             if header != ["bin_lo", "bin_hi", "count"]:
                 raise ParseError(f"{path}: expected columns bin_lo,bin_hi,count")
@@ -420,7 +376,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             for i in range(1, len(body)):
                 if lows[i] != edges[i]:
                     raise ParseError(f"{path}: bins are not contiguous at row {i + 1}")
-            svg = render_svg(Histogram(edges=tuple(edges), counts=tuple(counts), label=title))
+            svg = report.render_svg(
+                report.Histogram(edges=tuple(edges), counts=tuple(counts), label=title))
         else:
             if header != ["label", "value"]:
                 raise ParseError(f"{path}: expected columns label,value")
@@ -428,7 +385,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 bars = tuple((r[0], _csv_number(float, r[1])) for r in body)
             except ValueError:
                 raise ParseError(f"{path}: non-numeric bar row") from None
-            svg = render_svg(BarChart(bars=bars, title=title))
+            svg = report.render_svg(report.BarChart(bars=bars, title=title))
     except ValidationError as exc:  # from a chart constructor, which names the value
         raise ValidationError(f"{path}: {exc}") from None
     write_text(args.out, svg)
@@ -544,12 +501,24 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        finally:
+            sys.stdout.flush()  # a closed standard output fails here, not at exit
     except T2TError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    except BrokenPipeError:
+        # Closing drops what is still buffered, so the flush at exit does not
+        # fail a second time; the close's own flush fails once more, here.
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
+        print("error: standard output was closed before the output was written",
+              file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -42,9 +42,9 @@ from .errors import (
     SingularCovarianceError,
     ValidationError,
 )
-from .fsio import write_bytes
-from .ingest import FeatureMatrix, _Cursor, _column, _first_repeat, _read_bytes
-from .matching import MatchOutcome
+from . import matching
+from .fsio import _Cursor, _read_bytes, write_bytes
+from .ingest import FeatureMatrix, _column, _first_repeat
 
 MODEL_MAGIC = b"T2TMODL\x00"
 
@@ -415,8 +415,23 @@ class DistanceAnnotatedOutcome:
             raise ValidationError(f"kind must be 'tp' or 'fp', got {kind!r}") from None
         return self.dist[self.tp if kind is Kind.TP else ~self.tp]
 
+    def histogram(
+        self, bin_count: int
+    ) -> tuple[tuple[float, ...], tuple[int, ...], tuple[int, ...]]:
+        """Uniform bin edges over [0, max distance], shared by the TP and the FP
+        counts that follow them; with no entries, or only zero distances, the
+        range is [0, 1]."""
+        hi = float(self.dist.max()) if len(self.dist) else 1.0
+        if hi <= 0.0:
+            hi = 1.0
+        tp_counts, edges = np.histogram(self.dist[self.tp], bins=bin_count, range=(0.0, hi))
+        fp_counts, _ = np.histogram(self.dist[~self.tp], bins=bin_count, range=(0.0, hi))
+        return tuple(edges.tolist()), tuple(tp_counts.tolist()), tuple(fp_counts.tolist())
 
-def _annotated(outcome: MatchOutcome, distances: np.ndarray) -> DistanceAnnotatedOutcome:
+
+def _annotated(
+    outcome: matching.MatchOutcome, distances: np.ndarray
+) -> DistanceAnnotatedOutcome:
     """The annotation listing the kept detections of ``outcome``, in its rank
     order, with ``distances``."""
     dets = outcome.dets
@@ -426,7 +441,9 @@ def _annotated(outcome: MatchOutcome, distances: np.ndarray) -> DistanceAnnotate
         score_threshold=outcome.score_threshold)
 
 
-def annotate_distances(model: GaussianTrainModel, outcome: MatchOutcome) -> DistanceAnnotatedOutcome:
+def annotate_distances(
+    model: GaussianTrainModel, outcome: matching.MatchOutcome
+) -> DistanceAnnotatedOutcome:
     """Attach a distance to every TP and FP detection of the outcome."""
     dets, kept = outcome.dets, outcome.kept.tolist()
     features = list(map(dets.features.__getitem__, kept))

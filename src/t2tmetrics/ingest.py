@@ -27,24 +27,16 @@ offending record, never clamped or repaired.
 
 Reading
 -------
-Every input file is opened by ``_read_bytes`` alone, including the model file
-and the report and curve CSVs that other modules load: a missing file is ``no
-such file: PATH``, and any other OS error is a ``ParseError`` naming the path.
-It returns a read-only ``mmap`` of the file, not a copy, and ``bytes`` only for
-a file that cannot be mapped, such as an empty file; callers read either
-through the buffer protocol. So the values of a ``T2TFEAT`` file stay in the
-page cache. A file replaced by a rename during a run is safe to read; one
-truncated in place can end the run with SIGBUS. Text is decoded once, as UTF-8
-with universal newlines, and both binary containers are read through one
-bounds-checked ``_Cursor``. Outputs are written through ``fsio.write_bytes``
-alone.
+This module parses; :mod:`.fsio` reads. Each input file comes from
+``fsio._read_bytes`` as a read-only map, JSON documents through
+``fsio._load_json`` and CSV records through ``fsio._csv_records``; the
+parsers here check each record and build the column sets and feature
+matrices. Outputs are written through ``fsio.write_bytes`` alone.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 import json
 import logging
@@ -52,14 +44,22 @@ import math
 import mmap
 import struct
 import sys
-import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BindingError, ParseError, ValidationError
-from .fsio import write_bytes, write_text
+from .fsio import (
+    _csv_number,
+    _csv_records,
+    _Cursor,
+    _decode_text,
+    _load_json,
+    _read_bytes,
+    write_bytes,
+    write_text,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -400,162 +400,7 @@ class FeatureMatrix:
         return self.data.shape[1]
 
 
-# --------------------------------------------------------------------- reading
-
-
-def _read_bytes(path: str | Path) -> mmap.mmap | bytes:
-    """A read-only map of an input file; the one place the package opens an input.
-
-    Callers read it through the buffer protocol, never as ``bytes``: a file
-    that cannot be mapped, such as an empty file or a pipe, is read into
-    ``bytes`` instead.
-    """
-    try:
-        with open(path, "rb") as fh:
-            try:
-                return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            except (ValueError, OSError):  # an empty file, a pipe, a device
-                return fh.read()
-    except FileNotFoundError:
-        raise ParseError(f"no such file: {path}") from None
-    except OSError as exc:  # a directory, a permission, a device error
-        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
-
-
-def _decode_text(path: str | Path, blob: mmap.mmap | bytes) -> str:
-    """UTF-8 text with universal newlines, as ``Path.read_text`` decodes it."""
-    try:
-        text = str(blob, "utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-class _Cursor:
-    """Reads through a binary container, checking each size taken from the
-    file against the bytes left before any use."""
-
-    def __init__(self, path: str | Path, blob: mmap.mmap | bytes, offset: int) -> None:
-        self.path, self.blob, self.offset = path, memoryview(blob), offset
-
-    def take(self, n: int, what: str) -> memoryview:
-        if n > len(self.blob) - self.offset:
-            raise ParseError(f"{self.path}: truncated file: {what} needs {n} bytes")
-        self.offset += n
-        return self.blob[self.offset - n : self.offset]
-
-    def end(self, what: str) -> None:
-        if self.offset != len(self.blob):
-            raise ParseError(f"{self.path}: trailing bytes after {what}")
-
-
-def _load_json(path: str | Path) -> object:
-    text = _decode_text(path, _read_bytes(path))
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    except ValueError as exc:  # an integer over the interpreter's digit limit
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
-
-
-def _csv_records(path: str | Path, text: str):
-    """Yield (line number, record) of CSV text; a malformed record is a ParseError."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        for record in reader:
-            yield reader.line_num, record
-    except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-
-
-def _read_csv_rows(path: str | Path) -> list[list[str]]:
-    """The non-empty records of a CSV file."""
-    return [r for _, r in _csv_records(path, _decode_text(path, _read_bytes(path))) if r]
-
-
-def _csv_number(parse, cell: str):
-    """``parse(cell)`` for ``int`` or ``float``, refusing the digit-group
-    underscores that both accept: ``1_5`` is a ValueError, not 15."""
-    if "_" in cell:
-        raise ValueError(f"underscore in number {cell!r}")
-    return parse(cell)
-
-
 # ---------------------------------------------------------------- ground truth
-
-
-# Each scalar field type: the JSON values it accepts, and how to say so.
-_JSON_SCALARS = {
-    bool: (bool, "true or false"),
-    int: (int, "an integer"),
-    float: ((int, float), "a number"),
-    Path: (str, "a path string"),
-}
-
-
-def _shown(value: object) -> str:
-    """``repr(value)`` for an error message, cut to its first 20 characters
-    when longer and followed by its size, as in ``9999…(400 digits)``."""
-    text = repr(value)
-    if len(text) <= 20:
-        return text
-    if isinstance(value, int):
-        return f"{text[:20]}…({len(text.lstrip('-'))} digits)"
-    return f"{text[:20]}…({len(text)} characters)"
-
-
-def _decode_value(hint: object, value: object, where: str) -> object:
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if type(None) in args:
-        if value is None:
-            return None
-        (hint,) = [a for a in args if a is not type(None)]
-    elif value is None:
-        raise ValidationError(f"{where} must not be null")
-    if hint in _JSON_SCALARS:
-        accepted, expected = _JSON_SCALARS[hint]
-        if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
-            raise ValidationError(f"{where} must be {expected}, got {_shown(value)}")
-        try:
-            return hint(value)
-        except OverflowError:
-            raise ValidationError(f"{where} is out of range for a float: {_shown(value)}") from None
-    if origin is dict:
-        if not isinstance(value, dict):
-            raise ValidationError(f"{where} must be an object, got {_shown(value)}")
-        return {k: _decode_value(args[1], v, f"{where}.{k}") for k, v in value.items()}
-    # tuple[...], the one field type left
-    if not isinstance(value, (list, tuple)) or len(value) != len(args):
-        raise ValidationError(f"{where} must be a list of {len(args)} values, got {_shown(value)}")
-    return tuple(_decode_value(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
-
-
-def decode(cls: type, raw: object, where: str):
-    """Build the dataclass ``cls`` from a parsed JSON document, without coercion.
-
-    Each key must name a field, and each value must already have the field's
-    declared type: ints exclude bools and fractions, floats take any number
-    but a bool, paths take strings, and ``null`` is allowed only for optional
-    fields. Range checks stay with ``cls`` and its users.
-
-    Raises:
-        ValidationError: naming ``where`` and the offending key.
-    """
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where}: expected a JSON object, got {type(raw).__name__}")
-    hints = typing.get_type_hints(cls)
-    names = {f.name for f in fields(cls)}
-    unknown = sorted(set(raw) - names)
-    if unknown:
-        raise ValidationError(f"{where}: unknown keys: {', '.join(unknown)}")
-    values = {k: _decode_value(hints[k], v, f"{where}: {k}") for k, v in raw.items()}
-    try:
-        return cls(**values)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _parse_box(raw: object, where: str) -> BoundingBox:

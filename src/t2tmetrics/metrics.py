@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import T2TError, UndefinedMetricError, ValidationError
+from .errors import RegimeError, T2TError, UndefinedMetricError, ValidationError
 from .feature_model import (
     DistanceAnnotatedOutcome,
     GaussianTrainModel,
@@ -156,21 +156,6 @@ def ap_t2t(annotated: DistanceAnnotatedOutcome) -> float:
     if annotated.total_gt == 0:
         raise UndefinedMetricError("AP_t2t is undefined without ground truth")
     return _ap_t2t(annotated.dist[annotated.tp], annotated.dist, annotated.total_gt)
-
-
-class RegimeError(T2TError):
-    """At least one score regime failed; successful regimes are preserved.
-
-    Attributes:
-        results: regime name -> AP_t2t for the regimes that succeeded.
-        failures: regime name -> the exception that stopped that regime.
-    """
-
-    def __init__(self, results: dict[str, float], failures: dict[str, T2TError]):
-        self.results = results
-        self.failures = failures
-        detail = "; ".join(f"{name}: {exc}" for name, exc in failures.items())
-        super().__init__(f"{len(failures)} regime(s) failed: {detail}")
 
 
 def _regimes(score_thresholds: dict[str, float] | None) -> tuple[dict[str, float], float]:

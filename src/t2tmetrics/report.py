@@ -8,32 +8,27 @@ precision (17 significant digits, which round-trips float64 exactly).
 On a log-scale series an AP value of exactly 0 has no position; such points
 are drawn at ``LOG_FLOOR`` (1e-4) and flagged in the CSV so a reader can tell
 a floored zero from a genuine small value.
+
+The module imports no numpy: the binning of :func:`distance_histogram` is
+``DistanceAnnotatedOutcome.histogram``, and :mod:`.metrics` and
+:mod:`.feature_model` load only when one of their objects is exported, so
+``t2t report`` and ``t2t replacement`` run without numpy.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import re
 from dataclasses import dataclass
 from html import escape
 
-import numpy as np
-
+from . import feature_model, metrics, replacement
 from .errors import ValidationError
-from .feature_model import DistanceAnnotatedOutcome, Kind
-from .metrics import MetricReport
-from .replacement import ReplacementResult
+from .fsio import _csv_text, _fmt
 
 LOG_FLOOR = 1e-4
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-def _fmt(value: float) -> str:
-    """Full-precision decimal: 17 significant digits round-trip float64."""
-    return format(float(value), ".17g")
 
 
 # ------------------------------------------------------------------ histograms
@@ -45,7 +40,7 @@ class Histogram:
 
     edges: tuple[float, ...]
     counts: tuple[int, ...]
-    kind: Kind | None = None
+    kind: feature_model.Kind | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -62,7 +57,7 @@ class Histogram:
 
 
 def distance_histogram(
-    annotated: DistanceAnnotatedOutcome, bin_count: int = 30
+    annotated: feature_model.DistanceAnnotatedOutcome, bin_count: int = 30
 ) -> tuple[Histogram, Histogram]:
     """TP and FP distance histograms over shared uniform bin edges.
 
@@ -71,20 +66,12 @@ def distance_histogram(
     """
     if bin_count < 1:
         raise ValidationError(f"bin_count must be >= 1, got {bin_count}")
-    tp_d = annotated.distances(Kind.TP)
-    fp_d = annotated.distances(Kind.FP)
-    values = np.concatenate([tp_d, fp_d])
-    hi = float(values.max()) if values.size else 1.0
-    if hi <= 0.0:
-        hi = 1.0
-    tp_counts, edges = np.histogram(tp_d, bins=bin_count, range=(0.0, hi))
-    fp_counts, _ = np.histogram(fp_d, bins=bin_count, range=(0.0, hi))
-    shared = tuple(float(e) for e in edges)
+    edges, tp_counts, fp_counts = annotated.histogram(bin_count)
     return (
-        Histogram(edges=shared, counts=tuple(int(c) for c in tp_counts),
-                  kind=Kind.TP, label="TP train2test distance"),
-        Histogram(edges=shared, counts=tuple(int(c) for c in fp_counts),
-                  kind=Kind.FP, label="FP train2test distance"),
+        Histogram(edges=edges, counts=tp_counts, kind=feature_model.Kind.TP,
+                  label="TP train2test distance"),
+        Histogram(edges=edges, counts=fp_counts, kind=feature_model.Kind.FP,
+                  label="FP train2test distance"),
     )
 
 
@@ -123,7 +110,7 @@ class SeriesPlot:
                     raise ValidationError(f"series {s.label!r} has y < 0 on a log scale")
 
 
-def scaling_series(reports: list[tuple[int, MetricReport]]) -> SeriesPlot:
+def scaling_series(reports: list[tuple[int, metrics.MetricReport]]) -> SeriesPlot:
     """AP_t2t against training-set size, one series per score regime."""
     if not reports:
         raise ValidationError("scaling_series needs at least one report")
@@ -171,16 +158,8 @@ class BarChart:
 # ------------------------------------------------------------------- CSV export
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def replacement_rows_csv(
-    rows: list[tuple[ReplacementResult, float | None]],
+    rows: list[tuple[replacement.ReplacementResult, float | None]],
 ) -> str:
     """Rows of (cross_count, matched_count, saturated, gain); gain may be blank."""
     body = []
@@ -195,14 +174,12 @@ def replacement_rows_csv(
 
 
 def export_csv(obj) -> str:
-    """Serialize a report object to CSV with full-precision numbers."""
-    if isinstance(obj, MetricReport):
-        tp, fp, fn = obj.counts
-        rows = [
-            [regime, _fmt(value), _fmt(obj.ap), _fmt(obj.ap_5095), str(tp), str(fp), str(fn)]
-            for regime, value in obj.ap_t2t_by_regime.items()
-        ]
-        return _csv_text(["regime", "ap_t2t", "ap", "ap_5095", "tp", "fp", "fn"], rows)
+    """Serialize a report object to CSV with full-precision numbers.
+
+    The types are tried in the order of the modules they need: a chart
+    loads neither :mod:`.feature_model` nor :mod:`.metrics`, and an
+    annotation loads no :mod:`.metrics`.
+    """
     if isinstance(obj, Histogram):
         rows = [
             [_fmt(lo), _fmt(hi), str(count)]
@@ -219,12 +196,19 @@ def export_csv(obj) -> str:
     if isinstance(obj, BarChart):
         rows = [[label, _fmt(value)] for label, value in obj.bars]
         return _csv_text(["label", "value"], rows)
-    if isinstance(obj, DistanceAnnotatedOutcome):
+    if isinstance(obj, feature_model.DistanceAnnotatedOutcome):
         # The ids are unique, so the rows sort by id alone.
         entries = sorted(zip(obj.ids, obj.tp.tolist(), obj.scores.tolist(), obj.dist.tolist()))
-        rows = [[det_id, (Kind.TP if tp else Kind.FP).value, _fmt(score), _fmt(distance)]
+        rows = [[det_id, "tp" if tp else "fp", _fmt(score), _fmt(distance)]
                 for det_id, tp, score, distance in entries]
         return _csv_text(["detection_id", "kind", "score", "distance"], rows)
+    if isinstance(obj, metrics.MetricReport):
+        tp, fp, fn = obj.counts
+        rows = [
+            [regime, _fmt(value), _fmt(obj.ap), _fmt(obj.ap_5095), str(tp), str(fp), str(fn)]
+            for regime, value in obj.ap_t2t_by_regime.items()
+        ]
+        return _csv_text(["regime", "ap_t2t", "ap", "ap_5095", "tp", "fp", "fn"], rows)
     raise ValidationError(f"no CSV serialization for {type(obj).__name__}")
 
 
@@ -386,7 +370,7 @@ def _render_histogram(hist: Histogram) -> str:
     lo, hi = hist.edges[0], hist.edges[-1]
     _check_length((lo, hi), "histogram edges", lo, hi)
     top = max(max(hist.counts), 1)
-    color = "#d62728" if hist.kind is Kind.FP else "#1f77b4"
+    color = "#d62728" if hist.kind == "fp" else "#1f77b4"
     body = []
     for e0, e1, count in zip(hist.edges, hist.edges[1:], hist.counts):
         if count == 0:

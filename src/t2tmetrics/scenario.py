@@ -28,14 +28,13 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .feature_model import GaussianTrainModel
+from .fsio import _shown, decode
 from .ingest import (
     DetectionSet,
     FeatureMatrix,
     GroundTruthSet,
     ImageInfo,
-    _shown,
     bind_features,
-    decode,
     write_detections,
     write_feature_matrix,
     write_ground_truth,

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import logging
+import os
 import struct
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t2tmetrics import (
+    DEFAULT_SCORE_THRESHOLDS,
     IOU_GRID,
     AnnotatedEntry,
     BoundingBox,
@@ -38,7 +40,7 @@ from t2tmetrics import (
     replacement_gain,
     scaling_series,
 )
-from t2tmetrics.cli import main
+from t2tmetrics.cli import RunConfig, main
 from t2tmetrics.feature_model import _MODEL_HEADER, MODEL_MAGIC
 from t2tmetrics.ingest import FEATURE_MAGIC
 from t2tmetrics.report import _fmt
@@ -1397,3 +1399,98 @@ def test_cli_import_loads_no_scipy_xml_or_url_modules():
     assert "t2tmetrics.cli" in added
     heavy = ("scipy", "xml.sax", "urllib.request")
     assert [m for m in added if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
+
+
+def loaded_modules(statement: str) -> set[str]:
+    """The modules whose code ran in a child process that ran ``statement``.
+
+    A submodule that the package registered through ``importlib.util.LazyLoader``
+    is in ``sys.modules`` from the start, but counts only once its code ran.
+    """
+    probe = (f"import importlib.util, sys\n{statement}\n"
+             "lazy = importlib.util._LazyModule\n"
+             "print(*[name for name, m in sys.modules.items() if type(m) is not lazy])")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, timeout=120)
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def run_main(argv: list[str]) -> str:
+    return f"from t2tmetrics.cli import main\nassert main({argv!r}) == 0"
+
+
+def test_imports_help_report_and_replacement_load_no_numpy(tmp_path):
+    reports = {
+        "series": "series,x,y\nall,5,0.1\nall,10,0.2\n",
+        "histogram": "bin_lo,bin_hi,count\n0,0.5,3\n0.5,1,0\n",
+        "bars": "label,value\nbaseline,4\n",
+    }
+    statements = ["import t2tmetrics", "import t2tmetrics.cli",
+                  "import contextlib\nfrom t2tmetrics.cli import main\n"
+                  "with contextlib.suppress(SystemExit):\n    main(['--help'])"]
+    for kind, text in reports.items():
+        (tmp_path / f"{kind}.csv").write_text(text)
+        statements.append(run_main(["report", "--kind", kind, "--input", str(tmp_path / f"{kind}.csv"),
+                                    "--out", str(tmp_path / f"{kind}.svg")]))
+    (tmp_path / "curve.csv").write_text("count,accuracy\n5,0.2\n10,0.4\n")
+    statements.append(run_main(["replacement", "--curve", str(tmp_path / "curve.csv"),
+                                "--target", "100:0.3:0.25", "--out", str(tmp_path / "r")]))
+    for statement in statements:
+        loaded = loaded_modules(statement)
+        assert "t2tmetrics" in loaded
+        assert not {m for m in loaded if m.split(".")[0] == "numpy"}, statement
+
+
+def test_fit_and_ap_t2t_load_only_the_modules_they_run(dataset, tmp_path):
+    model = tmp_path / "model.t2tmodl"
+    fit = loaded_modules(run_main(["fit", "--train-features", str(dataset / "train_features.t2tfeat"),
+                                   "--out", str(model)]))
+    assert {"numpy", "t2tmetrics.ingest", "t2tmetrics.feature_model"} <= fit
+    for name in ("matching", "metrics", "report", "replacement", "scenario"):
+        assert f"t2tmetrics.{name}" not in fit
+
+    argv = ["ap-t2t"] + evaluate_args(dataset, tmp_path / "ap")[1:]
+    ap_t2t = loaded_modules(run_main(argv))
+    assert {"t2tmetrics.matching", "t2tmetrics.metrics"} <= ap_t2t
+    assert "t2tmetrics.replacement" not in ap_t2t and "t2tmetrics.scenario" not in ap_t2t
+
+
+# A buffered stdout fails at the flush, an unbuffered one at the first print.
+# argparse drops a failed write of its own help text, so only a buffered
+# `--help` has an error to report.
+@pytest.mark.parametrize("command, buffered", [
+    ("fit", True), ("fit", False), ("replacement", True), ("replacement", False), ("--help", True),
+])
+def test_a_closed_standard_output_ends_in_one_error_line(dataset, tmp_path, command, buffered):
+    (tmp_path / "curve.csv").write_text("count,accuracy\n5,0.2\n10,0.4\n")
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["fit", "--train-features", str(dataset / "train_features.t2tfeat"),
+                "--out", str(out)],
+        "replacement": ["replacement", "--curve", str(tmp_path / "curve.csv"),
+                        "--target", "0.3", "--out", str(out)],
+        "--help": ["--help"],
+    }[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        result = subprocess.run([sys.executable, "-m", "t2tmetrics.cli", *argv], stdout=write_end,
+                                stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == [
+        "error: standard output was closed before the output was written"]
+    # The outputs are written before anything is printed.
+    if command == "fit":
+        assert out.is_file()
+    elif command == "replacement":
+        assert (out / "replacement.svg").is_file()
+
+
+def test_run_config_default_regimes_are_the_metrics_defaults():
+    assert RunConfig().score_thresholds == DEFAULT_SCORE_THRESHOLDS

@@ -38,7 +38,8 @@ from t2tmetrics import (
     write_ground_truth,
 )
 from t2tmetrics.cli import RunConfig
-from t2tmetrics.ingest import FEATURE_MAGIC, _read_bytes, decode
+from t2tmetrics.fsio import _read_bytes, decode
+from t2tmetrics.ingest import FEATURE_MAGIC
 from t2tmetrics.scenario import ScenarioSpec
 from records import detection_set, ground_truth, plain
 
@@ -878,7 +879,7 @@ def _file_access_sites(tree: ast.AST, function: str = ""):
         yield from _file_access_sites(node, function)
 
 
-def test_only_ingest_reads_and_only_fsio_writes_files():
+def test_only_fsio_reads_and_writes_files():
     # One read path and one write path: a seventh reader would skip the
     # checks that name the file and turn OS errors into error lines.
     sites = set()
@@ -886,6 +887,6 @@ def test_only_ingest_reads_and_only_fsio_writes_files():
         tree = ast.parse(module.read_text(encoding="utf-8"))
         sites |= {(module.stem, fn, call) for fn, call in _file_access_sites(tree)}
     assert sites == {
-        ("ingest", "_read_bytes", "open"),
+        ("fsio", "_read_bytes", "open"),
         ("fsio", "write_bytes", "open"),
     }
