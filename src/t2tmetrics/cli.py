@@ -26,6 +26,7 @@ from .fsio import (
     _csv_text,
     _fmt,
     _load_json,
+    _naming,
     _read_csv_rows,
     _shown,
     decode,
@@ -330,32 +331,27 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_report_csv(path: Path) -> list[list[str]]:
-    rows = _read_csv_rows(path)
-    if len(rows) < 2:
-        raise ParseError(f"{path}: expected a header row and at least one data row")
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise ParseError(f"{path}: row {lineno}: expected {len(rows[0])} columns, got {len(row)}")
-    return rows
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    rows = _read_report_csv(path)
-    header, body = rows[0], rows[1:]
+    rows = _read_csv_rows(path)
     title = args.title or ""
-    try:
+    with _naming(path):
+        if len(rows) < 2:
+            raise ParseError("expected a header row and at least one data row")
+        header, body = rows[0], rows[1:]
+        for lineno, row in enumerate(body, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"row {lineno}: expected {len(header)} columns, got {len(row)}")
         if args.kind == "series":
             if header[:3] != ["series", "x", "y"]:
-                raise ParseError(f"{path}: expected columns series,x,y[,floored]")
+                raise ParseError("expected columns series,x,y[,floored]")
             groups: dict[str, list[tuple[float, float]]] = {}
             for row in body:
                 try:
                     point = (_csv_number(float, row[1]), _csv_number(float, row[2]))
                     groups.setdefault(row[0], []).append(point)
                 except ValueError:
-                    raise ParseError(f"{path}: non-numeric series row: {row!r}") from None
+                    raise ParseError(f"non-numeric series row: {row!r}") from None
             plot = report.SeriesPlot(
                 series=tuple(report.Series(label=k, points=tuple(v)) for k, v in groups.items()),
                 x_label="training images",
@@ -366,28 +362,26 @@ def cmd_report(args: argparse.Namespace) -> int:
             svg = report.render_svg(plot)
         elif args.kind == "histogram":
             if header != ["bin_lo", "bin_hi", "count"]:
-                raise ParseError(f"{path}: expected columns bin_lo,bin_hi,count")
+                raise ParseError("expected columns bin_lo,bin_hi,count")
             try:
                 lows = [_csv_number(float, r[0]) for r in body]
                 edges = lows[:1] + [_csv_number(float, r[1]) for r in body]
                 counts = [_csv_number(int, r[2]) for r in body]
             except ValueError:
-                raise ParseError(f"{path}: non-numeric histogram row") from None
+                raise ParseError("non-numeric histogram row") from None
             for i in range(1, len(body)):
                 if lows[i] != edges[i]:
-                    raise ParseError(f"{path}: bins are not contiguous at row {i + 1}")
+                    raise ParseError(f"bins are not contiguous at row {i + 1}")
             svg = report.render_svg(
                 report.Histogram(edges=tuple(edges), counts=tuple(counts), label=title))
         else:
             if header != ["label", "value"]:
-                raise ParseError(f"{path}: expected columns label,value")
+                raise ParseError("expected columns label,value")
             try:
                 bars = tuple((r[0], _csv_number(float, r[1])) for r in body)
             except ValueError:
-                raise ParseError(f"{path}: non-numeric bar row") from None
+                raise ParseError("non-numeric bar row") from None
             svg = report.render_svg(report.BarChart(bars=bars, title=title))
-    except ValidationError as exc:  # from a chart constructor, which names the value
-        raise ValidationError(f"{path}: {exc}") from None
     write_text(args.out, svg)
     print(f"wrote {args.out}")
     return 0
@@ -397,11 +391,15 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Exits with code 1 on a usage error, like every other bad input."""
+    """Exits with code 1 on a usage error, like every other bad input, and lets
+    a failed write of its help text reach ``main``, where argparse drops it."""
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message: str, file=None) -> None:
+        (file or sys.stderr).write(message)
 
 
 def _number(parse):

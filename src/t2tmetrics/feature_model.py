@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from . import matching
-from .fsio import _Cursor, _read_bytes, write_bytes
+from .fsio import _Cursor, _naming, _read_bytes, write_bytes
 from .ingest import FeatureMatrix, _column, _first_repeat
 
 MODEL_MAGIC = b"T2TMODL\x00"
@@ -472,19 +472,17 @@ def save_model(model: GaussianTrainModel, path) -> None:
 
 def load_model(path) -> GaussianTrainModel:
     blob = _read_bytes(path)
-    if blob[:len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise ParseError(f"{path}: bad magic {blob[:8]!r}")
-    cursor = _Cursor(path, blob, len(MODEL_MAGIC))
-    d, eps, count = _MODEL_HEADER.unpack(cursor.take(_MODEL_HEADER.size, "header"))
-    if d < 1:
-        raise ParseError(f"{path}: dimension must be >= 1, got {d}")
-    mean = np.frombuffer(cursor.take(8 * d, "mean"), dtype="<f8").copy()
-    cov = np.frombuffer(cursor.take(8 * d * d, "covariance"), dtype="<f8").reshape(d, d).copy()
-    prec = np.frombuffer(cursor.take(8 * d * d, "precision"), dtype="<f8").reshape(d, d).copy()
-    cursor.end("model payload")
-    try:
+    with _naming(path):
+        if blob[:len(MODEL_MAGIC)] != MODEL_MAGIC:
+            raise ParseError(f"bad magic {blob[:8]!r}")
+        cursor = _Cursor(blob, len(MODEL_MAGIC))
+        d, eps, count = _MODEL_HEADER.unpack(cursor.take(_MODEL_HEADER.size, "header"))
+        if d < 1:
+            raise ParseError(f"dimension must be >= 1, got {d}")
+        mean = np.frombuffer(cursor.take(8 * d, "mean"), dtype="<f8").copy()
+        cov = np.frombuffer(cursor.take(8 * d * d, "covariance"), dtype="<f8").reshape(d, d).copy()
+        prec = np.frombuffer(cursor.take(8 * d * d, "precision"), dtype="<f8").reshape(d, d).copy()
+        cursor.end("model payload")
         return GaussianTrainModel(
             mean=mean, covariance=cov, precision=prec, regularization=eps, sample_count=count
         )
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None

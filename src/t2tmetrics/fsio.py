@@ -9,7 +9,12 @@ Reading
 -------
 Every input file is opened by ``_read_bytes`` alone, including the model file
 and the report and curve CSVs: a missing file is ``no such file: PATH``, and
-any other OS error is a ``ParseError`` naming the path. It returns a
+any other OS error is a ``ParseError`` naming the path. The function that
+reads a file names it once: it parses the bytes inside ``_naming(path)``,
+which puts ``PATH: `` in front of any ``DataError`` raised there. The parsers
+below it name only records, lines and fields (``line 4: …``, ``truncated
+file: …``). ``_read_bytes`` runs before that block, since its own errors
+already name the path. ``_read_bytes`` returns a
 read-only ``mmap`` of the file, not a copy, and ``bytes`` only for a file that
 cannot be mapped, such as an empty file; callers read either through the
 buffer protocol. So the values of a ``T2TFEAT`` file stay in the page cache.
@@ -31,6 +36,7 @@ in ``_fmt``'s full precision.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -65,12 +71,22 @@ def _read_bytes(path: str | Path) -> mmap.mmap | bytes:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
-def _decode_text(path: str | Path, blob: mmap.mmap | bytes) -> str:
+@contextlib.contextmanager
+def _naming(where: object):
+    """Puts ``where: `` in front of each ``DataError`` raised in the block,
+    keeping its type; the reader of a file names the file through it, once."""
+    try:
+        yield
+    except DataError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
+def _decode_text(blob: mmap.mmap | bytes) -> str:
     """UTF-8 text with universal newlines, as ``Path.read_text`` decodes it."""
     try:
         text = str(blob, "utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
+        raise ParseError(f"not UTF-8 text at byte {exc.start} ({exc.reason})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -78,45 +94,50 @@ class _Cursor:
     """Reads through a binary container, checking each size taken from the
     file against the bytes left before any use."""
 
-    def __init__(self, path: str | Path, blob: mmap.mmap | bytes, offset: int) -> None:
-        self.path, self.blob, self.offset = path, memoryview(blob), offset
+    def __init__(self, blob: mmap.mmap | bytes, offset: int) -> None:
+        self.blob, self.offset = memoryview(blob), offset
 
     def take(self, n: int, what: str) -> memoryview:
         if n > len(self.blob) - self.offset:
-            raise ParseError(f"{self.path}: truncated file: {what} needs {n} bytes")
+            raise ParseError(f"truncated file: {what} needs {n} bytes")
         self.offset += n
         return self.blob[self.offset - n : self.offset]
 
     def end(self, what: str) -> None:
         if self.offset != len(self.blob):
-            raise ParseError(f"{self.path}: trailing bytes after {what}")
+            raise ParseError(f"trailing bytes after {what}")
 
 
 def _load_json(path: str | Path) -> object:
-    text = _decode_text(path, _read_bytes(path))
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    except ValueError as exc:  # an integer over the interpreter's digit limit
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
+    blob = _read_bytes(path)
+    with _naming(path):
+        text = _decode_text(blob)
+        del blob  # unmap the file before the parse, which needs only the text
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        except ValueError as exc:  # an integer over the interpreter's digit limit
+            raise ParseError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply") from None
 
 
-def _csv_records(path: str | Path, text: str):
+def _csv_records(text: str):
     """Yield (line number, record) of CSV text; a malformed record is a ParseError."""
     reader = csv.reader(io.StringIO(text))
     try:
         for record in reader:
             yield reader.line_num, record
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
 
 
 def _read_csv_rows(path: str | Path) -> list[list[str]]:
     """The non-empty records of a CSV file."""
-    return [r for _, r in _csv_records(path, _decode_text(path, _read_bytes(path))) if r]
+    blob = _read_bytes(path)
+    with _naming(path):
+        return [r for _, r in _csv_records(_decode_text(blob)) if r]
 
 
 def _csv_number(parse, cell: str):
@@ -187,18 +208,15 @@ def decode(cls: type, raw: object, where: str):
     Raises:
         ValidationError: naming ``where`` and the offending key.
     """
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where}: expected a JSON object, got {type(raw).__name__}")
-    hints = typing.get_type_hints(cls)
-    names = {f.name for f in fields(cls)}
-    unknown = sorted(set(raw) - names)
-    if unknown:
-        raise ValidationError(f"{where}: unknown keys: {', '.join(unknown)}")
-    values = {k: _decode_value(hints[k], v, f"{where}: {k}") for k, v in raw.items()}
-    try:
-        return cls(**values)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+    with _naming(where):
+        if not isinstance(raw, dict):
+            raise ValidationError(f"expected a JSON object, got {type(raw).__name__}")
+        hints = typing.get_type_hints(cls)
+        names = {f.name for f in fields(cls)}
+        unknown = sorted(set(raw) - names)
+        if unknown:
+            raise ValidationError(f"unknown keys: {', '.join(unknown)}")
+        return cls(**{k: _decode_value(hints[k], v, k) for k, v in raw.items()})
 
 
 # --------------------------------------------------------------------- writing

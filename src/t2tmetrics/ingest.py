@@ -31,7 +31,10 @@ This module parses; :mod:`.fsio` reads. Each input file comes from
 ``fsio._read_bytes`` as a read-only map, JSON documents through
 ``fsio._load_json`` and CSV records through ``fsio._csv_records``; the
 parsers here check each record and build the column sets and feature
-matrices. Outputs are written through ``fsio.write_bytes`` alone.
+matrices. Each loader names its file once, by parsing inside
+``fsio._naming(path)``; the parsers below it name only the record, line or
+field, as in ``detections[3]: …`` or ``line 4: …``. Outputs are written
+through ``fsio.write_bytes`` alone.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .fsio import (
     _Cursor,
     _decode_text,
     _load_json,
+    _naming,
     _read_bytes,
     write_bytes,
     write_text,
@@ -241,10 +245,8 @@ def _located(ids, image_ids, boxes, what: str) -> tuple[list[str], list[str], np
     refused = ~_boxes_pass(boxes)
     if refused.any():
         k = int(refused.argmax())
-        try:
+        with _naming(f"{what} {ids[k]!r}"):
             BoundingBox(*boxes[k].tolist())
-        except ValidationError as exc:
-            raise ValidationError(f"{what} {ids[k]!r}: {exc}") from None
     return ids, image_ids, boxes
 
 
@@ -407,10 +409,8 @@ def _parse_box(raw: object, where: str) -> BoundingBox:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ParseError(f"{where}: bbox must be a list of four numbers")
     vals = [_json_number(v, where, "bbox value") for v in raw]
-    try:
+    with _naming(where):
         return BoundingBox(*vals)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _identifiers(values: list) -> list[str] | None:
@@ -460,8 +460,7 @@ _ANNOTATION_FIELDS = (("image_id", _ID), ("bbox", _BOX), ("id", _ID))
 _DETECTION_FIELDS = (("detection_id", _ID), ("score", _NUMBER), ("image_id", _ID), ("bbox", _BOX))
 
 
-def _record_columns(path: str | Path, section: str, records: list, fields: tuple,
-                    passes, check=None) -> list:
+def _record_columns(section: str, records: list, fields: tuple, passes, check=None) -> list:
     """The column of each of ``fields`` over ``records`` when every record
     passes every check; otherwise the first record refused raises its error.
 
@@ -480,7 +479,7 @@ def _record_columns(path: str | Path, section: str, records: list, fields: tuple
             return columns
         first = int(refused.argmax())
     for i in range(first, len(records)):
-        where = f"{path}: {section}[{i}]"
+        where = f"{section}[{i}]"
         raw = records[i]
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: expected an object")
@@ -489,11 +488,9 @@ def _record_columns(path: str | Path, section: str, records: list, fields: tuple
         except KeyError as exc:
             raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
         if check is not None:
-            try:
+            with _naming(where):
                 check(*scalars)
-            except ValidationError as exc:
-                raise ValidationError(f"{where}: {exc}") from None
-    raise AssertionError(f"{path}: a column check refused a record that its record check passes")
+    raise AssertionError("a column check refused a record that its record check passes")
 
 
 def load_ground_truth(path: str | Path) -> GroundTruthSet:
@@ -505,39 +502,35 @@ def load_ground_truth(path: str | Path) -> GroundTruthSet:
             (non-positive boxes, duplicate ids, dangling image references).
     """
     doc = _load_json(path)
-    if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
-        raise ParseError(f"{path}: expected an object with 'images' and 'annotations'")
-    if not isinstance(doc["images"], list) or not isinstance(doc["annotations"], list):
-        raise ParseError(f"{path}: 'images' and 'annotations' must be lists")
+    with _naming(path):
+        if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
+            raise ParseError("expected an object with 'images' and 'annotations'")
+        if not isinstance(doc["images"], list) or not isinstance(doc["annotations"], list):
+            raise ParseError("'images' and 'annotations' must be lists")
 
-    images = []
-    for i, raw in enumerate(doc["images"]):
-        where = f"{path}: images[{i}]"
-        if not isinstance(raw, dict):
-            raise ParseError(f"{where}: expected an object")
-        try:
-            size = (raw["width"], raw["height"])
-            if not all(type(v) is int for v in size):
-                raise ParseError(f"{where}: width and height must be integers, got {size}")
-            image_id = _as_identifier(raw["id"], f"{where}.id")
-        except KeyError as exc:
-            raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
-        file_name = raw.get("file_name", "")
-        if not isinstance(file_name, str):
-            raise ValidationError(
-                f"{where}.file_name must be a string, got {type(file_name).__name__}")
-        try:
-            images.append(ImageInfo(image_id, file_name, *size))
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+        images = []
+        for i, raw in enumerate(doc["images"]):
+            where = f"images[{i}]"
+            if not isinstance(raw, dict):
+                raise ParseError(f"{where}: expected an object")
+            try:
+                size = (raw["width"], raw["height"])
+                if not all(type(v) is int for v in size):
+                    raise ParseError(f"{where}: width and height must be integers, got {size}")
+                image_id = _as_identifier(raw["id"], f"{where}.id")
+            except KeyError as exc:
+                raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
+            file_name = raw.get("file_name", "")
+            if not isinstance(file_name, str):
+                raise ValidationError(
+                    f"{where}.file_name must be a string, got {type(file_name).__name__}")
+            with _naming(where):
+                images.append(ImageInfo(image_id, file_name, *size))
 
-    image_ids, boxes, ids = _record_columns(
-        path, "annotations", doc["annotations"], _ANNOTATION_FIELDS,
-        lambda _, boxes, __: _boxes_pass(boxes))
-    try:
+        image_ids, boxes, ids = _record_columns(
+            "annotations", doc["annotations"], _ANNOTATION_FIELDS,
+            lambda _, boxes, __: _boxes_pass(boxes))
         gts = GroundTruthSet(images=tuple(images), ids=ids, image_ids=image_ids, boxes=boxes)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
     logger.info("loaded %d ground-truth instances over %d images from %s",
                 len(gts), len(gts.images), path)
     return gts
@@ -563,16 +556,14 @@ def write_ground_truth(gts: GroundTruthSet, path: str | Path) -> Path:
 def load_detections(path: str | Path) -> DetectionSet:
     """Load a detection list; scores outside [0, 1] are rejected, not clamped."""
     doc = _load_json(path)
-    if not isinstance(doc, list):
-        raise ParseError(f"{path}: expected a JSON list of detection records")
-    ids, scores, image_ids, boxes = _record_columns(
-        path, "detections", doc, _DETECTION_FIELDS,
-        lambda _, scores, __, boxes: _boxes_pass(boxes) & (scores >= 0.0) & (scores <= 1.0),
-        lambda det_id, score, image_id, box: _check_score(score, det_id))
-    try:
+    with _naming(path):
+        if not isinstance(doc, list):
+            raise ParseError("expected a JSON list of detection records")
+        ids, scores, image_ids, boxes = _record_columns(
+            "detections", doc, _DETECTION_FIELDS,
+            lambda _, scores, __, boxes: _boxes_pass(boxes) & (scores >= 0.0) & (scores <= 1.0),
+            lambda det_id, score, image_id, box: _check_score(score, det_id))
         out = DetectionSet(ids=ids, image_ids=image_ids, boxes=boxes, scores=scores)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
     logger.info("loaded %d detections from %s", len(out), path)
     return out
 
@@ -589,11 +580,11 @@ def write_detections(dets: DetectionSet, path: str | Path) -> Path:
 # ------------------------------------------------------------ feature matrices
 
 
-def _load_features_binary(path: str | Path, blob: mmap.mmap | bytes) -> FeatureMatrix:
-    cursor = _Cursor(path, blob, len(FEATURE_MAGIC))
+def _load_features_binary(blob: mmap.mmap | bytes) -> FeatureMatrix:
+    cursor = _Cursor(blob, len(FEATURE_MAGIC))
     rows, dim = struct.unpack("<QQ", cursor.take(16, "header"))
     if rows < 1 or dim < 1:
-        raise ParseError(f"{path}: header declares empty matrix ({rows}x{dim})")
+        raise ParseError(f"header declares empty matrix ({rows}x{dim})")
     # A read-only view of the file's bytes: the payload is never copied.
     data = np.frombuffer(cursor.take(rows * dim * 4, "feature values"), dtype="<f4").reshape(rows, dim)
     # The row ids are read from the bytes without ``cursor.take``, whose error
@@ -612,41 +603,39 @@ def _load_features_binary(path: str | Path, blob: mmap.mmap | bytes) -> FeatureM
         try:
             ids.append(blob[at:at + length].decode())
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: row {i} id is not valid UTF-8 ({exc.reason})") from exc
+            raise ParseError(f"row {i} id is not valid UTF-8 ({exc.reason})") from None
         at += length
     cursor.offset = at
     cursor.end("row ids")
     return FeatureMatrix(data=data, row_ids=tuple(ids))
 
 
-def _load_features_csv(path: str | Path, blob: mmap.mmap | bytes) -> FeatureMatrix:
+def _load_features_csv(blob: mmap.mmap | bytes) -> FeatureMatrix:
     ids: list[str] = []
     rows: list[list[float]] = []
     width: int | None = None
-    for lineno, record in _csv_records(path, _decode_text(path, blob)):
+    for lineno, record in _csv_records(_decode_text(blob)):
         if not record:
             continue
         if len(record) < 2:
-            raise ParseError(f"{path}: line {lineno}: expected a row id and at least one value")
+            raise ParseError(f"line {lineno}: expected a row id and at least one value")
         if width is None:
             width = len(record)
         elif len(record) != width:
-            raise ParseError(
-                f"{path}: line {lineno}: expected {width - 1} values, got {len(record) - 1}"
-            )
+            raise ParseError(f"line {lineno}: expected {width - 1} values, got {len(record) - 1}")
         row_id = record[0].strip()
         if not row_id:
-            raise ParseError(f"{path}: line {lineno}: empty row id")
+            raise ParseError(f"line {lineno}: empty row id")
         values = []
         for col, cell in enumerate(record[1:], start=2):
             try:
                 values.append(_csv_number(float, cell))
             except ValueError:
-                raise ParseError(f"{path}: line {lineno}, column {col}: not a number: {cell!r}") from None
+                raise ParseError(f"line {lineno}, column {col}: not a number: {cell!r}") from None
         ids.append(row_id)
         rows.append(values)
     if not rows:
-        raise ParseError(f"{path}: no feature rows")
+        raise ParseError("no feature rows")
     return FeatureMatrix(data=np.array(rows, dtype=np.float64), row_ids=tuple(ids))
 
 
@@ -655,10 +644,8 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     blob = _read_bytes(path)
     binary = blob[:len(FEATURE_MAGIC)] == FEATURE_MAGIC
     load = _load_features_binary if binary else _load_features_csv
-    try:
-        fm = load(path, blob)
-    except ValidationError as exc:  # from FeatureMatrix, which names the row
-        raise ValidationError(f"{path}: {exc}") from None
+    with _naming(path):
+        fm = load(blob)
     logger.info("loaded %dx%d feature matrix from %s", fm.rows, fm.dim, path)
     return fm
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .fsio import _csv_number, _read_csv_rows, _shown
+from .fsio import _csv_number, _naming, _read_csv_rows, _shown
 
 logger = logging.getLogger(__name__)
 
@@ -139,8 +139,6 @@ def average_runs(curves: list[AccuracyCurve]) -> AccuracyCurve:
 def _read_curve_file(path: Path) -> list[AccuracyCurve]:
     """The curves of a ``count,accuracy[,run_id]`` CSV file, one per run id."""
     rows = _read_csv_rows(path)
-    if not rows:
-        raise ParseError(f"{path}: empty curve file")
 
     def is_number(text: str) -> bool:
         try:
@@ -149,26 +147,26 @@ def _read_curve_file(path: Path) -> list[AccuracyCurve]:
         except (ArithmeticError, ValueError):
             return False
 
-    # A header such as count,accuracy holds no number; a first row that does is data.
-    if len(rows[0]) >= 2 and not is_number(rows[0][0]) and not is_number(rows[0][1]):
-        rows = rows[1:]
-    grouped: dict[str, list[tuple[int, str]]] = {}
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) not in (2, 3):
-            raise ParseError(f"{path}: row {lineno}: expected 2 or 3 columns, got {len(row)}")
-        try:
-            count = _csv_number(int, row[0])
-        except ValueError:
-            raise ParseError(f"{path}: row {lineno}: image count is not an integer: {_shown(row[0])}") from None
-        run = row[2].strip() if len(row) == 3 else ""
-        grouped.setdefault(run, []).append((count, row[1].strip()))
-    try:
+    with _naming(path):
+        if not rows:
+            raise ParseError("empty curve file")
+        # A header such as count,accuracy holds no number; a first row that does is data.
+        if len(rows[0]) >= 2 and not is_number(rows[0][0]) and not is_number(rows[0][1]):
+            rows = rows[1:]
+        grouped: dict[str, list[tuple[int, str]]] = {}
+        for lineno, row in enumerate(rows, start=1):
+            if len(row) not in (2, 3):
+                raise ParseError(f"row {lineno}: expected 2 or 3 columns, got {len(row)}")
+            try:
+                count = _csv_number(int, row[0])
+            except ValueError:
+                raise ParseError(f"row {lineno}: image count is not an integer: {_shown(row[0])}") from None
+            run = row[2].strip() if len(row) == 3 else ""
+            grouped.setdefault(run, []).append((count, row[1].strip()))
         return [
             build_accuracy_curve(samples, label=run or path.stem)
             for run, samples in grouped.items()
         ]
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

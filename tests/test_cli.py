@@ -1085,6 +1085,53 @@ def test_malformed_feature_or_model_file_exits_1_naming_it(
     assert not (tmp_path / "out").exists()
 
 
+def int_digit_limit_error(digits: int) -> str:
+    """The interpreter's own text for an integer over its digit limit."""
+    with pytest.raises(ValueError) as err:
+        int("1" * digits)
+    return str(err.value)
+
+
+# The whole error line of a refusal in each kind of input file: the file's
+# name once, then the record, line or key, then what is wrong.
+@pytest.mark.parametrize("kind, content, message", [
+    ("--train-features", t2tfeat(1, 1, struct.pack("<fI", 1.0, 1) + b"a!"),
+     "trailing bytes after row ids"),
+    ("--model", model_file([0.0], [[1.0]], [[1.0]]) + b"!", "trailing bytes after model payload"),
+    ("--config", b"[" * 100_000, "invalid JSON: nested too deeply"),
+    ("--config", b"1" * 5000, f"invalid JSON: {int_digit_limit_error(5000)}"),
+    ("--gt", b'{"images": [{"id": "a", "width": 1.5, "height": 2}], "annotations": []}',
+     "images[0]: width and height must be integers, got (1.5, 2)"),
+    ("--curve", b"count,accuracy\n5,0.2\n10\n", "row 2: expected 2 or 3 columns, got 1"),
+    ("histogram", b"bin_lo,bin_hi,count\n", "expected a header row and at least one data row"),
+    ("histogram", b"a,b\n1,2\n", "expected columns bin_lo,bin_hi,count"),
+    ("bars", b"a,b\n1,2\n", "expected columns label,value"),
+    ("histogram", b"bin_lo,bin_hi,count\n0,1,2\n1.5,2,3\n", "bins are not contiguous at row 2"),
+    ("--config", b'{"bogus": 1, "alpha": 2, "bins": 3}', "unknown keys: alpha, bogus"),
+    ("--config", b'{"bins": null}', "bins must not be null"),
+    ("--config", b'["bins"]', "expected a JSON object, got list"),
+])
+def test_each_input_file_refusal_names_the_file_once(
+    dataset, tmp_path, capsys, kind, content, message
+):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    out = str(tmp_path / "out")
+    argv = {
+        "--train-features": ["fit", "--train-features", str(path), "--out", out],
+        "--model": ["ap-t2t", *evaluate_args(dataset, out)[1:-4], "--model", str(path),
+                    "--out", out],
+        "--config": ["evaluate", "--config", str(path), "--out", out],
+        "--gt": [*evaluate_args(dataset, out), "--gt", str(path)],
+        "--curve": ["replacement", "--curve", str(path), "--target", "0.3", "--out", out],
+        "histogram": ["report", "--kind", "histogram", "--input", str(path), "--out", out],
+        "bars": ["report", "--kind", "bars", "--input", str(path), "--out", out],
+    }[kind]
+    assert main(argv) == 1
+    assert error_lines(capsys.readouterr().err) == [f"error: {path}: {message}"]
+    assert not Path(out).exists()
+
+
 def test_config_null_optional_means_default(dataset, tmp_path):
     config = write_json(tmp_path / "run.json", {
         "ground_truth": str(dataset / "ground_truth.json"),
@@ -1456,10 +1503,9 @@ def test_fit_and_ap_t2t_load_only_the_modules_they_run(dataset, tmp_path):
 
 
 # A buffered stdout fails at the flush, an unbuffered one at the first print.
-# argparse drops a failed write of its own help text, so only a buffered
-# `--help` has an error to report.
 @pytest.mark.parametrize("command, buffered", [
     ("fit", True), ("fit", False), ("replacement", True), ("replacement", False), ("--help", True),
+    ("--help", False),
 ])
 def test_a_closed_standard_output_ends_in_one_error_line(dataset, tmp_path, command, buffered):
     (tmp_path / "curve.csv").write_text("count,accuracy\n5,0.2\n10,0.4\n")

@@ -890,3 +890,29 @@ def test_only_fsio_reads_and_writes_files():
         ("fsio", "_read_bytes", "open"),
         ("fsio", "write_bytes", "open"),
     }
+
+
+def _path_naming_raises(tree: ast.AST, function: str = ""):
+    """The enclosing function of every ``raise`` whose f-string holds ``path``
+    or ``self.path``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _path_naming_raises(node, node.name)
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            if any(isinstance(part, ast.FormattedValue)
+                   and ast.unparse(part.value) in ("path", "self.path")
+                   for part in ast.walk(node.exc)):
+                yield function
+        yield from _path_naming_raises(node, function)
+
+
+def test_only_the_opening_functions_write_a_path_into_an_error():
+    # A parser raises text relative to its input, such as `line 4: ...`; the
+    # function that reads the file puts its name in front through
+    # `fsio._naming`, so no parser can name the file twice or not at all.
+    sites = set()
+    for module in sorted(Path(t2tmetrics.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        sites |= {(module.stem, fn) for fn in _path_naming_raises(tree)}
+    assert sites == {("fsio", "_read_bytes"), ("fsio", "write_bytes")}

@@ -45,6 +45,21 @@ def test_build_validation():
         curve([(5, "abc"), (10, 0.4)])
 
 
+@pytest.mark.parametrize("points, message", [
+    (((5, Fraction(1, 5)),), "a curve needs at least two samples, got 1"),
+    (((0, Fraction(1, 5)), (10, Fraction(2, 5))), "image counts must be positive"),
+    (((10, Fraction(1, 5)), (5, Fraction(2, 5))),
+     "image counts must be strictly increasing after sorting"),
+    (((5, Fraction(1, 5)), (5, Fraction(2, 5))),
+     "image counts must be strictly increasing after sorting"),
+])
+def test_curve_constructor_refuses_what_build_would_refuse(points, message):
+    # build_accuracy_curve checks first, so only a curve built directly gets here.
+    with pytest.raises(ValidationError) as err:
+        AccuracyCurve(points=points)
+    assert str(err.value) == message
+
+
 def test_build_warns_off_grid(caplog):
     with caplog.at_level(logging.WARNING):
         curve([(5, 0.2), (12, 0.4)])

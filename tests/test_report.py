@@ -85,6 +85,17 @@ def test_histogram_empty_annotated():
     assert fp.counts == (0, 0, 0)
 
 
+def test_histogram_of_only_zero_distances_spans_0_to_1():
+    # A range of [0, 0] has no width to split into bins.
+    annotated = make_annotated([0.0, 0.0], [0.0])
+    edges, tp_counts, fp_counts = annotated.histogram(4)
+    assert edges == (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert (tp_counts, fp_counts) == ((2, 0, 0, 0), (1, 0, 0, 0))
+    tp, fp = distance_histogram(annotated, bin_count=4)
+    assert tp.edges == fp.edges == edges
+    assert (tp.counts, fp.counts) == (tp_counts, fp_counts)
+
+
 def test_histogram_counts_match_recount_oracle():
     rng = np.random.default_rng(51)
     tp_d = rng.uniform(0, 50, 600)
