@@ -38,6 +38,13 @@ from .matching import IOU_GRID, MatchOutcome, _prefix, iou_matcher
 DEFAULT_SCORE_THRESHOLDS: dict[str, float] = {"all": 0.01, "med": 0.1, "high": 0.5}
 
 
+def _int_array(values) -> np.ndarray:
+    """values as an int array, or as Python ints where numpy would make floats
+    of them: a list mixing ints in [2**63, 2**64) with smaller ones."""
+    array = np.asarray(values)
+    return array if array.dtype.kind in "iu" else np.asarray(values, dtype=object)
+
+
 def _ratio_mean(numerators, denominators, total: int) -> float:
     """sum(n/d for each term) / total for int sequences, correctly rounded.
 
@@ -47,7 +54,7 @@ def _ratio_mean(numerators, denominators, total: int) -> float:
     Otherwise the terms are added pairwise in Python ints, (a/b) + (c/d) =
     (a*d + c*b) / (b*d), with no gcd, and Python int true division rounds once.
     """
-    n, d = np.asarray(numerators), np.asarray(denominators)
+    n, d = _int_array(numerators), _int_array(denominators)
     if n.dtype.kind == d.dtype.kind == "i" and np.all((0 <= n) & (n <= d) & (d < 2**31)):
         high, rest = np.divmod(n.astype(np.int64) << 32, d)
         floor = (int(high.sum()) << 32) + int(((rest << 32) // d).sum())

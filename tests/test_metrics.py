@@ -382,6 +382,7 @@ def test_ratio_mean_rounds_a_mean_on_a_rounding_midpoint_exactly():
 @example(2_000, "ratios", 1, 2**31 - 1, 12_345)
 @example(40_000, "exact", 2, 2**31, 2**10)
 @example(20_000, "midpoint", 3, 4096, 9_999)
+@example(1, "midpoint", 307051, 4096, 1)  # a denominator in [2**63, 2**64)
 def test_ratio_mean_is_the_fraction_mean_at_every_size(size, shape, seed, top, total):
     """AP staircases, ratios n <= d up to and past the int64 bracket's 2**31,
     means that a float holds exactly, and means on a rounding midpoint."""
