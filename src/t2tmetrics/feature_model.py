@@ -9,20 +9,21 @@ Mahalanobis form
 with no square root. The mean is one float64 reduction over the stored
 rows; the covariance is a sum of per-block products over row blocks of
 ``_FIT_BLOCK_ROWS``, each block widened to float64 and centered on that
-mean, so no float64 copy of all the rows is made. numpy computes each
-``B.T @ B`` as a symmetric rank-k update that fills one triangle and mirrors
-it, so the sum is symmetric to the bit. The fit therefore gives it to the
-model without the ``(cov + cov.T) / 2`` of ``model_from_moments``, which
-would return it unchanged. Both build their models without the
-constructor's symmetry checks, as the precision is symmetrized too. The
-inverse is taken through a blocked Cholesky factor L of
-``_CHOL_BLOCK_ROWS``-row blocks and its triangular inverse W, as the
-precision ``W.T @ W``; a covariance that cannot be factorized is reported
-as a singularity error rather than silently pseudo-inverted. LAPACK only
-factors and inverts the diagonal blocks, and every other step is a matrix
-product whose dimensions are whole blocks, so a model's bytes do not depend
-on the BLAS thread count. The distance product is padded to whole blocks
-too, so distances do not either.
+mean, so no float64 copy of all the rows is made. The inverse is taken
+through a blocked Cholesky factor L of ``_CHOL_BLOCK_ROWS``-row blocks and
+its triangular inverse W, as the precision ``W.T @ W``; a covariance that
+cannot be factorized is reported as a singularity error rather than
+silently pseudo-inverted. numpy computes each ``B.T @ B`` and ``W.T @ W``
+as a symmetric rank-k update that fills one triangle and mirrors it, so the
+covariance sum and the precision are symmetric to the bit. The fit
+therefore gives the covariance to the model without the
+``(cov + cov.T) / 2`` of ``model_from_moments``, which would return it
+unchanged, no precision is symmetrized, and both build their models without
+the constructor's symmetry checks. LAPACK only factors and inverts the
+diagonal blocks, and every other step is a matrix product whose dimensions
+are whole blocks, so a model's bytes do not depend on the BLAS thread
+count. The distance product is padded to whole blocks too, so distances
+do not either.
 """
 
 from __future__ import annotations
@@ -138,6 +139,9 @@ def default_regularization(covariance: np.ndarray) -> float:
 _CHOL_BLOCK_ROWS = 64
 
 
+_HALF_MAX = np.finfo(np.float64).max / 2
+
+
 def _padded(d: int) -> int:
     """``d`` rounded up to a whole number of ``_CHOL_BLOCK_ROWS``."""
     return -(-d // _CHOL_BLOCK_ROWS) * _CHOL_BLOCK_ROWS
@@ -185,10 +189,12 @@ def _invert_spd(matrix: np.ndarray, regularization: float) -> np.ndarray:
     del target, row
     precision = np.ascontiguousarray((inverse.T @ inverse)[:d, :d])
     del inverse
-    # In place, (p + p.T) / 2 to the bit: numpy reads p.T from a copy where it
-    # overlaps the output, and halving is exact.
-    precision += precision.T
-    precision /= 2.0
+    # ``W.T @ W`` is a symmetric rank-k update, symmetric to the bit, so
+    # (p + p.T) / 2 would give it back unchanged, except where doubling an
+    # entry overflows: such a precision still ends as a non-finite one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (precision.max() <= _HALF_MAX and precision.min() >= -_HALF_MAX):
+            precision = (precision + precision.T) / 2.0
     return precision
 
 
@@ -222,8 +228,6 @@ def model_from_moments(
 # block, so its covariance is the single product ``X.T @ X`` of the padded
 # rows bit for bit.
 _FIT_BLOCK_ROWS = 1024
-
-_HALF_MAX = np.finfo(np.float64).max / 2
 
 
 def _centered_gram(data: np.ndarray, start: int, mean: np.ndarray) -> np.ndarray:
@@ -295,23 +299,30 @@ def train2test_distances(
     number of ``_CHOL_BLOCK_ROWS`` columns, as the fit's are, so a distance's
     bits do not depend on the BLAS thread count.
     """
+    return _distances(model, features, None)
+
+
+def _distances(model: GaussianTrainModel, features, rows: np.ndarray | None) -> np.ndarray:
+    """The distances of ``features[rows]``, or of every row when ``rows`` is
+    None; each block is gathered by its slice of ``rows``, one at a time."""
     d, size = model.dim, _padded(model.dim)
     precision = model._padded_precision
-    out = np.empty(len(features), dtype=np.float64)
+    out = np.empty(len(features) if rows is None else len(rows), dtype=np.float64)
     for start in range(0, len(out), _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, len(out))
+        block = features[start:stop] if rows is None else features[rows[start:stop]]
         try:
-            rows = np.array(features[start:stop], dtype=np.float64)
+            block = np.array(block, dtype=np.float64)
         except ValueError:  # rows of unequal length
-            rows = None
-        if rows is None or rows.shape[1:] != (d,):
+            block = None
+        if block is None or block.shape[1:] != (d,):
             raise ValidationError(
                 f"feature rows {start} to {stop - 1} are not all of shape ({d},)"
             )
-        if not np.isfinite(rows).all():
+        if not np.isfinite(block).all():
             raise ValidationError("feature contains non-finite values")
-        centered = rows if size == d else np.zeros((len(rows), size))
-        np.subtract(rows, model.mean, out=centered[:, :d])
+        centered = block if size == d else np.zeros((len(block), size))
+        np.subtract(block, model.mean, out=centered[:, :d])
         out[start:stop] = np.einsum("ij,ij->i", centered @ precision, centered)
     # The true quadratic form is >= 0; rounding may produce a tiny negative.
     # ``+ 0.0`` turns a clamped -0.0 into 0.0.
@@ -445,13 +456,14 @@ def annotate_distances(
     model: GaussianTrainModel, outcome: matching.MatchOutcome
 ) -> DistanceAnnotatedOutcome:
     """Attach a distance to every TP and FP detection of the outcome."""
-    dets, kept = outcome.dets, outcome.kept.tolist()
-    features = list(map(dets.features.__getitem__, kept))
-    unbound = sorted(dets.ids[k] for k, f in zip(kept, features) if f is None)
-    if unbound:
+    dets = outcome.dets
+    rows = dets.feature_rows[outcome.kept]
+    if (rows < 0).any():
+        unbound = sorted(map(dets.ids.__getitem__, outcome.kept[rows < 0].tolist()))
         shown = ", ".join(unbound[:10]) + (", ..." if len(unbound) > 10 else "")
         raise BindingError(f"{len(unbound)} detections have no bound feature: {shown}")
-    return _annotated(outcome, train2test_distances(model, features))
+    data = None if dets.features is None else dets.features.data
+    return _annotated(outcome, _distances(model, data, rows))
 
 
 # ------------------------------------------------------------- model file I/O

@@ -35,6 +35,15 @@ matrices. Each loader names its file once, by parsing inside
 ``fsio._naming(path)``; the parsers below it name only the record, line or
 field, as in ``detections[3]: …`` or ``line 4: …``. Outputs are written
 through ``fsio.write_bytes`` alone.
+
+Each column is checked once. The public constructors check every column
+they are given; the loaders check each field as a column and then build
+through the private ``_built`` paths, which run only what no field check
+covers: repeated ids and, for ground truth, the image listing.
+``bind_features`` checks nothing, as its set and matrix are both checked.
+A bound ``DetectionSet`` holds the ``FeatureMatrix`` and each detection's
+row of it (intp, -1 for none); the distance kernel gathers one block's rows
+at a time by this index, and ``Detection.feature`` is a view of the row.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ import math
 import mmap
 import struct
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -196,8 +205,8 @@ def _check_score(score: float, detection_id: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Detection:
-    """One detector output; ``feature`` stays None until ``bind_features`` sets
-    it to a read-only row view of a ``FeatureMatrix``."""
+    """One detector output; ``feature`` is a read-only view of the detection's
+    row of the bound ``FeatureMatrix``, or None when none is bound."""
 
     image_id: str
     box: BoundingBox
@@ -232,13 +241,18 @@ def _column(values, shape: tuple[int, ...], what: str, dtype: type = np.float64)
     return column
 
 
+def _shared(image_ids) -> list[str]:
+    """``image_ids`` as a list that holds one string object per distinct id,
+    however many records name it."""
+    shared: dict[str, str] = {}
+    return [shared.setdefault(name, name) for name in image_ids]
+
+
 def _located(ids, image_ids, boxes, what: str) -> tuple[list[str], list[str], np.ndarray]:
     """The id and image id columns of ``what`` records as lists, and their
     (n, 4) float64 boxes; the first box that fails a ``BoundingBox`` check
-    raises its error, naming its record. The image id column holds one
-    string object per distinct id, however many records name it."""
-    shared: dict[str, str] = {}
-    ids, image_ids = list(ids), [shared.setdefault(name, name) for name in image_ids]
+    raises its error, naming its record."""
+    ids, image_ids = list(ids), list(image_ids)
     if len(image_ids) != len(ids):
         raise ValidationError(f"{len(image_ids)} image ids for {len(ids)} {what} ids")
     boxes = _column(boxes, (len(ids), 4), "boxes")
@@ -268,7 +282,19 @@ class GroundTruthSet:
     image_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ids, image_ids, boxes = _located(self.ids, self.image_ids, self.boxes, "instance")
+        self._index(*_located(self.ids, self.image_ids, self.boxes, "instance"))
+
+    @classmethod
+    def _built(cls, images, ids, image_ids, boxes) -> GroundTruthSet:
+        """The set of columns whose boxes passed every box check; only the
+        image and id checks run."""
+        gts = object.__new__(cls)
+        object.__setattr__(gts, "images", images)
+        gts._index(ids, image_ids, boxes)
+        return gts
+
+    def _index(self, ids: list[str], image_ids: list[str], boxes: np.ndarray) -> None:
+        """Check the image and instance ids, then set the columns and ``image_index``."""
         listed = [im.id for im in self.images]
         if (repeat := _first_repeat(listed)) is not None:
             raise ValidationError(f"duplicate image id {repeat!r} in ground truth")
@@ -284,7 +310,7 @@ class GroundTruthSet:
                     raise ValidationError(
                         f"instance {inst_id!r} references unknown image {image_id!r}"
                     )
-        for name, value in (("ids", ids), ("image_ids", image_ids), ("boxes", boxes),
+        for name, value in (("ids", ids), ("image_ids", _shared(image_ids)), ("boxes", boxes),
                             ("image_index", np.array(at, dtype=np.intp))):
             object.__setattr__(self, name, value)
 
@@ -304,18 +330,21 @@ class GroundTruthSet:
 class DetectionSet:
     """Detections held as columns, one entry per detection.
 
-    ``boxes`` is (n, 4) float64 of (x, y, w, h), ``scores`` is float64, and
-    ``features[k]`` is detection k's feature, an array or None; ``None`` for
-    the whole column leaves every feature unbound. The constructor checks
-    every box as ``BoundingBox`` does, every score as ``Detection`` does, and
-    that no detection id repeats.
+    ``boxes`` is (n, 4) float64 of (x, y, w, h) and ``scores`` is float64.
+    ``features`` is the bound ``FeatureMatrix`` or None, and the intp
+    ``feature_rows`` holds each detection's row of it, -1 for a detection
+    with no feature; ``None`` leaves every detection unbound. The
+    constructor checks every box as ``BoundingBox`` does, every score as
+    ``Detection`` does, that no detection id repeats, and that every feature
+    row lies in [-1, features.rows).
     """
 
     ids: list[str]
     image_ids: list[str]
     boxes: np.ndarray
     scores: np.ndarray
-    features: tuple | None = None
+    features: FeatureMatrix | None = None
+    feature_rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         ids, image_ids, boxes = _located(self.ids, self.image_ids, self.boxes, "detection")
@@ -324,13 +353,38 @@ class DetectionSet:
         if refused.any():
             k = int(refused.argmax())
             _check_score(scores[k], ids[k])
-        if (repeat := _first_repeat(ids)) is not None:
-            raise ValidationError(f"duplicate detection id {repeat!r}")
-        features = (None,) * len(ids) if self.features is None else tuple(self.features)
-        if len(features) != len(ids):
-            raise ValidationError(f"{len(features)} features for {len(ids)} detections")
+        _check_detection_ids(ids)
+        features, rows = self.features, self.feature_rows
+        if not isinstance(features, (FeatureMatrix, type(None))):
+            raise ValidationError(
+                f"features must be a FeatureMatrix, got {type(features).__name__}")
+        if rows is not None:
+            rows = np.asarray(rows)
+            if rows.size and rows.dtype.kind not in "iu":
+                raise ValidationError(f"feature rows must be integers, got {rows.dtype}")
+            rows = _column(rows, (len(ids),), "feature rows", rows.dtype)
+            limit = 0 if features is None else features.rows
+            refused = (rows < -1) | (rows >= limit)
+            if refused.any():
+                k = int(refused.argmax())
+                raise ValidationError(
+                    f"detection {ids[k]!r} feature row {rows[k]} is not in [-1, {limit})")
+            rows = rows.astype(np.intp)
+        self._fill(ids, _shared(image_ids), boxes, scores, features, rows)
+
+    @classmethod
+    def _built(cls, *columns) -> DetectionSet:
+        """The set of columns that already passed every check, built without one."""
+        dets = object.__new__(cls)
+        dets._fill(*columns)
+        return dets
+
+    def _fill(self, ids, image_ids, boxes, scores, features=None, feature_rows=None) -> None:
+        if feature_rows is None:
+            feature_rows = np.full(len(ids), -1, dtype=np.intp)
         for name, value in (("ids", ids), ("image_ids", image_ids), ("boxes", boxes),
-                            ("scores", scores), ("features", features)):
+                            ("scores", scores), ("features", features),
+                            ("feature_rows", feature_rows)):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
@@ -347,13 +401,19 @@ class DetectionSet:
     @functools.cached_property
     def detections(self) -> tuple[Detection, ...]:
         """The detections as records, built from the columns on first read."""
+        data = None if self.features is None else self.features.data
         return tuple(
             Detection(image_id=image_id, box=BoundingBox(*box), score=score,
-                      detection_id=det_id, feature=feature)
-            for det_id, image_id, box, score, feature in zip(
+                      detection_id=det_id, feature=None if row < 0 else data[row])
+            for det_id, image_id, box, score, row in zip(
                 self.ids, self.image_ids, self.boxes.tolist(), self.scores.tolist(),
-                self.features)
+                self.feature_rows.tolist())
         )
+
+
+def _check_detection_ids(ids: list[str]) -> None:
+    if (repeat := _first_repeat(ids)) is not None:
+        raise ValidationError(f"duplicate detection id {repeat!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -530,7 +590,7 @@ def load_ground_truth(path: str | Path) -> GroundTruthSet:
         image_ids, boxes, ids = _record_columns(
             "annotations", doc["annotations"], _ANNOTATION_FIELDS,
             lambda _, boxes, __: _boxes_pass(boxes))
-        gts = GroundTruthSet(images=tuple(images), ids=ids, image_ids=image_ids, boxes=boxes)
+        gts = GroundTruthSet._built(tuple(images), ids, image_ids, boxes)
     logger.info("loaded %d ground-truth instances over %d images from %s",
                 len(gts), len(gts.images), path)
     return gts
@@ -563,7 +623,8 @@ def load_detections(path: str | Path) -> DetectionSet:
             "detections", doc, _DETECTION_FIELDS,
             lambda _, scores, __, boxes: _boxes_pass(boxes) & (scores >= 0.0) & (scores <= 1.0),
             lambda det_id, score, image_id, box: _check_score(score, det_id))
-        out = DetectionSet(ids=ids, image_ids=image_ids, boxes=boxes, scores=scores)
+        _check_detection_ids(ids)
+        out = DetectionSet._built(ids, _shared(image_ids), boxes, scores)
     logger.info("loaded %d detections from %s", len(out), path)
     return out
 
@@ -662,19 +723,21 @@ def write_feature_matrix(fm: FeatureMatrix, path: str | Path) -> Path:
 
 
 def bind_features(dets: DetectionSet, features: FeatureMatrix) -> DetectionSet:
-    """Give each detection, by detection id, its row of ``features.data``; a
-    detection read from the result has a read-only view of that row.
+    """Bind ``features`` to ``dets``: each detection's row is the row of its
+    detection id. A detection read from the result has a read-only view of
+    that row.
 
     Every detection must have a row; missing rows raise BindingError listing
     the ids. Extra rows are permitted and reported as a warning.
     """
     index = {row_id: i for i, row_id in enumerate(features.row_ids)}
-    rows = [index.get(det_id, -1) for det_id in dets.ids]
-    if -1 in rows:
-        missing = sorted(det_id for det_id, row in zip(dets.ids, rows) if row < 0)
+    rows = np.fromiter(map(index.get, dets.ids, itertools.repeat(-1)), dtype=np.intp,
+                       count=len(dets))
+    if (rows < 0).any():
+        missing = sorted(map(dets.ids.__getitem__, np.flatnonzero(rows < 0).tolist()))
         shown = ", ".join(missing[:10]) + (", ..." if len(missing) > 10 else "")
         raise BindingError(f"{len(missing)} detections have no feature row: {shown}")
     extra = len(index) - len(dets)
     if extra > 0:
         logger.warning("%d feature rows are not referenced by any detection", extra)
-    return replace(dets, features=tuple(map(features.data.__getitem__, rows)))
+    return DetectionSet._built(dets.ids, dets.image_ids, dets.boxes, dets.scores, features, rows)

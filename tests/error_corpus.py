@@ -1,0 +1,298 @@
+"""A fixed corpus of malformed inputs, and the exit code and ``error:`` line of each.
+
+Each case is one small valid scenario with one input file changed: the
+ground truth, the detections, the test features as ``T2TFEAT`` or the test
+features as CSV. Some changes are refused while a file is parsed, some when
+the detections are bound to their feature rows or matched, and some are
+still valid. The cases derive from a seeded ``random.Random``, so the set of
+cases is the same on every run; ``replay`` runs each through ``cli.main`` in
+process and returns one record per case, with the input directory shown as
+``<dir>``. ``tests/test_error_corpus.py`` compares the records with
+``tests/goldens/errors.jsonl``.
+
+Rewrite the golden after an intended change of an error text with::
+
+    PYTHONPATH=src python tests/error_corpus.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+import struct
+import sys
+import tempfile
+from pathlib import Path
+
+from t2tmetrics import load_feature_matrix
+from t2tmetrics.cli import main
+
+GOLDEN = Path(__file__).parent / "goldens" / "errors.jsonl"
+PLACEHOLDER = "<dir>"
+SEED = 2026
+CASES_PER_KIND = 60
+
+SPEC = {"n_gt": 8, "n_tp": 6, "n_fp": 4, "feature_dim": 3, "seed": 5, "n_train": 20}
+CONFIG = {"iou_threshold": 0.5, "score_thresholds": {"all": 0.01, "high": 0.5},
+          "epsilon": 0.001, "bins": 5}
+# The file each kind changes, and the --features file its runs read.
+KINDS = {
+    "ground truth": ("ground_truth.json", "features.t2tfeat"),
+    "detections": ("detections.json", "features.t2tfeat"),
+    "test T2TFEAT": ("features.t2tfeat", "features.t2tfeat"),
+    "feature CSV": ("features.csv", "features.csv"),
+}
+COMMANDS = ("distances", "ap-t2t", "evaluate")
+
+# Values put in place of a JSON field: each is refused somewhere, or is valid
+# in some field.
+BAD_VALUES = [None, True, False, -1, 0, 1, 2, 1.5, -0.25, 1e308, -1e308, 2**64, 1e-320,
+              float("nan"), float("inf"), "", "x", "0.5", "img-0000", "img-9999", [], {},
+              [1, 2, 3], [0, 0, 1, 1], [0, 0, -1, 1], [0, 0, 0, 1], [0, 0, 1e308, 1e308],
+              [2.0**60, 0, 192.0, 1], [0, 0, 1e-200, 1e-200], ["0", 0, 1, 1], [None] * 4]
+BOX_VALUES = [-1.0, 0.0, 1e-320, 1e308, float("inf"), float("nan"), 2.0**60, "1", None, True]
+CELL_VALUES = ["nan", "inf", "-inf", "", " ", "abc", "1_0", "0x10", "1e400", "1e-400",
+               "+1.5", " 2.5 ", "1,5", '"3"', "-0", "1e38", "3.5e38", "١"]
+# Float32 bit patterns put in place of a T2TFEAT value.
+F32_PATTERNS = [0x7FC00000, 0x7F800000, 0xFF800000, 0x7F7FFFFF, 0x00000001, 0x80000000,
+                0x3F800000, 0x4B000000]
+
+
+def _byte_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
+    """One to three random byte edits, as ``test_cli``'s fuzz makes them."""
+    out, done = bytearray(blob), []
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("replace", "insert", "delete", "truncate"))
+        at = rng.randrange(len(out) + 1)
+        byte = rng.choice(b'{}[]":,.-+0123456789eEnN \x00\xff\n')
+        if op == "replace" and at < len(out):
+            out[at] = byte
+        elif op == "insert":
+            out.insert(at, byte)
+        elif op == "delete":
+            del out[at:at + 1]
+        elif op == "truncate":
+            del out[at:]
+        done.append(f"{op}@{at}:{byte}")
+    return "bytes " + " ".join(done), bytes(out)
+
+
+def _json_edit(rng: random.Random, blob: bytes, sections: tuple[str, ...]) -> tuple[str, bytes]:
+    """One change to the records of a JSON document: ``sections`` names its
+    record lists, "" for a document that is itself the list."""
+    doc = json.loads(blob)
+    section = rng.choice(sections)
+    records = doc[section] if section else doc
+    i = rng.randrange(len(records))
+    record = records[i]
+    key = rng.choice(sorted(record))
+    where = f"{section or 'list'}[{i}]"
+    op = rng.choice(("set", "set", "set", "box", "box", "drop", "copy id", "record",
+                     "document", "remove", "reorder"))
+    if op == "box" and "bbox" not in record:
+        op = "set"
+    if op == "set":
+        value = rng.choice(BAD_VALUES)
+        record[key] = value
+        what = f"set {where}.{key} = {json.dumps(value)}"
+    elif op == "box":
+        k, value = rng.randrange(4), rng.choice(BOX_VALUES)
+        record["bbox"][k] = value
+        what = f"set {where}.bbox[{k}] = {json.dumps(value)}"
+    elif op == "drop":
+        del record[key]
+        what = f"drop {where}.{key}"
+    elif op == "copy id":
+        other = records[(i + 1) % len(records)]
+        id_key = next(k for k in ("detection_id", "id") if k in record)
+        record[id_key] = other[id_key]
+        what = f"copy the id of the next record into {where}"
+    elif op == "record":
+        value = rng.choice([5, "x", [], None])
+        records[i] = value
+        what = f"replace {where} with {json.dumps(value)}"
+    elif op == "document":
+        doc = rng.choice([[], {}, 1, "x", None, {"images": []}, {"annotations": []},
+                          {"images": {}, "annotations": []}])
+        what = f"replace the document with {json.dumps(doc)}"
+    elif op == "remove":
+        del records[i]
+        what = f"remove {where}"
+    else:
+        records.reverse()
+        what = f"reverse {section or 'the list'}"
+    return what, json.dumps(doc, indent=rng.choice((None, 2))).encode()
+
+
+def _t2tfeat_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
+    """One change to a ``T2TFEAT`` file: to its header, a value, a row id's
+    length or bytes, or its end."""
+    rows, dim = struct.unpack_from("<QQ", blob, 8)
+    values_at = 24
+    ids_at = values_at + 4 * rows * dim
+    out = bytearray(blob)
+    op = rng.choice(("rows", "dim", "value", "value", "id length", "id byte", "id copy",
+                     "magic", "tail", "truncate"))
+    if op in ("rows", "dim"):
+        value = rng.choice((0, 1, rows - 1, rows + 1, dim + 1, 2**40, 2**64 - 1))
+        struct.pack_into("<Q", out, 8 if op == "rows" else 16, value)
+        what = f"set the header {op} to {value}"
+    elif op == "value":
+        k, pattern = rng.randrange(rows * dim), rng.choice(F32_PATTERNS)
+        struct.pack_into("<I", out, values_at + 4 * k, pattern)
+        what = f"set value {k} to the float32 bits {pattern:#010x}"
+    else:
+        starts, at = [], ids_at
+        for _ in range(rows):
+            starts.append(at)
+            at += 4 + struct.unpack_from("<I", blob, at)[0]
+        r = rng.randrange(rows)
+        length = struct.unpack_from("<I", blob, starts[r])[0]
+        if op == "id length":
+            value = rng.choice((0, length - 1, length + 1, 2**31))
+            struct.pack_into("<I", out, starts[r], value)
+            what = f"set the id length of row {r} to {value}"
+        elif op == "id byte":
+            k, byte = rng.randrange(length), rng.choice(b"\xff\xc3\x00az-")
+            out[starts[r] + 4 + k] = byte
+            what = f"set byte {k} of the id of row {r} to {byte}"
+        elif op == "id copy":
+            other = (r + 1) % rows
+            out[starts[r]:starts[r] + 4 + length] = blob[starts[other]:starts[other] + 4 + length]
+            what = f"give row {r} the id of row {other}"
+        elif op == "magic":
+            k = rng.randrange(8)
+            out[k] ^= 0x20
+            what = f"flip bit 5 of magic byte {k}"
+        elif op == "tail":
+            extra = rng.choice((b"\x00", b"\x01\x00\x00\x00a", b"junk"))
+            out += extra
+            what = f"append {extra!r}"
+        else:
+            at = rng.randrange(len(blob))
+            del out[at:]
+            what = f"truncate at byte {at}"
+    return what, bytes(out)
+
+
+def _csv_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
+    """One change to a feature CSV: to a cell, a row's width, a row id or the rows."""
+    lines = blob.decode().splitlines()
+    r = rng.randrange(len(lines))
+    cells = lines[r].split(",")
+    op = rng.choice(("cell", "cell", "cell", "widen", "narrow", "id", "copy id", "remove",
+                     "extra row", "blank", "every row", "bytes"))
+    if op == "cell":
+        k, value = rng.randrange(1, len(cells)), rng.choice(CELL_VALUES)
+        cells[k] = value
+        lines[r] = ",".join(cells)
+        what = f"set line {r + 1} cell {k + 1} to {value!r}"
+    elif op == "widen":
+        lines[r] += ",0.5"
+        what = f"add a value to line {r + 1}"
+    elif op == "narrow":
+        lines[r] = ",".join(cells[:-1])
+        what = f"drop the last value of line {r + 1}"
+    elif op == "id":
+        value = rng.choice(("", " ", "zz-new", "tp-00000 ", '"fp-00001"'))
+        lines[r] = ",".join([value, *cells[1:]])
+        what = f"set the id of line {r + 1} to {value!r}"
+    elif op == "copy id":
+        other = lines[(r + 1) % len(lines)].split(",")[0]
+        lines[r] = ",".join([other, *cells[1:]])
+        what = f"give line {r + 1} the id of the next line"
+    elif op == "remove":
+        del lines[r]
+        what = f"remove line {r + 1}"
+    elif op == "extra row":
+        lines.append(",".join(["extra", *cells[1:]]))
+        what = "append a row for no detection"
+    elif op == "blank":
+        lines.insert(r, "")
+        what = f"insert a blank line before line {r + 1}"
+    elif op == "every row":
+        lines = [line + ",0.0" for line in lines]
+        what = "add a value to every line"
+    else:
+        return _byte_edit(rng, blob)
+    return what, ("\n".join(lines) + "\n").encode()
+
+
+def build(valid: dict[str, bytes]) -> list[tuple[dict, bytes]]:
+    """Every case, as its kind, command and change, and the changed file's
+    bytes, made from the ``valid`` files by name."""
+    rng = random.Random(SEED)
+    built = []
+    for kind, (name, _) in KINDS.items():
+        for _ in range(CASES_PER_KIND):
+            command = rng.choice(COMMANDS)
+            if rng.random() < 0.15:
+                change, blob = _byte_edit(rng, valid[name])
+            elif name == "ground_truth.json":
+                change, blob = _json_edit(rng, valid[name], ("images", "annotations"))
+            elif name == "detections.json":
+                change, blob = _json_edit(rng, valid[name], ("",))
+            elif name.endswith(".t2tfeat"):
+                change, blob = _t2tfeat_edit(rng, valid[name])
+            else:
+                change, blob = _csv_edit(rng, valid[name])
+            built.append(({"kind": kind, "command": command, "change": change}, blob))
+    return built
+
+
+def _run(argv: list[str]) -> tuple[int, list[str]]:
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, stderr.getvalue().splitlines()
+
+
+def _valid_inputs(root: Path) -> dict[str, bytes]:
+    """The valid scenario, run config and feature CSV, written under ``root``."""
+    (root / "spec.json").write_text(json.dumps(SPEC))
+    code, err = _run(["scenario", "--spec", str(root / "spec.json"), "--out", str(root)])
+    assert code == 0, err
+    (root / "run.json").write_text(json.dumps(CONFIG))
+    matrix = load_feature_matrix(root / "features.t2tfeat")
+    (root / "features.csv").write_text("".join(
+        f"{row_id},{','.join(map(repr, row))}\n"
+        for row_id, row in zip(matrix.row_ids, matrix.data.tolist())))
+    return {name: (root / name).read_bytes() for name, _ in KINDS.values()}
+
+
+def replay() -> list[dict]:
+    """Run every case through ``cli.main``; one record per case, in order."""
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        valid = _valid_inputs(root)
+        for case, blob in build(valid):
+            name, features = KINDS[case["kind"]]
+            command = case["command"]
+            out = root / ("out.csv" if command == "distances" else f"out-{command}")
+            argv = [command, "--gt", "ground_truth.json", "--det", "detections.json",
+                    "--config", "run.json", "--features", features,
+                    "--train-features", "train_features.t2tfeat"]
+            argv = [str(root / arg) if arg.endswith((".json", ".t2tfeat", ".csv")) else arg
+                    for arg in argv] + ["--out", str(out)]
+            (root / name).write_bytes(blob)
+            try:
+                code, err = _run(argv)
+            finally:
+                (root / name).write_bytes(valid[name])
+            errors = [line.replace(tmp, PLACEHOLDER) for line in err if line.startswith("error:")]
+            if len(errors) > 1 or any("Traceback" in line for line in err):
+                raise AssertionError(f"{case}: a traceback or two error lines: {err}")
+            records.append({**case, "exit": code, "error": errors[0] if errors else None})
+    return records
+
+
+def dumps(records: list[dict]) -> str:
+    return "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in records)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(dumps(replay()), encoding="utf-8")
+    sys.stdout.write(f"wrote {GOLDEN}\n")

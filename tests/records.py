@@ -5,13 +5,20 @@ that takes the columns. Tests that read more easily in terms of records
 (``ImageInfo``, ``GroundTruthInstance``, ``Detection``, ``AnnotatedEntry``)
 build their sets and outcomes here, through those public constructors, and
 compare two of them with ``plain(a) == plain(b)``.
+
+A detection set holds its bound features as one ``FeatureMatrix`` and a row
+index per detection; ``detection_set`` stacks the features of the bound
+detections, in order, into that matrix, so all of them have one shape.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from t2tmetrics import (
     DetectionSet,
     DistanceAnnotatedOutcome,
+    FeatureMatrix,
     GroundTruthSet,
     ImageInfo,
     Kind,
@@ -33,12 +40,21 @@ def ground_truth(images, instances) -> GroundTruthSet:
 
 
 def detection_set(detections) -> DetectionSet:
+    detections = tuple(detections)
+    bound = [k for k, det in enumerate(detections) if det.feature is not None]
+    rows = np.full(len(detections), -1)
+    rows[bound] = np.arange(len(bound))
+    features = FeatureMatrix(
+        data=np.array([detections[k].feature for k in bound]),
+        row_ids=tuple(map(str, bound)),
+    ) if bound else None
     return DetectionSet(
         ids=[det.detection_id for det in detections],
         image_ids=[det.image_id for det in detections],
         boxes=[_box(det.box) for det in detections],
         scores=[det.score for det in detections],
-        features=[det.feature for det in detections],
+        features=features,
+        feature_rows=rows,
     )
 
 

@@ -143,7 +143,7 @@ def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
         "iou_matcher": lambda *args, **kwargs: 1,
         "match": lambda iou_threshold: 1,
         "annotate_distances": lambda *args, **kwargs: 1,
-        "train2test_distances": lambda model, features: len(features),
+        "_distances": lambda model, features, rows: len(features if rows is None else rows),
     }
     calls = dict.fromkeys(work, 0)
 
@@ -157,7 +157,7 @@ def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
         return wrapper
 
     # Patch every module that binds the name, as ``from x import name`` copies it.
-    for name in ("iou_matcher", "annotate_distances", "train2test_distances"):
+    for name in ("iou_matcher", "annotate_distances", "_distances"):
         bound = [
             module for mod_name, module in sys.modules.items()
             if mod_name.split(".")[0] == "t2tmetrics" and hasattr(module, name)
@@ -179,7 +179,7 @@ def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
         assert calls["iou_matcher"] == 1, argv
         assert 0 < calls["match"] <= matchings, argv
         assert calls["annotate_distances"] == 1, argv
-        assert 0 < calls["train2test_distances"] <= SCENARIO_SPEC["n_tp"] + SCENARIO_SPEC["n_fp"]
+        assert 0 < calls["_distances"] <= SCENARIO_SPEC["n_tp"] + SCENARIO_SPEC["n_fp"]
 
 
 def count_record_objects(monkeypatch):

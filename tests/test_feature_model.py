@@ -15,9 +15,12 @@ from t2tmetrics import (
     BindingError,
     BoundingBox,
     Detection,
+    DetectionSet,
     DistanceAnnotatedOutcome,
     FeatureMatrix,
     GaussianTrainModel,
+    GroundTruthSet,
+    ImageInfo,
     Kind,
     NumericalError,
     ParseError,
@@ -25,11 +28,13 @@ from t2tmetrics import (
     SingularCovarianceError,
     ValidationError,
     annotate_distances,
+    bind_features,
     default_regularization,
     fit_gaussian,
     generate_scenario,
     load_feature_matrix,
     load_model,
+    match_detections,
     model_from_moments,
     save_model,
     train2test_distance,
@@ -493,6 +498,64 @@ def test_distances_match_the_exact_oracle(dim, rows, seed):
         assert abs(Fraction(float(value)) - exact) <= bound
         if i == 0:  # the one-row entry point runs the same kernel
             assert abs(Fraction(train2test_distance(model, x)) - exact) <= bound
+
+
+# Bound sets whose feature rows are permuted, outnumber the detections or
+# leave the detections below the score threshold unbound, with row counts
+# that straddle the kernel's 256-row blocks.
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 16),
+    rows=st.sampled_from([1, 255, 256, 257, 513]),
+    extra=st.sampled_from([0, 1, 300]),
+    partial=st.booleans(),
+    float32=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_annotated_distances_are_the_kernel_on_the_stacked_rows(
+    dim, rows, extra, partial, float32, seed
+):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(dim, dim))
+    model = model_from_moments(rng.normal(size=dim), A @ A.T, regularization=0.5)
+    data = rng.normal(size=(rows + extra, dim)).astype(np.float32 if float32 else np.float64)
+    order = rng.permutation(rows + extra)
+    ids = [f"d{k:04d}" for k in range(rows)]
+    features = FeatureMatrix(data=data, row_ids=tuple(
+        ids[k] if k < rows else f"extra{k}" for k in order))
+    scores = rng.uniform(0.1, 1.0, size=rows)
+    columns = dict(ids=ids, image_ids=["im"] * rows, boxes=[(0, 0, 1, 1)] * rows)
+    if partial:  # detections scored below the threshold keep no feature
+        scores[rng.random(rows) < 0.3] = 0.0
+        where = np.argsort(order)[:rows]
+        dets = DetectionSet(**columns, scores=scores, features=features,
+                            feature_rows=np.where(scores > 0.0, where, -1))
+    else:
+        dets = bind_features(DetectionSet(**columns, scores=scores), features)
+    gts = GroundTruthSet(images=(ImageInfo("im", "", 1, 1),), ids=[], image_ids=[],
+                         boxes=np.empty((0, 4)))
+    outcome = match_detections(dets, gts, 0.5, 0.05)
+    position = {row_id: i for i, row_id in enumerate(features.row_ids)}
+    stacked = data[[position[ids[k]] for k in outcome.kept.tolist()]]
+    got = annotate_distances(model, outcome).dist
+    assert got.tobytes() == train2test_distances(model, stacked).tobytes()
+
+
+@pytest.mark.parametrize("d", [8, 128])
+def test_the_precision_is_symmetric_to_the_bit(d):
+    # 8 is padded to one 64-row block, 128 is two whole blocks.
+    rng = np.random.default_rng(d)
+    model = fit_gaussian(matrix(rng.normal(size=(3 * d, d))))
+    assert np.array_equal(model.precision, model.precision.T)
+    assert model.precision.tobytes() == np.ascontiguousarray(model.precision.T).tobytes()
+
+
+def test_a_precision_entry_past_half_the_float_range_is_refused():
+    # Doubling 1e308 overflows: (p + p.T) / 2 is inf, as it was when every
+    # precision was symmetrized; 5e307 doubles to a finite value.
+    with pytest.raises(ValidationError, match="model contains non-finite values"):
+        model_from_moments(np.zeros(1), [[1e-308]])
+    assert model_from_moments(np.zeros(1), [[2e-308]]).precision[0, 0] == 5e307
 
 
 @pytest.mark.parametrize("d", [392, 8])

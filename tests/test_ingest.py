@@ -160,12 +160,21 @@ def test_ground_truth_set_constructor_refuses_each_broken_invariant(changes, mes
     ({"scores": [-0.1, 0.5]}, "detection 'd1' score must lie in [0, 1], got -0.1"),
     ({"scores": [float("nan"), 0.5]}, "detection 'd1' score must be finite, got nan"),
     ({"scores": [0.5, 0.5, 0.5]}, "scores must have shape (2,), got (3,)"),
-    ({"features": [None]}, "1 features for 2 detections"),
+    ({"feature_rows": [-1]}, "feature rows must have shape (2,), got (1,)"),
+    ({"feature_rows": [0, 1]}, "detection 'd2' feature row 1 is not in [-1, 1)"),
+    ({"feature_rows": [-2, 0]}, "detection 'd1' feature row -2 is not in [-1, 1)"),
+    ({"features": None, "feature_rows": [0, -1]},
+     "detection 'd1' feature row 0 is not in [-1, 0)"),
+    ({"feature_rows": [0.0, 0.0]}, "feature rows must be integers, got float64"),
+    ({"features": np.ones((1, 2))}, "features must be a FeatureMatrix, got ndarray"),
 ], ids=["duplicate id", "negative box", "box lost to rounding", "score above 1",
-        "negative score", "nan score", "scores length", "features length"])
+        "negative score", "nan score", "scores length", "features length",
+        "feature row past the matrix", "feature row below -1", "feature row with no matrix",
+        "float feature rows", "features not a matrix"])
 def test_detection_set_constructor_refuses_each_broken_invariant(changes, message):
     columns = dict(ids=["d1", "d2"], image_ids=["im1", "im1"], boxes=[(0, 0, 1, 1)] * 2,
-                   scores=[0.5, 0.5])
+                   scores=[0.5, 0.5], features=FeatureMatrix(np.ones((1, 2)), ("r",)),
+                   feature_rows=[0, -1])
     assert len(DetectionSet(**columns)) == 2
     with pytest.raises(ValidationError) as err:
         DetectionSet(**{**columns, **changes})
@@ -747,6 +756,34 @@ def test_bound_features_are_read_only_rows_of_the_one_matrix(tmp_path):
         np.testing.assert_array_equal(det.feature, row)
         with pytest.raises(ValueError):
             det.feature[0] = -1.0
+
+
+def test_each_column_is_checked_once_and_binding_checks_none(tmp_path, monkeypatch):
+    from t2tmetrics import ingest
+
+    calls = {"_boxes_pass": 0, "_first_repeat": 0, "_check_score": 0, "_located": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(ingest, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ingest, name, counted)
+
+    load_ground_truth(write_json(tmp_path / "gt.json", gt_doc()))
+    assert calls["_boxes_pass"] == 1
+    calls.update(dict.fromkeys(calls, 0))
+    dets = load_detections(write_json(tmp_path / "det.json", det_doc()))
+    assert calls["_boxes_pass"] == 1
+    assert calls["_first_repeat"] == 1  # the detection ids, once
+
+    fm = FeatureMatrix(data=np.arange(6.0).reshape(3, 2), row_ids=("d2", "x", "d1"))
+    calls.update(dict.fromkeys(calls, 0))
+    bound = bind_features(dets, fm)
+    assert calls == dict.fromkeys(calls, 0)
+    # One row column into the one matrix: no per-detection feature objects.
+    assert bound.features is fm and np.shares_memory(bound.features.data, fm.data)
+    assert bound.feature_rows.dtype == np.intp and bound.feature_rows.tolist() == [2, 0]
+    assert [f.name for f in dataclasses.fields(bound)] == [
+        "ids", "image_ids", "boxes", "scores", "features", "feature_rows"]
 
 
 # ------------------------------------------------------------- integer sizes

@@ -646,7 +646,8 @@ def lattice_box(rng):
 def random_scene(rng, unbound=False, misshapen=False):
     """Lattice boxes, a few score levels and integer features, so IoUs,
     scores and distances tie often; ``unbound`` leaves some features out and
-    ``misshapen`` gives some a third component, which a 2-dim model refuses."""
+    ``misshapen`` gives every feature a third component, which a 2-dim model
+    refuses (a set's features are rows of one matrix, so all have one shape)."""
     images = tuple(ImageInfo(id=f"im{k}", file_name="", width=100, height=100) for k in range(3))
     gts = ground_truth(
         images=images,
@@ -665,8 +666,7 @@ def random_scene(rng, unbound=False, misshapen=False):
                 box=lattice_box(rng),
                 score=float(rng.choice(TIED_SCORES)),
                 feature=None if unbound and rng.random() < 0.2
-                else rng.integers(-3, 4, 3 if misshapen and rng.random() < 0.2 else 2)
-                .astype(np.float64),
+                else rng.integers(-3, 4, 3 if misshapen else 2).astype(np.float64),
             )
             for i in range(int(rng.integers(0, 25)))
         )
