@@ -60,9 +60,9 @@ class RunConfig:
 # 100,000 bins already write 8 MB of histograms; more only cost memory.
 MAX_BINS = 100_000
 
-# Each regime adds a score mask and an AP_t2t sum per IoU threshold: on 35k
-# detections, `evaluate --iou-grid` takes 0.7 s with 3 regimes, 2.9 s with 100
-# and 31 s with 1,000. A sweep in steps of 0.01 fits.
+# Each regime adds a keep mask and an AP_t2t sum per IoU threshold: on 35k
+# detections, `metrics.metric_report` with the IoU grid takes 0.15 s with 3
+# regimes, 0.5 s with 100 and 3.5 s with 1,000. A sweep in steps of 0.01 fits.
 MAX_REGIMES = 100
 
 

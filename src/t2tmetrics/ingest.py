@@ -649,8 +649,8 @@ def _load_features_binary(blob: mmap.mmap | bytes) -> FeatureMatrix:
     # A read-only view of the file's bytes: the payload is never copied.
     data = np.frombuffer(cursor.take(rows * dim * 4, "feature values"), dtype="<f4").reshape(rows, dim)
     # The row ids are read from the bytes without ``cursor.take``, whose error
-    # text would be built for every row; on a short read the cursor, moved to
-    # the failing offset, raises that error.
+    # text would be built for every row; on a short id length the cursor,
+    # moved to the failing offset, raises that error.
     at, size, unpack, ids = cursor.offset, len(blob), _U32.unpack_from, []
     for i in range(rows):
         if size - at < 4:
@@ -659,8 +659,8 @@ def _load_features_binary(blob: mmap.mmap | bytes) -> FeatureMatrix:
         (length,) = unpack(blob, at)
         at += 4
         if size - at < length:
-            cursor.offset = at
-            cursor.take(length, f"id of row {i}")
+            raise ParseError(f"truncated file: id of row {i} needs {length} bytes, {size - at} "
+                             f"left (the header declares {rows} rows of dim {dim})")
         try:
             ids.append(blob[at:at + length].decode())
         except UnicodeDecodeError as exc:
@@ -672,10 +672,15 @@ def _load_features_binary(blob: mmap.mmap | bytes) -> FeatureMatrix:
 
 
 def _load_features_csv(blob: mmap.mmap | bytes) -> FeatureMatrix:
+    try:
+        text = _decode_text(blob)
+    except ParseError as exc:  # most often a T2TFEAT file with a damaged magic
+        raise ParseError(f"neither T2TFEAT (starts with {bytes(blob[:8])!r}, not "
+                         f"{FEATURE_MAGIC!r}) nor CSV text: {exc}") from None
     ids: list[str] = []
     rows: list[list[float]] = []
     width: int | None = None
-    for lineno, record in _csv_records(_decode_text(blob)):
+    for lineno, record in _csv_records(text):
         if not record:
             continue
         if len(record) < 2:

@@ -5,13 +5,13 @@ threshold. The distance-ranked variants flip the inequality: a detection is
 kept when its train2test distance is at or below the threshold, so walking
 the thresholds upward admits detections from nearest to farthest.
 
-AP_t2t averages the distance-ranked precision over one threshold per true
-positive entry: tied distances contribute one term each, all evaluated at
-the shared threshold.
+AP and AP_t2t are one rule over two rankings, by score and by ascending
+distance: each TP entry adds (TPs ranked up to the last rank tied with it) /
+(entries ranked there), summed over |X|. Only distances tie.
 
-A score regime is a score mask over one annotation: the detections kept at
-the lowest regime threshold get one distance each, and each IoU threshold
-only marks which of them are true positives.
+A score regime is a keep mask over one annotation in one distance order: the
+detections kept at the lowest regime threshold get one distance each, and
+each IoU threshold only marks which of them are true positives.
 """
 
 from __future__ import annotations
@@ -70,6 +70,14 @@ def _ratio_mean(numerators, denominators, total: int) -> float:
     return n / (d * int(total))
 
 
+def _ranked_ap(hits: np.ndarray, total: int, kept=None, last=None) -> float:
+    """AP's precision rule over entries in rank order: each hit adds (hits up to R)
+    / (entries up to R; ``kept[R]`` when given), summed over ``total``. R is the
+    hit's rank, or ``last`` at it, the last rank tied with it, when given."""
+    at = np.flatnonzero(hits) if last is None else last[np.flatnonzero(hits)]
+    return _ratio_mean(np.cumsum(hits)[at], at + 1 if kept is None else kept[at], total)
+
+
 def _mean(values: list[float]) -> float:
     """Mean of per-IoU-threshold values, summed in threshold order."""
     return float(sum(values) / len(values))
@@ -126,8 +134,7 @@ def average_precision(outcome: MatchOutcome) -> float:
     """
     if outcome.total_gt == 0:
         raise UndefinedMetricError("average precision is undefined without ground truth")
-    positions = np.flatnonzero(outcome.claims >= 0) + 1
-    return _ratio_mean(np.arange(1, positions.size + 1), positions, outcome.total_gt)
+    return _ranked_ap(outcome.claims >= 0, outcome.total_gt)
 
 
 def ap_over_iou_range(
@@ -143,13 +150,13 @@ def ap_over_iou_range(
     return _mean([average_precision(match(t)) for t in iou_thresholds])
 
 
-def _ap_t2t(tp_distances: np.ndarray, distances: np.ndarray, total_gt: int) -> float:
-    """AP_t2t of the TP distances among all kept distances, as :func:`ap_t2t`."""
-    tp_d = np.sort(tp_distances)
-    all_d = np.sort(distances)
-    tp_within = np.searchsorted(tp_d, tp_d, side="right")
-    all_within = np.searchsorted(all_d, tp_d, side="right")
-    return _ratio_mean(tp_within, all_within, total_gt)
+def _distance_order(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An ascending order of ``distances`` and the last rank tied with each rank;
+    it need not be stable, as a hit's counts are read at the last rank of its tie."""
+    order = np.argsort(distances)
+    ranked = distances[order]
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], ranked.size > 0))
+    return order, np.repeat(ends, np.diff(ends, prepend=-1))
 
 
 def ap_t2t(annotated: DistanceAnnotatedOutcome) -> float:
@@ -162,7 +169,8 @@ def ap_t2t(annotated: DistanceAnnotatedOutcome) -> float:
     """
     if annotated.total_gt == 0:
         raise UndefinedMetricError("AP_t2t is undefined without ground truth")
-    return _ap_t2t(annotated.dist[annotated.tp], annotated.dist, annotated.total_gt)
+    order, last = _distance_order(annotated.dist)
+    return _ranked_ap(annotated.tp[order], annotated.total_gt, last=last)
 
 
 def _regimes(score_thresholds: dict[str, float] | None) -> tuple[dict[str, float], float]:
@@ -218,12 +226,13 @@ def _profile(
             live = [name for name in thresholds if name not in failures]
             if not live:
                 break
-            distances, scores = annotated.dist, annotated.scores
+            order, last = _distance_order(distances := annotated.dist)
+            scores = annotated.scores[order]
             keep = {name: scores >= thresholds[name] for name in live}
-        tp = outcome.claims[:len(distances)] >= 0
+            kept = {name: np.cumsum(keep[name]) for name in live}
+        tp = (outcome.claims[:len(distances)] >= 0)[order]
         for name in live:
-            values[name].append(
-                _ap_t2t(distances[keep[name] & tp], distances[keep[name]], outcome.total_gt))
+            values[name].append(_ranked_ap(keep[name] & tp, outcome.total_gt, kept[name], last))
     results = {name: _mean(v) for name, v in values.items() if name not in failures}
     if failures:
         raise RegimeError(results, {n: failures[n] for n in thresholds if n in failures})

@@ -1,13 +1,15 @@
 """A fixed corpus of malformed inputs, and the exit code and ``error:`` line of each.
 
 Each case is one small valid scenario with one input file changed: the
-ground truth, the detections, the test features as ``T2TFEAT`` or the test
-features as CSV. Some changes are refused while a file is parsed, some when
-the detections are bound to their feature rows or matched, and some are
-still valid. The cases derive from a seeded ``random.Random``, so the set of
-cases is the same on every run; ``replay`` runs each through ``cli.main`` in
-process and returns one record per case, with the input directory shown as
-``<dir>``. ``tests/test_error_corpus.py`` compares the records with
+ground truth, the detections, the test features as ``T2TFEAT`` or as CSV,
+the training features as ``T2TFEAT``, or the model that ``t2t fit`` wrote
+from them, which that kind's runs read with ``--model``. Some changes are
+refused while a file is parsed, some when the detections are bound to their
+feature rows or matched, and some are still valid. The cases derive from a
+seeded ``random.Random``, so the set of cases is the same on every run;
+``replay`` runs each through ``cli.main`` in process and returns one record
+per case, with the input directory shown as ``<dir>``.
+``tests/test_error_corpus.py`` compares the records with
 ``tests/goldens/errors.jsonl``.
 
 Rewrite the golden after an intended change of an error text with::
@@ -37,12 +39,17 @@ CASES_PER_KIND = 60
 SPEC = {"n_gt": 8, "n_tp": 6, "n_fp": 4, "feature_dim": 3, "seed": 5, "n_train": 20}
 CONFIG = {"iou_threshold": 0.5, "score_thresholds": {"all": 0.01, "high": 0.5},
           "epsilon": 0.001, "bins": 5}
-# The file each kind changes, and the --features file its runs read.
+TRAIN = ("--train-features", "train_features.t2tfeat")
+# The file each kind changes, the --features file its runs read, and the flag
+# and file they take the model from. New kinds go last, so that the cases of
+# the kinds before them stay the same.
 KINDS = {
-    "ground truth": ("ground_truth.json", "features.t2tfeat"),
-    "detections": ("detections.json", "features.t2tfeat"),
-    "test T2TFEAT": ("features.t2tfeat", "features.t2tfeat"),
-    "feature CSV": ("features.csv", "features.csv"),
+    "ground truth": ("ground_truth.json", "features.t2tfeat", TRAIN),
+    "detections": ("detections.json", "features.t2tfeat", TRAIN),
+    "test T2TFEAT": ("features.t2tfeat", "features.t2tfeat", TRAIN),
+    "feature CSV": ("features.csv", "features.csv", TRAIN),
+    "training T2TFEAT": ("train_features.t2tfeat", "features.t2tfeat", TRAIN),
+    "model": ("model.t2tmodl", "features.t2tfeat", ("--model", "model.t2tmodl")),
 }
 COMMANDS = ("distances", "ap-t2t", "evaluate")
 
@@ -177,6 +184,52 @@ def _t2tfeat_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
     return what, bytes(out)
 
 
+def _model_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
+    """One change to a model file: to its magic, its header's dim, epsilon or
+    sample count, its length, one value, or one precision entry, which breaks
+    the symmetry of the precision when the change is large enough."""
+    (dim,) = struct.unpack_from("<Q", blob, 8)
+    values_at = 32
+    precision_at = values_at + 8 * (dim + dim * dim)
+    out = bytearray(blob)
+    op = rng.choice(("magic", "dim", "epsilon", "count", "length", "nan", "asymmetric"))
+    if op == "magic":
+        k = rng.randrange(8)
+        out[k] ^= 0x20
+        what = f"flip bit 5 of magic byte {k}"
+    elif op == "dim":
+        value = rng.choice((0, 1, dim - 1, dim + 1, 2**40, 2**64 - 1))
+        struct.pack_into("<Q", out, 8, value)
+        what = f"set the header dim to {value}"
+    elif op == "epsilon":
+        value = rng.choice((-1.0, -0.0, 0.0, 5e-324, 1e308, float("inf"), float("nan")))
+        struct.pack_into("<d", out, 16, value)
+        what = f"set the header epsilon to {value!r}"
+    elif op == "count":
+        value = rng.choice((0, 1, 2**63, 2**64 - 1))
+        struct.pack_into("<Q", out, 24, value)
+        what = f"set the header sample count to {value}"
+    elif op == "length":
+        n = rng.choice((1, 8, 8 * dim))
+        if rng.random() < 0.5:
+            del out[-n:]
+            what = f"drop the last {n} bytes"
+        else:
+            out += bytes(n)
+            what = f"append {n} zero bytes"
+    elif op == "nan":
+        k = rng.randrange((len(blob) - values_at) // 8)
+        struct.pack_into("<d", out, values_at + 8 * k, float("nan"))
+        what = f"set value {k} after the header to NaN"
+    else:
+        i, j = rng.sample(range(dim), 2)
+        delta = rng.choice((1e-13, 1e-3, 1.0))
+        at = precision_at + 8 * (i * dim + j)
+        struct.pack_into("<d", out, at, struct.unpack_from("<d", blob, at)[0] + delta)
+        what = f"add {delta!r} to precision[{i}][{j}]"
+    return what, bytes(out)
+
+
 def _csv_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
     """One change to a feature CSV: to a cell, a row's width, a row id or the rows."""
     lines = blob.decode().splitlines()
@@ -225,7 +278,7 @@ def build(valid: dict[str, bytes]) -> list[tuple[dict, bytes]]:
     bytes, made from the ``valid`` files by name."""
     rng = random.Random(SEED)
     built = []
-    for kind, (name, _) in KINDS.items():
+    for kind, (name, _, _) in KINDS.items():
         for _ in range(CASES_PER_KIND):
             command = rng.choice(COMMANDS)
             if rng.random() < 0.15:
@@ -236,6 +289,8 @@ def build(valid: dict[str, bytes]) -> list[tuple[dict, bytes]]:
                 change, blob = _json_edit(rng, valid[name], ("",))
             elif name.endswith(".t2tfeat"):
                 change, blob = _t2tfeat_edit(rng, valid[name])
+            elif name.endswith(".t2tmodl"):
+                change, blob = _model_edit(rng, valid[name])
             else:
                 change, blob = _csv_edit(rng, valid[name])
             built.append(({"kind": kind, "command": command, "change": change}, blob))
@@ -250,16 +305,19 @@ def _run(argv: list[str]) -> tuple[int, list[str]]:
 
 
 def _valid_inputs(root: Path) -> dict[str, bytes]:
-    """The valid scenario, run config and feature CSV, written under ``root``."""
+    """The valid scenario, run config, feature CSV and model, written under ``root``."""
     (root / "spec.json").write_text(json.dumps(SPEC))
     code, err = _run(["scenario", "--spec", str(root / "spec.json"), "--out", str(root)])
     assert code == 0, err
     (root / "run.json").write_text(json.dumps(CONFIG))
+    code, err = _run(["fit", "--config", str(root / "run.json"), "--train-features",
+                      str(root / "train_features.t2tfeat"), "--out", str(root / "model.t2tmodl")])
+    assert code == 0, err
     matrix = load_feature_matrix(root / "features.t2tfeat")
     (root / "features.csv").write_text("".join(
         f"{row_id},{','.join(map(repr, row))}\n"
         for row_id, row in zip(matrix.row_ids, matrix.data.tolist())))
-    return {name: (root / name).read_bytes() for name, _ in KINDS.values()}
+    return {name: (root / name).read_bytes() for name, _, _ in KINDS.values()}
 
 
 def replay() -> list[dict]:
@@ -269,14 +327,13 @@ def replay() -> list[dict]:
         root = Path(tmp)
         valid = _valid_inputs(root)
         for case, blob in build(valid):
-            name, features = KINDS[case["kind"]]
+            name, features, model = KINDS[case["kind"]]
             command = case["command"]
             out = root / ("out.csv" if command == "distances" else f"out-{command}")
             argv = [command, "--gt", "ground_truth.json", "--det", "detections.json",
-                    "--config", "run.json", "--features", features,
-                    "--train-features", "train_features.t2tfeat"]
-            argv = [str(root / arg) if arg.endswith((".json", ".t2tfeat", ".csv")) else arg
-                    for arg in argv] + ["--out", str(out)]
+                    "--config", "run.json", "--features", features, *model]
+            argv = [str(root / arg) if arg.endswith((".json", ".t2tfeat", ".csv", ".t2tmodl"))
+                    else arg for arg in argv] + ["--out", str(out)]
             (root / name).write_bytes(blob)
             try:
                 code, err = _run(argv)

@@ -137,13 +137,15 @@ def test_evaluate_is_deterministic(dataset, tmp_path):
 def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
     dataset, tmp_path, monkeypatch
 ):
-    # IoU table builds, the thresholds matched from them and annotations count
-    # one per call; the distance kernel counts the rows it is given.
+    # IoU table builds, the thresholds matched from them, annotations and
+    # orderings of their distances count one per call; the distance kernel
+    # counts the rows it is given.
     work = {
         "iou_matcher": lambda *args, **kwargs: 1,
         "match": lambda iou_threshold: 1,
         "annotate_distances": lambda *args, **kwargs: 1,
         "_distances": lambda model, features, rows: len(features if rows is None else rows),
+        "_distance_order": lambda distances: 1,
     }
     calls = dict.fromkeys(work, 0)
 
@@ -157,7 +159,7 @@ def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
         return wrapper
 
     # Patch every module that binds the name, as ``from x import name`` copies it.
-    for name in ("iou_matcher", "annotate_distances", "_distances"):
+    for name in ("iou_matcher", "annotate_distances", "_distances", "_distance_order"):
         bound = [
             module for mod_name, module in sys.modules.items()
             if mod_name.split(".")[0] == "t2tmetrics" and hasattr(module, name)
@@ -167,7 +169,8 @@ def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
 
     # evaluate matches every IOU_GRID point for AP@[.5:.95]; plain ap-t2t needs one.
-    # Each run builds one IoU table and matches every threshold from it.
+    # Each run builds one IoU table and matches every threshold from it, and
+    # orders the one annotation's distances once for every regime and threshold.
     runs = (
         (evaluate_args(dataset, tmp_path / "grid") + ["--iou-grid"], len(IOU_GRID)),
         (evaluate_args(dataset, tmp_path / "plain"), len(IOU_GRID)),
@@ -180,6 +183,7 @@ def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
         assert 0 < calls["match"] <= matchings, argv
         assert calls["annotate_distances"] == 1, argv
         assert 0 < calls["_distances"] <= SCENARIO_SPEC["n_tp"] + SCENARIO_SPEC["n_fp"]
+        assert calls["_distance_order"] == 1, argv
 
 
 def count_record_objects(monkeypatch):
@@ -1354,10 +1358,16 @@ def test_unreadable_input_exits_1_naming_the_file(
     ("--train-features", t2tfeat(2, 3, struct.pack("<3f", 1, 2, 3)),
      "{path}: truncated file: feature values needs 24 bytes"),
     ("--train-features", t2tfeat(2, 3, struct.pack("<6fI", *range(6), 2) + b"a"),
-     "{path}: truncated file: id of row 0 needs 2 bytes"),
+     "{path}: truncated file: id of row 0 needs 2 bytes, 1 left "
+     "(the header declares 2 rows of dim 3)"),
     ("--train-features", t2tfeat(2, 3, struct.pack("<6fI", *range(6), 1) + b"a\x02"),
      "{path}: truncated file: id length of row 1 needs 4 bytes"),
     ("--det", b"\xff[]", "{path}: not UTF-8 text at byte 0 (invalid start byte)"),
+    # One flipped magic bit: the header decodes as text, and float32 1.0 is
+    # 00 00 80 3f, so byte 30 starts no UTF-8 character.
+    ("--train-features", b"T2TFeAT\x00" + t2tfeat(2, 3, struct.pack("<6f", *range(6)))[8:],
+     "{path}: neither T2TFEAT (starts with b'T2TFeAT\\x00', not b'T2TFEAT\\x00') "
+     "nor CSV text: not UTF-8 text at byte 30 (invalid start byte)"),
 ])
 def test_an_input_that_cannot_be_mapped_or_parsed_exits_1_with_one_error_line(
     dataset, tmp_path, capsys, flag, content, message

@@ -595,12 +595,18 @@ def test_feature_binary_truncated_row_ids_name_the_row(tmp_path):
     raw = path.read_bytes()
     ids_at = len(raw) - (4 + 1 + 4 + 3)  # after the header and the values
     huge = raw[: ids_at + 5] + struct.pack("<I", 2**32 - 1) + b"bcd"
+    # A header that declares one row: the reader takes the bytes of the
+    # second row's first value, float32 1.0, for the first id's length.
+    one_row = raw[:8] + struct.pack("<Q", 1) + raw[16:]
+    declared = "(the header declares 2 rows of dim 3)"
     for content, what in [
         (raw[: ids_at + 2], "id length of row 0 needs 4 bytes"),
-        (raw[: ids_at + 4], "id of row 0 needs 1 bytes"),
+        (raw[: ids_at + 4], f"id of row 0 needs 1 bytes, 0 left {declared}"),
         (raw[: ids_at + 7], "id length of row 1 needs 4 bytes"),
-        (raw[:-1], "id of row 1 needs 3 bytes"),
-        (huge, "id of row 1 needs 4294967295 bytes"),
+        (raw[:-1], f"id of row 1 needs 3 bytes, 2 left {declared}"),
+        (huge, f"id of row 1 needs 4294967295 bytes, 3 left {declared}"),
+        (one_row, "id of row 0 needs 1065353216 bytes, 20 left "
+                  "(the header declares 1 rows of dim 3)"),
     ]:
         bad = tmp_path / "bad.t2tfeat"
         bad.write_bytes(content)

@@ -20,6 +20,7 @@ from t2tmetrics import (
     RegimeError,
     UndefinedMetricError,
     ValidationError,
+    annotate_distances,
     ap_over_iou_range,
     ap_t2t,
     ap_t2t_profile,
@@ -643,11 +644,14 @@ def lattice_box(rng):
     return BoundingBox(*(float(v) for v in rng.integers((0, 0, 2, 2), (8, 8, 5, 5))))
 
 
-def random_scene(rng, unbound=False, misshapen=False):
+def random_scene(rng, unbound=False, misshapen=False, rows=None):
     """Lattice boxes, a few score levels and integer features, so IoUs,
-    scores and distances tie often; ``unbound`` leaves some features out and
+    scores and distances tie often; ``unbound`` leaves some features out,
     ``misshapen`` gives every feature a third component, which a 2-dim model
-    refuses (a set's features are rows of one matrix, so all have one shape)."""
+    refuses (a set's features are rows of one matrix, so all have one shape),
+    and ``rows`` repeats that many feature rows, so at most that many
+    distances are distinct."""
+    pool = rng.integers(-3, 4, (rows, 2)).astype(np.float64) if rows else None
     images = tuple(ImageInfo(id=f"im{k}", file_name="", width=100, height=100) for k in range(3))
     gts = ground_truth(
         images=images,
@@ -666,6 +670,7 @@ def random_scene(rng, unbound=False, misshapen=False):
                 box=lattice_box(rng),
                 score=float(rng.choice(TIED_SCORES)),
                 feature=None if unbound and rng.random() < 0.2
+                else pool[rng.integers(rows)] if rows
                 else rng.integers(-3, 4, 3 if misshapen else 2).astype(np.float64),
             )
             for i in range(int(rng.integers(0, 25)))
@@ -727,6 +732,43 @@ def test_metric_report_equals_the_rematch_oracle():
                 report, annotated = metric_report(*args)
                 assert report == expected[0] and plain(annotated) == plain(expected[1])
                 assert list(report.ap_t2t_by_regime) == list(thresholds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_every_ap_equals_its_oracle_when_distances_tie_heavily(seed, rows):
+    """At most four distinct distances and a few score levels: AP, AP_t2t, the
+    profile and the report equal their oracles in several regimes and IoU tuples."""
+    rng = np.random.default_rng(seed)
+    model = model_from_moments(np.zeros(2), np.eye(2))
+    dets, gts = random_scene(rng, rows=rows)
+    thresholds = random_thresholds(rng)
+    for ious in ((0.5,), IOU_GRID, (0.75, 0.3, 0.75)):
+        assert ap_t2t_profile(model, dets, gts, thresholds, ious) == ap_t2t_profile_rematch(
+            model, dets, gts, thresholds, ious
+        )
+    for iou_threshold in (0.5, 0.3):
+        outcome = matching.iou_matcher(dets, gts, min(thresholds.values()))(iou_threshold)
+        records = [(d.score, d.detection_id, True) for d, _ in outcome.true_positives]
+        records += [(d.score, d.detection_id, False) for d in outcome.false_positives]
+        assert average_precision(outcome) == float(
+            average_precision_enumeration(records, outcome.total_gt)
+        )
+        annotated = annotate_distances(model, outcome)
+        dist = annotated.dist.tolist()
+        assert len(set(dist)) <= rows
+        tp = [d for d, hit in zip(dist, annotated.tp.tolist()) if hit]
+        fp = [d for d, hit in zip(dist, annotated.tp.tolist()) if not hit]
+        assert ap_t2t(annotated) == float(ap_t2t_exact(tp, fp, annotated.total_gt))
+        for iou_grid in (False, True):
+            args = (model, dets, gts, thresholds, iou_threshold, iou_grid)
+            assert plain(metric_report(*args)) == plain(metric_report_rematch(*args))
+    # Hundreds of entries on the same few distances, which the sort reorders.
+    levels = rng.uniform(0.0, 10.0, rows)
+    tp, fp = rng.choice(levels, int(rng.integers(0, 200))), rng.choice(levels, 200)
+    total_gt = len(tp) + int(rng.integers(1, 50))
+    annotated = make_annotated([(0.5, d) for d in tp], [(0.5, d) for d in fp], total_gt)
+    assert ap_t2t(annotated) == float(ap_t2t_exact(tp.tolist(), fp.tolist(), total_gt))
 
 
 @pytest.mark.parametrize("seed", [3, 4])
