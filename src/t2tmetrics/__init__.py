@@ -21,8 +21,8 @@ from . import errors, fsio
 # Each public name, by the module that defines it.
 _PUBLIC = {
     "errors": (
-        "BindingError", "DataError", "NumericalError", "ParseError", "RegimeError",
-        "SingularCovarianceError", "T2TError", "UndefinedMetricError", "ValidationError",
+        "BindingError", "DataError", "NumericalError", "ParseError", "SingularCovarianceError",
+        "T2TError", "UndefinedMetricError", "ValidationError",
     ),
     "ingest": (
         "BoundingBox", "Detection", "DetectionSet", "FeatureMatrix", "GroundTruthInstance",
@@ -34,16 +34,15 @@ _PUBLIC = {
     "feature_model": (
         "AnnotatedEntry", "DistanceAnnotatedOutcome", "GaussianTrainModel", "Kind",
         "annotate_distances", "default_regularization", "fit_gaussian", "load_model",
-        "model_from_moments", "save_model", "train2test_distance", "train2test_distances",
+        "model_from_moments", "save_model", "train2test_distances",
     ),
     "metrics": (
-        "DEFAULT_SCORE_THRESHOLDS", "MetricReport", "ap_over_iou_range", "ap_t2t",
-        "ap_t2t_profile", "average_precision", "metric_report", "precision_recall",
-        "t2t_precision_recall",
+        "DEFAULT_SCORE_THRESHOLDS", "MetricReport", "ap_t2t", "ap_t2t_profile",
+        "average_precision", "metric_report",
     ),
     "replacement": (
         "AccuracyCurve", "ReplacementResult", "average_runs", "build_accuracy_curve",
-        "matching_image_count", "replacement_gain",
+        "matching_image_count",
     ),
     "report": (
         "BarChart", "Histogram", "Series", "SeriesPlot", "distance_histogram", "export_csv",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
 from . import feature_model, ingest, matching, metrics, replacement, report, scenario
-from .errors import NumericalError, ParseError, RegimeError, T2TError, ValidationError
+from .errors import NumericalError, ParseError, T2TError, ValidationError
 from .fsio import (
     _csv_number,
     _csv_text,
@@ -491,8 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code(exc: T2TError) -> int:
-    causes = exc.failures.values() if isinstance(exc, RegimeError) else [exc]
-    return 2 if any(isinstance(e, NumericalError) for e in causes) else 1
+    return 2 if isinstance(exc, NumericalError) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

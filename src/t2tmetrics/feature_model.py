@@ -323,20 +323,12 @@ def _distances(model: GaussianTrainModel, features, rows: np.ndarray | None) -> 
             raise ValidationError("feature contains non-finite values")
         centered = block if size == d else np.zeros((len(block), size))
         np.subtract(block, model.mean, out=centered[:, :d])
-        out[start:stop] = np.einsum("ij,ij->i", centered @ precision, centered)
+        # An overflowing distance is left to the caller, which refuses it by name.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[start:stop] = np.einsum("ij,ij->i", centered @ precision, centered)
     # The true quadratic form is >= 0; rounding may produce a tiny negative.
     # ``+ 0.0`` turns a clamped -0.0 into 0.0.
     return np.maximum(out, 0.0, out=out) + 0.0
-
-
-def train2test_distance(model: GaussianTrainModel, feature: np.ndarray) -> float:
-    """Squared Mahalanobis distance of one feature from the training model."""
-    x = np.asarray(feature, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise ValidationError(
-            f"feature has shape {x.shape}, model expects ({model.dim},)"
-        )
-    return float(train2test_distances(model, x[np.newaxis])[0])
 
 
 class Kind(str, enum.Enum):
@@ -417,14 +409,6 @@ class DistanceAnnotatedOutcome:
                            score=scores[k], distance=dist[k])
             for k in np.argsort(~self.tp, kind="stable").tolist()
         )
-
-    def distances(self, kind: Kind | str) -> np.ndarray:
-        """The distances of the TP or the FP entries, in column order."""
-        try:
-            kind = Kind(kind)
-        except ValueError:
-            raise ValidationError(f"kind must be 'tp' or 'fp', got {kind!r}") from None
-        return self.dist[self.tp if kind is Kind.TP else ~self.tp]
 
     def histogram(
         self, bin_count: int

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,14 +118,6 @@ class MatchOutcome:
         """The ids of the instances that no kept detection claimed, in the order of ``gts``."""
         taken = set(self.claims.tolist())
         return tuple(inst_id for k, inst_id in enumerate(self.gts.ids) if k not in taken)
-
-
-def _prefix(outcome: MatchOutcome, score_threshold: float) -> MatchOutcome:
-    """The outcome of the same matching at a score threshold at or above
-    ``outcome``'s, which the prefix invariant makes its score >= threshold prefix."""
-    n = int(np.count_nonzero(outcome.dets.scores[outcome.kept] >= score_threshold))
-    return replace(outcome, kept=outcome.kept[:n], claims=outcome.claims[:n],
-                   score_threshold=score_threshold)
 
 
 def _edges(xywh: np.ndarray) -> np.ndarray:

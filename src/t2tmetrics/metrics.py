@@ -1,7 +1,7 @@
-"""Precision/recall and average-precision metrics, score-ranked and distance-ranked.
+"""Average-precision metrics, score-ranked and distance-ranked.
 
 Score-side definitions keep a detection when its score is at or above the
-threshold. The distance-ranked variants flip the inequality: a detection is
+threshold. The distance-ranked variant flips the inequality: a detection is
 kept when its train2test distance is at or below the threshold, so walking
 the thresholds upward admits detections from nearest to farthest.
 
@@ -11,7 +11,8 @@ distance: each TP entry adds (TPs ranked up to the last rank tied with it) /
 
 A score regime is a keep mask over one annotation in one distance order: the
 detections kept at the lowest regime threshold get one distance each, and
-each IoU threshold only marks which of them are true positives.
+each IoU threshold only marks which of them are true positives. One of them
+that gets no distance ends the whole profile with its own error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RegimeError, T2TError, UndefinedMetricError, ValidationError
+from .errors import UndefinedMetricError, ValidationError
 from .feature_model import (
     DistanceAnnotatedOutcome,
     GaussianTrainModel,
@@ -30,7 +31,7 @@ from .feature_model import (
     annotate_distances,
 )
 from .ingest import DetectionSet, GroundTruthSet
-from .matching import IOU_GRID, MatchOutcome, _prefix, iou_matcher
+from .matching import IOU_GRID, MatchOutcome, iou_matcher
 
 # Score thresholds naming the three detection regimes: every candidate with a
 # minimal score, the above-medium-confidence subset, and the high-confidence
@@ -90,42 +91,6 @@ def _check_unit_interval(value: float, what: str) -> float:
     return value
 
 
-def _precision_recall(
-    annotated: DistanceAnnotatedOutcome, keep: np.ndarray
-) -> tuple[float | None, float]:
-    """Precision and recall over the entries that ``keep`` marks."""
-    tp = int(np.count_nonzero(keep & annotated.tp))
-    fp = int(np.count_nonzero(keep)) - tp
-    recall = tp / annotated.total_gt if annotated.total_gt > 0 else 0.0
-    if tp + fp == 0:
-        return None, recall
-    return tp / (tp + fp), recall
-
-
-def precision_recall(
-    annotated: DistanceAnnotatedOutcome, score_threshold: float
-) -> tuple[float | None, float]:
-    """Precision and recall over entries with score >= threshold.
-
-    Precision is None when no entry passes the threshold (the undefined 0/0
-    case is signalled, not defaulted). Recall over an empty instance set is
-    reported as 0.0.
-    """
-    score_threshold = _check_unit_interval(score_threshold, "score_threshold")
-    return _precision_recall(annotated, annotated.scores >= score_threshold)
-
-
-def t2t_precision_recall(
-    annotated: DistanceAnnotatedOutcome, distance_threshold: float
-) -> tuple[float | None, float]:
-    """Precision and recall over entries with distance <= threshold (inclusive)."""
-    if not np.isfinite(distance_threshold) or distance_threshold < 0:
-        raise ValidationError(
-            f"distance_threshold must be finite and >= 0, got {distance_threshold}"
-        )
-    return _precision_recall(annotated, annotated.dist <= distance_threshold)
-
-
 def average_precision(outcome: MatchOutcome) -> float:
     """All-point AP: mean over ground truth of the precision at each TP entry.
 
@@ -135,19 +100,6 @@ def average_precision(outcome: MatchOutcome) -> float:
     if outcome.total_gt == 0:
         raise UndefinedMetricError("average precision is undefined without ground truth")
     return _ranked_ap(outcome.claims >= 0, outcome.total_gt)
-
-
-def ap_over_iou_range(
-    dets: DetectionSet,
-    gts: GroundTruthSet,
-    score_threshold: float = 0.0,
-    iou_thresholds: tuple[float, ...] = IOU_GRID,
-) -> float:
-    """Mean AP over an IoU threshold grid (default 0.50:0.05:0.95), from one IoU table."""
-    if not iou_thresholds:
-        raise ValidationError("iou_thresholds must not be empty")
-    match = iou_matcher(dets, gts, score_threshold)
-    return _mean([average_precision(match(t)) for t in iou_thresholds])
 
 
 def _distance_order(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,42 +153,18 @@ def _profile(
     if len(gts) == 0:
         raise UndefinedMetricError("AP_t2t is undefined without ground truth")
     values: dict[str, list[float]] = {name: [] for name in thresholds}
-    failures: dict[str, T2TError] = {}
-    live = list(thresholds)
     for k, iou_threshold in enumerate(iou_thresholds):
-        try:
-            outcome = match(iou_threshold)
-        except T2TError as exc:
-            failures.update(dict.fromkeys(live, exc))
-            break
+        outcome = match(iou_threshold)
         if k == 0:
-            # Annotate once. Regimes are nested by threshold, so the lowest one
-            # whose detections all get a distance serves every regime above it;
-            # each one below it fails with its own error, from its own prefix
-            # of the outcome.
-            for name in sorted(thresholds, key=thresholds.__getitem__):
-                try:
-                    regime = outcome
-                    if thresholds[name] > outcome.score_threshold:
-                        regime = _prefix(outcome, thresholds[name])
-                    annotated = annotate_distances(model, regime)
-                    break
-                except T2TError as exc:
-                    failures[name] = exc
-            live = [name for name in thresholds if name not in failures]
-            if not live:
-                break
+            annotated = annotate_distances(model, outcome)
             order, last = _distance_order(distances := annotated.dist)
             scores = annotated.scores[order]
-            keep = {name: scores >= thresholds[name] for name in live}
-            kept = {name: np.cumsum(keep[name]) for name in live}
-        tp = (outcome.claims[:len(distances)] >= 0)[order]
-        for name in live:
+            keep = {name: scores >= threshold for name, threshold in thresholds.items()}
+            kept = {name: np.cumsum(mask) for name, mask in keep.items()}
+        tp = (outcome.claims >= 0)[order]
+        for name in thresholds:
             values[name].append(_ranked_ap(keep[name] & tp, outcome.total_gt, kept[name], last))
-    results = {name: _mean(v) for name, v in values.items() if name not in failures}
-    if failures:
-        raise RegimeError(results, {n: failures[n] for n in thresholds if n in failures})
-    return results, distances
+    return {name: _mean(v) for name, v in values.items()}, distances
 
 
 def ap_t2t_profile(
@@ -256,10 +184,9 @@ def ap_t2t_profile(
     of matching at that threshold. The instance count |X| comes from the
     ground truth alone, so it is the same in every regime. With several IoU
     thresholds the per-regime value is the mean over the grid, summed in
-    grid order. A regime fails only through its own kept detections, so a
-    detection without a feature that scores below a regime's threshold does
-    not fail that regime; if any regime fails, a RegimeError carrying the
-    partial results is raised after all regimes were attempted.
+    grid order. Every detection kept at the lowest regime threshold needs a
+    distance: the first error, of the annotation or of a matching, ends the
+    whole profile.
     """
     thresholds, base = _regimes(score_thresholds)
     return _profile(model, gts, thresholds, iou_thresholds, iou_matcher(dets, gts, base))[0]
@@ -310,8 +237,8 @@ def metric_report(
     ``IOU_GRID`` when ``iou_grid`` is set, as :func:`ap_t2t_profile` gives
     it. AP, AP@[.5:.95], the counts and the returned annotated outcome are
     taken at ``iou_threshold`` and the lowest regime threshold. Each distinct
-    IoU threshold is matched once, and the AP_t2t profile is complete (or
-    raises RegimeError) before any threshold it does not use is matched.
+    IoU threshold is matched once, and the AP_t2t profile is complete, or
+    has raised its error, before any threshold it does not use is matched.
     """
     profile_ious = IOU_GRID if iou_grid else (iou_threshold,)
     thresholds, base = _regimes(score_thresholds)
@@ -326,5 +253,5 @@ def metric_report(
         ap_t2t_by_regime=ap_t2t_by_regime,
         counts=(n_tp, len(chosen.kept) - n_tp, chosen.total_gt - n_tp),
     )
-    # Every regime succeeded, so every kept detection has its distance.
+    # The profile annotated the detections kept here, at its first IoU threshold.
     return report, _annotated(chosen, distances)

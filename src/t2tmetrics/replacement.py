@@ -82,10 +82,6 @@ class AccuracyCurve:
     def counts(self) -> tuple[int, ...]:
         return tuple(c for c, _ in self.points)
 
-    @property
-    def accuracies(self) -> tuple[float, ...]:
-        return tuple(float(a) for _, a in self.points)
-
 
 def build_accuracy_curve(
     samples: list[tuple[int, float | str | Fraction]], label: str = ""
@@ -224,14 +220,3 @@ def matching_image_count(
         saturated=True,
         cross_domain_count=cross_domain_count,
     )
-
-
-def replacement_gain(
-    curve: AccuracyCurve,
-    accuracy_with_synth: float | str | Fraction,
-    accuracy_without_synth: float | str | Fraction,
-) -> float:
-    """Image-count gain attributable to synthetic data: matched(with) - matched(without)."""
-    with_synth = matching_image_count(curve, accuracy_with_synth)
-    without_synth = matching_image_count(curve, accuracy_without_synth)
-    return with_synth.matched_same_domain_count - without_synth.matched_same_domain_count

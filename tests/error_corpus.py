@@ -2,8 +2,10 @@
 
 Each case is one small valid scenario with one input file changed: the
 ground truth, the detections, the test features as ``T2TFEAT`` or as CSV,
-the training features as ``T2TFEAT``, or the model that ``t2t fit`` wrote
-from them, which that kind's runs read with ``--model``. Some changes are
+the training features as ``T2TFEAT``, the model that ``t2t fit`` wrote
+from them, which that kind's runs read with ``--model``, the ``--config``
+file, or an accuracy curve, which that kind's runs give to
+``t2t replacement``. Some changes are
 refused while a file is parsed, some when the detections are bound to their
 feature rows or matched, and some are still valid. The cases derive from a
 seeded ``random.Random``, so the set of cases is the same on every run;
@@ -50,8 +52,13 @@ KINDS = {
     "feature CSV": ("features.csv", "features.csv", TRAIN),
     "training T2TFEAT": ("train_features.t2tfeat", "features.t2tfeat", TRAIN),
     "model": ("model.t2tmodl", "features.t2tfeat", ("--model", "model.t2tmodl")),
+    "--config": ("run.json", "features.t2tfeat", TRAIN),
+    "curve CSV": ("curve.csv", None, None),
 }
 COMMANDS = ("distances", "ap-t2t", "evaluate")
+# The curve the curve kind changes, and the targets its runs look up on it.
+CURVE = "count,accuracy\n5,0.2\n10,0.35\n20,0.5\n40,0.62\n80,0.7\n"
+TARGETS = ("--target", "0.5", "--target", "10:0.6:0.3")
 
 # Values put in place of a JSON field: each is refused somewhere, or is valid
 # in some field.
@@ -62,6 +69,14 @@ BAD_VALUES = [None, True, False, -1, 0, 1, 2, 1.5, -0.25, 1e308, -1e308, 2**64, 
 BOX_VALUES = [-1.0, 0.0, 1e-320, 1e308, float("inf"), float("nan"), 2.0**60, "1", None, True]
 CELL_VALUES = ["nan", "inf", "-inf", "", " ", "abc", "1_0", "0x10", "1e400", "1e-400",
                "+1.5", " 2.5 ", "1,5", '"3"', "-0", "1e38", "3.5e38", "١"]
+# Keys a config change sets: every key of CONFIG, two it leaves at their
+# defaults, and one that names no setting. No input path is among them, so
+# a run never reads a file the case does not write.
+CONFIG_KEYS = (*CONFIG, "iou_grid", "ground_truth", "no_such_key")
+# Texts put in place of a curve cell.
+CURVE_CELLS = ["", " ", "abc", "nan", "inf", "-0.1", "1.5", "1e400", "1e-400", "1/3", "0/0",
+               "0.1_5", "10_0", "1e3", "-5", "0", "2.5", "99999999999999999999999999999",
+               "0x10", "+0.4", " 0.45 ", "١"]
 # Float32 bit patterns put in place of a T2TFEAT value.
 F32_PATTERNS = [0x7FC00000, 0x7F800000, 0xFF800000, 0x7F7FFFFF, 0x00000001, 0x80000000,
                 0x3F800000, 0x4B000000]
@@ -273,14 +288,83 @@ def _csv_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
     return what, ("\n".join(lines) + "\n").encode()
 
 
+def _config_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
+    """One change to the run config: to a key's value, a regime's threshold,
+    the set of regimes or keys, or the whole document."""
+    doc = json.loads(blob)
+    op = rng.choice(("set", "set", "set", "regime", "regime", "regimes", "drop", "document"))
+    if op == "set":
+        key, value = rng.choice(CONFIG_KEYS), rng.choice(BAD_VALUES)
+        doc[key] = value
+        what = f"set {key} = {json.dumps(value)}"
+    elif op == "regime":
+        name = rng.choice((*sorted(doc["score_thresholds"]), "new"))
+        value = rng.choice(BAD_VALUES)
+        doc["score_thresholds"][name] = value
+        what = f"set score_thresholds.{name} = {json.dumps(value)}"
+    elif op == "regimes":
+        n = rng.choice((0, 1, 100, 101))
+        doc["score_thresholds"] = {f"r{k}": k / 200 for k in range(n)}
+        what = f"set {n} regimes r0 to r{n - 1} at k / 200"
+    elif op == "drop":
+        key = rng.choice(sorted(doc))
+        del doc[key]
+        what = f"drop {key}"
+    else:
+        doc = rng.choice([[], {}, 1, "x", None, [CONFIG]])
+        what = f"replace the document with {json.dumps(doc)}"
+    return what, json.dumps(doc, indent=rng.choice((None, 2))).encode()
+
+
+def _curve_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
+    """One change to an accuracy curve: to a cell, a row's width, the header,
+    the rows, or a run id that splits it into runs."""
+    lines = blob.decode().splitlines()
+    r = rng.randrange(1, len(lines))
+    op = rng.choice(("cell", "cell", "cell", "widen", "narrow", "header", "remove", "repeat",
+                     "reverse", "blank", "runs"))
+    if op == "cell":
+        cells, k, value = lines[r].split(","), rng.randrange(2), rng.choice(CURVE_CELLS)
+        cells[k] = value
+        lines[r] = ",".join(cells)
+        what = f"set line {r + 1} cell {k + 1} to {value!r}"
+    elif op == "widen":
+        lines[r] += rng.choice((",run-a", ",run-a,x", ","))
+        what = f"widen line {r + 1} to {lines[r]!r}"
+    elif op == "narrow":
+        lines[r] = lines[r].split(",")[0]
+        what = f"drop the accuracy of line {r + 1}"
+    elif op == "header":
+        value = rng.choice(("", "count", "count,accuracy,run", "5,accuracy", "count,0.1"))
+        lines[0] = value
+        what = f"set the header to {value!r}"
+    elif op == "remove":
+        n = rng.randint(1, len(lines) - 1)
+        del lines[-n:]
+        what = f"remove the last {n} lines"
+    elif op == "repeat":
+        lines.append(lines[r])
+        what = f"repeat line {r + 1}"
+    elif op == "reverse":
+        lines[1:] = reversed(lines[1:])
+        what = "reverse the rows"
+    elif op == "blank":
+        lines.insert(r, "")
+        what = f"insert a blank line before line {r + 1}"
+    else:
+        lines[1:] = [f"{line},{'ab'[k % 2]}" for k, line in enumerate(lines[1:])]
+        what = "split the rows into two runs"
+    return what, ("\n".join(lines) + "\n").encode()
+
+
 def build(valid: dict[str, bytes]) -> list[tuple[dict, bytes]]:
     """Every case, as its kind, command and change, and the changed file's
     bytes, made from the ``valid`` files by name."""
     rng = random.Random(SEED)
     built = []
-    for kind, (name, _, _) in KINDS.items():
+    for kind, (name, features, _) in KINDS.items():
         for _ in range(CASES_PER_KIND):
-            command = rng.choice(COMMANDS)
+            command = rng.choice(COMMANDS) if features else "replacement"
             if rng.random() < 0.15:
                 change, blob = _byte_edit(rng, valid[name])
             elif name == "ground_truth.json":
@@ -291,6 +375,10 @@ def build(valid: dict[str, bytes]) -> list[tuple[dict, bytes]]:
                 change, blob = _t2tfeat_edit(rng, valid[name])
             elif name.endswith(".t2tmodl"):
                 change, blob = _model_edit(rng, valid[name])
+            elif name == "run.json":
+                change, blob = _config_edit(rng, valid[name])
+            elif name == "curve.csv":
+                change, blob = _curve_edit(rng, valid[name])
             else:
                 change, blob = _csv_edit(rng, valid[name])
             built.append(({"kind": kind, "command": command, "change": change}, blob))
@@ -305,7 +393,7 @@ def _run(argv: list[str]) -> tuple[int, list[str]]:
 
 
 def _valid_inputs(root: Path) -> dict[str, bytes]:
-    """The valid scenario, run config, feature CSV and model, written under ``root``."""
+    """The valid scenario, run config, feature CSV, model and curve, written under ``root``."""
     (root / "spec.json").write_text(json.dumps(SPEC))
     code, err = _run(["scenario", "--spec", str(root / "spec.json"), "--out", str(root)])
     assert code == 0, err
@@ -317,6 +405,7 @@ def _valid_inputs(root: Path) -> dict[str, bytes]:
     (root / "features.csv").write_text("".join(
         f"{row_id},{','.join(map(repr, row))}\n"
         for row_id, row in zip(matrix.row_ids, matrix.data.tolist())))
+    (root / "curve.csv").write_text(CURVE)
     return {name: (root / name).read_bytes() for name, _, _ in KINDS.values()}
 
 
@@ -330,8 +419,11 @@ def replay() -> list[dict]:
             name, features, model = KINDS[case["kind"]]
             command = case["command"]
             out = root / ("out.csv" if command == "distances" else f"out-{command}")
-            argv = [command, "--gt", "ground_truth.json", "--det", "detections.json",
-                    "--config", "run.json", "--features", features, *model]
+            if features is None:
+                argv = [command, "--curve", name, *TARGETS]
+            else:
+                argv = [command, "--gt", "ground_truth.json", "--det", "detections.json",
+                        "--config", "run.json", "--features", features, *model]
             argv = [str(root / arg) if arg.endswith((".json", ".t2tfeat", ".csv", ".t2tmodl"))
                     else arg for arg in argv] + ["--out", str(out)]
             (root / name).write_bytes(blob)

@@ -26,8 +26,6 @@ from t2tmetrics import (
     Kind,
     MatchOutcome,
     MetricReport,
-    RegimeError,
-    T2TError,
     ValidationError,
     annotate_distances,
     ap_t2t,
@@ -55,14 +53,6 @@ def ap_t2t_exact(tp_distances, fp_distances, total_gt: int) -> Fraction:
         fp_in = sum(1 for x in fp_distances if x <= d)
         total += Fraction(tp_in, tp_in + fp_in)
     return total / total_gt
-
-
-def t2t_pr_bruteforce(tp_distances, fp_distances, total_gt: int, threshold: float):
-    tp_in = sum(1 for x in tp_distances if x <= threshold)
-    fp_in = sum(1 for x in fp_distances if x <= threshold)
-    precision = None if tp_in + fp_in == 0 else tp_in / (tp_in + fp_in)
-    recall = tp_in / total_gt if total_gt else 0.0
-    return precision, recall
 
 
 def average_precision_enumeration(records, total_gt: int) -> Fraction:
@@ -128,22 +118,28 @@ def match_detections_loop(
 
 
 def ap_t2t_profile_rematch(model, dets, gts, score_thresholds=None, iou_thresholds=(0.5,)):
-    """AP_t2t per regime, matching and annotating afresh for every regime and IoU."""
+    """AP_t2t per regime, matching afresh for every regime and IoU threshold.
+
+    At each IoU threshold the match at the lowest regime threshold is
+    annotated, and its error, if any, ends the profile. Each regime takes the
+    distances of the detections it keeps from that annotation.
+    """
     thresholds = DEFAULT_SCORE_THRESHOLDS if score_thresholds is None else score_thresholds
-    results = {}
-    failures = {}
-    for name, score_threshold in thresholds.items():
-        try:
-            values = []
-            for iou_threshold in iou_thresholds:
-                outcome = match_detections_loop(dets, gts, iou_threshold, score_threshold)
-                values.append(ap_t2t(annotate_distances(model, outcome)))
-            results[name] = float(sum(values) / len(values))
-        except T2TError as exc:
-            failures[name] = exc
-    if failures:
-        raise RegimeError(results, failures)
-    return results
+    base = min(thresholds.values())
+    values = {name: [] for name in thresholds}
+    for iou_threshold in iou_thresholds:
+        annotated = annotate_distances(model, match_detections_loop(dets, gts, iou_threshold, base))
+        distance = dict(zip(annotated.ids, annotated.dist.tolist()))
+        for name, score_threshold in thresholds.items():
+            outcome = match_detections_loop(dets, gts, iou_threshold, score_threshold)
+            entries = [
+                AnnotatedEntry(det.detection_id, kind, det.score, distance[det.detection_id])
+                for kind, regime in ((Kind.TP, [det for det, _ in outcome.true_positives]),
+                                     (Kind.FP, outcome.false_positives))
+                for det in regime
+            ]
+            values[name].append(ap_t2t(annotated_outcome(entries, outcome.total_gt)))
+    return {name: float(sum(v) / len(v)) for name, v in values.items()}
 
 
 def ap_over_iou_range_rematch(dets, gts, score_threshold=0.0, iou_thresholds=IOU_GRID) -> float:

@@ -23,7 +23,6 @@ from t2tmetrics import (
     ImageInfo,
     Kind,
     annotate_distances,
-    ap_over_iou_range,
     ap_t2t,
     average_precision,
     build_accuracy_curve,
@@ -31,9 +30,10 @@ from t2tmetrics import (
     generate_scenario,
     match_detections,
     matching_image_count,
+    metric_report,
     model_from_moments,
     shrink_tp_distances,
-    train2test_distance,
+    train2test_distances,
 )
 from t2tmetrics.cli import main
 from t2tmetrics.scenario import ScenarioSpec
@@ -64,7 +64,7 @@ def test_c01_ap_t2t_matches_bruteforce_oracle_on_1000_outcomes():
         out = make_random_annotated(rng, max_entries=50, max_gt=60, lattice=trial % 3 == 0)
         got = ap_t2t(out)
         want = ap_t2t_bruteforce(
-            out.distances(Kind.TP), out.distances(Kind.FP), out.total_gt
+            out.dist[out.tp], out.dist[~out.tp], out.total_gt
         )
         assert abs(got - want) <= 1e-12, f"trial {trial}: {got} vs {want}"
     assert time.perf_counter() - start < 10.0
@@ -78,20 +78,20 @@ def test_c02_hand_worked_case_is_five_sixths_exactly():
 
 def test_c03_distance_zero_at_mean_identity_case_and_solver_agreement():
     identity = model_from_moments(np.zeros(2), np.eye(2), regularization=0.0)
-    assert train2test_distance(identity, np.array([3.0, 4.0])) == 25.0
-    assert train2test_distance(identity, np.zeros(2)) == 0.0
+    assert train2test_distances(identity, [np.array([3.0, 4.0])])[0] == 25.0
+    assert train2test_distances(identity, [np.zeros(2)])[0] == 0.0
 
     rng = np.random.default_rng(7)
     for _ in range(100):
         basis = np.eye(10) + 0.3 * rng.standard_normal((10, 10))
         data = rng.standard_normal((80, 10)) @ basis.T + rng.uniform(-3, 3, 10)
         model = fit_gaussian(as_matrix(data))
-        assert train2test_distance(model, model.mean) == 0.0
+        assert train2test_distances(model, [model.mean])[0] == 0.0
         query = rng.standard_normal(10) * 4.0
         r = query - model.mean
         sigma = model.covariance + model.regularization * np.eye(10)
         reference = float(r @ np.linalg.solve(sigma, r))
-        got = train2test_distance(model, query)
+        got = train2test_distances(model, [query])[0]
         assert abs(got - reference) <= 1e-9 * max(reference, 1.0)
 
 
@@ -100,14 +100,14 @@ def test_c04_affine_invariance_within_1e6_relative():
     data = rng.standard_normal((40, 5))
     queries = rng.standard_normal((10, 5)) * 2.0
     base = fit_gaussian(as_matrix(data), regularization=0.0)
-    base_d = [train2test_distance(base, q) for q in queries]
+    base_d = [train2test_distances(base, [q])[0] for q in queries]
 
     for _ in range(100):
         a = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
         b = rng.uniform(-5.0, 5.0, 5)
         moved = fit_gaussian(as_matrix(data @ a.T + b), regularization=0.0)
         for q, want in zip(queries, base_d):
-            got = train2test_distance(moved, a @ q + b)
+            got = train2test_distances(moved, [a @ q + b])[0]
             assert abs(got - want) <= 1e-6 * max(want, 1.0)
 
 
@@ -131,9 +131,11 @@ def test_c05_ap_staircase_and_iou_grid_case_exact():
         ),
     )
     dets = detection_set(detections=(
-        Detection(detection_id="d", image_id="im", box=BoundingBox(0.75, 0, 3, 1), score=0.9),
+        Detection(detection_id="d", image_id="im", box=BoundingBox(0.75, 0, 3, 1), score=0.9,
+                  feature=np.zeros(2)),
     ))
-    assert ap_over_iou_range(dets, gts) == 0.3
+    model = model_from_moments(np.zeros(2), np.eye(2))
+    assert metric_report(model, dets, gts)[0].ap_5095 == 0.3
 
 
 def test_c06_order_only_dependence_exact_over_1000_transform_pairs():
@@ -162,7 +164,7 @@ def test_c07_single_entry_improvement_never_decreases_ap_t2t():
     for _ in range(200):
         out = make_random_annotated(rng, max_entries=30, max_gt=40, ties=False)
         before = ap_t2t(out)
-        before_exact = ap_t2t_exact(out.distances(Kind.TP), out.distances(Kind.FP), out.total_gt)
+        before_exact = ap_t2t_exact(out.dist[out.tp], out.dist[~out.tp], out.total_gt)
         assert abs(before - float(before_exact)) <= 1e-12
 
         tp_idx = [i for i, e in enumerate(out.entries) if e.kind is Kind.TP]
@@ -180,7 +182,7 @@ def test_c07_single_entry_improvement_never_decreases_ap_t2t():
             )
             after = ap_t2t(moved)
             after_exact = ap_t2t_exact(
-                moved.distances(Kind.TP), moved.distances(Kind.FP), moved.total_gt
+                moved.dist[moved.tp], moved.dist[~moved.tp], moved.total_gt
             )
             assert after_exact >= before_exact
             assert after >= before - 1e-12

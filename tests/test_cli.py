@@ -8,9 +8,11 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 import xml.dom.minidom
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from t2tmetrics import (
     Detection,
     DetectionSet,
     DistanceAnnotatedOutcome,
+    FeatureMatrix,
     GroundTruthInstance,
     GroundTruthSet,
     MatchOutcome,
@@ -37,8 +40,11 @@ from t2tmetrics import (
     load_detections,
     load_feature_matrix,
     load_ground_truth,
-    replacement_gain,
+    matching_image_count,
+    model_from_moments,
+    save_model,
     scaling_series,
+    write_feature_matrix,
 )
 from t2tmetrics.cli import RunConfig, main
 from t2tmetrics.feature_model import _MODEL_HEADER, MODEL_MAGIC
@@ -378,6 +384,28 @@ def test_overflowing_training_covariance_exits_2_naming_file(
     assert not (tmp_path / "out").exists()
 
 
+def test_an_overflowing_distance_is_one_error_line_without_a_warning(dataset, tmp_path, capsys):
+    # A precision of 1e300 squares a feature row of 1e20 past the float range.
+    model = tmp_path / "model.t2tmodl"
+    save_model(model_from_moments(np.zeros(3), np.eye(3) * 1e-300), model)
+    matrix = load_feature_matrix(dataset / "features.t2tfeat")
+    data = matrix.data.copy()
+    data[matrix.row_ids.index("tp-00003")] = 1e20
+    write_feature_matrix(FeatureMatrix(data=data, row_ids=matrix.row_ids),
+                         dataset / "features.t2tfeat")
+    for command in ("evaluate", "ap-t2t", "distances"):
+        argv = evaluate_args(dataset, tmp_path / f"out-{command}")
+        argv[0], argv[7:9] = command, ["--model", str(model)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert error_lines(err) == [
+            "error: entry 'tp-00003' distance must be finite and >= 0, got inf"]
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 # ------------------------------------------------------------------- distances
 
 
@@ -516,11 +544,12 @@ def test_replacement_gain_of_the_command_is_replacement_gain(tmp_path, capsys):
     assert main(["replacement", "--curve", str(curve), "--out", str(out)]
                 + [arg for target in targets for arg in ("--target", target)]) == 0
     samples = [(5, "0.1"), (10, "0.3"), (20, "0.2"), (40, "0.5"), (80, "0.6")]
+    lookup = build_accuracy_curve(samples, label="curve")
     rows = (out / "replacement.csv").read_text().splitlines()[1:]
     for row, target in zip(rows, targets):
         cross, with_acc, without_acc = target.split(":")
-        gain = replacement_gain(build_accuracy_curve(samples, label="curve"), with_acc,
-                                without_acc)
+        gain = (matching_image_count(lookup, with_acc).matched_same_domain_count
+                - matching_image_count(lookup, without_acc).matched_same_domain_count)
         assert row.split(",")[0] == cross
         assert row.split(",")[3] == _fmt(gain)
 

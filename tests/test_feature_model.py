@@ -37,7 +37,6 @@ from t2tmetrics import (
     match_detections,
     model_from_moments,
     save_model,
-    train2test_distance,
     train2test_distances,
     write_feature_matrix,
 )
@@ -396,12 +395,12 @@ def test_model_validation():
 
 def test_distance_worked_examples():
     identity = model_from_moments(np.zeros(2), np.eye(2))
-    assert train2test_distance(identity, [3.0, 4.0]) == 25.0
-    assert train2test_distance(identity, [0.0, 0.0]) == 0.0
+    assert train2test_distances(identity, [[3.0, 4.0]])[0] == 25.0
+    assert train2test_distances(identity, [[0.0, 0.0]])[0] == 0.0
 
     model = model_from_moments([1.0, 1.0], np.diag([4.0, 1.0]))
-    assert train2test_distance(model, [3.0, 2.0]) == 2.0
-    assert train2test_distance(model, model.mean) == 0.0
+    assert train2test_distances(model, [[3.0, 2.0]])[0] == 2.0
+    assert train2test_distances(model, [model.mean])[0] == 0.0
 
 
 def test_distance_at_mean_is_zero():
@@ -409,7 +408,7 @@ def test_distance_at_mean_is_zero():
     for _ in range(10):
         X = rng.normal(size=(30, 4))
         model = fit_gaussian(matrix(X))
-        assert train2test_distance(model, model.mean) == 0.0
+        assert train2test_distances(model, [model.mean])[0] == 0.0
 
 
 def test_distance_nonnegative_and_finite():
@@ -418,7 +417,7 @@ def test_distance_nonnegative_and_finite():
         X = rng.normal(size=(20, 3)) * rng.uniform(0.01, 100)
         model = fit_gaussian(matrix(X))
         x = rng.normal(size=3) * 50
-        d = train2test_distance(model, x)
+        d = train2test_distances(model, [x])[0]
         assert d >= 0.0 and np.isfinite(d)
 
 
@@ -432,7 +431,7 @@ def test_precision_matches_direct_solve():
         direct = float(v @ np.linalg.solve(
             model.covariance + model.regularization * np.eye(10), v
         ))
-        got = train2test_distance(model, x)
+        got = train2test_distances(model, [x])[0]
         assert got == pytest.approx(direct, rel=1e-9)
 
 
@@ -446,17 +445,17 @@ def test_distance_affine_invariant():
         b = rng.normal(size=5)
         mapped = fit_gaussian(matrix(X @ A.T + b), regularization=0.0)
         for x in tests:
-            d0 = train2test_distance(base, x)
-            d1 = train2test_distance(mapped, A @ x + b)
+            d0 = train2test_distances(base, [x])[0]
+            d1 = train2test_distances(mapped, [A @ x + b])[0]
             assert d1 == pytest.approx(d0, rel=1e-6)
 
 
 def test_distance_input_validation():
     model = model_from_moments(np.zeros(2), np.eye(2))
-    with pytest.raises(ValidationError):
-        train2test_distance(model, [1.0, 2.0, 3.0])
-    with pytest.raises(ValidationError):
-        train2test_distance(model, [1.0, float("inf")])
+    with pytest.raises(ValidationError, match=r"not all of shape \(2,\)"):
+        train2test_distances(model, [[1.0, 2.0, 3.0]])
+    with pytest.raises(ValidationError, match="non-finite"):
+        train2test_distances(model, [[1.0, float("inf")]])
 
 
 def test_distances_input_validation():
@@ -496,8 +495,8 @@ def test_distances_match_the_exact_oracle(dim, rows, seed):
         exact = train2test_distance_exact(model, x)
         bound = 1e-12 * float(v @ absolute @ v)
         assert abs(Fraction(float(value)) - exact) <= bound
-        if i == 0:  # the one-row entry point runs the same kernel
-            assert abs(Fraction(train2test_distance(model, x)) - exact) <= bound
+        if i == 0:  # one row on its own is within the bound too
+            assert abs(Fraction(train2test_distances(model, [x])[0]) - exact) <= bound
 
 
 # Bound sets whose feature rows are permuted, outnumber the detections or
@@ -563,14 +562,13 @@ def test_the_padded_precision_is_built_once_per_model(d):
     rng = np.random.default_rng(d)
     model = fit_gaussian(matrix(rng.normal(size=(2 * d + 5, d))))
     x = rng.normal(size=d)
-    first = train2test_distance(model, x)
+    first = train2test_distances(model, [x])[0]
     padded = model._padded_precision
     assert padded.shape == ((448, 448) if d == 392 else (64, 64))
     assert np.array_equal(padded[:d, :d], model.precision)
     assert not padded[d:].any() and not padded[:, d:].any()
-    assert train2test_distance(model, x) == first
+    assert train2test_distances(model, [x])[0] == first
     assert model._padded_precision is padded
-    assert train2test_distances(model, x[np.newaxis])[0] == first
 
 
 def test_precision_is_consistent_inverse():
@@ -699,7 +697,7 @@ def test_annotate_distances():
     assert annotated.entries[1].distance == 1.0
     assert annotated.total_gt == 2
     assert annotated.score_threshold == 0.1
-    np.testing.assert_array_equal(annotated.distances(Kind.TP), [25.0])
+    np.testing.assert_array_equal(annotated.dist[annotated.tp], [25.0])
 
 
 def test_annotated_entries_list_tps_then_fps_each_in_rank_order():
@@ -725,24 +723,6 @@ def test_annotated_entries_list_tps_then_fps_each_in_rank_order():
         ("f1", Kind.FP, 9.0),
         ("f2", Kind.FP, 2.0),
     ]
-
-
-def test_distances_takes_the_kind_or_its_value():
-    model = model_from_moments(np.zeros(2), np.eye(2))
-    outcome = match_outcome(
-        true_positives=((det("t1", 0.9, [1.0, 1.0]), "g1"),),
-        false_positives=(det("f1", 0.4, [1.0, 0.0]),),
-        false_negatives=(),
-        iou_threshold=0.5,
-        score_threshold=0.0,
-    )
-    annotated = annotate_distances(model, outcome)
-    np.testing.assert_array_equal(annotated.distances("tp"), annotated.distances(Kind.TP))
-    np.testing.assert_array_equal(annotated.distances("tp"), [2.0])
-    np.testing.assert_array_equal(annotated.distances("fp"), annotated.distances(Kind.FP))
-    np.testing.assert_array_equal(annotated.distances("fp"), [1.0])
-    with pytest.raises(ValidationError, match="'tn'"):
-        annotated.distances("tn")
 
 
 def test_annotate_requires_bound_features():
@@ -817,7 +797,7 @@ def test_model_round_trip(tmp_path):
     assert loaded.sample_count == model.sample_count
 
     x = rng.normal(size=4)
-    assert train2test_distance(loaded, x) == train2test_distance(model, x)
+    assert train2test_distances(loaded, [x])[0] == train2test_distances(model, [x])[0]
 
     again = tmp_path / "m2.t2tmodl"
     save_model(loaded, again)

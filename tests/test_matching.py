@@ -24,7 +24,7 @@ from t2tmetrics import (
     iou_matcher,
     match_detections,
 )
-from t2tmetrics.matching import _edges, _iou_cells, _prefix
+from t2tmetrics.matching import _edges, _iou_cells
 from oracles import match_detections_loop
 from records import detection_set, ground_truth, match_outcome, plain
 
@@ -316,10 +316,6 @@ def test_higher_score_cut_is_a_prefix_of_the_base_outcome(data):
             claimed = {g for _, g in tps}
             fns = [inst.instance_id for inst in gts.instances if inst.instance_id not in claimed]
             assert fns == list(expected.false_negatives)
-            cut_rebuilt = _prefix(rebuilt, cut)
-            assert [(d.detection_id, g) for d, g in cut_rebuilt.true_positives] == tps
-            assert [d.detection_id for d in cut_rebuilt.false_positives] == fps
-            assert sorted(cut_rebuilt.false_negatives) == sorted(fns)
 
 
 @pytest.mark.parametrize("changes, message", [

@@ -17,19 +17,16 @@ from t2tmetrics import (
     ImageInfo,
     Kind,
     MetricReport,
-    RegimeError,
+    T2TError,
     UndefinedMetricError,
     ValidationError,
     annotate_distances,
-    ap_over_iou_range,
     ap_t2t,
     ap_t2t_profile,
     average_precision,
     generate_scenario,
     metric_report,
     model_from_moments,
-    precision_recall,
-    t2t_precision_recall,
 )
 from t2tmetrics import matching, metrics
 from t2tmetrics.metrics import _ratio_mean
@@ -42,7 +39,6 @@ from oracles import (
     average_precision_enumeration,
     make_random_annotated,
     metric_report_rematch,
-    t2t_pr_bruteforce,
 )
 from records import annotated_outcome, detection_set, ground_truth, match_outcome, plain
 
@@ -72,58 +68,6 @@ def make_outcome(tp_scores, fp_scores, total_gt):
     )
     fns = tuple(f"m{i}" for i in range(total_gt - len(tps)))
     return match_outcome(tps, fps, fns)
-
-
-# ------------------------------------------------------------ precision/recall
-
-
-def test_precision_recall_example():
-    annotated = make_annotated(
-        tp=[(0.9, 1.0), (0.8, 1.0), (0.7, 1.0), (0.2, 1.0)],
-        fp=[(0.9, 1.0), (0.6, 1.0), (0.1, 1.0)],
-        total_gt=6,
-    )
-    precision, recall = precision_recall(annotated, 0.5)
-    assert precision == 0.6
-    assert recall == 0.5
-
-
-def test_precision_none_when_nothing_kept():
-    annotated = make_annotated(tp=[(0.3, 1.0)], fp=[], total_gt=2)
-    precision, recall = precision_recall(annotated, 0.9)
-    assert precision is None
-    assert recall == 0.0
-
-    empty = annotated_outcome(entries=(), total_gt=0, score_threshold=0.0)
-    assert precision_recall(empty, 0.5) == (None, 0.0)
-
-
-def test_score_threshold_inclusive():
-    annotated = make_annotated(tp=[(0.5, 1.0)], fp=[], total_gt=1)
-    assert precision_recall(annotated, 0.5) == (1.0, 1.0)
-    assert precision_recall(annotated, np.nextafter(0.5, 1.0)) == (None, 0.0)
-
-
-def test_t2t_precision_recall_walk():
-    annotated = make_annotated(tp=[(0.9, 1.0), (0.8, 3.0)], fp=[(0.7, 2.0)], total_gt=2)
-    assert t2t_precision_recall(annotated, 1.0) == (1.0, 0.5)
-    assert t2t_precision_recall(annotated, 2.0) == (0.5, 0.5)
-    assert t2t_precision_recall(annotated, 3.0) == (2.0 / 3.0, 1.0)
-    assert t2t_precision_recall(annotated, 0.5) == (None, 0.0)
-    with pytest.raises(ValidationError):
-        t2t_precision_recall(annotated, -1.0)
-
-
-def test_t2t_precision_recall_matches_bruteforce():
-    rng = np.random.default_rng(21)
-    for _ in range(30):
-        annotated = make_random_annotated(rng, max_entries=20, max_gt=25)
-        tp = annotated.distances(Kind.TP)
-        fp = annotated.distances(Kind.FP)
-        thr = float(rng.uniform(0, 100))
-        assert t2t_precision_recall(annotated, thr) == t2t_pr_bruteforce(
-            tp, fp, annotated.total_gt, thr
-        )
 
 
 # ----------------------------------------------------------- score-ranked AP
@@ -173,15 +117,14 @@ def test_ap_over_iou_range():
     dets = detection_set(
         detections=(
             Detection(
-                detection_id="d", image_id="im", box=BoundingBox(0.75, 0, 3, 1), score=0.9
+                detection_id="d", image_id="im", box=BoundingBox(0.75, 0, 3, 1), score=0.9,
+                feature=np.zeros(2),
             ),
         )
     )
+    model = model_from_moments(np.zeros(2), np.eye(2))
     # IoU is exactly 0.6: a hit at grid points 0.50, 0.55, 0.60 and a miss above
-    assert ap_over_iou_range(dets, gts) == 0.3
-
-    with pytest.raises(ValidationError):
-        ap_over_iou_range(dets, gts, iou_thresholds=())
+    assert metric_report(model, dets, gts)[0].ap_5095 == 0.3
 
 
 # -------------------------------------------------------- distance-ranked AP
@@ -201,6 +144,46 @@ def test_ap_t2t_edge_cases():
     assert ap_t2t(annotated) == 0.5
 
 
+def test_precision_none_when_nothing_kept():
+    # with nothing kept there is no precision term: AP_t2t is 0.0, not undefined
+    assert ap_t2t(annotated_outcome(entries=(), total_gt=2, score_threshold=0.0)) == 0.0
+    model = model_from_moments(np.zeros(2), np.eye(2))
+    dets = grid_dets([("a", 0, 0.3, [0.5, 0.0])])
+    assert ap_t2t_profile(model, dets, grid_gts(2), {"high": 0.9}) == {"high": 0.0}
+
+
+def test_precision_recall_example():
+    # precision and recall at a score cut are a mask over the public columns
+    annotated = make_annotated(
+        tp=[(0.9, 1.0), (0.8, 1.0), (0.7, 1.0), (0.2, 1.0)],
+        fp=[(0.9, 1.0), (0.6, 1.0), (0.1, 1.0)],
+        total_gt=6,
+    )
+    kept = annotated.scores >= 0.5
+    hits = np.count_nonzero(annotated.tp & kept)
+    assert hits / np.count_nonzero(kept) == 0.6
+    assert hits / annotated.total_gt == 0.5
+
+
+def test_t2t_precision_recall_walk():
+    # each TP adds the precision at its own distance, inclusive of every tie
+    annotated = make_annotated(
+        tp=[(0.9, 1.0), (0.8, 3.0), (0.6, 3.0)], fp=[(0.7, 2.0), (0.5, 3.0)], total_gt=4
+    )
+
+    def precision_recall(threshold):
+        kept = annotated.dist <= threshold
+        hits = np.count_nonzero(annotated.tp & kept)
+        return hits / np.count_nonzero(kept), hits / annotated.total_gt
+
+    assert precision_recall(1.0) == (1.0, 0.25)
+    assert precision_recall(2.0) == (0.5, 0.25)
+    assert precision_recall(3.0) == (0.6, 0.75)
+    # (1 + 3/5 + 3/5) / 4
+    assert ap_t2t(annotated) == 0.55
+    assert ap_t2t(annotated) == float(ap_t2t_exact([1.0, 3.0, 3.0], [2.0, 3.0], 4))
+
+
 def test_ap_t2t_tied_distances_contribute_per_entry():
     # three TPs sharing one distance: three terms, all evaluated at that distance
     annotated = make_annotated(
@@ -213,8 +196,8 @@ def test_ap_t2t_matches_bruteforce_oracle():
     rng = np.random.default_rng(23)
     for trial in range(200):
         annotated = make_random_annotated(rng, lattice=trial % 2 == 0)
-        tp = annotated.distances(Kind.TP)
-        fp = annotated.distances(Kind.FP)
+        tp = annotated.dist[annotated.tp]
+        fp = annotated.dist[~annotated.tp]
         got = ap_t2t(annotated)
         assert got == float(ap_t2t_exact(tp, fp, annotated.total_gt))
         assert got == pytest.approx(
@@ -226,7 +209,7 @@ def test_ap_t2t_upper_bound():
     rng = np.random.default_rng(24)
     for _ in range(100):
         annotated = make_random_annotated(rng)
-        n_tp = len(annotated.distances(Kind.TP))
+        n_tp = int(np.count_nonzero(annotated.tp))
         assert ap_t2t(annotated) <= n_tp / annotated.total_gt + 1e-15
 
     # the bound is attained exactly when every FP sits beyond every TP
@@ -280,8 +263,8 @@ def test_ap_t2t_improves_when_tp_moves_closer():
     rng = np.random.default_rng(26)
     for _ in range(60):
         annotated = make_random_annotated(rng, ties=False)
-        tp = list(annotated.distances(Kind.TP))
-        fp = list(annotated.distances(Kind.FP))
+        tp = list(annotated.dist[annotated.tp])
+        fp = list(annotated.dist[~annotated.tp])
         if not tp:
             continue
         before = ap_t2t_exact(tp, fp, annotated.total_gt)
@@ -302,8 +285,8 @@ def test_ap_t2t_grows_when_fp_moves_away():
     rng = np.random.default_rng(27)
     for _ in range(60):
         annotated = make_random_annotated(rng)
-        tp = list(annotated.distances(Kind.TP))
-        fp = list(annotated.distances(Kind.FP))
+        tp = list(annotated.dist[annotated.tp])
+        fp = list(annotated.dist[~annotated.tp])
         if not tp or not fp:
             continue
         before = ap_t2t_exact(tp, fp, annotated.total_gt)
@@ -567,24 +550,19 @@ def test_profile_med_equals_high_when_no_scores_between():
 
 
 def test_profile_partial_failure_keeps_results():
+    # "b" scores below the "med" and "high" thresholds, but the "all" regime
+    # keeps it, so the one annotation needs its distance.
     model = model_from_moments(np.zeros(2), np.eye(2))
-    dets = grid_dets(
-        [
-            ("a", 0, 0.95, [0.5, 0.0]),
-            ("b", None, 0.05, None),  # unbound feature, only seen by "all"
-        ]
-    )
-    gts = grid_gts(2)
-    with pytest.raises(RegimeError) as err:
-        ap_t2t_profile(model, dets, gts)
-    assert set(err.value.failures) == {"all"}
-    assert isinstance(err.value.failures["all"], BindingError)
-    assert err.value.results == {"med": 0.5, "high": 0.5}
+    dets = grid_dets([("a", 0, 0.95, [0.5, 0.0]), ("b", None, 0.05, None)])
+    with pytest.raises(BindingError, match="^1 detections have no bound feature: b$"):
+        ap_t2t_profile(model, dets, grid_gts(2))
+    assert ap_t2t_profile(model, dets, grid_gts(2), {"med": 0.1, "high": 0.5}) == {
+        "med": 0.5, "high": 0.5}
 
 
 def test_a_failing_regime_is_not_matched_again(monkeypatch):
-    # The regime above the failing one is a prefix of the one matching: no
-    # second IoU table is built for it.
+    # The profile fails at its one annotation, after one IoU table is built:
+    # no regime is matched again to find out which of them failed.
     tables = []
     for module in (matching, metrics):
         build = module.iou_matcher
@@ -592,10 +570,17 @@ def test_a_failing_regime_is_not_matched_again(monkeypatch):
                             lambda *args, _build=build: tables.append(args) or _build(*args))
     model = model_from_moments(np.zeros(2), np.eye(2))
     dets = grid_dets([("a", 0, 0.95, [0.5, 0.0]), ("b", None, 0.05, None)])
-    with pytest.raises(RegimeError) as err:
+    with pytest.raises(BindingError, match="^1 detections have no bound feature: b$"):
         ap_t2t_profile(model, dets, grid_gts(2), iou_thresholds=IOU_GRID)
     assert len(tables) == 1
-    assert set(err.value.failures) == {"all"}
+
+
+def test_score_threshold_inclusive():
+    # a regime keeps a detection that scores exactly its threshold
+    model = model_from_moments(np.zeros(2), np.eye(2))
+    dets = grid_dets([("a", 0, 0.5, [0.5, 0.0])])
+    regimes = {"at": 0.5, "above": float(np.nextafter(0.5, 1.0))}
+    assert ap_t2t_profile(model, dets, grid_gts(1), regimes) == {"at": 1.0, "above": 0.0}
 
 
 def test_profile_validation():
@@ -680,12 +665,11 @@ def random_scene(rng, unbound=False, misshapen=False, rows=None):
 
 
 def regime_outcome(fn, *args):
-    """The profile, or the partial results and (type, message) of each failure."""
+    """The profile, or the type and message of the error that ended it."""
     try:
         return list(fn(*args).items())
-    except RegimeError as exc:
-        failures = [(name, type(e), str(e)) for name, e in exc.failures.items()]
-        return list(exc.results.items()), failures
+    except T2TError as exc:
+        return type(exc), str(exc)
 
 
 def random_thresholds(rng):
@@ -707,9 +691,9 @@ def test_profile_and_iou_range_equal_the_rematch_oracle():
             assert got == regime_outcome(ap_t2t_profile_rematch, model, dets, gts, thresholds, ious)
             failed += isinstance(got, tuple)
         for score_threshold in thresholds.values():
-            assert ap_over_iou_range(dets, gts, score_threshold) == ap_over_iou_range_rematch(
-                dets, gts, score_threshold
-            )
+            match = matching.iou_matcher(dets, gts, score_threshold)
+            aps = [average_precision(match(t)) for t in IOU_GRID]
+            assert sum(aps) / len(aps) == ap_over_iou_range_rematch(dets, gts, score_threshold)
     assert failed > 0
 
 
@@ -724,10 +708,10 @@ def test_metric_report_equals_the_rematch_oracle():
                 args = (model, dets, gts, thresholds, iou_threshold, iou_grid)
                 try:
                     expected = metric_report_rematch(*args)
-                except RegimeError as exc:
-                    with pytest.raises(RegimeError) as err:
+                except T2TError as exc:
+                    with pytest.raises(T2TError) as err:
                         metric_report(*args)
-                    assert str(err.value) == str(exc)
+                    assert (type(err.value), str(err.value)) == (type(exc), str(exc))
                     continue
                 report, annotated = metric_report(*args)
                 assert report == expected[0] and plain(annotated) == plain(expected[1])

@@ -12,7 +12,6 @@ from t2tmetrics import (
     average_runs,
     build_accuracy_curve,
     matching_image_count,
-    replacement_gain,
 )
 
 
@@ -26,7 +25,7 @@ def curve(samples, label=""):
 def test_build_sorts_by_count():
     c = curve([(10, 0.4), (5, 0.2)])
     assert c.counts == (5, 10)
-    assert c.accuracies == (0.2, 0.4)
+    assert c.points == ((5, Fraction(1, 5)), (10, Fraction(2, 5)))
 
 
 def test_build_validation():
@@ -110,7 +109,6 @@ def test_average_runs_exact():
     ]
     mean = average_runs(runs)
     assert mean.points == ((5, Fraction(3, 10)), (10, Fraction(3, 5)))
-    assert mean.accuracies == (0.3, 0.6)
     assert mean.label == "mean of 3 runs"
 
 
@@ -232,14 +230,21 @@ def test_target_validation():
 
 
 def test_replacement_gain():
+    # the gain is the difference of two lookups, as `t2t replacement` reports it
     c = curve([(20, 0.1), (60, 0.3), (100, 0.5), (140, 0.6)])
-    assert replacement_gain(c, 0.5, 0.3) == 40.0
-    assert replacement_gain(c, 0.3, 0.3) == 0.0
-    assert replacement_gain(c, 0.2, 0.3) == -20.0
+
+    def gain(with_acc, without_acc):
+        return (matching_image_count(c, with_acc).matched_same_domain_count
+                - matching_image_count(c, without_acc).matched_same_domain_count)
+
+    assert gain(0.5, 0.3) == 40.0
+    assert gain(0.3, 0.3) == 0.0
+    assert gain(0.2, 0.3) == -20.0
 
 
 def test_gain_zero_when_both_saturate_at_top():
     c = curve([(5, 0.2), (10, 0.4)])
-    assert replacement_gain(c, 0.9, 0.8) == 0.0
+    assert matching_image_count(c, 0.9).matched_same_domain_count == 10.0
+    assert matching_image_count(c, 0.8).matched_same_domain_count == 10.0
     assert matching_image_count(c, 0.9).saturated is True
     assert matching_image_count(c, 0.8).saturated is True

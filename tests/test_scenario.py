@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from t2tmetrics import (
-    Kind,
     Scenario,
     ScenarioSpec,
     ValidationError,
@@ -16,7 +15,7 @@ from t2tmetrics import (
     load_ground_truth,
     match_detections,
     shrink_tp_distances,
-    train2test_distance,
+    train2test_distances,
 )
 from records import plain
 
@@ -187,8 +186,8 @@ def test_expected_distance_tracks_scale():
     model = scenario.planted_model()
     outcome = match_detections(scenario.detections, scenario.ground_truth, 0.5, 0.0)
     annotated = annotate_distances(model, outcome)
-    mean_tp = annotated.distances(Kind.TP).mean()
-    mean_fp = annotated.distances(Kind.FP).mean()
+    mean_tp = annotated.dist[annotated.tp].mean()
+    mean_fp = annotated.dist[~annotated.tp].mean()
     assert mean_tp == pytest.approx(1.0 * 8, rel=0.15)
     assert mean_fp == pytest.approx(9.0 * 8, rel=0.15)
     assert mean_tp < mean_fp
@@ -226,8 +225,8 @@ def test_shrink_scales_planted_distances():
 
     for det, moved in zip(scenario.detections.detections, shrunk.detections.detections):
         assert det.detection_id == moved.detection_id
-        d0 = train2test_distance(model, det.feature)
-        d1 = train2test_distance(model, moved.feature)
+        d0 = train2test_distances(model, [det.feature])[0]
+        d1 = train2test_distances(model, [moved.feature])[0]
         if det.detection_id in scenario.tp_detection_ids:
             assert d1 == pytest.approx(0.25 * d0, rel=1e-4)
         else:
@@ -245,7 +244,7 @@ def test_shrink_to_zero_reaches_the_upper_bound():
     for det in collapsed.detections.detections:
         if det.detection_id in scenario.tp_detection_ids:
             # features land on the float32 rounding of the planted mean
-            assert train2test_distance(model, det.feature) < 1e-12
+            assert train2test_distances(model, [det.feature])[0] < 1e-12
 
     outcome = match_detections(collapsed.detections, collapsed.ground_truth, 0.5, 0.0)
     annotated = annotate_distances(model, outcome)
