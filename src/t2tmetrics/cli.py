@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
 from . import feature_model, ingest, matching, metrics, replacement, report, scenario
-from .errors import NumericalError, ParseError, T2TError, ValidationError
+from .errors import NumericalError, T2TError, ValidationError
 from .fsio import (
     _csv_number,
     _csv_text,
@@ -276,8 +276,6 @@ def cmd_replacement(args: argparse.Namespace) -> int:
     curves: list[replacement.AccuracyCurve] = []
     for path in args.curve:
         curves.extend(replacement._read_curve_file(Path(path)))
-    if not curves:
-        raise ValidationError("no curves given")
     curve = replacement.average_runs(curves)
     note = curve.label if len(curves) > 1 else f"curve {curve.label!r}"
     lines = [f"# same-domain accuracy: {note}, {len(curve.points)} samples"]
@@ -334,54 +332,9 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.input)
     rows = _read_csv_rows(path)
-    title = args.title or ""
     with _naming(path):
-        if len(rows) < 2:
-            raise ParseError("expected a header row and at least one data row")
-        header, body = rows[0], rows[1:]
-        for lineno, row in enumerate(body, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"row {lineno}: expected {len(header)} columns, got {len(row)}")
-        if args.kind == "series":
-            if header[:3] != ["series", "x", "y"]:
-                raise ParseError("expected columns series,x,y[,floored]")
-            groups: dict[str, list[tuple[float, float]]] = {}
-            for row in body:
-                try:
-                    point = (_csv_number(float, row[1]), _csv_number(float, row[2]))
-                    groups.setdefault(row[0], []).append(point)
-                except ValueError:
-                    raise ParseError(f"non-numeric series row: {row!r}") from None
-            plot = report.SeriesPlot(
-                series=tuple(report.Series(label=k, points=tuple(v)) for k, v in groups.items()),
-                x_label="training images",
-                y_label="AP_t2t",
-                y_scale="linear" if args.linear else "log",
-                title=title,
-            )
-            svg = report.render_svg(plot)
-        elif args.kind == "histogram":
-            if header != ["bin_lo", "bin_hi", "count"]:
-                raise ParseError("expected columns bin_lo,bin_hi,count")
-            try:
-                lows = [_csv_number(float, r[0]) for r in body]
-                edges = lows[:1] + [_csv_number(float, r[1]) for r in body]
-                counts = [_csv_number(int, r[2]) for r in body]
-            except ValueError:
-                raise ParseError("non-numeric histogram row") from None
-            for i in range(1, len(body)):
-                if lows[i] != edges[i]:
-                    raise ParseError(f"bins are not contiguous at row {i + 1}")
-            svg = report.render_svg(
-                report.Histogram(edges=tuple(edges), counts=tuple(counts), label=title))
-        else:
-            if header != ["label", "value"]:
-                raise ParseError("expected columns label,value")
-            try:
-                bars = tuple((r[0], _csv_number(float, r[1])) for r in body)
-            except ValueError:
-                raise ParseError("non-numeric bar row") from None
-            svg = report.render_svg(report.BarChart(bars=bars, title=title))
+        chart = report._chart_from_csv(args.kind, rows, args.title or "", args.linear)
+        svg = report.render_svg(chart)
     write_text(args.out, svg)
     print(f"wrote {args.out}")
     return 0

@@ -375,7 +375,6 @@ class DistanceAnnotatedOutcome:
     scores: np.ndarray
     dist: np.ndarray
     total_gt: int
-    score_threshold: float
 
     def __post_init__(self) -> None:
         ids = list(self.ids)
@@ -432,8 +431,7 @@ def _annotated(
     dets = outcome.dets
     return DistanceAnnotatedOutcome(
         ids=list(map(dets.ids.__getitem__, outcome.kept.tolist())), tp=outcome.claims >= 0,
-        scores=dets.scores[outcome.kept], dist=distances, total_gt=outcome.total_gt,
-        score_threshold=outcome.score_threshold)
+        scores=dets.scores[outcome.kept], dist=distances, total_gt=outcome.total_gt)
 
 
 def annotate_distances(

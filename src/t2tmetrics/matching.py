@@ -72,8 +72,6 @@ class MatchOutcome:
     gts: GroundTruthSet
     kept: np.ndarray
     claims: np.ndarray
-    iou_threshold: float
-    score_threshold: float
 
     def __post_init__(self) -> None:
         kept = np.asarray(self.kept, dtype=np.intp)
@@ -112,12 +110,6 @@ class MatchOutcome:
         """The kept detections that claimed no instance, in rank order."""
         records = self.dets.detections
         return tuple(records[k] for k, g in zip(self.kept.tolist(), self.claims.tolist()) if g < 0)
-
-    @functools.cached_property
-    def false_negatives(self) -> tuple[str, ...]:
-        """The ids of the instances that no kept detection claimed, in the order of ``gts``."""
-        taken = set(self.claims.tolist())
-        return tuple(inst_id for k, inst_id in enumerate(self.gts.ids) if k not in taken)
 
 
 def _edges(xywh: np.ndarray) -> np.ndarray:
@@ -258,8 +250,7 @@ def iou_matcher(
                 at, best = images[hit], best[hit]
                 free[at, best] = 0.0
                 claims[rows[at, r]] = cols[at, best]
-        return MatchOutcome(dets=dets, gts=gts, kept=kept, claims=claims,
-                            iou_threshold=iou_threshold, score_threshold=score_threshold)
+        return MatchOutcome(dets=dets, gts=gts, kept=kept, claims=claims)
 
     return match
 

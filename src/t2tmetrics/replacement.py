@@ -112,18 +112,23 @@ def build_accuracy_curve(
     return AccuracyCurve(points=tuple(points), label=label)
 
 
+def _common_grid(curves: list[AccuracyCurve]) -> tuple[int, ...]:
+    """The count grid that every run samples; two that differ are named by label."""
+    grid = curves[0].counts
+    for curve in curves[1:]:
+        if curve.counts != grid:
+            raise ValidationError(f"runs {curves[0].label!r} and {curve.label!r} sample "
+                                  f"different count grids: {grid} vs {curve.counts}")
+    return grid
+
+
 def average_runs(curves: list[AccuracyCurve]) -> AccuracyCurve:
     """Pointwise mean of several runs sampled on the identical count grid."""
     if not curves:
         raise ValidationError("average_runs needs at least one curve")
     if len(curves) == 1:
         return curves[0]
-    grid = curves[0].counts
-    for curve in curves[1:]:
-        if curve.counts != grid:
-            raise ValidationError(
-                f"curves sample different count grids: {grid} vs {curve.counts}"
-            )
+    grid = _common_grid(curves)
     n = len(curves)
     points = tuple(
         (count, sum((c.points[i][1] for c in curves), Fraction(0)) / n)
@@ -133,7 +138,7 @@ def average_runs(curves: list[AccuracyCurve]) -> AccuracyCurve:
 
 
 def _read_curve_file(path: Path) -> list[AccuracyCurve]:
-    """The curves of a ``count,accuracy[,run_id]`` CSV file, one per run id."""
+    """The curves of a ``count,accuracy[,run_id]`` CSV file, one per run id, on one grid."""
     rows = _read_csv_rows(path)
 
     def is_number(text: str) -> bool:
@@ -149,6 +154,8 @@ def _read_curve_file(path: Path) -> list[AccuracyCurve]:
         # A header such as count,accuracy holds no number; a first row that does is data.
         if len(rows[0]) >= 2 and not is_number(rows[0][0]) and not is_number(rows[0][1]):
             rows = rows[1:]
+            if not rows:
+                raise ParseError("no curve rows after the header")
         grouped: dict[str, list[tuple[int, str]]] = {}
         for lineno, row in enumerate(rows, start=1):
             if len(row) not in (2, 3):
@@ -159,10 +166,10 @@ def _read_curve_file(path: Path) -> list[AccuracyCurve]:
                 raise ParseError(f"row {lineno}: image count is not an integer: {_shown(row[0])}") from None
             run = row[2].strip() if len(row) == 3 else ""
             grouped.setdefault(run, []).append((count, row[1].strip()))
-        return [
-            build_accuracy_curve(samples, label=run or path.stem)
-            for run, samples in grouped.items()
-        ]
+        curves = [build_accuracy_curve(samples, label=run or path.stem)
+                  for run, samples in grouped.items()]
+        _common_grid(curves)
+        return curves
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from html import escape
+from typing import NamedTuple
 
 from . import feature_model, metrics, replacement
-from .errors import ValidationError
-from .fsio import _csv_text, _fmt
+from .errors import ParseError, ValidationError
+from .fsio import _csv_number, _csv_text, _fmt
 
 LOG_FLOOR = 1e-4
 
@@ -110,6 +113,12 @@ class SeriesPlot:
                     raise ValidationError(f"series {s.label!r} has y < 0 on a log scale")
 
 
+def _scaling_plot(series: tuple[Series, ...], y_scale: str, title: str) -> SeriesPlot:
+    """The paper's central plot: AP_t2t against the number of training images."""
+    return SeriesPlot(series=series, x_label="training images", y_label="AP_t2t",
+                      y_scale=y_scale, title=title)
+
+
 def scaling_series(reports: list[tuple[int, metrics.MetricReport]]) -> SeriesPlot:
     """AP_t2t against training-set size, one series per score regime."""
     if not reports:
@@ -129,13 +138,7 @@ def scaling_series(reports: list[tuple[int, metrics.MetricReport]]) -> SeriesPlo
         )
         for regime in regimes
     )
-    return SeriesPlot(
-        series=series,
-        x_label="training images",
-        y_label="AP_t2t",
-        y_scale="log",
-        title="AP_t2t vs training-set size",
-    )
+    return _scaling_plot(series, "log", "AP_t2t vs training-set size")
 
 
 # ------------------------------------------------------------------- bar charts
@@ -180,22 +183,9 @@ def export_csv(obj) -> str:
     loads neither :mod:`.feature_model` nor :mod:`.metrics`, and an
     annotation loads no :mod:`.metrics`.
     """
-    if isinstance(obj, Histogram):
-        rows = [
-            [_fmt(lo), _fmt(hi), str(count)]
-            for lo, hi, count in zip(obj.edges, obj.edges[1:], obj.counts)
-        ]
-        return _csv_text(["bin_lo", "bin_hi", "count"], rows)
-    if isinstance(obj, SeriesPlot):
-        rows = []
-        for s in obj.series:
-            for x, y in s.points:
-                floored = obj.y_scale == "log" and y == 0.0
-                rows.append([s.label, _fmt(x), _fmt(y), "true" if floored else "false"])
-        return _csv_text(["series", "x", "y", "floored"], rows)
-    if isinstance(obj, BarChart):
-        rows = [[label, _fmt(value)] for label, value in obj.bars]
-        return _csv_text(["label", "value"], rows)
+    for layout in _LAYOUTS.values():
+        if isinstance(obj, layout.chart):
+            return _csv_text([*layout.columns, *layout.extra], layout.rows(obj))
     if isinstance(obj, feature_model.DistanceAnnotatedOutcome):
         # The ids are unique, so the rows sort by id alone.
         entries = sorted(zip(obj.ids, obj.tp.tolist(), obj.scores.tolist(), obj.dist.tolist()))
@@ -414,10 +404,96 @@ def _render_bars(chart: BarChart) -> str:
 
 def render_svg(obj) -> str:
     """Deterministic, self-contained SVG for a plot object."""
-    if isinstance(obj, SeriesPlot):
-        return _render_series(obj)
-    if isinstance(obj, Histogram):
-        return _render_histogram(obj)
-    if isinstance(obj, BarChart):
-        return _render_bars(obj)
+    for layout in _LAYOUTS.values():
+        if isinstance(obj, layout.chart):
+            return layout.render(obj)
     raise ValidationError(f"no SVG rendering for {type(obj).__name__}")
+
+
+# --------------------------------------------------------------- chart layouts
+
+
+def _series_rows(plot: SeriesPlot) -> list[list[str]]:
+    return [[s.label, _fmt(x), _fmt(y), "true" if plot.y_scale == "log" and y == 0.0 else "false"]
+            for s in plot.series for x, y in s.points]
+
+
+def _series_chart(rows: list[list], title: str, linear: bool) -> SeriesPlot:
+    groups: dict[str, list[tuple[float, float]]] = {}
+    for label, x, y in rows:
+        groups.setdefault(label, []).append((x, y))
+    series = tuple(Series(label=k, points=tuple(v)) for k, v in groups.items())
+    return _scaling_plot(series, "linear" if linear else "log", title)
+
+
+def _histogram_rows(hist: Histogram) -> list[list[str]]:
+    return [[_fmt(lo), _fmt(hi), str(count)]
+            for lo, hi, count in zip(hist.edges, hist.edges[1:], hist.counts)]
+
+
+def _histogram_chart(rows: list[list], title: str, linear: bool) -> Histogram:
+    for i in range(1, len(rows)):
+        if rows[i][0] != rows[i - 1][1]:
+            raise ParseError(f"bins are not contiguous at row {i + 1}")
+    edges = (rows[0][0], *(hi for _, hi, _ in rows))
+    return Histogram(edges=edges, counts=tuple(count for *_, count in rows), label=title)
+
+
+def _bar_rows(chart: BarChart) -> list[list[str]]:
+    return [[label, _fmt(value)] for label, value in chart.bars]
+
+
+def _bar_chart(rows: list[list], title: str, linear: bool) -> BarChart:
+    return BarChart(bars=tuple(map(tuple, rows)), title=title)
+
+
+class _Layout(NamedTuple):
+    """A chart kind: its type, the CSV columns ``t2t report`` reads with their cell
+    parsers, the ``extra`` ones ``export_csv`` writes after them, the refusal of a
+    row that does not parse, and how to write its rows, build it and draw it."""
+
+    chart: type
+    columns: dict[str, Callable[[str], object]]
+    extra: tuple[str, ...]
+    refusal: str
+    rows: Callable
+    build: Callable
+    render: Callable
+
+
+_FLOAT, _INT = partial(_csv_number, float), partial(_csv_number, int)
+
+_LAYOUTS = {
+    "series": _Layout(SeriesPlot, {"series": str, "x": _FLOAT, "y": _FLOAT}, ("floored",),
+                      "non-numeric series row: {row!r}", _series_rows, _series_chart,
+                      _render_series),
+    "histogram": _Layout(Histogram, {"bin_lo": _FLOAT, "bin_hi": _FLOAT, "count": _INT}, (),
+                         "non-numeric histogram row", _histogram_rows, _histogram_chart,
+                         _render_histogram),
+    "bars": _Layout(BarChart, {"label": str, "value": _FLOAT}, (), "non-numeric bar row",
+                    _bar_rows, _bar_chart, _render_bars),
+}
+
+
+def _chart_from_csv(kind: str, rows: list[list[str]], title: str, linear: bool):
+    """The chart that ``t2t report --kind kind`` draws from a CSV's records. A kind
+    with ``extra`` columns takes any columns after the ones it reads; ``linear``
+    gives a series a linear y axis, and the other kinds ignore it."""
+    layout = _LAYOUTS[kind]
+    if len(rows) < 2:
+        raise ParseError("expected a header row and at least one data row")
+    header, body = rows[0], rows[1:]
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise ParseError(f"row {lineno}: expected {len(header)} columns, got {len(row)}")
+    names = list(layout.columns)
+    if header[:len(names)] != names or (len(header) > len(names) and not layout.extra):
+        shown = ",".join(names) + "".join(f"[,{c}]" for c in layout.extra)
+        raise ParseError(f"expected columns {shown}")
+    parsed = []
+    for row in body:
+        try:
+            parsed.append([parse(cell) for parse, cell in zip(layout.columns.values(), row)])
+        except ValueError:
+            raise ParseError(layout.refusal.format(row=row)) from None
+    return layout.build(parsed, title, linear)

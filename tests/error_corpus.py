@@ -1,16 +1,16 @@
 """A fixed corpus of malformed inputs, and the exit code and ``error:`` line of each.
 
-Each case is one small valid scenario with one input file changed: the
-ground truth, the detections, the test features as ``T2TFEAT`` or as CSV,
-the training features as ``T2TFEAT``, the model that ``t2t fit`` wrote
-from them, which that kind's runs read with ``--model``, the ``--config``
-file, or an accuracy curve, which that kind's runs give to
-``t2t replacement``. Some changes are
-refused while a file is parsed, some when the detections are bound to their
-feature rows or matched, and some are still valid. The cases derive from a
-seeded ``random.Random``, so the set of cases is the same on every run;
-``replay`` runs each through ``cli.main`` in process and returns one record
-per case, with the input directory shown as ``<dir>``.
+Each case is one small valid input with one file changed: the ground truth,
+the detections, the test features as ``T2TFEAT`` or as CSV, the training
+features as ``T2TFEAT``, the model that ``t2t fit`` wrote from them, which
+that kind's runs read with ``--model``, the ``--config`` file, an accuracy
+curve, which that kind's runs give to ``t2t replacement``, the ``--spec``
+of ``t2t scenario``, or a chart CSV of each kind that ``t2t report`` draws.
+Some changes are refused while a file is parsed, some when the detections
+are bound to their feature rows or matched, and some are still valid. The
+cases derive from a seeded ``random.Random``, so the set of cases is the
+same on every run; ``replay`` runs each through ``cli.main`` in process and
+returns one record per case, with the input directory shown as ``<dir>``.
 ``tests/test_error_corpus.py`` compares the records with
 ``tests/goldens/errors.jsonl``.
 
@@ -22,6 +22,7 @@ Rewrite the golden after an intended change of an error text with::
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import random
@@ -42,23 +43,53 @@ SPEC = {"n_gt": 8, "n_tp": 6, "n_fp": 4, "feature_dim": 3, "seed": 5, "n_train":
 CONFIG = {"iou_threshold": 0.5, "score_thresholds": {"all": 0.01, "high": 0.5},
           "epsilon": 0.001, "bins": 5}
 TRAIN = ("--train-features", "train_features.t2tfeat")
-# The file each kind changes, the --features file its runs read, and the flag
-# and file they take the model from. New kinds go last, so that the cases of
-# the kinds before them stay the same.
-KINDS = {
-    "ground truth": ("ground_truth.json", "features.t2tfeat", TRAIN),
-    "detections": ("detections.json", "features.t2tfeat", TRAIN),
-    "test T2TFEAT": ("features.t2tfeat", "features.t2tfeat", TRAIN),
-    "feature CSV": ("features.csv", "features.csv", TRAIN),
-    "training T2TFEAT": ("train_features.t2tfeat", "features.t2tfeat", TRAIN),
-    "model": ("model.t2tmodl", "features.t2tfeat", ("--model", "model.t2tmodl")),
-    "--config": ("run.json", "features.t2tfeat", TRAIN),
-    "curve CSV": ("curve.csv", None, None),
-}
+MATCHING = ("--gt", "ground_truth.json", "--det", "detections.json", "--config", "run.json")
 COMMANDS = ("distances", "ap-t2t", "evaluate")
 # The curve the curve kind changes, and the targets its runs look up on it.
 CURVE = "count,accuracy\n5,0.2\n10,0.35\n20,0.5\n40,0.62\n80,0.7\n"
 TARGETS = ("--target", "0.5", "--target", "10:0.6:0.3")
+# The chart CSVs the report kind changes, one per chart kind, as
+# `report.export_csv` writes them: a log series with a floored zero, a
+# histogram, and bars whose labels need CSV quoting.
+CHARTS = {
+    "series": "series,x,y,floored\nall,5,0.125,false\nall,10,0,true\nall,20,0.5,false\n"
+              "high,5,0.0625,false\nhigh,10,0.25,false\nhigh,20,0.375,false\n",
+    "histogram": "bin_lo,bin_hi,count\n0,0.5,3\n0.5,1,0\n1,1.5,7\n1.5,2,2\n",
+    "bars": 'label,value\n10,2.5\n"a, b",-1.25\n"say ""x""",4\n',
+}
+
+
+def _matching(name: str, features: str, model: tuple[str, ...]) -> dict:
+    return {command: (name, (command, *MATCHING, "--features", features, *model))
+            for command in COMMANDS}
+
+
+def _report(chart: str, *flags: str) -> tuple[str, tuple[str, ...]]:
+    return f"{chart}.csv", ("report", "--kind", chart, "--input", f"{chart}.csv", *flags)
+
+
+# Each kind's commands, and the file each command's cases change with the
+# command's arguments, less --out. An argument with a file suffix names a
+# file of the input directory. New kinds go last, so that the cases of the
+# kinds before them stay the same.
+KINDS = {
+    "ground truth": _matching("ground_truth.json", "features.t2tfeat", TRAIN),
+    "detections": _matching("detections.json", "features.t2tfeat", TRAIN),
+    "test T2TFEAT": _matching("features.t2tfeat", "features.t2tfeat", TRAIN),
+    "feature CSV": _matching("features.csv", "features.csv", TRAIN),
+    "training T2TFEAT": _matching("train_features.t2tfeat", "features.t2tfeat", TRAIN),
+    "model": _matching("model.t2tmodl", "features.t2tfeat", ("--model", "model.t2tmodl")),
+    "--config": _matching("run.json", "features.t2tfeat", TRAIN),
+    "curve CSV": {"replacement": ("curve.csv", ("replacement", "--curve", "curve.csv", *TARGETS))},
+    "--spec": {"scenario": ("spec.json", ("scenario", "--spec", "spec.json"))},
+    "report CSV": {
+        "report --kind series": _report("series"),
+        "report --kind series --linear": _report("series", "--linear"),
+        "report --kind histogram": _report("histogram"),
+        "report --kind bars": _report("bars"),
+    },
+}
+FILES = {name for runs in KINDS.values() for name, _ in runs.values()}
 
 # Values put in place of a JSON field: each is refused somewhere, or is valid
 # in some field.
@@ -77,6 +108,19 @@ CONFIG_KEYS = (*CONFIG, "iou_grid", "ground_truth", "no_such_key")
 CURVE_CELLS = ["", " ", "abc", "nan", "inf", "-0.1", "1.5", "1e400", "1e-400", "1/3", "0/0",
                "0.1_5", "10_0", "1e3", "-5", "0", "2.5", "99999999999999999999999999999",
                "0x10", "+0.4", " 0.45 ", "١"]
+# Values put in place of a --spec key. Each integer is at most 8 or beyond
+# every bound on a size, so an accepted spec asks for a scenario no larger
+# than the default ScenarioSpec's: 2**31 + 1 rows or dimensions exceed both
+# the count bound and the matrix bound.
+SPEC_KEYS = (*SPEC, "tp_distance_scale", "fp_distance_scale", "tp_score_range",
+             "fp_score_range", "no_such_key")
+SPEC_VALUES = [None, True, -1, 0, 1, 2, 3, 8, 1.5, -0.25, 0.5, 1e308, 1e-320, float("nan"),
+               float("inf"), 2**31 + 1, 2**64, "", "x", "3", [], {}, [0.2, 0.9], [0.9, 0.2],
+               [0, 1], [0.5], [-0.1, 0.5], [0.5, 1.5], [0.5, None]]
+# Texts put in place of a chart CSV cell or header name.
+CHART_CELLS = ["", " ", "abc", "nan", "inf", "-inf", "-1", "0", "-0", "7", "1.5", "+2", " 3 ",
+               "1e308", "-1e308", "1e400", "1e-400", "1_0", "0x10", "99999999999999999999",
+               "true", "a\x01", "\x1b[0m", "a\ufffe", "\u0661", "\u00e9 <&>"]
 # Float32 bit patterns put in place of a T2TFEAT value.
 F32_PATTERNS = [0x7FC00000, 0x7F800000, 0xFF800000, 0x7F7FFFFF, 0x00000001, 0x80000000,
                 0x3F800000, 0x4B000000]
@@ -357,14 +401,86 @@ def _curve_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
     return what, ("\n".join(lines) + "\n").encode()
 
 
+def _spec_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
+    """One change to a scenario spec: to a key's value, the set of keys, or
+    the whole document."""
+    doc = json.loads(blob)
+    op = rng.choice(("set", "set", "set", "set", "drop", "document"))
+    if op == "set":
+        key, value = rng.choice(SPEC_KEYS), rng.choice(SPEC_VALUES)
+        doc[key] = value
+        what = f"set {key} = {json.dumps(value)}"
+    elif op == "drop":
+        key = rng.choice(sorted(doc))
+        del doc[key]
+        what = f"drop {key}"
+    else:
+        doc = rng.choice([[], {}, 1, "x", None, [SPEC]])
+        what = f"replace the document with {json.dumps(doc)}"
+    return what, json.dumps(doc, indent=rng.choice((None, 2))).encode()
+
+
+def _chart_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
+    """One change to a chart CSV: to a cell, a row's width, a header name,
+    the header's width, the rows, or every row's width."""
+    lines = blob.decode().splitlines()
+    header = lines[0].split(",")
+    r = rng.randrange(1, len(lines))
+    op = rng.choice(("cell", "cell", "cell", "cell", "widen", "narrow", "name", "header",
+                     "remove", "repeat", "reverse", "blank", "every row"))
+    if op == "cell":
+        # The quoted bar labels hold a comma, so a bars row is split by the csv module.
+        cells = next(csv.reader([lines[r]]))
+        k, value = rng.randrange(len(cells)), rng.choice(CHART_CELLS)
+        cells[k] = value
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow(cells)
+        lines[r] = buf.getvalue()
+        what = f"set line {r + 1} cell {k + 1} to {value!r}"
+    elif op == "widen":
+        lines[r] += rng.choice((",1", ",", ",true,x"))
+        what = f"widen line {r + 1} to {lines[r]!r}"
+    elif op == "narrow":
+        lines[r] = lines[r].rsplit(",", 1)[0]
+        what = f"drop the last cell of line {r + 1}"
+    elif op == "name":
+        k, value = rng.randrange(len(header)), rng.choice(("", "x", "count", "label", "floored"))
+        header[k] = value
+        lines[0] = ",".join(header)
+        what = f"name column {k + 1} {value!r}"
+    elif op == "header":
+        value = rng.choice((header[:-1], header + ["extra"], header[::-1], []))
+        lines[0] = ",".join(value)
+        what = f"set the header to {lines[0]!r}"
+    elif op == "remove":
+        n = rng.randint(1, len(lines) - 1)
+        del lines[-n:]
+        what = f"remove the last {n} lines"
+    elif op == "repeat":
+        lines.append(lines[r])
+        what = f"repeat line {r + 1}"
+    elif op == "reverse":
+        lines[1:] = reversed(lines[1:])
+        what = "reverse the rows"
+    elif op == "blank":
+        lines.insert(r, "")
+        what = f"insert a blank line before line {r + 1}"
+    else:
+        extra = rng.choice(("x", "0"))
+        lines = [f"{line},{extra}" for line in lines]
+        what = f"add the cell {extra!r} to every line"
+    return what, ("\n".join(lines) + "\n").encode()
+
+
 def build(valid: dict[str, bytes]) -> list[tuple[dict, bytes]]:
     """Every case, as its kind, command and change, and the changed file's
     bytes, made from the ``valid`` files by name."""
     rng = random.Random(SEED)
     built = []
-    for kind, (name, features, _) in KINDS.items():
+    for kind, runs in KINDS.items():
         for _ in range(CASES_PER_KIND):
-            command = rng.choice(COMMANDS) if features else "replacement"
+            command = rng.choice(tuple(runs)) if len(runs) > 1 else next(iter(runs))
+            name = runs[command][0]
             if rng.random() < 0.15:
                 change, blob = _byte_edit(rng, valid[name])
             elif name == "ground_truth.json":
@@ -379,8 +495,12 @@ def build(valid: dict[str, bytes]) -> list[tuple[dict, bytes]]:
                 change, blob = _config_edit(rng, valid[name])
             elif name == "curve.csv":
                 change, blob = _curve_edit(rng, valid[name])
-            else:
+            elif name == "spec.json":
+                change, blob = _spec_edit(rng, valid[name])
+            elif name == "features.csv":
                 change, blob = _csv_edit(rng, valid[name])
+            else:
+                change, blob = _chart_edit(rng, valid[name])
             built.append(({"kind": kind, "command": command, "change": change}, blob))
     return built
 
@@ -393,7 +513,8 @@ def _run(argv: list[str]) -> tuple[int, list[str]]:
 
 
 def _valid_inputs(root: Path) -> dict[str, bytes]:
-    """The valid scenario, run config, feature CSV, model and curve, written under ``root``."""
+    """The valid scenario and its spec, run config, feature CSV and model,
+    curve and chart CSVs, written under ``root``."""
     (root / "spec.json").write_text(json.dumps(SPEC))
     code, err = _run(["scenario", "--spec", str(root / "spec.json"), "--out", str(root)])
     assert code == 0, err
@@ -406,7 +527,9 @@ def _valid_inputs(root: Path) -> dict[str, bytes]:
         f"{row_id},{','.join(map(repr, row))}\n"
         for row_id, row in zip(matrix.row_ids, matrix.data.tolist())))
     (root / "curve.csv").write_text(CURVE)
-    return {name: (root / name).read_bytes() for name, _, _ in KINDS.values()}
+    for chart, text in CHARTS.items():
+        (root / f"{chart}.csv").write_text(text)
+    return {name: (root / name).read_bytes() for name in FILES}
 
 
 def replay() -> list[dict]:
@@ -416,16 +539,10 @@ def replay() -> list[dict]:
         root = Path(tmp)
         valid = _valid_inputs(root)
         for case, blob in build(valid):
-            name, features, model = KINDS[case["kind"]]
-            command = case["command"]
-            out = root / ("out.csv" if command == "distances" else f"out-{command}")
-            if features is None:
-                argv = [command, "--curve", name, *TARGETS]
-            else:
-                argv = [command, "--gt", "ground_truth.json", "--det", "detections.json",
-                        "--config", "run.json", "--features", features, *model]
+            name, args = KINDS[case["kind"]][case["command"]]
+            out = root / ("out.csv" if args[0] == "distances" else f"out-{args[0]}")
             argv = [str(root / arg) if arg.endswith((".json", ".t2tfeat", ".csv", ".t2tmodl"))
-                    else arg for arg in argv] + ["--out", str(out)]
+                    else arg for arg in args] + ["--out", str(out)]
             (root / name).write_bytes(blob)
             try:
                 code, err = _run(argv)

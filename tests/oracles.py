@@ -32,7 +32,7 @@ from t2tmetrics import (
     average_precision,
     iou,
 )
-from records import annotated_outcome, match_outcome
+from records import annotated_outcome, false_negatives, match_outcome
 
 
 def ap_t2t_bruteforce(tp_distances, fp_distances, total_gt: int) -> float:
@@ -114,7 +114,7 @@ def match_detections_loop(
             tps.append((det, best_id))
 
     fns = tuple(inst.instance_id for inst in gts.instances if inst.instance_id not in claimed)
-    return match_outcome(tps, fps, fns, iou_threshold, score_threshold)
+    return match_outcome(tps, fps, fns)
 
 
 def ap_t2t_profile_rematch(model, dets, gts, score_thresholds=None, iou_thresholds=(0.5,)):
@@ -163,7 +163,7 @@ def metric_report_rematch(model, dets, gts, score_thresholds, iou_threshold=0.5,
         counts=(
             len(outcome.true_positives),
             len(outcome.false_positives),
-            len(outcome.false_negatives),
+            len(false_negatives(outcome)),
         ),
     )
     return report, annotate_distances(model, outcome)

@@ -58,8 +58,7 @@ def detection_set(detections) -> DetectionSet:
     )
 
 
-def match_outcome(true_positives, false_positives, false_negatives,
-                  iou_threshold: float = 0.5, score_threshold: float = 0.0) -> MatchOutcome:
+def match_outcome(true_positives, false_positives, false_negatives) -> MatchOutcome:
     """The outcome in which each of ``true_positives``, a (Detection, instance
     id) pair, claims its instance and each of ``false_positives`` claims none.
 
@@ -80,12 +79,10 @@ def match_outcome(true_positives, false_positives, false_negatives,
         gts=gts,
         kept=kept,
         claims=[k if k < len(true_positives) else -1 for k in kept],
-        iou_threshold=iou_threshold,
-        score_threshold=score_threshold,
     )
 
 
-def annotated_outcome(entries, total_gt: int, score_threshold: float = 0.0) -> DistanceAnnotatedOutcome:
+def annotated_outcome(entries, total_gt: int) -> DistanceAnnotatedOutcome:
     """The annotated outcome holding ``entries`` in the order given."""
     return DistanceAnnotatedOutcome(
         ids=[e.detection_id for e in entries],
@@ -93,8 +90,13 @@ def annotated_outcome(entries, total_gt: int, score_threshold: float = 0.0) -> D
         scores=[e.score for e in entries],
         dist=[e.distance for e in entries],
         total_gt=total_gt,
-        score_threshold=score_threshold,
     )
+
+
+def false_negatives(outcome: MatchOutcome) -> tuple[str, ...]:
+    """The ids of the instances that no kept detection claimed, in the order of ``gts``."""
+    taken = set(outcome.claims.tolist())
+    return tuple(inst_id for k, inst_id in enumerate(outcome.gts.ids) if k not in taken)
 
 
 def _detection(det) -> tuple:
@@ -114,13 +116,11 @@ def plain(obj):
         return (
             tuple((_detection(det), inst_id) for det, inst_id in obj.true_positives),
             tuple(map(_detection, obj.false_positives)),
-            obj.false_negatives,
-            obj.iou_threshold,
-            obj.score_threshold,
+            false_negatives(obj),
             obj.total_gt,
         )
     if isinstance(obj, DistanceAnnotatedOutcome):
-        return obj.entries, obj.total_gt, obj.score_threshold
+        return obj.entries, obj.total_gt
     if isinstance(obj, tuple):
         return tuple(map(plain, obj))
     return obj

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from oracles import ap_t2t_bruteforce, ap_t2t_exact, make_random_annotated
-from records import annotated_outcome, detection_set, ground_truth, match_outcome
+from records import annotated_outcome, detection_set, false_negatives, ground_truth, match_outcome
 from t2tmetrics import (
     AnnotatedEntry,
     BoundingBox,
@@ -54,7 +54,7 @@ def annotated(tp_distances, fp_distances, total_gt):
         AnnotatedEntry(detection_id=f"f{i}", kind=Kind.FP, score=0.8, distance=float(d))
         for i, d in enumerate(fp_distances)
     ]
-    return annotated_outcome(entries=tuple(entries), total_gt=total_gt, score_threshold=0.0)
+    return annotated_outcome(entries=tuple(entries), total_gt=total_gt)
 
 
 def test_c01_ap_t2t_matches_bruteforce_oracle_on_1000_outcomes():
@@ -119,8 +119,6 @@ def test_c05_ap_staircase_and_iou_grid_case_exact():
         true_positives=((det(1, 0.9), "g1"), (det(3, 0.7), "g2")),
         false_positives=(det(2, 0.8),),
         false_negatives=(),
-        iou_threshold=0.5,
-        score_threshold=0.0,
     )
     assert average_precision(outcome) == 5 / 6
 
@@ -153,7 +151,6 @@ def test_c06_order_only_dependence_exact_over_1000_transform_pairs():
             moved = annotated_outcome(
                 entries=tuple(replace(e, distance=fn(e.distance)) for e in out.entries),
                 total_gt=out.total_gt,
-                score_threshold=out.score_threshold,
             )
             assert ap_t2t(moved) == base
 
@@ -177,9 +174,7 @@ def test_c07_single_entry_improvement_never_decreases_ap_t2t():
         for index, factor in moves:
             entries = list(out.entries)
             entries[index] = replace(entries[index], distance=entries[index].distance * factor)
-            moved = annotated_outcome(
-                entries=tuple(entries), total_gt=out.total_gt, score_threshold=0.0
-            )
+            moved = annotated_outcome(entries=tuple(entries), total_gt=out.total_gt)
             after = ap_t2t(moved)
             after_exact = ap_t2t_exact(
                 moved.dist[moved.tp], moved.dist[~moved.tp], moved.total_gt
@@ -229,7 +224,7 @@ def test_c08_matching_conserves_instances_and_tp_is_monotone_in_score_cut():
         tp_sizes = []
         for score_cut in (0.0, 0.25, 0.5, 0.75, 1.0):
             out = match_detections(dets, gts, iou_cut, score_cut)
-            assert len(out.true_positives) + len(out.false_negatives) == n_gt
+            assert len(out.true_positives) + len(false_negatives(out)) == n_gt
             claimed = [inst for _, inst in out.true_positives]
             assert len(set(claimed)) == len(claimed)
             det_ids = [d.detection_id for d, _ in out.true_positives]

@@ -21,6 +21,7 @@ from t2tmetrics import (
     DEFAULT_SCORE_THRESHOLDS,
     IOU_GRID,
     AnnotatedEntry,
+    BarChart,
     BoundingBox,
     Detection,
     DetectionSet,
@@ -28,6 +29,7 @@ from t2tmetrics import (
     FeatureMatrix,
     GroundTruthInstance,
     GroundTruthSet,
+    Histogram,
     MatchOutcome,
     MetricReport,
     ScenarioSpec,
@@ -42,6 +44,7 @@ from t2tmetrics import (
     load_ground_truth,
     matching_image_count,
     model_from_moments,
+    render_svg,
     save_model,
     scaling_series,
     write_feature_matrix,
@@ -206,7 +209,7 @@ def count_record_objects(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", init)
     views = {GroundTruthSet: ["instances"], DetectionSet: ["detections"],
-             MatchOutcome: ["true_positives", "false_positives", "false_negatives"],
+             MatchOutcome: ["true_positives", "false_positives"],
              DistanceAnnotatedOutcome: ["entries"]}
     for cls, names in views.items():
         for name in names:
@@ -583,6 +586,19 @@ def test_replacement_averages_runs(tmp_path, capsys):
     assert "matched=7.5" in stdout
 
 
+def test_runs_of_two_curve_files_on_different_grids_are_named_by_label(tmp_path, capsys):
+    # Each file is whole on its own, so the error names the runs, whose
+    # labels are the file names' stems, and no single file.
+    (tmp_path / "first.csv").write_text("5,0.2\n10,0.4\n")
+    (tmp_path / "second.csv").write_text("5,0.2\n20,0.4\n")
+    argv = ["replacement", "--curve", str(tmp_path / "first.csv"),
+            "--curve", str(tmp_path / "second.csv"), "--target", "0.3",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert error_lines(capsys.readouterr().err) == [
+        "error: runs 'first' and 'second' sample different count grids: (5, 10) vs (5, 20)"]
+
+
 def test_replacement_saturation_reported(tmp_path, capsys):
     curve = tmp_path / "curve.csv"
     curve.write_text("5,0.2\n10,0.4\n")
@@ -619,6 +635,9 @@ def test_replacement_bad_target(tmp_path, capsys):
     ("5,0.2\n5,0.3\n10,0.4\n", "0.3", "{curve}: duplicate image counts in curve: [5]"),
     ("5,0.2\n", "0.3", "{curve}: a curve needs at least two samples, got 1"),
     ("\n", "0.3", "{curve}: empty curve file"),
+    ("count,accuracy\n", "0.3", "{curve}: no curve rows after the header"),
+    ("count,accuracy,run\n5,0.2,a\n10,0.4,a\n5,0.2,b\n20,0.4,b\n", "0.3",
+     "{curve}: runs 'a' and 'b' sample different count grids: (5, 10) vs (5, 20)"),
     ("count,accuracy\n5,0.2\nx,0.4\n", "0.3",
      "{curve}: row 2: image count is not an integer: 'x'"),
     # A first row holding a number is data, not a header to drop.
@@ -792,6 +811,26 @@ def test_report_series_round_trip(tmp_path):
     svg = out.read_text()
     assert svg.startswith("<svg")
     assert ">all<" in svg and ">med<" in svg
+
+
+@pytest.mark.parametrize("kind, chart, title, written", [
+    ("series", scaling_series([
+        (5, MetricReport(ap=0.2, ap_5095=0.1, ap_t2t_by_regime={"all": 0.05, "high": 0.0})),
+        (10, MetricReport(ap=0.4, ap_5095=0.2, ap_t2t_by_regime={"all": 0.3, "high": 0.125})),
+    ]), "AP_t2t vs training-set size", "high,5,0,true\n"),
+    ("histogram", Histogram(edges=(0.0, 0.5, 1.5, 4.0), counts=(3, 0, 7), label="distances"),
+     "distances", "0.5,1.5,0\n"),
+    ("bars", BarChart(bars=(("a, b", 1.5), ('say "x"', -2.0), ("10", 0.25)), title="gains"),
+     "gains", '"a, b",1.5\n"say ""x""",-2\n'),
+], ids=["log series with a floored zero", "histogram", "bar labels that need quoting"])
+def test_report_draws_the_chart_that_export_csv_wrote(tmp_path, kind, chart, title, written):
+    path = tmp_path / "chart.csv"
+    path.write_text(export_csv(chart))
+    assert written in path.read_text()
+    out = tmp_path / "chart.svg"
+    assert main(["report", "--kind", kind, "--input", str(path), "--out", str(out),
+                 "--title", title]) == 0
+    assert out.read_bytes() == render_svg(chart).encode()
 
 
 def test_report_histogram_from_evaluate_output(dataset, tmp_path):

@@ -686,8 +686,6 @@ def test_annotate_distances():
         true_positives=((det("t1", 0.9, [3.0, 4.0]), "g1"),),
         false_positives=(det("f1", 0.4, [1.0, 0.0]),),
         false_negatives=("g2",),
-        iou_threshold=0.5,
-        score_threshold=0.1,
     )
     annotated = annotate_distances(model, outcome)
     assert [e.detection_id for e in annotated.entries] == ["t1", "f1"]
@@ -696,7 +694,6 @@ def test_annotate_distances():
     assert annotated.entries[1].kind is Kind.FP
     assert annotated.entries[1].distance == 1.0
     assert annotated.total_gt == 2
-    assert annotated.score_threshold == 0.1
     np.testing.assert_array_equal(annotated.dist[annotated.tp], [25.0])
 
 
@@ -712,8 +709,6 @@ def test_annotated_entries_list_tps_then_fps_each_in_rank_order():
         ),
         false_positives=(det("f2", 0.2, [1.0, 1.0]), det("f1", 0.7, [0.0, 3.0])),
         false_negatives=(),
-        iou_threshold=0.5,
-        score_threshold=0.0,
     )
     annotated = annotate_distances(model, outcome)
     assert [(e.detection_id, e.kind, e.distance) for e in annotated.entries] == [
@@ -731,8 +726,6 @@ def test_annotate_requires_bound_features():
         true_positives=((det("t1", 0.9, None), "g1"),),
         false_positives=(det("f1", 0.4, [1.0, 0.0]),),
         false_negatives=(),
-        iou_threshold=0.5,
-        score_threshold=0.0,
     )
     with pytest.raises(BindingError) as err:
         annotate_distances(model, outcome)
@@ -746,8 +739,6 @@ def test_annotate_refuses_a_distance_that_overflows():
         true_positives=(),
         false_positives=(det("d1", 0.4, [1e5, 0.0]),),
         false_negatives=(),
-        iou_threshold=0.5,
-        score_threshold=0.0,
     )
     with pytest.raises(ValidationError) as err:
         annotate_distances(model, outcome)
@@ -773,7 +764,7 @@ def test_annotated_entry_validation():
         "tps over total_gt", "negative total_gt", "scores length"])
 def test_annotated_outcome_constructor_refuses_each_broken_invariant(changes, message):
     columns = dict(ids=["a", "b"], tp=[True, False], scores=[0.5, 0.4], dist=[1.0, 2.0],
-                   total_gt=1, score_threshold=0.0)
+                   total_gt=1)
     assert len(DistanceAnnotatedOutcome(**columns)) == 2
     with pytest.raises(ValidationError) as err:
         DistanceAnnotatedOutcome(**{**columns, **changes})

@@ -26,7 +26,7 @@ from t2tmetrics import (
 )
 from t2tmetrics.matching import _edges, _iou_cells
 from oracles import match_detections_loop
-from records import detection_set, ground_truth, match_outcome, plain
+from records import detection_set, false_negatives, ground_truth, match_outcome, plain
 
 
 def make_gt(instances):
@@ -105,7 +105,7 @@ def test_greedy_assignment_prefers_higher_score():
     out = match_detections(dets, gts, iou_threshold=0.5)
     assert [(d.detection_id, g) for d, g in out.true_positives] == [("high", "g1")]
     assert [d.detection_id for d in out.false_positives] == ["low"]
-    assert out.false_negatives == ()
+    assert false_negatives(out) == ()
 
 
 def test_detection_takes_best_iou_among_free_gt():
@@ -113,7 +113,7 @@ def test_detection_takes_best_iou_among_free_gt():
     dets = make_dets([("d", "im", (0, 0, 10, 10), 0.5)])
     out = match_detections(dets, gts, iou_threshold=0.1)
     assert out.true_positives == ((dets.detections[0], "better"),)
-    assert out.false_negatives == ("worse",)
+    assert false_negatives(out) == ("worse",)
 
 
 def test_thresholds_are_inclusive():
@@ -128,7 +128,7 @@ def test_thresholds_are_inclusive():
 
     out = match_detections(dets, gts, iou_threshold=0.1, score_threshold=0.26)
     assert out.false_positives == ()  # dropped, not counted as fp
-    assert out.false_negatives == ("g",)
+    assert false_negatives(out) == ("g",)
 
 
 def test_equal_scores_ranked_by_detection_id():
@@ -148,7 +148,7 @@ def test_iou_tie_takes_smallest_instance_id():
     dets = make_dets([("d", "im", (0, 0, 10, 10), 0.9)])
     out = match_detections(dets, gts, iou_threshold=0.5)
     assert out.true_positives[0][1] == "g1"
-    assert out.false_negatives == ("g2",)
+    assert false_negatives(out) == ("g2",)
 
 
 def test_matching_is_per_image():
@@ -157,13 +157,13 @@ def test_matching_is_per_image():
     out = match_detections(dets, gts, iou_threshold=0.5)
     assert out.true_positives == ()
     assert [d.detection_id for d in out.false_positives] == ["d"]
-    assert out.false_negatives == ("g",)
+    assert false_negatives(out) == ("g",)
 
 
 def test_empty_inputs():
     gts = make_gt([("g", "im", (0, 0, 10, 10))])
     out = match_detections(detection_set(()), gts)
-    assert out.false_negatives == ("g",)
+    assert false_negatives(out) == ("g",)
     assert out.total_gt == 1
 
     empty_gt = ground_truth(images=(ImageInfo(id="im", file_name="", width=10, height=10),), instances=())
@@ -198,7 +198,7 @@ def test_input_order_does_not_matter():
         assert set(d.detection_id for d, _ in out.true_positives) == set(
             d.detection_id for d, _ in baseline.true_positives
         )
-        assert out.false_negatives == baseline.false_negatives
+        assert false_negatives(out) == false_negatives(baseline)
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,7 +229,7 @@ def test_conservation_property(data):
     thr = data.draw(st.sampled_from([0.3, 0.5, 0.75]))
     out = match_detections(dets, gts, iou_threshold=thr)
 
-    assert len(out.true_positives) + len(out.false_negatives) == out.total_gt == n_gt
+    assert len(out.true_positives) + len(false_negatives(out)) == out.total_gt == n_gt
     matched_dets = {d.detection_id for d, _ in out.true_positives}
     fp_dets = {d.detection_id for d in out.false_positives}
     assert not matched_dets & fp_dets
@@ -300,9 +300,7 @@ def test_higher_score_cut_is_a_prefix_of_the_base_outcome(data):
         rebuilt = match_outcome(
             true_positives=tuple(data.draw(st.permutations(outcome.true_positives))),
             false_positives=tuple(data.draw(st.permutations(outcome.false_positives))),
-            false_negatives=outcome.false_negatives,
-            iou_threshold=t,
-            score_threshold=base,
+            false_negatives=false_negatives(outcome),
         )
         assert average_precision(rebuilt) == average_precision(outcome)
         for cut in SCORE_CUTS:
@@ -315,7 +313,7 @@ def test_higher_score_cut_is_a_prefix_of_the_base_outcome(data):
             assert fps == [d.detection_id for d in expected.false_positives]
             claimed = {g for _, g in tps}
             fns = [inst.instance_id for inst in gts.instances if inst.instance_id not in claimed]
-            assert fns == list(expected.false_negatives)
+            assert fns == list(false_negatives(expected))
 
 
 @pytest.mark.parametrize("changes, message", [
@@ -334,8 +332,7 @@ def test_match_outcome_constructor_refuses_each_broken_invariant(changes, messag
                         boxes=[(0, 0, 1, 1)] * 3, scores=[0.9, 0.5, 0.5])
     gts = GroundTruthSet(images=(ImageInfo("im", "", 8, 8),), ids=["g1", "g2"],
                          image_ids=["im"] * 2, boxes=[(0, 0, 1, 1)] * 2)
-    columns = dict(dets=dets, gts=gts, kept=[0, 1, 2], claims=[0, -1, -1],
-                   iou_threshold=0.5, score_threshold=0.0)
+    columns = dict(dets=dets, gts=gts, kept=[0, 1, 2], claims=[0, -1, -1])
     assert MatchOutcome(**columns).total_gt == 2
     with pytest.raises(ValidationError, match=re.escape(message)):
         MatchOutcome(**{**columns, **changes})

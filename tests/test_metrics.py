@@ -47,13 +47,11 @@ def entry(det_id, kind, score, distance):
     return AnnotatedEntry(detection_id=det_id, kind=kind, score=score, distance=distance)
 
 
-def make_annotated(tp, fp, total_gt, score_threshold=0.0):
+def make_annotated(tp, fp, total_gt):
     """tp/fp: lists of (score, distance)."""
     entries = [entry(f"t{i}", Kind.TP, s, d) for i, (s, d) in enumerate(tp)]
     entries += [entry(f"f{i}", Kind.FP, s, d) for i, (s, d) in enumerate(fp)]
-    return annotated_outcome(
-        entries=tuple(entries), total_gt=total_gt, score_threshold=score_threshold
-    )
+    return annotated_outcome(entries=tuple(entries), total_gt=total_gt)
 
 
 def make_outcome(tp_scores, fp_scores, total_gt):
@@ -138,7 +136,7 @@ def test_ap_t2t_worked_example():
 def test_ap_t2t_edge_cases():
     assert ap_t2t(make_annotated(tp=[], fp=[(0.5, 1.0)], total_gt=3)) == 0.0
     with pytest.raises(UndefinedMetricError):
-        ap_t2t(annotated_outcome(entries=(), total_gt=0, score_threshold=0.0))
+        ap_t2t(annotated_outcome(entries=(), total_gt=0))
     # a TP at distance 0 still includes every tied entry
     annotated = make_annotated(tp=[(0.9, 0.0)], fp=[(0.8, 0.0)], total_gt=1)
     assert ap_t2t(annotated) == 0.5
@@ -146,7 +144,7 @@ def test_ap_t2t_edge_cases():
 
 def test_precision_none_when_nothing_kept():
     # with nothing kept there is no precision term: AP_t2t is 0.0, not undefined
-    assert ap_t2t(annotated_outcome(entries=(), total_gt=2, score_threshold=0.0)) == 0.0
+    assert ap_t2t(annotated_outcome(entries=(), total_gt=2)) == 0.0
     model = model_from_moments(np.zeros(2), np.eye(2))
     dets = grid_dets([("a", 0, 0.3, [0.5, 0.0])])
     assert ap_t2t_profile(model, dets, grid_gts(2), {"high": 0.9}) == {"high": 0.0}
@@ -243,7 +241,6 @@ def test_ap_t2t_depends_only_on_order():
                     for e in annotated.entries
                 ),
                 total_gt=annotated.total_gt,
-                score_threshold=annotated.score_threshold,
             )
             assert ap_t2t(mapped) == base
 

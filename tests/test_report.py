@@ -38,9 +38,7 @@ def make_annotated(tp_distances, fp_distances, total_gt=None):
     ]
     if total_gt is None:
         total_gt = len(tp_distances)
-    return annotated_outcome(
-        entries=tuple(entries), total_gt=total_gt, score_threshold=0.0
-    )
+    return annotated_outcome(entries=tuple(entries), total_gt=total_gt)
 
 
 def rows_of(text):
@@ -78,7 +76,7 @@ def test_histogram_default_range_spans_all():
 
 
 def test_histogram_empty_annotated():
-    annotated = annotated_outcome(entries=(), total_gt=0, score_threshold=0.0)
+    annotated = annotated_outcome(entries=(), total_gt=0)
     tp, fp = distance_histogram(annotated, bin_count=3)
     assert tp.edges == (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
     assert tp.counts == (0, 0, 0)
