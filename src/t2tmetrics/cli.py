@@ -127,10 +127,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         key, text = problem
         source = _flag(key) if key in given else f"{args.config}: {key}"
         raise ValidationError(f"{source}: {text}")
-    # The one score cut of `t2t distances` is a flag only, not a config key.
-    cut = getattr(args, "score_threshold", 0.0)
-    if not 0.0 <= cut <= 1.0:
-        raise ValidationError(f"--score-threshold: must be in [0, 1], got {cut}")
     return cfg
 
 
@@ -161,9 +157,8 @@ def _load_inputs(cfg: RunConfig):
     gts = ingest.load_ground_truth(cfg.ground_truth)
     dets = ingest.load_detections(cfg.detections)
     # The matcher would count a detection on an unlisted image as a false positive.
-    listed = {im.id for im in gts.images}
     for det_id, image_id in zip(dets.ids, dets.image_ids):
-        if image_id not in listed:
+        if image_id not in gts._image_position:
             raise ValidationError(f"{cfg.detections}: detection {det_id!r} "
                                   f"references unknown image {image_id!r}")
     model = feature_model.load_model(cfg.model) if cfg.model is not None else _fit(cfg)
@@ -236,7 +231,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_distances(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     gts, dets, model = _load_inputs(cfg)
-    outcome = matching.match_detections(dets, gts, cfg.iou_threshold, args.score_threshold)
+    # The detections of the lowest regime: those that `evaluate` annotates.
+    cut = min(cfg.score_thresholds.values())
+    outcome = matching.match_detections(dets, gts, cfg.iou_threshold, cut)
     annotated = feature_model.annotate_distances(model, outcome)
     write_text(cfg.out, report.export_csv(annotated))
     print(f"wrote {len(annotated)} distance rows to {cfg.out}")
@@ -345,7 +342,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Exits with code 1 on a usage error, like every other bad input, and lets
-    a failed write of its help text reach ``main``, where argparse drops it."""
+    a failed write of its help text reach ``main``, where argparse drops it.
+    A flag is spelled out: ``--score-threshold`` is not ``--score-thresholds``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -380,6 +381,7 @@ def _add_io_flags(p: argparse.ArgumentParser, *, matching: bool = False) -> None
         p.add_argument("--model", type=Path, help="fitted model file (instead of --train-features)")
         p.add_argument("--iou", dest="iou_threshold", type=_FLOAT,
                        help="IoU threshold for matching (default 0.5)")
+        p.add_argument("--score-thresholds", help="regimes, e.g. all=0.01,med=0.1,high=0.5")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="full pipeline: metrics, AP_t2t profile, histograms")
     _add_io_flags(p, matching=True)
-    p.add_argument("--score-thresholds", help="regimes, e.g. all=0.01,med=0.1,high=0.5")
     p.add_argument("--bins", type=_INT, help=f"histogram bin count, 1 to {MAX_BINS} (default 30)")
     p.add_argument("--iou-grid", action="store_true", default=None,
                    help="average AP_t2t over the 0.50:0.05:0.95 IoU grid")
@@ -403,16 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, help="output model file")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("distances", help="per-detection train2test distances as CSV")
+    p = sub.add_parser("distances", help="train2test distances of the lowest regime, as CSV")
     _add_io_flags(p, matching=True)
-    p.add_argument("--score-threshold", type=_FLOAT, default=0.01,
-                   help="drop detections scoring below this (default 0.01)")
     p.add_argument("--out", type=Path, help="output CSV file")
     p.set_defaults(func=cmd_distances)
 
     p = sub.add_parser("ap-t2t", help="AP_t2t per score regime")
     _add_io_flags(p, matching=True)
-    p.add_argument("--score-thresholds", help="regimes, e.g. all=0.01,med=0.1,high=0.5")
     p.add_argument("--iou-grid", action="store_true", default=None,
                    help="average AP_t2t over the 0.50:0.05:0.95 IoU grid")
     p.add_argument("--out", type=Path, help="output directory")

@@ -294,7 +294,7 @@ class GroundTruthSet:
         return gts
 
     def _index(self, ids: list[str], image_ids: list[str], boxes: np.ndarray) -> None:
-        """Check the image and instance ids, then set the columns and ``image_index``."""
+        """Check the image and instance ids, then set the columns and image positions."""
         listed = [im.id for im in self.images]
         if (repeat := _first_repeat(listed)) is not None:
             raise ValidationError(f"duplicate image id {repeat!r} in ground truth")
@@ -311,7 +311,8 @@ class GroundTruthSet:
                         f"instance {inst_id!r} references unknown image {image_id!r}"
                     )
         for name, value in (("ids", ids), ("image_ids", _shared(image_ids)), ("boxes", boxes),
-                            ("image_index", np.array(at, dtype=np.intp))):
+                            ("image_index", np.array(at, dtype=np.intp)),
+                            ("_image_position", position)):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:

@@ -202,8 +202,7 @@ def iou_matcher(
     kept = kept[np.lexsort((dets.id_rank[kept], -dets.scores[kept]))]
     gt_ids, gt_image = gts.ids, gts.image_index
     n_images = len(gts.images)
-    image_of = {im.id: k for k, im in enumerate(gts.images)}
-    det_image = np.array([image_of.get(name, n_images) for name in dets.image_ids],
+    det_image = np.array([gts._image_position.get(name, n_images) for name in dets.image_ids],
                          dtype=np.intp)[kept]
     # Rank positions of the kept detections on listed images, and their images.
     n_cols = np.bincount(gt_image, minlength=n_images + 1)  # 0 at the unlisted index

@@ -21,7 +21,7 @@ files.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,11 @@ _MAX_BOX_JITTER = 4.0
 _MAX_COUNT = 10**7
 _MAX_MATRIX_VALUES = 2**31
 
+# A feature value is a N(0, 1) mean value plus at most sqrt(0.75 * scale * dim) plus
+# sqrt(0.25 * scale) times a N(0, 1) draw. With scale * dim <= _F32_MAX each root is
+# below sqrt(_F32_MAX) ~ 1.8e19, and no normal draw nears 1e19: it is finite in float32.
+_F32_MAX = float(np.finfo(np.float32).max)
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -80,6 +85,8 @@ class ScenarioSpec:
                 )
         if not 0 <= self.n_tp <= self.n_gt:
             raise ValidationError(f"n_tp must lie in [0, n_gt], got {_shown(self.n_tp)}")
+        if self.n_tp + self.n_fp < 1:
+            raise ValidationError(f"n_tp + n_fp must be >= 1, got {self.n_tp + self.n_fp}")
         if self.feature_dim < 1:
             raise ValidationError(f"feature_dim must be >= 1, got {_shown(self.feature_dim)}")
         for name, rows, what in (
@@ -94,6 +101,9 @@ class ScenarioSpec:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
                 raise ValidationError(f"{name} must be finite and > 0, got {value}")
+            if value * self.feature_dim > _F32_MAX:
+                raise ValidationError(f"{name} x feature_dim must be <= {_F32_MAX!r}, "
+                                      f"got {value} x {_shown(self.feature_dim)}")
         for name in ("tp_score_range", "fp_score_range"):
             pair = tuple(getattr(self, name))
             if len(pair) != 2 or not all(math.isfinite(v) for v in pair):
@@ -179,8 +189,6 @@ def _slot_boxes(n: int, image_ids: list[str],
 
 def generate_scenario(spec: ScenarioSpec) -> Scenario:
     """Deterministically expand a spec into data with known structure."""
-    if spec.n_tp + spec.n_fp == 0:
-        raise ValidationError("scenario needs at least one detection (n_tp + n_fp >= 1)")
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     dim = spec.feature_dim
 
@@ -260,12 +268,5 @@ def shrink_tp_distances(scenario: Scenario, factor: float) -> Scenario:
     data = np.array(scenario.test_features.data, dtype=np.float64)
     data[tp] = _f32(mean + math.sqrt(factor) * (data[tp] - mean))
     test_features = FeatureMatrix(data=data, row_ids=row_ids)
-    return Scenario(
-        spec=scenario.spec,
-        ground_truth=scenario.ground_truth,
-        detections=bind_features(scenario.detections, test_features),
-        train_features=scenario.train_features,
-        test_features=test_features,
-        planted_mean=scenario.planted_mean,
-        tp_detection_ids=scenario.tp_detection_ids,
-    )
+    return replace(scenario, detections=bind_features(scenario.detections, test_features),
+                   test_features=test_features)

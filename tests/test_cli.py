@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -43,13 +44,14 @@ from t2tmetrics import (
     load_feature_matrix,
     load_ground_truth,
     matching_image_count,
+    metric_report,
     model_from_moments,
     render_svg,
     save_model,
     scaling_series,
     write_feature_matrix,
 )
-from t2tmetrics.cli import RunConfig, main
+from t2tmetrics.cli import RunConfig, build_parser, main
 from t2tmetrics.feature_model import _MODEL_HEADER, MODEL_MAGIC
 from t2tmetrics.ingest import FEATURE_MAGIC
 from t2tmetrics.report import _fmt
@@ -439,7 +441,7 @@ def test_distances_score_threshold_drops_rows(dataset, tmp_path):
         "--det", str(dataset / "detections.json"),
         "--features", str(dataset / "features.t2tfeat"),
         "--train-features", str(dataset / "train_features.t2tfeat"),
-        "--score-threshold", "0.5",
+        "--score-thresholds", "all=0.5",
         "--out", str(out),
     ]) == 0
     lines = out.read_text().splitlines()
@@ -455,6 +457,40 @@ def test_distances_epsilon_flag_equals_config_key(dataset, tmp_path):
     flag = (tmp_path / "flag.csv").read_bytes()
     assert flag == (tmp_path / "config.csv").read_bytes()
     assert flag != (tmp_path / "default.csv").read_bytes()
+
+
+# Each run cuts detections that the default lowest regime, 0.01, keeps; the
+# settings are (score thresholds, IoU threshold, IoU grid).
+@pytest.mark.parametrize("config, flags, settings", [
+    ({"score_thresholds": {"a": 0.3}}, [], ({"a": 0.3}, 0.5, False)),
+    (None, ["--score-thresholds", "a=0.3"], ({"a": 0.3}, 0.5, False)),
+    ({"score_thresholds": {"all": 0.2, "high": 0.6}}, ["--iou", "0.65"],
+     ({"all": 0.2, "high": 0.6}, 0.65, False)),
+    ({"score_thresholds": {"lo": 0.25, "hi": 0.5}, "iou_grid": True}, [],
+     ({"lo": 0.25, "hi": 0.5}, 0.5, True)),
+])
+def test_distances_writes_the_annotation_that_evaluate_reports(tmp_path, config, flags, settings):
+    data = tmp_path / "data"
+    assert main(["scenario", "--seed", "7", "--out", str(data)]) == 0
+    argv = ["distances"] + evaluate_args(data, tmp_path / "d.csv")[1:] + flags
+    if config is not None:
+        argv += ["--config", str(write_json(tmp_path / "run.json", config))]
+    assert main(argv) == 0
+    model = fit_gaussian(load_feature_matrix(data / "train_features.t2tfeat"))
+    dets = bind_features(load_detections(data / "detections.json"),
+                         load_feature_matrix(data / "features.t2tfeat"))
+    gts = load_ground_truth(data / "ground_truth.json")
+    _, annotated = metric_report(model, dets, gts, *settings)
+    assert (tmp_path / "d.csv").read_text() == export_csv(annotated)
+    assert len(annotated) < len(dets)
+    if settings[0] == {"a": 0.3}:
+        assert len(annotated) == 39
+
+
+@pytest.mark.parametrize("command", ["evaluate", "fit", "distances", "ap-t2t"])
+def test_every_setting_of_a_run_command_is_a_config_key(command):
+    keys = set(vars(build_parser().parse_args([command]))) - {"command", "func", "config"}
+    assert keys <= {f.name for f in dataclasses.fields(RunConfig)}
 
 
 AREA = "box area w * h must lie in"
@@ -720,6 +756,25 @@ def test_scenario_rejects_bad_spec(tmp_path, capsys):
     spec = write_json(tmp_path / "spec.json", {"n_gt": 4, "bogus": 1})
     assert main(["scenario", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+# The first value each spec check refuses: 8 is the default feature_dim, and
+# float32's largest value divided by 8 is exact.
+FIRST_REFUSED_SCALE = float(np.nextafter(float(np.finfo(np.float32).max) / 8, np.inf))
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"n_tp": 0, "n_fp": 0}, "n_tp + n_fp must be >= 1, got 0"),
+    ({"tp_distance_scale": FIRST_REFUSED_SCALE}, "tp_distance_scale x feature_dim must be "
+     f"<= 3.4028234663852886e+38, got {FIRST_REFUSED_SCALE} x 8"),
+    ({"fp_distance_scale": FIRST_REFUSED_SCALE}, "fp_distance_scale x feature_dim must be "
+     f"<= 3.4028234663852886e+38, got {FIRST_REFUSED_SCALE} x 8"),
+], ids=["detections", "tp_scale", "fp_scale"])
+def test_scenario_spec_refusal_names_the_file_and_key(tmp_path, capsys, spec, message):
+    path = write_json(tmp_path / "spec.json", spec)
+    assert main(["scenario", "--spec", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert error_lines(capsys.readouterr().err) == [f"error: {path}: {message}"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_scenario_builds_no_record_objects(tmp_path, monkeypatch):
@@ -1058,41 +1113,38 @@ def test_malformed_settings_file_exits_1_naming_file_and_key(
 
 # Out-of-range settings fail before any input is read: every input path here
 # is missing, so a later check would name a file instead.
-@pytest.mark.parametrize("config, flags, message", [
-    (None, ["--bins", "0"], "--bins: must be >= 1, got 0"),
-    ({"bins": 0}, [], "{config}: bins: must be >= 1, got 0"),
-    ({"bins": 0}, ["--bins", "5", "--iou", "0"], "--iou: must be in (0, 1], got 0.0"),
-    (None, ["--iou", "nan"], "--iou: must be in (0, 1], got nan"),
-    (None, ["--iou", "inf"], "--iou: must be in (0, 1], got inf"),
-    (None, ["--iou", "1.5"], "--iou: must be in (0, 1], got 1.5"),
-    ({"iou_threshold": 0}, [], "{config}: iou_threshold: must be in (0, 1], got 0.0"),
-    ({"iou_threshold": 0.5}, ["--iou", "-0.5"], "--iou: must be in (0, 1], got -0.5"),
-    ({"score_thresholds": {}}, [], "{config}: score_thresholds: must not be empty"),
-    ({"score_thresholds": {"all": 1.5}}, [],
+@pytest.mark.parametrize("command, config, flags, message", [
+    ("evaluate", None, ["--bins", "0"], "--bins: must be >= 1, got 0"),
+    ("evaluate", {"bins": 0}, [], "{config}: bins: must be >= 1, got 0"),
+    ("evaluate", {"bins": 0}, ["--bins", "5", "--iou", "0"], "--iou: must be in (0, 1], got 0.0"),
+    ("evaluate", None, ["--iou", "nan"], "--iou: must be in (0, 1], got nan"),
+    ("evaluate", None, ["--iou", "inf"], "--iou: must be in (0, 1], got inf"),
+    ("evaluate", None, ["--iou", "1.5"], "--iou: must be in (0, 1], got 1.5"),
+    ("evaluate", {"iou_threshold": 0}, [], "{config}: iou_threshold: must be in (0, 1], got 0.0"),
+    ("evaluate", {"iou_threshold": 0.5}, ["--iou", "-0.5"], "--iou: must be in (0, 1], got -0.5"),
+    ("evaluate", {"score_thresholds": {}}, [], "{config}: score_thresholds: must not be empty"),
+    ("evaluate", {"score_thresholds": {"all": 1.5}}, [],
      "{config}: score_thresholds: regime 'all' must be in [0, 1], got 1.5"),
-    (None, ["--score-thresholds", "all=0.1,high=nan"],
+    ("evaluate", None, ["--score-thresholds", "all=0.1,high=nan"],
      "--score-thresholds: regime 'high' must be in [0, 1], got nan"),
-    (None, ["--score-thresholds", "low=-0.1"],
+    ("evaluate", None, ["--score-thresholds", "low=-0.1"],
      "--score-thresholds: regime 'low' must be in [0, 1], got -0.1"),
-    (None, ["--epsilon", "-1"], "--epsilon: must be finite and >= 0, got -1.0"),
-    ({"epsilon": 1e309}, [], "{config}: epsilon: must be finite and >= 0, got inf"),
-    (None, ["--score-threshold", "5"], "--score-threshold: must be in [0, 1], got 5.0"),
-    (None, ["--score-threshold", "nan"], "--score-threshold: must be in [0, 1], got nan"),
-    (None, ["--score-threshold", "0.01", "--epsilon", "-1"],
-     "--epsilon: must be finite and >= 0, got -1.0"),
-    (None, ["--bins", "100001"], "--bins: must be <= 100000, got 100001"),
-    ({"bins": 100001}, [], "{config}: bins: must be <= 100000, got 100001"),
-    (None, ["--score-thresholds", ",".join(f"r{i}=0.5" for i in range(101))],
+    ("evaluate", None, ["--epsilon", "-1"], "--epsilon: must be finite and >= 0, got -1.0"),
+    ("evaluate", {"epsilon": 1e309}, [], "{config}: epsilon: must be finite and >= 0, got inf"),
+    ("distances", None, ["--epsilon", "-1"], "--epsilon: must be finite and >= 0, got -1.0"),
+    ("distances", None, ["--score-thresholds", "low=-0.1"],
+     "--score-thresholds: regime 'low' must be in [0, 1], got -0.1"),
+    ("evaluate", None, ["--bins", "100001"], "--bins: must be <= 100000, got 100001"),
+    ("evaluate", {"bins": 100001}, [], "{config}: bins: must be <= 100000, got 100001"),
+    ("evaluate", None, ["--score-thresholds", ",".join(f"r{i}=0.5" for i in range(101))],
      "--score-thresholds: must hold at most 100 regimes, got 101"),
-    ({"score_thresholds": {f"r{i}": 0.5 for i in range(101)}}, [],
+    ("evaluate", {"score_thresholds": {f"r{i}": 0.5 for i in range(101)}}, [],
      "{config}: score_thresholds: must hold at most 100 regimes, got 101"),
 ])
 def test_out_of_range_setting_exits_1_before_reading_inputs(
-    tmp_path, capsys, config, flags, message
+    tmp_path, capsys, command, config, flags, message
 ):
-    argv = evaluate_args(tmp_path / "missing", tmp_path / "out") + flags
-    if "--score-threshold" in flags:  # a flag of `t2t distances` only
-        argv[0] = "distances"
+    argv = [command] + evaluate_args(tmp_path / "missing", tmp_path / "out")[1:] + flags
     if config is not None:
         path = write_json(tmp_path / "run.json", config)
         argv += ["--config", str(path)]
@@ -1218,7 +1270,8 @@ def test_config_null_optional_means_default(dataset, tmp_path):
     assert (tmp_path / "a" / "summary.json").read_bytes() == (tmp_path / "b" / "summary.json").read_bytes()
 
 
-@pytest.mark.parametrize("argv", [["evaluate", "--bogus"], ["evaluate", "--iou", "abc"]])
+@pytest.mark.parametrize("argv", [["evaluate", "--bogus"], ["evaluate", "--iou", "abc"],
+                                  ["distances", "--score-threshold", "0.5"]])
 def test_usage_errors_exit_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -1230,7 +1283,6 @@ def test_usage_errors_exit_1(capsys, argv):
     (["evaluate", "--bins", "1_0"], "int"),
     (["evaluate", "--iou", "0.5_0"], "float"),
     (["evaluate", "--epsilon", "1_0"], "float"),
-    (["distances", "--score-threshold", "0.0_1"], "float"),
     (["scenario", "--seed", "1_0", "--out", "unused"], "int"),
 ])
 def test_numeric_flags_refuse_digit_group_underscores(capsys, argv, kind):

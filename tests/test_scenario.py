@@ -49,7 +49,26 @@ def test_spec_validation():
     with pytest.raises(ValidationError):
         small_spec(n_train=1)
     with pytest.raises(ValidationError):
-        generate_scenario(small_spec(n_tp=0, n_fp=0))
+        small_spec(n_tp=0, n_fp=0)
+
+
+# The first refused values; the spec is refused before any data is generated.
+def test_spec_needs_one_detection():
+    small_spec(n_tp=0, n_fp=1)
+    with pytest.raises(ValidationError) as err:
+        small_spec(n_tp=0, n_fp=0)
+    assert str(err.value) == "n_tp + n_fp must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("name", ["tp_distance_scale", "fp_distance_scale"])
+def test_spec_distance_scale_keeps_float32_features_finite(name):
+    largest = float(np.finfo(np.float32).max) / 8  # exact: 8 is a power of two
+    small_spec(feature_dim=8, **{name: largest})
+    refused = float(np.nextafter(largest, np.inf))
+    with pytest.raises(ValidationError) as err:
+        small_spec(feature_dim=8, **{name: refused})
+    assert str(err.value) == (
+        f"{name} x feature_dim must be <= 3.4028234663852886e+38, got {refused} x 8")
 
 
 @pytest.mark.parametrize("overrides, field", [
