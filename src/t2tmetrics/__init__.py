@@ -34,7 +34,7 @@ _PUBLIC = {
     "feature_model": (
         "AnnotatedEntry", "DistanceAnnotatedOutcome", "GaussianTrainModel", "Kind",
         "annotate_distances", "default_regularization", "fit_gaussian", "load_model",
-        "model_from_moments", "save_model", "train2test_distances",
+        "save_model", "train2test_distances",
     ),
     "metrics": (
         "DEFAULT_SCORE_THRESHOLDS", "MetricReport", "ap_t2t", "ap_t2t_profile",

@@ -15,15 +15,16 @@ its triangular inverse W, as the precision ``W.T @ W``; a covariance that
 cannot be factorized is reported as a singularity error rather than
 silently pseudo-inverted. numpy computes each ``B.T @ B`` and ``W.T @ W``
 as a symmetric rank-k update that fills one triangle and mirrors it, so the
-covariance sum and the precision are symmetric to the bit. The fit
-therefore gives the covariance to the model without the
-``(cov + cov.T) / 2`` of ``model_from_moments``, which would return it
-unchanged, no precision is symmetrized, and both build their models without
-the constructor's symmetry checks. LAPACK only factors and inverts the
-diagonal blocks, and every other step is a matrix product whose dimensions
-are whole blocks, so a model's bytes do not depend on the BLAS thread
-count. The distance product is padded to whole blocks too, so distances
-do not either.
+covariance sum and the precision are symmetric to the bit. A model has one
+constructor, ``GaussianTrainModel(mean, covariance, regularization,
+sample_count)``, which derives the precision from the covariance: the fit,
+``load_model`` and the planted scenario all build through it, and a model
+file's stored precision is not read. The constructor keeps a covariance
+that is symmetric to the bit, as the fit's is, and symmetrizes any other.
+LAPACK only factors and inverts the diagonal blocks, and every other step
+is a matrix product whose dimensions are whole blocks, so a model's bytes
+do not depend on the BLAS thread count. The distance product is padded to
+whole blocks too, so distances do not either.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import enum
 import functools
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,58 +56,48 @@ _MODEL_HEADER = struct.Struct("<QdQ")
 
 @dataclass(frozen=True, eq=False)
 class GaussianTrainModel:
-    """Fitted moments plus the precision matrix actually used for distances."""
+    """Fitted moments, and the precision ``inv(covariance + regularization * I)``
+    that distances use, which the constructor derives from the covariance.
+
+    A covariance that is symmetric to the bit is kept as given; any other is
+    replaced by ``(covariance + covariance.T) / 2``. An epsilon of -0.0 is kept
+    as 0.0.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
-    precision: np.ndarray
-    regularization: float
-    sample_count: int
+    regularization: float = 0.0
+    sample_count: int = 0
+    precision: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self._check(known_symmetric=False)
-
-    @classmethod
-    def _built(cls, mean, covariance, precision, regularization, sample_count):
-        """A model whose covariance and precision are symmetric by construction.
-
-        It runs every check of the public constructor but the two symmetry
-        checks, which cost six d x d passes and a d x d buffer.
-        """
-        model = object.__new__(cls)
-        for name, value in (("mean", mean), ("covariance", covariance), ("precision", precision),
-                            ("regularization", regularization), ("sample_count", sample_count)):
-            object.__setattr__(model, name, value)
-        model._check(known_symmetric=True)
-        return model
-
-    def _check(self, known_symmetric: bool) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
         cov = np.asarray(self.covariance, dtype=np.float64)
-        prec = np.asarray(self.precision, dtype=np.float64)
-        d = mean.shape[0]
-        if mean.ndim != 1 or cov.shape != (d, d) or prec.shape != (d, d):
+        if mean.ndim != 1 or mean.size < 1 or cov.shape != (mean.size, mean.size):
             raise ValidationError(
-                f"inconsistent model shapes: mean {mean.shape}, covariance {cov.shape}, "
-                f"precision {prec.shape}"
+                f"model shapes must be (d,) and (d, d) with d >= 1, got mean {mean.shape} "
+                f"and covariance {cov.shape}"
             )
-        if not known_symmetric:
-            work = np.empty_like(cov)  # one d x d buffer for both checks
-            for name, m in (("covariance", cov), ("precision", prec)):
-                scale = float(np.abs(m, out=work).max())
-                if scale > 0:
-                    np.subtract(m, m.T, out=work)
-                    if float(np.abs(work, out=work).max()) > 1e-10 * scale:
-                        raise ValidationError(f"{name} is not symmetric")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all() and np.isfinite(prec).all()):
-            raise ValidationError("model contains non-finite values")
-        if self.regularization < 0 or not np.isfinite(self.regularization):
+        # An infinite epsilon, like an overflowed covariance, is left to _invert_spd.
+        if not self.regularization >= 0.0:
             raise ValidationError(f"regularization must be >= 0, got {self.regularization}")
         if self.sample_count < 0:
             raise ValidationError(f"sample_count must be >= 0, got {self.sample_count}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "precision", prec)
+        regularization = float(self.regularization) + 0.0
+        # A covariance symmetric to the bit is kept: (cov + cov.T) / 2 would give
+        # it back unchanged, except where doubling an entry overflows, and such a
+        # covariance, like any that is not finite, ends in _invert_spd's refusal.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not (cov.max() <= _HALF_MAX and cov.min() >= -_HALF_MAX
+                    and np.array_equal(cov, cov.T)):
+                cov = cov + cov.T
+                cov /= 2.0
+        precision = _invert_spd(cov, regularization)
+        if not (np.isfinite(mean).all() and np.isfinite(precision).all()):
+            raise ValidationError("model contains non-finite values")
+        for name, value in (("mean", mean), ("covariance", cov), ("precision", precision),
+                            ("regularization", regularization)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -198,31 +189,6 @@ def _invert_spd(matrix: np.ndarray, regularization: float) -> np.ndarray:
     return precision
 
 
-def _model(mean: np.ndarray, cov: np.ndarray, regularization: float,
-           sample_count: int) -> GaussianTrainModel:
-    """The model of a float64 mean and a symmetric float64 covariance."""
-    # An infinite epsilon, like an overflowed covariance, is left to _invert_spd.
-    if not regularization >= 0.0:
-        raise ValidationError(f"regularization must be >= 0, got {regularization}")
-    precision = _invert_spd(cov, regularization)
-    return GaussianTrainModel._built(mean, cov, precision, float(regularization), sample_count)
-
-
-def model_from_moments(
-    mean: np.ndarray,
-    covariance: np.ndarray,
-    regularization: float = 0.0,
-    sample_count: int = 0,
-) -> GaussianTrainModel:
-    """Build a model from explicit moments (the precision is computed here)."""
-    mean = np.asarray(mean, dtype=np.float64)
-    cov = np.asarray(covariance, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov = cov + cov.T
-        cov /= 2.0
-    return _model(mean, cov, regularization, sample_count)
-
-
 # Training rows per block of the covariance sum: one float64 block at a time
 # is widened and centered. A training set of at most this many rows is one
 # block, so its covariance is the single product ``X.T @ X`` of the padded
@@ -268,10 +234,6 @@ def fit_gaussian(
             cov += _centered_gram(data, start, mean)
         cov /= max(n - 1, 1)
         cov = np.ascontiguousarray(cov[:d, :d])
-        # The sum is symmetric to the bit, so model_from_moments' (cov + cov.T) / 2
-        # would give it back unchanged, except where doubling an entry overflows.
-        if not (cov.max() <= _HALF_MAX and cov.min() >= -_HALF_MAX):
-            cov = (cov + cov.T) / 2.0
         eps = default_regularization(cov) if regularization is None else float(regularization)
     del data  # the rows are freed before the inversion allocates its d x d matrices
     if n <= d and eps == 0.0:
@@ -279,7 +241,7 @@ def fit_gaussian(
             f"sample covariance from {n} rows in {d} dimensions is rank-deficient; "
             f"pass a regularization epsilon > 0"
         )
-    return _model(mean, cov, eps, n)
+    return GaussianTrainModel(mean, cov, eps, n)
 
 
 # Rows per GEMM block: large enough to amortize the call, small enough that
@@ -451,9 +413,35 @@ def annotate_distances(
 # ------------------------------------------------------------- model file I/O
 
 
+# The largest sample count of a d-dim model file is _MAX_ARRAY_BYTES // (4 * d):
+# a fit reads its n rows from one FeatureMatrix of n x d values of at least 4
+# bytes each (float32), and numpy holds no array of more bytes than intp's
+# largest value.
+_MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
+
+
+def _check_header(d: int, eps: float, count: int) -> None:
+    """Refuse a model file header that no fit writes."""
+    if not 0.0 <= eps < np.inf:
+        raise ValidationError(f"regularization must be >= 0, got {eps}")
+    if np.signbit(eps):
+        raise ValidationError("regularization must not be -0.0, which no fit writes")
+    most = _MAX_ARRAY_BYTES // (4 * d)
+    if not 1 <= count <= most:
+        raise ValidationError(f"sample count must lie in [1, {most}] for dimension {d}, "
+                              f"got {count}")
+    if eps == 0.0 and count <= d:
+        raise ValidationError(f"regularization must be > 0 for a sample count of {count} "
+                              f"in {d} dimensions")
+
+
 def save_model(model: GaussianTrainModel, path) -> None:
     """Binary container: magic, u64 dim, f64 epsilon, u64 sample count, then
-    mean, covariance, and precision as little-endian float64."""
+    mean, covariance, and precision as little-endian float64. ``load_model``
+    derives the precision again and does not read the stored one. A model
+    whose header ``load_model`` would refuse is refused before any write."""
+    with _naming(path):
+        _check_header(model.dim, model.regularization, model.sample_count)
     parts = [
         MODEL_MAGIC,
         _MODEL_HEADER.pack(model.dim, model.regularization, model.sample_count),
@@ -465,6 +453,11 @@ def save_model(model: GaussianTrainModel, path) -> None:
 
 
 def load_model(path) -> GaussianTrainModel:
+    """The model a ``save_model`` file holds, with its precision derived again
+    from the covariance; the stored precision's length is checked, its values
+    are not read. A header value that no fit writes is refused by name, as is
+    a mean or covariance that is not finite, or a covariance that is not
+    symmetric within 1e-10 of its largest entry."""
     blob = _read_bytes(path)
     with _naming(path):
         if blob[:len(MODEL_MAGIC)] != MODEL_MAGIC:
@@ -475,8 +468,11 @@ def load_model(path) -> GaussianTrainModel:
             raise ParseError(f"dimension must be >= 1, got {d}")
         mean = np.frombuffer(cursor.take(8 * d, "mean"), dtype="<f8").copy()
         cov = np.frombuffer(cursor.take(8 * d * d, "covariance"), dtype="<f8").reshape(d, d).copy()
-        prec = np.frombuffer(cursor.take(8 * d * d, "precision"), dtype="<f8").reshape(d, d).copy()
+        cursor.take(8 * d * d, "precision")
         cursor.end("model payload")
-        return GaussianTrainModel(
-            mean=mean, covariance=cov, precision=prec, regularization=eps, sample_count=count
-        )
+        _check_header(d, eps, count)
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValidationError("model contains non-finite values")
+        if float(np.abs(cov - cov.T).max()) > 1e-10 * float(np.abs(cov).max()):
+            raise ValidationError("covariance is not symmetric")
+        return GaussianTrainModel(mean, cov, eps, count)

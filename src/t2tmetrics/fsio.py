@@ -11,13 +11,14 @@ Every input file is opened by ``_read_bytes`` alone, including the model file
 and the report and curve CSVs: a missing file is ``no such file: PATH``, and
 any other OS error is a ``ParseError`` naming the path. The function that
 reads a file names it once: it parses the bytes inside ``_naming(path)``,
-which puts ``PATH: `` in front of any ``DataError`` raised there. The parsers
-below it name only records, lines and fields (``line 4: …``, ``truncated
-file: …``). ``_read_bytes`` runs before that block, since its own errors
-already name the path. ``_read_bytes`` returns a
-read-only ``mmap`` of the file, not a copy, and ``bytes`` only for a file that
-cannot be mapped, such as an empty file; callers read either through the
-buffer protocol. So the values of a ``T2TFEAT`` file stay in the page cache.
+which puts ``PATH: `` in front of any error of the package raised there: a
+``DataError``, or the ``NumericalError`` of a model file whose covariance
+cannot be inverted. The parsers below it name only records, lines and
+fields (``line 4: …``, ``truncated file: …``). ``_read_bytes`` runs before
+that block, since its own errors already name the path. ``_read_bytes``
+returns a read-only ``mmap`` of the file, not a copy, and ``bytes`` only
+for a file that cannot be mapped, such as an empty file; callers read
+either through the buffer protocol. So the values of a ``T2TFEAT`` file stay in the page cache.
 A file replaced by a rename during a run is safe to read; one truncated in
 place can end the run with SIGBUS. Text is decoded once, as UTF-8 with
 universal newlines, and both binary containers are read through one
@@ -46,7 +47,7 @@ import typing
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import DataError, ParseError, ValidationError
+from .errors import DataError, ParseError, T2TError, ValidationError
 
 
 # --------------------------------------------------------------------- reading
@@ -73,11 +74,11 @@ def _read_bytes(path: str | Path) -> mmap.mmap | bytes:
 
 @contextlib.contextmanager
 def _naming(where: object):
-    """Puts ``where: `` in front of each ``DataError`` raised in the block,
+    """Puts ``where: `` in front of each ``T2TError`` raised in the block,
     keeping its type; the reader of a file names the file through it, once."""
     try:
         yield
-    except DataError as exc:
+    except T2TError as exc:
         raise type(exc)(f"{where}: {exc}") from None
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .feature_model import GaussianTrainModel
 from .fsio import _shown, decode
 from .ingest import (
@@ -138,13 +138,7 @@ class Scenario:
     def planted_model(self) -> GaussianTrainModel:
         """The exact planted Gaussian, unit variance around ``planted_mean``, not fitted."""
         d = self.spec.feature_dim
-        return GaussianTrainModel(
-            mean=self.planted_mean.copy(),
-            covariance=np.eye(d),
-            precision=np.eye(d),
-            regularization=0.0,
-            sample_count=self.spec.n_train,
-        )
+        return GaussianTrainModel(self.planted_mean.copy(), np.eye(d), 0.0, self.spec.n_train)
 
     def write(self, out_dir: str | Path) -> dict[str, Path]:
         """Write the four public artifacts; re-running is byte-identical."""
@@ -164,15 +158,6 @@ class Scenario:
 
 def _f32(a: np.ndarray) -> np.ndarray:
     return a.astype(np.float32).astype(np.float64)
-
-
-def _unit_rows(g: np.ndarray) -> np.ndarray:
-    if g.size == 0:
-        return g
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise NumericalError("degenerate zero-norm direction draw")
-    return g / norms
 
 
 def _slot_boxes(n: int, image_ids: list[str],
@@ -198,7 +183,10 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
     # Offset norm and jitter sized so the expected squared distance from the
     # planted unit-variance Gaussian is distance_scale * dim.
     def draw_features(n: int, scale: float) -> np.ndarray:
-        directions = _unit_rows(rng.normal(0.0, 1.0, (n, dim)))
+        # A zero norm needs dim normal draws of exactly 0.0; its NaN row would
+        # be refused as a non-finite feature value.
+        directions = rng.normal(0.0, 1.0, (n, dim))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         jitter = rng.normal(0.0, 1.0, (n, dim))
         offset_len = math.sqrt(0.75 * scale * dim)
         jitter_std = math.sqrt(0.25 * scale)

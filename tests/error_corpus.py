@@ -17,10 +17,16 @@ returns one record per case, with the input directory shown as ``<dir>``.
 Rewrite the golden after an intended change of an error text with::
 
     PYTHONPATH=src python tests/error_corpus.py
+
+and list, without writing anything, each case whose exit code or ``error:``
+line differs from the golden with::
+
+    PYTHONPATH=src python tests/error_corpus.py --diff
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -245,8 +251,9 @@ def _t2tfeat_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
 
 def _model_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
     """One change to a model file: to its magic, its header's dim, epsilon or
-    sample count, its length, one value, or one precision entry, which breaks
-    the symmetry of the precision when the change is large enough."""
+    sample count, its length, one value, or one entry of the stored precision,
+    which no reader uses, since a model derives its precision from the
+    covariance."""
     (dim,) = struct.unpack_from("<Q", blob, 8)
     values_at = 32
     precision_at = values_at + 8 * (dim + dim * dim)
@@ -559,6 +566,30 @@ def dumps(records: list[dict]) -> str:
     return "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in records)
 
 
+def diff(golden: list[dict], records: list[dict]) -> list[str]:
+    """One line per case whose outcome differs from the golden: its kind,
+    command and change, then the old and the new exit code and ``error:``
+    line. A case whose kind, command or change moved is shown whole."""
+    lines = []
+    if len(golden) != len(records):
+        lines.append(f"{len(golden)} golden records, {len(records)} replayed")
+    for old, new in zip(golden, records):
+        case = {k: old[k] for k in ("kind", "command", "change")}
+        if case != {k: new[k] for k in case}:
+            lines.append(f"case moved: {json.dumps(old)} -> {json.dumps(new)}")
+        elif (old["exit"], old["error"]) != (new["exit"], new["error"]):
+            lines.append(f"{old['kind']} | {old['command']} | {old['change']}: "
+                         f"{old['exit']} {old['error']} -> {new['exit']} {new['error']}")
+    return lines
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(dumps(replay()), encoding="utf-8")
-    sys.stdout.write(f"wrote {GOLDEN}\n")
+    parser = argparse.ArgumentParser(description="Replay the error corpus and rewrite its golden.")
+    parser.add_argument("--diff", action="store_true",
+                        help="print each case whose outcome differs from the golden; write nothing")
+    if parser.parse_args().diff:
+        golden = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
+        sys.stdout.writelines(line + "\n" for line in diff(golden, replay()))
+    else:
+        GOLDEN.write_text(dumps(replay()), encoding="utf-8")
+        sys.stdout.write(f"wrote {GOLDEN}\n")

@@ -19,6 +19,7 @@ from t2tmetrics import (
     BoundingBox,
     Detection,
     FeatureMatrix,
+    GaussianTrainModel,
     GroundTruthInstance,
     ImageInfo,
     Kind,
@@ -31,7 +32,6 @@ from t2tmetrics import (
     match_detections,
     matching_image_count,
     metric_report,
-    model_from_moments,
     shrink_tp_distances,
     train2test_distances,
 )
@@ -77,7 +77,7 @@ def test_c02_hand_worked_case_is_five_sixths_exactly():
 
 
 def test_c03_distance_zero_at_mean_identity_case_and_solver_agreement():
-    identity = model_from_moments(np.zeros(2), np.eye(2), regularization=0.0)
+    identity = GaussianTrainModel(np.zeros(2), np.eye(2), regularization=0.0)
     assert train2test_distances(identity, [np.array([3.0, 4.0])])[0] == 25.0
     assert train2test_distances(identity, [np.zeros(2)])[0] == 0.0
 
@@ -132,7 +132,7 @@ def test_c05_ap_staircase_and_iou_grid_case_exact():
         Detection(detection_id="d", image_id="im", box=BoundingBox(0.75, 0, 3, 1), score=0.9,
                   feature=np.zeros(2)),
     ))
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     assert metric_report(model, dets, gts)[0].ap_5095 == 0.3
 
 

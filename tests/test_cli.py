@@ -28,6 +28,7 @@ from t2tmetrics import (
     DetectionSet,
     DistanceAnnotatedOutcome,
     FeatureMatrix,
+    GaussianTrainModel,
     GroundTruthInstance,
     GroundTruthSet,
     Histogram,
@@ -45,7 +46,6 @@ from t2tmetrics import (
     load_ground_truth,
     matching_image_count,
     metric_report,
-    model_from_moments,
     render_svg,
     save_model,
     scaling_series,
@@ -392,7 +392,7 @@ def test_overflowing_training_covariance_exits_2_naming_file(
 def test_an_overflowing_distance_is_one_error_line_without_a_warning(dataset, tmp_path, capsys):
     # A precision of 1e300 squares a feature row of 1e20 past the float range.
     model = tmp_path / "model.t2tmodl"
-    save_model(model_from_moments(np.zeros(3), np.eye(3) * 1e-300), model)
+    save_model(GaussianTrainModel(np.zeros(3), np.eye(3) * 1e-300, 0.0, 4), model)
     matrix = load_feature_matrix(dataset / "features.t2tfeat")
     data = matrix.data.copy()
     data[matrix.row_ids.index("tp-00003")] = 1e20
@@ -1171,10 +1171,13 @@ def t2tfeat(rows, dim, body=b""):
     return FEATURE_MAGIC + struct.pack("<QQ", rows, dim) + body
 
 
-def model_file(mean, cov, prec, epsilon=0.0):
+def model_file(mean, cov, epsilon=0.0, count=5):
+    """A model file of ``mean`` and ``cov``; its precision block holds zeros,
+    since no reader uses it."""
     d = len(mean)
-    values = [*mean, *(v for row in cov for v in row), *(v for row in prec for v in row)]
-    return MODEL_MAGIC + _MODEL_HEADER.pack(d, epsilon, 5) + struct.pack(f"<{len(values)}d", *values)
+    values = [*mean, *(v for row in cov for v in row), *[0.0] * (d * d)]
+    return (MODEL_MAGIC + _MODEL_HEADER.pack(d, epsilon, count)
+            + struct.pack(f"<{len(values)}d", *values))
 
 
 # A malformed training-feature file (read by `fit`) or model file (read by
@@ -1188,12 +1191,17 @@ def model_file(mean, cov, prec, epsilon=0.0):
     ("--train-features", t2tfeat(1, 1, struct.pack("<fI", 1.0, 1) + b"\xff"),
      "row 0 id is not valid UTF-8 (invalid start byte)"),
     ("--model", MODEL_MAGIC + _MODEL_HEADER.pack(0, 0.0, 5), "dimension must be >= 1, got 0"),
-    ("--model", model_file([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]),
-     "precision is not symmetric"),
-    ("--model", model_file([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], -1.0),
+    ("--model", model_file([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], -1.0),
      "regularization must be >= 0, got -1.0"),
-    ("--model", model_file([0.0, float("nan")], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]),
+    ("--model", model_file([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], -0.0),
+     "regularization must not be -0.0, which no fit writes"),
+    ("--model", model_file([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], count=0),
+     f"sample count must lie in [1, {(2**63 - 1) // 8}] for dimension 2, got 0"),
+    ("--model", model_file([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], count=2),
+     "regularization must be > 0 for a sample count of 2 in 2 dimensions"),
+    ("--model", model_file([0.0, float("nan")], [[1.0, 0.0], [0.0, 1.0]]),
      "model contains non-finite values"),
+    ("--model", model_file([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]]), "covariance is not symmetric"),
 ])
 def test_malformed_feature_or_model_file_exits_1_naming_it(
     dataset, tmp_path, capsys, flag, content, message
@@ -1221,7 +1229,7 @@ def int_digit_limit_error(digits: int) -> str:
 @pytest.mark.parametrize("kind, content, message", [
     ("--train-features", t2tfeat(1, 1, struct.pack("<fI", 1.0, 1) + b"a!"),
      "trailing bytes after row ids"),
-    ("--model", model_file([0.0], [[1.0]], [[1.0]]) + b"!", "trailing bytes after model payload"),
+    ("--model", model_file([0.0], [[1.0]]) + b"!", "trailing bytes after model payload"),
     ("--config", b"[" * 100_000, "invalid JSON: nested too deeply"),
     ("--config", b"1" * 5000, f"invalid JSON: {int_digit_limit_error(5000)}"),
     ("--gt", b'{"images": [{"id": "a", "width": 1.5, "height": 2}], "annotations": []}',

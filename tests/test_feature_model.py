@@ -35,7 +35,6 @@ from t2tmetrics import (
     load_feature_matrix,
     load_model,
     match_detections,
-    model_from_moments,
     save_model,
     train2test_distances,
     write_feature_matrix,
@@ -306,10 +305,10 @@ def test_invert_spd_is_bit_identical_to_the_written_out_inverse():
         "covariance (epsilon=0.0) is not positive definite; pass a larger regularization epsilon",
     )
 
-    # model_from_moments symmetrizes a copy: (c + c.T) / 2, bit for bit.
+    # The constructor symmetrizes a copy: (c + c.T) / 2, bit for bit.
     c = rng.normal(size=(6, 6)) * 1e-3 + 5.0 * np.eye(6)
     before = c.copy()
-    model = model_from_moments(np.zeros(6), c, regularization=0.1)
+    model = GaussianTrainModel(np.zeros(6), c, regularization=0.1)
     assert model.covariance.tobytes() == ((before + before.T) / 2.0).tobytes()
     assert c.tobytes() == before.tobytes()
     sym = (before + before.T) / 2.0
@@ -375,30 +374,46 @@ def test_distances_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert written[0] == written[1]
 
 
-def test_model_validation():
-    eye = np.eye(2)
-    with pytest.raises(ValidationError):
-        GaussianTrainModel(
-            mean=np.zeros(3), covariance=eye, precision=eye, regularization=0.0, sample_count=1
-        )
-    asym = np.array([[1.0, 0.2], [0.0, 1.0]])
-    with pytest.raises(ValidationError):
-        GaussianTrainModel(
-            mean=np.zeros(2), covariance=asym, precision=eye, regularization=0.0, sample_count=1
-        )
-    with pytest.raises(ValidationError):
-        model_from_moments(np.zeros(2), eye, regularization=-0.1)
+@pytest.mark.parametrize("fields, message", [
+    (dict(mean=np.zeros(3)), "model shapes must be (d,) and (d, d) with d >= 1, got mean (3,) "
+                             "and covariance (2, 2)"),
+    (dict(mean=np.zeros(()), covariance=np.eye(1)),
+     "model shapes must be (d,) and (d, d) with d >= 1, got mean () and covariance (1, 1)"),
+    (dict(mean=np.zeros(0), covariance=np.eye(0)),
+     "model shapes must be (d,) and (d, d) with d >= 1, got mean (0,) and covariance (0, 0)"),
+    (dict(regularization=-0.1), "regularization must be >= 0, got -0.1"),
+    (dict(regularization=float("nan")), "regularization must be >= 0, got nan"),
+    (dict(sample_count=-1), "sample_count must be >= 0, got -1"),
+], ids=["mean and covariance", "scalar mean", "no dimension", "negative epsilon", "nan epsilon",
+        "negative sample count"])
+def test_model_validation(fields, message):
+    with pytest.raises(ValidationError) as err:
+        GaussianTrainModel(**{"mean": np.zeros(2), "covariance": np.eye(2), **fields})
+    assert str(err.value) == message
+
+
+def test_the_constructor_derives_the_precision_and_takes_none():
+    model = GaussianTrainModel(np.zeros(2), np.diag([4.0, 0.5]), 0.0, 7)
+    assert model.precision.tobytes() == feature_model._invert_spd(
+        np.diag([4.0, 0.5]), 0.0).tobytes()
+    assert (model.regularization, model.sample_count) == (0.0, 7)
+    with pytest.raises(TypeError):
+        GaussianTrainModel(np.zeros(2), np.eye(2), precision=np.eye(2))
+    # An epsilon of -0.0 is kept as 0.0, so a fit never writes one.
+    fitted = fit_gaussian(matrix([[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]]), regularization=-0.0)
+    assert not np.signbit(GaussianTrainModel(np.zeros(1), np.eye(1), -0.0).regularization)
+    assert not np.signbit(fitted.regularization)
 
 
 # ------------------------------------------------------------------- distance
 
 
 def test_distance_worked_examples():
-    identity = model_from_moments(np.zeros(2), np.eye(2))
+    identity = GaussianTrainModel(np.zeros(2), np.eye(2))
     assert train2test_distances(identity, [[3.0, 4.0]])[0] == 25.0
     assert train2test_distances(identity, [[0.0, 0.0]])[0] == 0.0
 
-    model = model_from_moments([1.0, 1.0], np.diag([4.0, 1.0]))
+    model = GaussianTrainModel([1.0, 1.0], np.diag([4.0, 1.0]))
     assert train2test_distances(model, [[3.0, 2.0]])[0] == 2.0
     assert train2test_distances(model, [model.mean])[0] == 0.0
 
@@ -451,7 +466,7 @@ def test_distance_affine_invariant():
 
 
 def test_distance_input_validation():
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     with pytest.raises(ValidationError, match=r"not all of shape \(2,\)"):
         train2test_distances(model, [[1.0, 2.0, 3.0]])
     with pytest.raises(ValidationError, match="non-finite"):
@@ -459,7 +474,7 @@ def test_distance_input_validation():
 
 
 def test_distances_input_validation():
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     assert train2test_distances(model, np.empty((0, 2))).shape == (0,)
     assert train2test_distances(model, []).shape == (0,)
     ragged = [np.zeros(2)] * 300 + [np.zeros(3)]
@@ -482,7 +497,7 @@ def test_distances_input_validation():
 def test_distances_match_the_exact_oracle(dim, rows, seed):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(dim, dim)) * rng.uniform(0.01, 10.0, size=dim)
-    model = model_from_moments(
+    model = GaussianTrainModel(
         rng.normal(size=dim) * 5, A @ A.T, regularization=rng.uniform(1e-3, 1.0)
     )
     X = model.mean + rng.normal(size=(rows, dim)) * rng.uniform(0.1, 10.0, size=dim)
@@ -516,7 +531,7 @@ def test_annotated_distances_are_the_kernel_on_the_stacked_rows(
 ):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(dim, dim))
-    model = model_from_moments(rng.normal(size=dim), A @ A.T, regularization=0.5)
+    model = GaussianTrainModel(rng.normal(size=dim), A @ A.T, regularization=0.5)
     data = rng.normal(size=(rows + extra, dim)).astype(np.float32 if float32 else np.float64)
     order = rng.permutation(rows + extra)
     ids = [f"d{k:04d}" for k in range(rows)]
@@ -553,8 +568,8 @@ def test_a_precision_entry_past_half_the_float_range_is_refused():
     # Doubling 1e308 overflows: (p + p.T) / 2 is inf, as it was when every
     # precision was symmetrized; 5e307 doubles to a finite value.
     with pytest.raises(ValidationError, match="model contains non-finite values"):
-        model_from_moments(np.zeros(1), [[1e-308]])
-    assert model_from_moments(np.zeros(1), [[2e-308]]).precision[0, 0] == 5e307
+        GaussianTrainModel(np.zeros(1), [[1e-308]])
+    assert GaussianTrainModel(np.zeros(1), [[2e-308]]).precision[0, 0] == 5e307
 
 
 @pytest.mark.parametrize("d", [392, 8])
@@ -589,7 +604,7 @@ def test_precision_is_symmetric_with_a_residual_bounded_by_the_condition(dim, lo
     rng = np.random.default_rng(dim + log_cond)
     Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     eigenvalues = np.logspace(0, -log_cond, dim) * rng.uniform(0.1, 10.0)
-    model = model_from_moments(rng.normal(size=dim), (Q * eigenvalues) @ Q.T,
+    model = GaussianTrainModel(rng.normal(size=dim), (Q * eigenvalues) @ Q.T,
                                regularization=rng.uniform(0.0, 1e-12))
     target = model.covariance + model.regularization * np.eye(dim)
     assert np.array_equal(model.precision, model.precision.T)
@@ -600,16 +615,16 @@ def test_precision_is_symmetric_with_a_residual_bounded_by_the_condition(dim, lo
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_moments_that_cannot_be_inverted_raise_numerical_errors():
     with pytest.raises(SingularCovarianceError, match="epsilon"):
-        model_from_moments(np.zeros(2), np.diag([1.0, -1.0]))
+        GaussianTrainModel(np.zeros(2), np.diag([1.0, -1.0]))
     with pytest.raises(SingularCovarianceError, match="epsilon"):
-        model_from_moments(np.zeros(2), np.ones((2, 2)))
+        GaussianTrainModel(np.zeros(2), np.ones((2, 2)))
     nan_cov = np.eye(2)
     nan_cov[0, 1] = nan_cov[1, 0] = np.nan
     # The last two targets are non-finite only once epsilon is added.
     for cov, eps in ((nan_cov, 1.0), (np.diag([1.0, np.inf]), 0.0),
                      (np.eye(2) * 8e307, 1e308), (np.eye(2), np.inf)):
         with pytest.raises(NumericalError, match="non-finite"):
-            model_from_moments(np.zeros(2), cov, regularization=eps)
+            GaussianTrainModel(np.zeros(2), cov, regularization=eps)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -623,7 +638,7 @@ def test_overflowing_training_features_raise_a_numerical_error():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_covariance_entry_past_half_the_float_range_is_refused():
     # The variance 2 * a**2 is finite, but (cov + cov.T) / 2 overflows it; the
-    # fit refuses it as model_from_moments refuses that covariance.
+    # fit refuses it as the constructor refuses that covariance.
     a = np.sqrt(np.finfo(np.float64).max / 3)
     for eps in (None, 0.0):
         with pytest.raises(NumericalError, match="non-finite"):
@@ -639,32 +654,29 @@ def model_bytes(model, path):
 @pytest.mark.parametrize("n", [2, 1024, 1025, 3000])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fitted_covariance_is_symmetric_and_gives_the_model_of_its_moments(tmp_path, d, n, dtype):
-    # The fit builds its model from the covariance without symmetrizing it
-    # and without the symmetry checks; both are bit-neutral on its moments.
+    # The fit's covariance is symmetric to the bit, so the constructor keeps
+    # it as it is, and the model of the same moments is the same file.
     rng = np.random.default_rng(d * 7919 + n)
     values = (2.0 * rng.normal(size=(n, d)) + rng.normal(size=d)).astype(dtype)
     model = fit_gaussian(FeatureMatrix(data=values, row_ids=row_ids(n)))
     assert np.array_equal(model.covariance, model.covariance.T)
     assert model.covariance.flags.c_contiguous
-    again = model_from_moments(model.mean, model.covariance, model.regularization, n)
+    again = GaussianTrainModel(model.mean, model.covariance, model.regularization, n)
     assert model_bytes(model, tmp_path / "fit") == model_bytes(again, tmp_path / "moments")
 
 
-@pytest.mark.parametrize("name", ["covariance", "precision"])
-def test_the_constructor_and_load_model_refuse_an_asymmetric_matrix(tmp_path, name):
+def test_the_constructor_symmetrizes_a_covariance_that_load_model_refuses(tmp_path):
     asym = np.array([[1.0, 0.2], [0.0, 1.0]])
-    fields = dict(mean=np.zeros(2), covariance=np.eye(2), precision=np.eye(2),
-                  regularization=0.0, sample_count=3)
-    with pytest.raises(ValidationError, match=f"^{name} is not symmetric$"):
-        GaussianTrainModel(**{**fields, name: asym})
+    model = GaussianTrainModel(np.zeros(2), asym, 0.0, 3)
+    assert model.covariance.tobytes() == np.array([[1.0, 0.1], [0.1, 1.0]]).tobytes()
 
     path = tmp_path / "m.t2tmodl"
-    raw = model_bytes(model_from_moments(np.zeros(2), np.eye(2)), path)
-    at = {"covariance": -64, "precision": -32}[name] + 16  # entry [1, 0] of the matrix
+    raw = model_bytes(GaussianTrainModel(np.zeros(2), np.eye(2), 0.0, 3), path)
+    at = -64 + 16  # entry [1, 0] of the covariance
     path.write_bytes(raw[:at] + struct.pack("<d", 0.2) + raw[at + 8:])
     with pytest.raises(ValidationError) as err:
         load_model(path)
-    assert str(err.value) == f"{path}: {name} is not symmetric"
+    assert str(err.value) == f"{path}: covariance is not symmetric"
 
 
 # ------------------------------------------------------------------ annotation
@@ -681,7 +693,7 @@ def det(det_id, score, feature):
 
 
 def test_annotate_distances():
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     outcome = match_outcome(
         true_positives=((det("t1", 0.9, [3.0, 4.0]), "g1"),),
         false_positives=(det("f1", 0.4, [1.0, 0.0]),),
@@ -700,7 +712,7 @@ def test_annotate_distances():
 def test_annotated_entries_list_tps_then_fps_each_in_rank_order():
     # The TPs are given out of rank order; "t1" and "t2" tie on score, so the
     # detection id breaks the tie.
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     outcome = match_outcome(
         true_positives=(
             (det("t3", 0.5, [1.0, 0.0]), "g3"),
@@ -721,7 +733,7 @@ def test_annotated_entries_list_tps_then_fps_each_in_rank_order():
 
 
 def test_annotate_requires_bound_features():
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     outcome = match_outcome(
         true_positives=((det("t1", 0.9, None), "g1"),),
         false_positives=(det("f1", 0.4, [1.0, 0.0]),),
@@ -734,7 +746,7 @@ def test_annotate_requires_bound_features():
 
 def test_annotate_refuses_a_distance_that_overflows():
     # The precision is 1e300 * I, so the squared distance of [1e5, 0] is inf.
-    model = model_from_moments(np.zeros(2), np.zeros((2, 2)), 1e-300)
+    model = GaussianTrainModel(np.zeros(2), np.zeros((2, 2)), 1e-300)
     outcome = match_outcome(
         true_positives=(),
         false_positives=(det("d1", 0.4, [1e5, 0.0]),),
@@ -774,20 +786,22 @@ def test_annotated_outcome_constructor_refuses_each_broken_invariant(changes, me
 # ------------------------------------------------------------------- model i/o
 
 
-def test_model_round_trip(tmp_path):
+# The loaded model derives its precision again: byte for byte the fitted one.
+@pytest.mark.parametrize("d", [4, 128, 1024])
+def test_model_round_trip(tmp_path, d):
     rng = np.random.default_rng(16)
-    model = fit_gaussian(matrix(rng.normal(size=(30, 4))))
+    model = fit_gaussian(matrix(rng.normal(size=(d + 26, d))))
     path = tmp_path / "m.t2tmodl"
     save_model(model, path)
     loaded = load_model(path)
 
     np.testing.assert_array_equal(loaded.mean, model.mean)
     np.testing.assert_array_equal(loaded.covariance, model.covariance)
-    np.testing.assert_array_equal(loaded.precision, model.precision)
+    assert loaded.precision.tobytes() == model.precision.tobytes()
     assert loaded.regularization == model.regularization
     assert loaded.sample_count == model.sample_count
 
-    x = rng.normal(size=4)
+    x = rng.normal(size=d)
     assert train2test_distances(loaded, [x])[0] == train2test_distances(model, [x])[0]
 
     again = tmp_path / "m2.t2tmodl"
@@ -796,7 +810,7 @@ def test_model_round_trip(tmp_path):
 
 
 def test_model_file_errors(tmp_path):
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2), 0.0, 3)
     path = tmp_path / "m.t2tmodl"
     save_model(model, path)
     raw = path.read_bytes()
@@ -819,3 +833,72 @@ def test_model_file_errors(tmp_path):
 
     with pytest.raises(ParseError):
         load_model(tmp_path / "missing.t2tmodl")
+
+
+def test_load_model_derives_the_precision_and_does_not_read_the_stored_one(tmp_path):
+    model = GaussianTrainModel(np.zeros(2), np.array([[2.0, 0.5], [0.5, 1.0]]), 0.25, 3)
+    raw = model_bytes(model, tmp_path / "m.t2tmodl")
+    # A non-finite and asymmetric precision block of the right length.
+    garbage = tmp_path / "garbage.t2tmodl"
+    garbage.write_bytes(raw[:-32] + struct.pack("<4d", np.nan, 1.0, -1.0, np.inf))
+    loaded = load_model(garbage)
+    assert loaded.precision.tobytes() == model.precision.tobytes()
+    assert model_bytes(loaded, tmp_path / "again.t2tmodl") == raw
+
+
+_COUNT_BOUND = (2**63 - 1) // 8  # for d = 2: float32 rows of 8 bytes each
+
+
+@pytest.mark.parametrize("epsilon, count, message", [
+    (-0.0, 3, "regularization must not be -0.0, which no fit writes"),
+    (-1.0, 3, "regularization must be >= 0, got -1.0"),
+    (np.inf, 3, "regularization must be >= 0, got inf"),
+    (np.nan, 3, "regularization must be >= 0, got nan"),
+    (0.25, 0, f"sample count must lie in [1, {_COUNT_BOUND}] for dimension 2, got 0"),
+    (0.25, _COUNT_BOUND + 1,
+     f"sample count must lie in [1, {_COUNT_BOUND}] for dimension 2, got {_COUNT_BOUND + 1}"),
+    (0.0, 2, "regularization must be > 0 for a sample count of 2 in 2 dimensions"),
+    (0.0, 1, "regularization must be > 0 for a sample count of 1 in 2 dimensions"),
+    (0.25, 1, None),
+    (0.25, _COUNT_BOUND, None),
+    (0.0, 3, None),
+    (5e-324, 3, None),
+], ids=["-0.0", "negative", "inf", "nan", "no rows", "past the bound", "epsilon 0 at n = d",
+        "epsilon 0 at n < d", "one row", "at the bound", "epsilon 0 at n > d", "subnormal"])
+def test_load_model_refuses_header_values_that_no_fit_writes(tmp_path, epsilon, count, message):
+    path = tmp_path / "m.t2tmodl"
+    raw = bytearray(model_bytes(GaussianTrainModel(np.zeros(2), np.eye(2), 0.25, 3), path))
+    struct.pack_into("<dQ", raw, 16, epsilon, count)
+    path.write_bytes(raw)
+    if message is None:
+        loaded = load_model(path)
+        assert (loaded.regularization, loaded.sample_count) == (epsilon, count)
+        return
+    with pytest.raises(ValidationError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(sample_count=0),
+     f"sample count must lie in [1, {_COUNT_BOUND}] for dimension 2, got 0"),
+    (dict(sample_count=2), "regularization must be > 0 for a sample count of 2 in 2 dimensions"),
+], ids=["no rows", "epsilon 0 at n = d"])
+def test_save_model_refuses_a_header_that_load_model_refuses(tmp_path, fields, message):
+    path = tmp_path / "m.t2tmodl"
+    with pytest.raises(ValidationError) as err:
+        save_model(GaussianTrainModel(np.zeros(2), np.eye(2), **fields), path)
+    assert str(err.value) == f"{path}: {message}"
+    assert not path.exists()
+
+
+def test_a_model_file_whose_covariance_cannot_be_inverted_is_named_in_the_error(tmp_path):
+    path = tmp_path / "m.t2tmodl"
+    raw = bytearray(model_bytes(GaussianTrainModel(np.zeros(2), np.eye(2), 0.25, 3), path))
+    struct.pack_into("<d", raw, 16, 0.0)
+    struct.pack_into("<4d", raw, 32 + 16, 1.0, 1.0, 1.0, 1.0)  # a rank-1 covariance
+    path.write_bytes(raw)
+    with pytest.raises(SingularCovarianceError) as err:
+        load_model(path)
+    assert str(err.value) == (f"{path}: covariance (epsilon=0.0) is not positive definite; "
+                              f"pass a larger regularization epsilon")

@@ -39,7 +39,7 @@ from t2tmetrics import (
 )
 from t2tmetrics.cli import RunConfig
 from t2tmetrics.fsio import _read_bytes, decode
-from t2tmetrics.ingest import FEATURE_MAGIC
+from t2tmetrics.ingest import FEATURE_MAGIC, _NUMBER, _record_columns
 from t2tmetrics.scenario import ScenarioSpec
 from records import detection_set, ground_truth, plain
 
@@ -679,6 +679,17 @@ def test_feature_matrix_validation():
     with pytest.raises(ValidationError) as err:
         FeatureMatrix(data=np.array([[1.0], [np.inf]]), row_ids=("a", "b"))
     assert "b" in str(err.value)
+    with pytest.raises(ValidationError) as err:
+        FeatureMatrix(data=np.ones(3), row_ids=("a", "b", "c"))
+    assert str(err.value) == "feature data must be 2-D, got shape (3,)"
+
+
+def test_a_column_check_refusing_what_the_record_checks_pass_is_an_internal_error():
+    # The loaders' column checks refuse only what a scalar check refuses; a
+    # column check that breaks that rule ends in an assertion, not a silent pass.
+    with pytest.raises(AssertionError, match="a column check refused a record"):
+        _record_columns("list", [{"score": 0.5}], (("score", _NUMBER),),
+                        lambda scores: np.zeros(len(scores), dtype=bool))
 
 
 def test_bind_features(tmp_path, caplog):

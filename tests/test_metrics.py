@@ -13,6 +13,7 @@ from t2tmetrics import (
     BindingError,
     BoundingBox,
     Detection,
+    GaussianTrainModel,
     GroundTruthInstance,
     ImageInfo,
     Kind,
@@ -26,7 +27,6 @@ from t2tmetrics import (
     average_precision,
     generate_scenario,
     metric_report,
-    model_from_moments,
 )
 from t2tmetrics import matching, metrics
 from t2tmetrics.metrics import _ratio_mean
@@ -120,7 +120,7 @@ def test_ap_over_iou_range():
             ),
         )
     )
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     # IoU is exactly 0.6: a hit at grid points 0.50, 0.55, 0.60 and a miss above
     assert metric_report(model, dets, gts)[0].ap_5095 == 0.3
 
@@ -145,7 +145,7 @@ def test_ap_t2t_edge_cases():
 def test_precision_none_when_nothing_kept():
     # with nothing kept there is no precision term: AP_t2t is 0.0, not undefined
     assert ap_t2t(annotated_outcome(entries=(), total_gt=2)) == 0.0
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     dets = grid_dets([("a", 0, 0.3, [0.5, 0.0])])
     assert ap_t2t_profile(model, dets, grid_gts(2), {"high": 0.9}) == {"high": 0.0}
 
@@ -513,7 +513,7 @@ def grid_dets(specs):
 
 
 def test_profile_evaluates_each_regime():
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     dets = grid_dets(
         [
             ("a", 0, 0.95, [0.5, 0.0]),
@@ -534,7 +534,7 @@ def test_profile_evaluates_each_regime():
 
 
 def test_profile_med_equals_high_when_no_scores_between():
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     rng = np.random.default_rng(29)
     specs = []
     for i in range(8):
@@ -549,7 +549,7 @@ def test_profile_med_equals_high_when_no_scores_between():
 def test_profile_partial_failure_keeps_results():
     # "b" scores below the "med" and "high" thresholds, but the "all" regime
     # keeps it, so the one annotation needs its distance.
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     dets = grid_dets([("a", 0, 0.95, [0.5, 0.0]), ("b", None, 0.05, None)])
     with pytest.raises(BindingError, match="^1 detections have no bound feature: b$"):
         ap_t2t_profile(model, dets, grid_gts(2))
@@ -565,7 +565,7 @@ def test_a_failing_regime_is_not_matched_again(monkeypatch):
         build = module.iou_matcher
         monkeypatch.setattr(module, "iou_matcher",
                             lambda *args, _build=build: tables.append(args) or _build(*args))
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     dets = grid_dets([("a", 0, 0.95, [0.5, 0.0]), ("b", None, 0.05, None)])
     with pytest.raises(BindingError, match="^1 detections have no bound feature: b$"):
         ap_t2t_profile(model, dets, grid_gts(2), iou_thresholds=IOU_GRID)
@@ -574,14 +574,14 @@ def test_a_failing_regime_is_not_matched_again(monkeypatch):
 
 def test_score_threshold_inclusive():
     # a regime keeps a detection that scores exactly its threshold
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     dets = grid_dets([("a", 0, 0.5, [0.5, 0.0])])
     regimes = {"at": 0.5, "above": float(np.nextafter(0.5, 1.0))}
     assert ap_t2t_profile(model, dets, grid_gts(1), regimes) == {"at": 1.0, "above": 0.0}
 
 
 def test_profile_validation():
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     dets = grid_dets([("a", 0, 0.9, [0.0, 0.0])])
     with pytest.raises(UndefinedMetricError):
         ap_t2t_profile(model, dets, grid_gts(0))
@@ -594,7 +594,7 @@ def test_profile_validation():
 
 
 def test_profile_averages_over_iou_grid():
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     gts = ground_truth(
         images=(ImageInfo(id="im", file_name="", width=100, height=100),),
         instances=(
@@ -678,7 +678,7 @@ def random_thresholds(rng):
 
 def test_profile_and_iou_range_equal_the_rematch_oracle():
     rng = np.random.default_rng(2408)
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     failed = 0
     for trial in range(200):
         dets, gts = random_scene(rng, unbound=trial % 4 == 0, misshapen=trial % 4 == 1)
@@ -696,7 +696,7 @@ def test_profile_and_iou_range_equal_the_rematch_oracle():
 
 def test_metric_report_equals_the_rematch_oracle():
     rng = np.random.default_rng(14559)
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     for trial in range(60):
         dets, gts = random_scene(rng, unbound=trial % 4 == 0, misshapen=trial % 4 == 1)
         thresholds = random_thresholds(rng)
@@ -721,7 +721,7 @@ def test_every_ap_equals_its_oracle_when_distances_tie_heavily(seed, rows):
     """At most four distinct distances and a few score levels: AP, AP_t2t, the
     profile and the report equal their oracles in several regimes and IoU tuples."""
     rng = np.random.default_rng(seed)
-    model = model_from_moments(np.zeros(2), np.eye(2))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
     dets, gts = random_scene(rng, rows=rows)
     thresholds = random_thresholds(rng)
     for ious in ((0.5,), IOU_GRID, (0.75, 0.3, 0.75)):

@@ -85,6 +85,14 @@ def test_non_finite_float_accuracy_is_refused_naming_the_sample(value):
     assert str(err.value) == f"curve sample 0: not a number: '{value}'"
 
 
+@pytest.mark.parametrize("value", [None, [0.5], b"0.5"])
+def test_a_non_numeric_accuracy_is_refused_naming_its_type(value):
+    with pytest.raises(ValidationError) as err:
+        curve([(5, value), (10, 0.5)])
+    assert str(err.value) == (
+        f"curve sample 0: accuracy must be numeric, got {type(value).__name__}")
+
+
 # Every decimal text of a float keeps its exact value, and a refusal shows the float.
 @given(value=st.floats(allow_nan=False, allow_infinity=False),
        form=st.sampled_from(["r", ".17e", ".17g"]))

@@ -244,6 +244,12 @@ def test_bar_chart_csv():
     assert rows == [["label", "value"], ["gain", "12.5"], ["loss", "-3"]]
 
 
+def test_a_bar_chart_needs_a_bar():
+    with pytest.raises(ValidationError) as err:
+        BarChart(bars=())
+    assert str(err.value) == "a bar chart needs at least one bar"
+
+
 def test_export_csv_rejects_unknown():
     with pytest.raises(ValidationError):
         export_csv(object())

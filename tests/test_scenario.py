@@ -60,6 +60,13 @@ def test_spec_needs_one_detection():
     assert str(err.value) == "n_tp + n_fp must be >= 1, got 0"
 
 
+@pytest.mark.parametrize("value", [(0.5,), (0.2, 0.5, 0.9), (0.2, float("nan"))])
+def test_spec_score_range_must_be_a_finite_pair(value):
+    with pytest.raises(ValidationError) as err:
+        small_spec(fp_score_range=value)
+    assert str(err.value) == "fp_score_range must be a (min, max) pair"
+
+
 @pytest.mark.parametrize("name", ["tp_distance_scale", "fp_distance_scale"])
 def test_spec_distance_scale_keeps_float32_features_finite(name):
     largest = float(np.finfo(np.float32).max) / 8  # exact: 8 is a power of two
