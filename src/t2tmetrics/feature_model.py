@@ -385,17 +385,6 @@ class DistanceAnnotatedOutcome:
         return tuple(edges.tolist()), tuple(tp_counts.tolist()), tuple(fp_counts.tolist())
 
 
-def _annotated(
-    outcome: matching.MatchOutcome, distances: np.ndarray
-) -> DistanceAnnotatedOutcome:
-    """The annotation listing the kept detections of ``outcome``, in its rank
-    order, with ``distances``."""
-    dets = outcome.dets
-    return DistanceAnnotatedOutcome(
-        ids=list(map(dets.ids.__getitem__, outcome.kept.tolist())), tp=outcome.claims >= 0,
-        scores=dets.scores[outcome.kept], dist=distances, total_gt=outcome.total_gt)
-
-
 def annotate_distances(
     model: GaussianTrainModel, outcome: matching.MatchOutcome
 ) -> DistanceAnnotatedOutcome:
@@ -407,7 +396,10 @@ def annotate_distances(
         shown = ", ".join(unbound[:10]) + (", ..." if len(unbound) > 10 else "")
         raise BindingError(f"{len(unbound)} detections have no bound feature: {shown}")
     data = None if dets.features is None else dets.features.data
-    return _annotated(outcome, _distances(model, data, rows))
+    return DistanceAnnotatedOutcome(
+        ids=list(map(dets.ids.__getitem__, outcome.kept.tolist())), tp=outcome.claims >= 0,
+        scores=dets.scores[outcome.kept], dist=_distances(model, data, rows),
+        total_gt=outcome.total_gt)
 
 
 # ------------------------------------------------------------- model file I/O

@@ -27,7 +27,6 @@ from .errors import UndefinedMetricError, ValidationError
 from .feature_model import (
     DistanceAnnotatedOutcome,
     GaussianTrainModel,
-    _annotated,
     annotate_distances,
 )
 from .ingest import DetectionSet, GroundTruthSet
@@ -137,34 +136,37 @@ def _regimes(score_thresholds: dict[str, float] | None) -> tuple[dict[str, float
 
 def _profile(
     model: GaussianTrainModel,
+    dets: DetectionSet,
     gts: GroundTruthSet,
-    thresholds: dict[str, float],
+    score_thresholds: dict[str, float] | None,
     iou_thresholds: tuple[float, ...],
-    match: Callable[[float], MatchOutcome],
-) -> tuple[dict[str, float], np.ndarray]:
-    """AP_t2t per regime, as :func:`ap_t2t_profile` defines it, and the
-    distance of each annotated detection in rank order.
+    annotate_at: float | None = None,
+) -> tuple[dict[str, float], DistanceAnnotatedOutcome, Callable[[float], MatchOutcome]]:
+    """AP_t2t per regime, as :func:`ap_t2t_profile` defines it, the annotation
+    it scored and the cached :func:`iou_matcher` at the lowest regime threshold.
 
-    ``match(iou)`` gives the :func:`iou_matcher` outcome at one IoU threshold
-    and the lowest regime threshold.
+    The annotation is of the matching at ``annotate_at``, or at the first IoU
+    threshold when None; its detections and distances are those of every
+    IoU threshold, which only marks which of them are true positives.
     """
+    thresholds, base = _regimes(score_thresholds)
     if not iou_thresholds:
         raise ValidationError("iou_thresholds must not be empty")
     if len(gts) == 0:
         raise UndefinedMetricError("AP_t2t is undefined without ground truth")
+    match = functools.cache(iou_matcher(dets, gts, base))
+    annotated = annotate_distances(
+        model, match(iou_thresholds[0] if annotate_at is None else annotate_at))
+    order, last = _distance_order(annotated.dist)
+    scores = annotated.scores[order]
+    keep = {name: scores >= threshold for name, threshold in thresholds.items()}
+    kept = {name: np.cumsum(mask) for name, mask in keep.items()}
     values: dict[str, list[float]] = {name: [] for name in thresholds}
-    for k, iou_threshold in enumerate(iou_thresholds):
-        outcome = match(iou_threshold)
-        if k == 0:
-            annotated = annotate_distances(model, outcome)
-            order, last = _distance_order(distances := annotated.dist)
-            scores = annotated.scores[order]
-            keep = {name: scores >= threshold for name, threshold in thresholds.items()}
-            kept = {name: np.cumsum(mask) for name, mask in keep.items()}
-        tp = (outcome.claims >= 0)[order]
+    for iou_threshold in iou_thresholds:
+        tp = (match(iou_threshold).claims >= 0)[order]
         for name in thresholds:
-            values[name].append(_ranked_ap(keep[name] & tp, outcome.total_gt, kept[name], last))
-    return {name: _mean(v) for name, v in values.items()}, distances
+            values[name].append(_ranked_ap(keep[name] & tp, annotated.total_gt, kept[name], last))
+    return {name: _mean(v) for name, v in values.items()}, annotated, match
 
 
 def ap_t2t_profile(
@@ -188,8 +190,7 @@ def ap_t2t_profile(
     distance: the first error, of the annotation or of a matching, ends the
     whole profile.
     """
-    thresholds, base = _regimes(score_thresholds)
-    return _profile(model, gts, thresholds, iou_thresholds, iou_matcher(dets, gts, base))[0]
+    return _profile(model, dets, gts, score_thresholds, iou_thresholds)[0]
 
 
 @dataclass(frozen=True)
@@ -237,21 +238,19 @@ def metric_report(
     ``IOU_GRID`` when ``iou_grid`` is set, as :func:`ap_t2t_profile` gives
     it. AP, AP@[.5:.95], the counts and the returned annotated outcome are
     taken at ``iou_threshold`` and the lowest regime threshold. Each distinct
-    IoU threshold is matched once, and the AP_t2t profile is complete, or
-    has raised its error, before any threshold it does not use is matched.
+    IoU threshold is matched once. The one annotation is of the matching at
+    ``iou_threshold``, and it is the one the AP_t2t profile scores, so an
+    ``iou_threshold`` out of range is refused before any detection is annotated.
     """
     profile_ious = IOU_GRID if iou_grid else (iou_threshold,)
-    thresholds, base = _regimes(score_thresholds)
-    match = functools.cache(iou_matcher(dets, gts, base))
-    ap_t2t_by_regime, distances = _profile(model, gts, thresholds, profile_ious, match)
-    chosen = match(iou_threshold)
+    ap_t2t_by_regime, annotated, match = _profile(
+        model, dets, gts, score_thresholds, profile_ious, iou_threshold)
     ap = functools.cache(lambda t: average_precision(match(t)))
-    n_tp = int(np.count_nonzero(chosen.claims >= 0))
+    n_tp = int(np.count_nonzero(annotated.tp))
     report = MetricReport(
         ap=ap(iou_threshold),
         ap_5095=_mean([ap(t) for t in IOU_GRID]),
         ap_t2t_by_regime=ap_t2t_by_regime,
-        counts=(n_tp, len(chosen.kept) - n_tp, chosen.total_gt - n_tp),
+        counts=(n_tp, len(annotated) - n_tp, annotated.total_gt - n_tp),
     )
-    # The profile annotated the detections kept here, at its first IoU threshold.
-    return report, _annotated(chosen, distances)
+    return report, annotated
