@@ -19,7 +19,8 @@ Rewrite the golden after an intended change of an error text with::
     PYTHONPATH=src python tests/error_corpus.py
 
 and list, without writing anything, each case whose exit code or ``error:``
-line differs from the golden with::
+line differs from the golden with the following; it exits 1 when it lists
+one and 0 when it lists none::
 
     PYTHONPATH=src python tests/error_corpus.py --diff
 """
@@ -251,12 +252,13 @@ def _t2tfeat_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
 
 def _model_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
     """One change to a model file: to its magic, its header's dim, epsilon or
-    sample count, its length, one value, or one entry of the stored precision,
-    which no reader uses, since a model derives its precision from the
-    covariance."""
+    sample count, its length, one value of the mean or covariance, or one entry
+    of the covariance. The stored precision is left alone, as no reader reads
+    it; the draws are those of the edits that changed it, mapped onto the
+    mean and covariance, so that the cases of the later kinds stay put."""
     (dim,) = struct.unpack_from("<Q", blob, 8)
     values_at = 32
-    precision_at = values_at + 8 * (dim + dim * dim)
+    covariance_at = values_at + 8 * dim
     out = bytearray(blob)
     op = rng.choice(("magic", "dim", "epsilon", "count", "length", "nan", "asymmetric"))
     if op == "magic":
@@ -284,15 +286,15 @@ def _model_edit(rng: random.Random, blob: bytes) -> tuple[str, bytes]:
             out += bytes(n)
             what = f"append {n} zero bytes"
     elif op == "nan":
-        k = rng.randrange((len(blob) - values_at) // 8)
+        k = rng.randrange((len(blob) - values_at) // 8) % (dim + dim * dim)
         struct.pack_into("<d", out, values_at + 8 * k, float("nan"))
         what = f"set value {k} after the header to NaN"
     else:
         i, j = rng.sample(range(dim), 2)
         delta = rng.choice((1e-13, 1e-3, 1.0))
-        at = precision_at + 8 * (i * dim + j)
+        at = covariance_at + 8 * (i * dim + j)
         struct.pack_into("<d", out, at, struct.unpack_from("<d", blob, at)[0] + delta)
-        what = f"add {delta!r} to precision[{i}][{j}]"
+        what = f"add {delta!r} to covariance[{i}][{j}]"
     return what, bytes(out)
 
 
@@ -583,13 +585,22 @@ def diff(golden: list[dict], records: list[dict]) -> list[str]:
     return lines
 
 
-if __name__ == "__main__":
+def run(argv: list[str] | None = None) -> int:
+    """Rewrite the golden and return 0; with ``--diff``, print each changed
+    case instead, write nothing, and return 1 if a line was printed."""
     parser = argparse.ArgumentParser(description="Replay the error corpus and rewrite its golden.")
     parser.add_argument("--diff", action="store_true",
-                        help="print each case whose outcome differs from the golden; write nothing")
-    if parser.parse_args().diff:
+                        help="print each case whose outcome differs from the golden; write "
+                             "nothing; exit 1 if one does")
+    if parser.parse_args(argv).diff:
         golden = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
-        sys.stdout.writelines(line + "\n" for line in diff(golden, replay()))
-    else:
-        GOLDEN.write_text(dumps(replay()), encoding="utf-8")
-        sys.stdout.write(f"wrote {GOLDEN}\n")
+        lines = diff(golden, replay())
+        sys.stdout.writelines(line + "\n" for line in lines)
+        return 1 if lines else 0
+    GOLDEN.write_text(dumps(replay()), encoding="utf-8")
+    sys.stdout.write(f"wrote {GOLDEN}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())
