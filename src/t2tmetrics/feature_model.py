@@ -375,10 +375,12 @@ class DistanceAnnotatedOutcome:
         self, bin_count: int
     ) -> tuple[tuple[float, ...], tuple[int, ...], tuple[int, ...]]:
         """Uniform bin edges over [0, max distance], shared by the TP and the FP
-        counts that follow them; with no entries, or only zero distances, the
-        range is [0, 1]."""
-        hi = float(self.dist.max()) if len(self.dist) else 1.0
-        if hi <= 0.0:
+        counts that follow them. Where that range cannot hold ``bin_count + 1``
+        increasing edges (no entries, only zero distances, or a largest distance
+        too small to split), the range is [0, 1]."""
+        hi = float(self.dist.max()) if len(self.dist) else 0.0
+        edges = np.linspace(0.0, hi, bin_count + 1)
+        if (edges[:-1] >= edges[1:]).any():  # the check np.histogram makes
             hi = 1.0
         tp_counts, edges = np.histogram(self.dist[self.tp], bins=bin_count, range=(0.0, hi))
         fp_counts, _ = np.histogram(self.dist[~self.tp], bins=bin_count, range=(0.0, hi))

@@ -64,8 +64,9 @@ def distance_histogram(
 ) -> tuple[Histogram, Histogram]:
     """TP and FP distance histograms over shared uniform bin edges.
 
-    The range spans [0, max distance] so every distance is counted. With no
-    entries, or only zero distances, the range is [0, 1].
+    The range spans [0, max distance] so every distance is counted. Where that
+    range is too small to hold ``bin_count`` bins, as with no entries or only
+    zero distances, it is [0, 1].
     """
     if bin_count < 1:
         raise ValidationError(f"bin_count must be >= 1, got {bin_count}")

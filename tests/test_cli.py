@@ -148,13 +148,14 @@ def test_evaluate_is_deterministic(dataset, tmp_path):
 def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
     dataset, tmp_path, monkeypatch
 ):
-    # IoU table builds, the thresholds matched from them, annotations and
-    # orderings of their distances count one per call; the distance kernel
-    # counts the rows it is given.
+    # IoU table builds, the thresholds matched from them, annotations, the
+    # annotated outcomes built and orderings of their distances count one per
+    # call; the distance kernel counts the rows it is given.
     work = {
         "iou_matcher": lambda *args, **kwargs: 1,
         "match": lambda iou_threshold: 1,
         "annotate_distances": lambda *args, **kwargs: 1,
+        "__post_init__": lambda self: 1,
         "_distances": lambda model, features, rows: len(features if rows is None else rows),
         "_distance_order": lambda distances: 1,
     }
@@ -178,14 +179,18 @@ def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
         assert bound
         for module in bound:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(DistanceAnnotatedOutcome, "__post_init__",
+                        counted("__post_init__", DistanceAnnotatedOutcome.__post_init__))
 
     # evaluate matches every IOU_GRID point for AP@[.5:.95]; plain ap-t2t needs one.
-    # Each run builds one IoU table and matches every threshold from it, and
-    # orders the one annotation's distances once for every regime and threshold.
+    # Each run builds one IoU table and matches every threshold from it, builds
+    # one annotation, and orders its distances once for every regime and threshold.
+    ap_t2t_args = ["ap-t2t"] + evaluate_args(dataset, tmp_path / "ap")[1:]
     runs = (
         (evaluate_args(dataset, tmp_path / "grid") + ["--iou-grid"], len(IOU_GRID)),
         (evaluate_args(dataset, tmp_path / "plain"), len(IOU_GRID)),
-        (["ap-t2t"] + evaluate_args(dataset, tmp_path / "ap")[1:], 1),
+        (ap_t2t_args, 1),
+        (ap_t2t_args + ["--iou-grid"], len(IOU_GRID)),
     )
     for argv, matchings in runs:
         calls.update(dict.fromkeys(calls, 0))
@@ -193,6 +198,7 @@ def test_evaluate_iou_grid_matches_once_per_threshold_and_measures_once(
         assert calls["iou_matcher"] == 1, argv
         assert 0 < calls["match"] <= matchings, argv
         assert calls["annotate_distances"] == 1, argv
+        assert calls["__post_init__"] == 1, argv
         assert 0 < calls["_distances"] <= SCENARIO_SPEC["n_tp"] + SCENARIO_SPEC["n_fp"]
         assert calls["_distance_order"] == 1, argv
 
@@ -301,7 +307,9 @@ def test_model_is_fitted_before_the_test_features_are_read(dataset, tmp_path, ca
     assert errors == [f"error: no such file: {tmp_path / 'missing_train.t2tfeat'}"]
 
 
-def test_evaluate_rank_deficient_epsilon_zero_exits_2(tmp_path, capsys):
+def one_box_evaluate_args(tmp_path, features, train):
+    """``evaluate`` of one detection on one instance, with the given feature
+    and training CSV text."""
     write_json(tmp_path / "gt.json", {
         "images": [{"id": "im", "width": 100, "height": 100}],
         "annotations": [{"id": "g1", "image_id": "im", "bbox": [0, 0, 10, 10]}],
@@ -309,21 +317,40 @@ def test_evaluate_rank_deficient_epsilon_zero_exits_2(tmp_path, capsys):
     write_json(tmp_path / "det.json", [
         {"detection_id": "d1", "image_id": "im", "bbox": [0, 0, 10, 10], "score": 0.9},
     ])
-    (tmp_path / "features.csv").write_text("d1,1.0,2.0\n")
-    (tmp_path / "train.csv").write_text("t1,0.0,0.0\nt2,1.0,1.0\n")
-    args = [
+    (tmp_path / "features.csv").write_text(features)
+    (tmp_path / "train.csv").write_text(train)
+    return [
         "evaluate",
         "--gt", str(tmp_path / "gt.json"),
         "--det", str(tmp_path / "det.json"),
         "--features", str(tmp_path / "features.csv"),
         "--train-features", str(tmp_path / "train.csv"),
         "--out", str(tmp_path / "out"),
-        "--epsilon", "0",
     ]
-    assert main(args) == 2
+
+
+def test_evaluate_rank_deficient_epsilon_zero_exits_2(tmp_path, capsys):
+    args = one_box_evaluate_args(tmp_path, "d1,1.0,2.0\n", "t1,0.0,0.0\nt2,1.0,1.0\n")
+    assert main(args + ["--epsilon", "0"]) == 2
     assert "epsilon" in capsys.readouterr().err
     # the trace-scaled default repairs the same input
-    assert main(args[:-2]) == 0
+    assert main(args) == 0
+
+
+@pytest.mark.parametrize("feature, bins", [("2.3e-162", 30), ("3e-160", 100_000)])
+def test_evaluate_bins_0_to_1_when_the_largest_distance_cannot_be_split(
+    tmp_path, capsys, feature, bins
+):
+    # A zero training set with epsilon 1 makes the distance the feature squared:
+    # 5e-324, or 9e-320 over 100,000 bins, has too few floats for distinct edges.
+    args = one_box_evaluate_args(tmp_path, f"d1,{feature}\n", "t1,0\nt2,0\nt3,0\n")
+    assert main(args + ["--epsilon", "1", "--bins", str(bins)]) == 0
+    assert error_lines(capsys.readouterr().err) == []
+    for kind, count in (("tp", "1"), ("fp", "0")):
+        text = (tmp_path / "out" / f"distance_hist_{kind}.csv").read_text()
+        rows = [line.split(",") for line in text.splitlines()]
+        assert rows[0] == ["bin_lo", "bin_hi", "count"] and len(rows) == bins + 1
+        assert rows[1][::2] == ["0", count] and rows[-1][1] == "1"
 
 
 # ------------------------------------------------------------------ fit chain

@@ -557,6 +557,18 @@ def test_profile_partial_failure_keeps_results():
         "med": 0.5, "high": 0.5}
 
 
+@pytest.mark.parametrize("iou_grid", [False, True])
+def test_an_argument_error_comes_before_a_data_error(iou_grid):
+    # "a" has no bound feature, but the IoU threshold is refused before any
+    # detection is annotated, with the grid as without it.
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
+    dets = grid_dets([("a", 0, 0.95, None)])
+    with pytest.raises(BindingError, match="^1 detections have no bound feature: a$"):
+        metric_report(model, dets, grid_gts(1), iou_grid=iou_grid)
+    with pytest.raises(ValidationError, match=r"^iou_threshold must lie in \(0, 1\], got 1.5$"):
+        metric_report(model, dets, grid_gts(1), iou_threshold=1.5, iou_grid=iou_grid)
+
+
 def test_a_failing_regime_is_not_matched_again(monkeypatch):
     # The profile fails at its one annotation, after one IoU table is built:
     # no regime is matched again to find out which of them failed.
