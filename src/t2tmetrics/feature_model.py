@@ -24,7 +24,8 @@ that is symmetric to the bit, as the fit's is, and symmetrizes any other.
 LAPACK only factors and inverts the diagonal blocks, and every other step
 is a matrix product whose dimensions are whole blocks, so a model's bytes
 do not depend on the BLAS thread count. The distance product is padded to
-whole blocks too, so distances do not either.
+whole blocks too, so distances do not either: it multiplies by the model's
+one padded precision, of which ``precision`` is a read-only d x d view.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ class GaussianTrainModel:
 
     A covariance that is symmetric to the bit is kept as given; any other is
     replaced by ``(covariance + covariance.T) / 2``. An epsilon of -0.0 is kept
-    as 0.0.
+    as 0.0. Every array is read-only; ``precision`` is a d x d view of
+    ``_padded_precision``, the one matrix the distance kernel multiplies by.
     """
 
     mean: np.ndarray
@@ -69,10 +71,12 @@ class GaussianTrainModel:
     regularization: float = 0.0
     sample_count: int = 0
     precision: np.ndarray = field(init=False)
+    _padded_precision: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64)
-        cov = np.asarray(self.covariance, dtype=np.float64)
+        # Views, so that a caller's own arrays stay writable.
+        mean = np.asarray(self.mean, dtype=np.float64).view()
+        cov = np.asarray(self.covariance, dtype=np.float64).view()
         if mean.ndim != 1 or mean.size < 1 or cov.shape != (mean.size, mean.size):
             raise ValidationError(
                 f"model shapes must be (d,) and (d, d) with d >= 1, got mean {mean.shape} "
@@ -92,27 +96,22 @@ class GaussianTrainModel:
                     and np.array_equal(cov, cov.T)):
                 cov = cov + cov.T
                 cov /= 2.0
-        precision = _invert_spd(cov, regularization)
-        if not (np.isfinite(mean).all() and np.isfinite(precision).all()):
+        padded = _invert_spd(cov, regularization)
+        # ``W.T @ W`` is symmetric to the bit, so (p + p.T) / 2 would only turn
+        # an entry past half the float range into an infinity: such a
+        # precision is refused as the non-finite one it would become.
+        if not (np.isfinite(mean).all()
+                and padded.max() <= _HALF_MAX and padded.min() >= -_HALF_MAX):
             raise ValidationError("model contains non-finite values")
-        for name, value in (("mean", mean), ("covariance", cov), ("precision", precision),
+        mean.flags.writeable = cov.flags.writeable = padded.flags.writeable = False
+        for name, value in (("mean", mean), ("covariance", cov), ("_padded_precision", padded),
+                            ("precision", padded[:mean.size, :mean.size]),
                             ("regularization", regularization)):
             object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    @functools.cached_property
-    def _padded_precision(self) -> np.ndarray:
-        """The precision padded with zeros to ``_padded(dim)`` rows and columns,
-        built on first use and kept; the precision itself when d needs no padding."""
-        d, size = self.dim, _padded(self.dim)
-        if size == d:
-            return self.precision
-        padded = np.zeros((size, size))
-        padded[:d, :d] = self.precision
-        return padded
 
 
 def default_regularization(covariance: np.ndarray) -> float:
@@ -139,7 +138,7 @@ def _padded(d: int) -> int:
 
 
 def _invert_spd(matrix: np.ndarray, regularization: float) -> np.ndarray:
-    """Inverse of (matrix + regularization * I) via Cholesky; raises on failure.
+    """Zero-padded inverse of (matrix + regularization * I) via Cholesky; raises on failure.
 
     A left-looking blocked Cholesky (Golub & Van Loan, *Matrix Computations*,
     section 4.2) builds the factor L and its inverse W side by side, one
@@ -147,7 +146,7 @@ def _invert_spd(matrix: np.ndarray, regularization: float) -> np.ndarray:
     diagonal block of L finishes both the panel of L below it and block row k
     of W. The target is padded with the identity to a whole number of blocks;
     that leaves its factor and inverse in the leading rows and columns. The
-    precision is the leading d x d part of ``W.T @ W``.
+    padded precision is ``W.T @ W`` in the target's buffer, its padding set to 0.
     """
     d = matrix.shape[0]
     size = _padded(d)
@@ -177,16 +176,9 @@ def _invert_spd(matrix: np.ndarray, regularization: float) -> np.ndarray:
         target[e:, k:e] = (target[e:, k:e] - target[e:, :k] @ row.T) @ w_kk.T
         inverse[k:e, :k] = -w_kk @ (row @ inverse[:k, :k])
         inverse[k:e, k:e] = w_kk
-    del target, row
-    precision = np.ascontiguousarray((inverse.T @ inverse)[:d, :d])
-    del inverse
-    # ``W.T @ W`` is a symmetric rank-k update, symmetric to the bit, so
-    # (p + p.T) / 2 would give it back unchanged, except where doubling an
-    # entry overflows: such a precision still ends as a non-finite one.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not (precision.max() <= _HALF_MAX and precision.min() >= -_HALF_MAX):
-            precision = (precision + precision.T) / 2.0
-    return precision
+    np.matmul(inverse.T, inverse, out=target)
+    target[d:] = target[:, d:] = 0.0  # zero padding, where W.T @ W holds the identity
+    return target
 
 
 # Training rows per block of the covariance sum: one float64 block at a time
@@ -268,7 +260,6 @@ def _distances(model: GaussianTrainModel, features, rows: np.ndarray | None) -> 
     """The distances of ``features[rows]``, or of every row when ``rows`` is
     None; each block is gathered by its slice of ``rows``, one at a time."""
     d, size = model.dim, _padded(model.dim)
-    precision = model._padded_precision
     out = np.empty(len(features) if rows is None else len(rows), dtype=np.float64)
     for start in range(0, len(out), _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, len(out))
@@ -287,7 +278,7 @@ def _distances(model: GaussianTrainModel, features, rows: np.ndarray | None) -> 
         np.subtract(block, model.mean, out=centered[:, :d])
         # An overflowing distance is left to the caller, which refuses it by name.
         with np.errstate(over="ignore", invalid="ignore"):
-            out[start:stop] = np.einsum("ij,ij->i", centered @ precision, centered)
+            out[start:stop] = np.einsum("ij,ij->i", centered @ model._padded_precision, centered)
     # The true quadratic form is >= 0; rounding may produce a tiny negative.
     # ``+ 0.0`` turns a clamped -0.0 into 0.0.
     return np.maximum(out, 0.0, out=out) + 0.0

@@ -183,6 +183,12 @@ def _padded(image: np.ndarray, slot: np.ndarray, values: np.ndarray, place: np.n
     return out
 
 
+def _check_iou_threshold(iou_threshold: float) -> None:
+    """Refuse an IoU threshold outside (0, 1]."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValidationError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+
+
 def iou_matcher(
     dets: DetectionSet,
     gts: GroundTruthSet,
@@ -232,8 +238,7 @@ def iou_matcher(
         blocks.append((rows, cols, _iou_table(rows, cols, det_edges, gt_edges)))
 
     def match(iou_threshold: float) -> MatchOutcome:
-        if not 0.0 < iou_threshold <= 1.0:
-            raise ValidationError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+        _check_iou_threshold(iou_threshold)
         if not 0.0 <= score_threshold <= 1.0:
             raise ValidationError(f"score_threshold must lie in [0, 1], got {score_threshold}")
         claims = np.full(len(kept), -1, dtype=np.intp)  # instance claimed per kept detection

@@ -30,7 +30,7 @@ from .feature_model import (
     annotate_distances,
 )
 from .ingest import DetectionSet, GroundTruthSet
-from .matching import IOU_GRID, MatchOutcome, iou_matcher
+from .matching import IOU_GRID, MatchOutcome, _check_iou_threshold, iou_matcher
 
 # Score thresholds naming the three detection regimes: every candidate with a
 # minimal score, the above-medium-confidence subset, and the high-confidence
@@ -152,11 +152,13 @@ def _profile(
     thresholds, base = _regimes(score_thresholds)
     if not iou_thresholds:
         raise ValidationError("iou_thresholds must not be empty")
+    annotate_at = iou_thresholds[0] if annotate_at is None else annotate_at
+    for iou_threshold in (annotate_at, *iou_thresholds):
+        _check_iou_threshold(iou_threshold)
     if len(gts) == 0:
         raise UndefinedMetricError("AP_t2t is undefined without ground truth")
     match = functools.cache(iou_matcher(dets, gts, base))
-    annotated = annotate_distances(
-        model, match(iou_thresholds[0] if annotate_at is None else annotate_at))
+    annotated = annotate_distances(model, match(annotate_at))
     order, last = _distance_order(annotated.dist)
     scores = annotated.scores[order]
     keep = {name: scores >= threshold for name, threshold in thresholds.items()}
@@ -186,9 +188,9 @@ def ap_t2t_profile(
     of matching at that threshold. The instance count |X| comes from the
     ground truth alone, so it is the same in every regime. With several IoU
     thresholds the per-regime value is the mean over the grid, summed in
-    grid order. Every detection kept at the lowest regime threshold needs a
-    distance: the first error, of the annotation or of a matching, ends the
-    whole profile.
+    grid order. An IoU threshold outside (0, 1] is refused before any matching;
+    then every detection kept at the lowest regime threshold needs a distance,
+    and the first error, of the annotation or of a matching, ends the profile.
     """
     return _profile(model, dets, gts, score_thresholds, iou_thresholds)[0]
 

@@ -120,10 +120,14 @@ def match_detections_loop(
 def ap_t2t_profile_rematch(model, dets, gts, score_thresholds=None, iou_thresholds=(0.5,)):
     """AP_t2t per regime, matching afresh for every regime and IoU threshold.
 
-    At each IoU threshold the match at the lowest regime threshold is
-    annotated, and its error, if any, ends the profile. Each regime takes the
-    distances of the detections it keeps from that annotation.
+    Every IoU threshold is checked first. At each IoU threshold the match at
+    the lowest regime threshold is annotated, and its error, if any, ends the
+    profile. Each regime takes the distances of the detections it keeps from
+    that annotation.
     """
+    for iou_threshold in iou_thresholds:
+        if not 0.0 < iou_threshold <= 1.0:
+            raise ValidationError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
     thresholds = DEFAULT_SCORE_THRESHOLDS if score_thresholds is None else score_thresholds
     base = min(thresholds.values())
     values = {name: [] for name in thresholds}

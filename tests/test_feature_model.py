@@ -268,8 +268,9 @@ def _invert_spd_reference(matrix, regularization):
 
 
 def _outcome(invert, matrix, regularization):
+    d = len(matrix)
     try:
-        return invert(matrix, regularization).tobytes()
+        return invert(matrix, regularization)[:d, :d].tobytes()
     except (NumericalError, SingularCovarianceError) as exc:
         return type(exc), str(exc)
 
@@ -330,7 +331,7 @@ def test_blocked_inverse_residual_at_the_block_edges(dim, log_cond):
         cov = (cov + cov.T) / 2.0
         eps = default_regularization(cov)
         target = cov + eps * np.eye(dim)
-        precision = feature_model._invert_spd(cov, eps)
+        precision = feature_model._invert_spd(cov, eps)[:dim, :dim]
         residual = np.abs(precision @ target - np.eye(dim)).max()
         assert residual <= (dim + 2) * u * np.linalg.cond(target)
 
@@ -395,7 +396,7 @@ def test_model_validation(fields, message):
 def test_the_constructor_derives_the_precision_and_takes_none():
     model = GaussianTrainModel(np.zeros(2), np.diag([4.0, 0.5]), 0.0, 7)
     assert model.precision.tobytes() == feature_model._invert_spd(
-        np.diag([4.0, 0.5]), 0.0).tobytes()
+        np.diag([4.0, 0.5]), 0.0)[:2, :2].tobytes()
     assert (model.regularization, model.sample_count) == (0.0, 7)
     with pytest.raises(TypeError):
         GaussianTrainModel(np.zeros(2), np.eye(2), precision=np.eye(2))
@@ -572,18 +573,39 @@ def test_a_precision_entry_past_half_the_float_range_is_refused():
     assert GaussianTrainModel(np.zeros(1), [[2e-308]]).precision[0, 0] == 5e307
 
 
-@pytest.mark.parametrize("d", [392, 8])
+@pytest.mark.parametrize("d", [1, 8, 65, 130, 392])
 def test_the_padded_precision_is_built_once_per_model(d):
     rng = np.random.default_rng(d)
     model = fit_gaussian(matrix(rng.normal(size=(2 * d + 5, d))))
-    x = rng.normal(size=d)
-    first = train2test_distances(model, [x])[0]
     padded = model._padded_precision
-    assert padded.shape == ((448, 448) if d == 392 else (64, 64))
+    size = -(-d // 64) * 64
+    assert padded.shape == (size, size)
+    assert np.shares_memory(model.precision, padded)
     assert np.array_equal(padded[:d, :d], model.precision)
-    assert not padded[d:].any() and not padded[:, d:].any()
-    assert train2test_distances(model, [x])[0] == first
-    assert model._padded_precision is padded
+    # Every padding entry is +0.0, to the bit.
+    assert padded[d:].tobytes() == bytes(8 * (size - d) * size)
+    assert np.ascontiguousarray(padded[:, d:]).tobytes() == bytes(8 * size * (size - d))
+    # The distances are those of a product with a zero-padded copy of the precision.
+    x = rng.normal(size=(200, d))
+    explicit = np.zeros((size, size))
+    explicit[:d, :d] = model.precision
+    centered = np.zeros((200, size))
+    centered[:, :d] = x - model.mean
+    expected = np.maximum(np.einsum("ij,ij->i", centered @ explicit, centered), 0.0) + 0.0
+    assert train2test_distances(model, x).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d", [100, 128])
+def test_a_model_is_read_only_and_leaves_the_callers_arrays_writable(d):
+    mean, cov = np.zeros(d), np.eye(d)
+    model = GaussianTrainModel(mean, cov, 0.0, d + 1)
+    for array in (model.precision, model._padded_precision, model.mean, model.covariance):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, ...] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        model.precision[0, 0] = 1.0
+    mean[0] = cov[0, 0] = 2.0  # the caller's own arrays
+    assert model.precision[0, 0] == 1.0
 
 
 def test_precision_is_consistent_inverse():

@@ -569,6 +569,21 @@ def test_an_argument_error_comes_before_a_data_error(iou_grid):
         metric_report(model, dets, grid_gts(1), iou_threshold=1.5, iou_grid=iou_grid)
 
 
+@pytest.mark.parametrize("iou_thresholds", [(1.5, 0.5), (0.5, 1.5), (0.5, 0.0)])
+def test_the_profile_refuses_every_iou_threshold_before_matching(monkeypatch, iou_thresholds):
+    # "a" has no bound feature, and the second ground truth is empty, but an
+    # IoU threshold out of range anywhere in the tuple is refused first,
+    # before any IoU table is built.
+    monkeypatch.setattr(metrics, "iou_matcher", lambda *args: pytest.fail("matcher built"))
+    model = GaussianTrainModel(np.zeros(2), np.eye(2))
+    dets = grid_dets([("a", 0, 0.95, None)])
+    refused = next(t for t in iou_thresholds if not 0.0 < t <= 1.0)
+    message = rf"^iou_threshold must lie in \(0, 1\], got {refused}$"
+    for gts in (grid_gts(1), grid_gts(0)):
+        with pytest.raises(ValidationError, match=message):
+            ap_t2t_profile(model, dets, gts, iou_thresholds=iou_thresholds)
+
+
 def test_a_failing_regime_is_not_matched_again(monkeypatch):
     # The profile fails at its one annotation, after one IoU table is built:
     # no regime is matched again to find out which of them failed.
